@@ -7,6 +7,7 @@ package dcta_test
 
 import (
 	"context"
+	"encoding/json"
 	"strconv"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/mlearn"
 	"repro/internal/rl"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 var (
@@ -271,6 +273,79 @@ func BenchmarkDQNStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := agent.Observe(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// wireAllocateBody is an allocate body at the paper's scale: an 8-number
+// signature and 50 tasks × 12 Table-I features, half of them measurements at
+// full precision and half small integers (building, model, condition), ~6 KB
+// as json.Marshal writes it — the body the warm_dcta benchmark workload sends.
+func wireAllocateBody(b *testing.B) []byte {
+	rng := mathx.NewRand(3)
+	req := wire.AllocateRequest{Features: make([][]float64, 50)}
+	for d := 0; d < 8; d++ {
+		req.Signature = append(req.Signature, rng.NormFloat64())
+	}
+	for j := range req.Features {
+		for k := 0; k < 12; k++ {
+			v := float64(rng.Intn(3))
+			if k%2 == 0 {
+				v = rng.NormFloat64()
+			}
+			req.Features[j] = append(req.Features[j], v)
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkWireDecodeAllocate measures the shard's request decode (the
+// serve.codec_us line of the latency budget) into a warmed target.
+func BenchmarkWireDecodeAllocate(b *testing.B) {
+	body := wireAllocateBody(b)
+	var req wire.AllocateRequest
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := wire.DecodeAllocate(body, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireEncodeAllocateResponse measures the shard's answer encode for
+// a 50-task allocation.
+func BenchmarkWireEncodeAllocateResponse(b *testing.B) {
+	resp := wire.AllocateResponse{Allocation: make([]int, 50), Cluster: 41, Cache: serve.CacheHit,
+		Allocator: "DCTA", Mode: serve.ModeNormal, PredictedImportance: 3.0517578125, LatencyNanos: 6021}
+	for j := range resp.Allocation {
+		resp.Allocation[j] = j%10 - 1
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = wire.AppendAllocateResponse(buf[:0], &resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireScanSignature measures the router's pass over the same body:
+// the signature decoded, the features checked but not parsed.
+func BenchmarkWireScanSignature(b *testing.B) {
+	body := wireAllocateBody(b)
+	var sig []float64
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sig, err = wire.ScanSignature(wire.Allocate, body, sig); err != nil {
 			b.Fatal(err)
 		}
 	}

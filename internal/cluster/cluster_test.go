@@ -338,6 +338,43 @@ func TestClusterMalformedBodyPassthrough(t *testing.T) {
 	}
 }
 
+// TestClusterRouterKeysWhatTheShardAccepts: the router and the shards read a
+// body with one scanner, so the router routes by signature exactly the bodies
+// whose signature the shard's decoder accepts. The lenient json.Unmarshal it
+// used before keyed bodies the shard then rejected (an unknown member) and
+// sent round-robin bodies the shard then served (bytes after the object).
+func TestClusterRouterKeysWhatTheShardAccepts(t *testing.T) {
+	lc := startCluster(t, 3, nil)
+	for _, tc := range []struct {
+		path, body string
+		keyed      bool
+		code       int
+	}{
+		{"/v1/allocate", `{"signature":[2]}`, true, http.StatusOK},
+		{"/v1/allocate", " {\"allocator\":\"crl\",\"signature\":[2]}\n", true, http.StatusOK},
+		{"/v1/allocate", `{"signature":[2]} {"signature":[3]}`, false, http.StatusBadRequest},
+		{"/v1/allocate", `{"signature":[2]}x`, false, http.StatusBadRequest},
+		{"/v1/allocate", `{"signature":[2],"bogus":1}`, false, http.StatusBadRequest},
+		{"/v1/allocate", `{"signature":[2],"signature":[3]}`, false, http.StatusBadRequest},
+		{"/v1/allocate", `{"Signature":[2]}`, false, http.StatusBadRequest},
+		{"/v1/allocate", `{"signature":[null]}`, false, http.StatusBadRequest},
+		{"/v1/allocate", `{"signature":[2],"seq":7}`, false, http.StatusBadRequest},
+		{"/v1/feedback", `{"signature":[2],"seq":7,"features":[[1]],"allocation":[0]}`, true, http.StatusOK},
+		{"/v1/feedback", `{"signature":[2],"allocator":"crl","features":[[1]],"allocation":[0]}`, false, http.StatusBadRequest},
+		// The signature is good; the shard faults another member's value.
+		{"/v1/allocate", `{"signature":[2],"features":"x"}`, true, http.StatusBadRequest},
+	} {
+		before := lc.Router().roundRobin.Load()
+		code, resp := post(t, lc.Addr(), tc.path, []byte(tc.body))
+		if code != tc.code {
+			t.Errorf("%s %s: code %d (%s), want %d", tc.path, tc.body, code, resp, tc.code)
+		}
+		if keyed := lc.Router().roundRobin.Load() == before; keyed != tc.keyed {
+			t.Errorf("%s %s: routed by signature = %v, want %v", tc.path, tc.body, keyed, tc.keyed)
+		}
+	}
+}
+
 // TestClusterAllShardsDown: with every shard dead the router degrades to
 // clean 503s (the one allowed non-2xx) and its own healthz reports it.
 func TestClusterAllShardsDown(t *testing.T) {

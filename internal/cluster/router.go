@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rawhttp"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Shard names one dcta-server replica: a stable id (the ring placement
@@ -274,9 +274,7 @@ type Router struct {
 type proxyWS struct {
 	body  []byte
 	frame []byte
-	sig   struct {
-		Signature []float64 `json:"signature"`
-	}
+	sig   []float64
 }
 
 // NewRouter builds a router over the deployment's environment store (every
@@ -679,30 +677,30 @@ func (r *Router) forward(path string, ws *proxyWS, key int) (code int, body []by
 	return 0, nil, nil, false
 }
 
-// handleProxy terminates one /v1/allocate or /v1/feedback request and
-// relays it to its owning shard.
-func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
+// handleProxy terminates one /v1/allocate or /v1/feedback request — kind says
+// which body grammar — and relays it to its owning shard.
+func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, kind wire.Kind) {
 	if req.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	r.requests.Add(1)
 	ws := r.wsPool.Get().(*proxyWS)
-	defer r.wsPool.Put(ws)
+	defer r.putWS(ws)
 	var err error
-	ws.body, err = readBody(ws.body[:0], http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	ws.body, err = wire.ReadBody(ws.body[:0], http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	// Routing needs only the signature; everything else passes through
-	// opaquely. A body without a decodable signature (including malformed
-	// JSON) routes round-robin and lets the shard own the 400 — the router
-	// never duplicates serve's validation.
+	// Routing needs only the signature: the scanner holds the rest of the
+	// body to the shard decoder's grammar without decoding it. A body that
+	// grammar rejects, or one without a signature, routes round-robin and
+	// lets the shard own the 400 — the router never duplicates serve's
+	// validation.
 	key := -1
-	ws.sig.Signature = ws.sig.Signature[:0]
-	if json.Unmarshal(ws.body, &ws.sig) == nil && len(ws.sig.Signature) > 0 {
-		if k, _, err := r.store.NearestIndex(ws.sig.Signature); err == nil {
+	if ws.sig, err = wire.ScanSignature(kind, ws.body, ws.sig); err == nil && len(ws.sig) > 0 {
+		if k, _, err := r.store.NearestIndex(ws.sig); err == nil {
 			key = k
 		}
 	}
@@ -718,20 +716,10 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	release()
 }
 
-// readBody appends the reader's contents onto dst.
-func readBody(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
+// putWS recycles ws unless an oversized body grew its buffers.
+func (r *Router) putWS(ws *proxyWS) {
+	if cap(ws.body) <= wire.MaxPooledBody {
+		r.wsPool.Put(ws)
 	}
 }
 
@@ -829,8 +817,12 @@ func (r *Router) Stats() RouterStats {
 //	GET  /healthz     — 200 while at least one shard is live
 func NewHandler(r *Router) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/allocate", r.handleProxy)
-	mux.HandleFunc("/v1/feedback", r.handleProxy)
+	mux.HandleFunc("/v1/allocate", func(w http.ResponseWriter, req *http.Request) {
+		r.handleProxy(w, req, wire.Allocate)
+	})
+	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, req *http.Request) {
+		r.handleProxy(w, req, wire.Feedback)
+	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, r.Stats())
 	})

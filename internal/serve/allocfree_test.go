@@ -8,6 +8,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -98,5 +99,34 @@ func TestWarmAllocateZeroAllocsDCTA(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm DCTA allocate: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestWarmAllocateZeroAllocsWire extends the contract across the codec: from
+// the body bytes of a feature-carrying request to the answer's bytes —
+// everything the handler does between its socket read and its socket write —
+// a warm allocate still allocates nothing.
+func TestWarmAllocateZeroAllocsWire(t *testing.T) {
+	s, ws := zeroAllocServer(t, fastConfig())
+	ctx := context.Background()
+	body, err := json.Marshal(AllocateRequest{Signature: []float64{0}, Features: mkFeatures(clusterImportance(0), 0.05, 61)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func() {
+		ws.buf = append(ws.buf[:0], body...)
+		if code, err := s.answerAllocate(ctx, ws); err != nil {
+			t.Fatal(code, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		answer()
+	}
+	if avg := testing.AllocsPerRun(200, answer); avg != 0 {
+		t.Fatalf("warm allocate, body bytes to answer bytes: %.2f allocs/op, want 0", avg)
+	}
+	var resp AllocateResponse
+	if err := json.Unmarshal(ws.buf, &resp); err != nil || resp.Cache != CacheHit || len(ws.req.Features) != 6 {
+		t.Fatalf("answer %s: %v", ws.buf, err)
 	}
 }

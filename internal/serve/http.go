@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"runtime/debug"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // maxBodyBytes bounds request bodies; feature matrices for paper-scale
@@ -64,34 +66,40 @@ func newHandler(s *Server, opts HTTPOptions, extra map[string]http.HandlerFunc) 
 	opts = opts.withDefaults()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/allocate", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+		// The allocate hot path reads, decodes and answers from a pooled
+		// workspace: the body buffer, the request's slice buffers, the
+		// response and every scratch the pipeline touches are recycled
+		// across requests.
+		ws := s.readPost(w, r)
+		if ws == nil {
 			return
 		}
-		// The allocate hot path decodes into and answers from a pooled
-		// workspace: the request's slice buffers, the response and every
-		// scratch the pipeline touches are recycled across requests.
-		ws := s.getWS()
 		defer s.putWS(ws)
-		ws.req.Signature = ws.req.Signature[:0]
-		ws.req.Features = ws.req.Features[:0]
-		ws.req.Allocator = ""
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ws.req); err != nil {
+		if code, err := s.answerAllocate(r.Context(), ws); err != nil {
+			writeError(w, code, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(ws.buf) // a failed write is a client that went away
+	})
+	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) {
+		ws := s.readPost(w, r)
+		if ws == nil {
+			return
+		}
+		var req FeedbackRequest
+		err := wire.DecodeFeedback(ws.buf, &req)
+		s.putWS(ws) // req shares nothing with the buffer; a refit can take a while
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 			return
 		}
-		if err := s.AllocateInto(r.Context(), ws.req, ws); err != nil {
+		resp, err := s.Feedback(r.Context(), req)
+		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, &ws.resp)
-	})
-	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(ctx context.Context, req FeedbackRequest) (*FeedbackResponse, error) {
-			return s.Feedback(ctx, req)
-		})
+		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -147,26 +155,39 @@ func withTimeout(next http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-// handleJSON decodes a POSTed request, runs fn, and encodes its response.
-func handleJSON[Req any, Resp any](w http.ResponseWriter, r *http.Request,
-	fn func(context.Context, Req) (Resp, error)) {
+// readPost reads a POSTed body, capped at maxBodyBytes, into a pooled
+// workspace's buffer. It answers the request itself and returns nil when the
+// method is wrong or the body cannot be read.
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request) *allocWS {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
+		return nil
 	}
-	var req Req
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return
+	ws := s.getWS()
+	var err error
+	if ws.buf, err = wire.ReadBody(ws.buf[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		s.putWS(ws)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		return nil
 	}
-	resp, err := fn(r.Context(), req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
+	return ws
+}
+
+// answerAllocate is the allocate hot path between the socket read and the
+// socket write: it decodes the body in ws.buf, allocates, and leaves the
+// encoded answer in ws.buf. On error it returns the status to answer with.
+func (s *Server) answerAllocate(ctx context.Context, ws *allocWS) (int, error) {
+	if err := wire.DecodeAllocate(ws.buf, &ws.req); err != nil {
+		return http.StatusBadRequest, fmt.Errorf("decode: %w", err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if err := s.AllocateInto(ctx, ws.req, ws); err != nil {
+		return statusFor(err), err
+	}
+	var err error
+	if ws.buf, err = wire.AppendAllocateResponse(ws.buf[:0], &ws.resp); err != nil {
+		return http.StatusInternalServerError, err
+	}
+	return http.StatusOK, nil
 }
 
 func statusFor(err error) int {

@@ -8,8 +8,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func postJSON(t *testing.T, client *http.Client, url string, body any, out any) (int, string) {
@@ -122,6 +125,32 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("unknown field = %d", code)
 	}
 
+	// The request grammar is tighter than encoding/json's (internal/wire):
+	// each of these decoded, or half-decoded, before.
+	for _, raw := range []string{
+		`{"Signature":[0]}`,
+		`{"signature":[0],"signature":[1]}`,
+		`{"signature":[0]} {"signature":[1]}`,
+		`{"signature":[0]}garbage`,
+		`null`,
+	} {
+		for _, path := range []string{"/v1/allocate", "/v1/feedback"} {
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %s %s = %d, want 400", path, raw, resp.StatusCode)
+			}
+		}
+	}
+	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/feedback",
+		map[string]any{"features": [][]float64{{1}}, "allocation": []int{0}, "allocator": "crl"}, nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("allocate member on a feedback body = %d", code)
+	}
+
 	// Validation error surfaces as 400.
 	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/allocate",
 		AllocateRequest{Signature: []float64{0}, Allocator: "bogus"}, nil)
@@ -147,6 +176,76 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/stats = %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPNullDoesNotBleedAcrossRequests: the allocate handler decodes into a
+// pooled workspace, and encoding/json leaves a reused slice element untouched
+// on null — so an all-null body used to pass validation carrying the previous
+// request's numbers and was answered as if it were that request. Serve request
+// A, then the all-null body through the same workspace: it must be a 400.
+func TestHTTPNullDoesNotBleedAcrossRequests(t *testing.T) {
+	s := newTestServer(t, fastConfig())
+	ws := s.getWS()
+	s.wsPool.New = func() any { return ws } // every request gets this one
+	h := NewHandler(s, HTTPOptions{})
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/allocate", strings.NewReader(body)))
+		return rec
+	}
+
+	a := post(`{"signature":[1],"features":[[0.5,0.25],[0.125,4]]}`)
+	var ar AllocateResponse
+	if err := json.Unmarshal(a.Body.Bytes(), &ar); a.Code != http.StatusOK || err != nil || ar.Cluster != 1 {
+		t.Fatalf("request A = %d %s (%v)", a.Code, a.Body, err)
+	}
+	if len(ws.req.Signature) != 1 || ws.req.Signature[0] != 1 || len(ws.req.Features) != 2 {
+		t.Fatalf("request A did not go through the pinned workspace: %+v", ws.req)
+	}
+	for _, body := range []string{
+		`{"signature":[null],"features":[[null,null],[null,null]]}`,
+		`{"signature":[null]}`,
+		`{"signature":[1],"features":[[null,null],[0.125,4]]}`,
+		`{"signature":[1],"features":[null,null]}`,
+	} {
+		if rec := post(body); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "null") {
+			t.Fatalf("%s after request A = %d %s, want a 400 naming the null", body, rec.Code, rec.Body)
+		}
+	}
+	// A null for the whole member still means "absent".
+	if rec := post(`{"signature":[1],"features":null}`); rec.Code != http.StatusOK {
+		t.Fatalf("null member = %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestHTTPOversizedBodyIsNotPooled: the 8 MB cap answers 400, and a workspace
+// whose buffer grew past wire.MaxPooledBody is dropped instead of recycled.
+func TestHTTPOversizedBodyIsNotPooled(t *testing.T) {
+	s := newTestServer(t, fastConfig())
+	ws := s.getWS()
+	s.wsPool.New = func() any { return ws }
+	h := NewHandler(s, HTTPOptions{})
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/allocate", strings.NewReader(body)))
+		return rec.Code
+	}
+	pad := func(n int) string { return `{"signature":[0]` + strings.Repeat(" ", n) + `}` }
+	if code := post(pad(maxBodyBytes)); code != http.StatusBadRequest {
+		t.Fatalf("body over the cap = %d", code)
+	}
+	if code := post(pad(2 * wire.MaxPooledBody)); code != http.StatusOK {
+		t.Fatalf("large body under the cap = %d", code)
+	}
+	if cap(ws.buf) <= wire.MaxPooledBody {
+		t.Fatalf("buffer cap %d after a %d-byte body", cap(ws.buf), 2*wire.MaxPooledBody)
+	}
+	s.wsPool.New = func() any { return &allocWS{waiter: batchWaiter{sig: make(chan batchSignal, 1)}} }
+	for i := 0; i < 8; i++ { // the grown workspace never comes back
+		if got := s.getWS(); got == ws {
+			t.Fatal("oversized workspace was returned to the pool")
+		}
 	}
 }
 

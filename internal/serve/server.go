@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/rl"
+	"repro/internal/wire"
 )
 
 // latencyWindow bounds the ring of recent allocate latencies kept for
@@ -281,15 +282,13 @@ func (s *Server) nearestTrainedDonor(cluster int, sig []float64) (*core.CRL, cor
 	return best, core.WarmStart{Source: bestKey, Distance: bestDist}
 }
 
-// AllocateRequest is one allocation query: the sensing signature Z, plus
-// optional Table-I feature vectors enabling the DCTA local process.
-type AllocateRequest struct {
-	Signature []float64   `json:"signature"`
-	Features  [][]float64 `json:"features,omitempty"`
-	// Allocator selects the strategy: "auto" (default — DCTA when features
-	// and a fitted local model are available, else CRL), "crl", or "dcta".
-	Allocator string `json:"allocator,omitempty"`
-}
+// The request and response bodies are defined, with their codec, in
+// internal/wire, which the router shares.
+type (
+	AllocateRequest  = wire.AllocateRequest
+	AllocateResponse = wire.AllocateResponse
+	FeedbackRequest  = wire.FeedbackRequest
+)
 
 // finiteVec rejects NaN/±Inf vector entries at the request trust boundary.
 func finiteVec(name string, v []float64) error {
@@ -322,40 +321,13 @@ const (
 	ModeDegraded = "degraded"
 )
 
-// AllocateResponse is the service's answer.
-type AllocateResponse struct {
-	// Allocation maps task → processor index, -1 for dropped tasks.
-	Allocation []int `json:"allocation"`
-	// Cluster is the store index of the nearest historical environment —
-	// the policy-cache key.
-	Cluster int `json:"cluster"`
-	// Cache is the cache outcome (hit, miss, coalesced, expired, drift,
-	// warm; bypass for degraded answers).
-	Cache string `json:"cache"`
-	// Allocator is the strategy that produced the allocation (CRL, DCTA,
-	// or greedy-fallback).
-	Allocator string `json:"allocator"`
-	// Mode is "normal" for policy-path answers, "degraded" for fallback
-	// ones.
-	Mode string `json:"mode"`
-	// DegradedReason says why the fallback answered (degraded mode only).
-	DegradedReason string `json:"degraded_reason,omitempty"`
-	// PredictedImportance is the allocator's own captured-importance
-	// estimate under the defined environment.
-	PredictedImportance float64 `json:"predicted_importance"`
-	// TrainNanos is the policy training time when this request led a
-	// training (cache ∈ {miss, expired, drift}); 0 otherwise.
-	TrainNanos int64 `json:"train_ns,omitempty"`
-	// LatencyNanos is the server-side handling time.
-	LatencyNanos int64 `json:"latency_ns"`
-}
-
-// allocWS is the per-request workspace for the warm allocate path: the JSON
-// decode target, the response, and every scratch buffer the pipeline needs,
-// pooled so a steady-state warm request (cache hit, batch-1) performs zero
-// allocations end to end. The embedded batchWaiter carries the request
-// through the coalescer.
+// allocWS is the per-request workspace for the warm allocate path: the body
+// buffer, the decode target, the response, and every scratch buffer the
+// pipeline needs, pooled so a steady-state warm request (cache hit, batch-1)
+// performs zero allocations end to end. The embedded batchWaiter carries the
+// request through the coalescer.
 type allocWS struct {
+	buf  []byte           // request body in, encoded response out
 	req  AllocateRequest  // HTTP decode target (slice capacity reused)
 	resp AllocateResponse // Allocation backing array reused
 
@@ -379,7 +351,13 @@ func (s *Server) getWS() *allocWS {
 	return ws
 }
 
-func (s *Server) putWS(ws *allocWS) { s.wsPool.Put(ws) }
+// putWS recycles ws unless it served an oversized body, whose buffer and
+// decoded arrays would otherwise stay resident.
+func (s *Server) putWS(ws *allocWS) {
+	if cap(ws.buf) <= wire.MaxPooledBody {
+		s.wsPool.Put(ws)
+	}
+}
 
 // importanceOf sums the defined importance captured by an allocation.
 func importanceOf(a core.Allocation, imp []float64) float64 {
@@ -564,25 +542,6 @@ func (s *Server) localModel() *alloc.LocalModel {
 	s.localMu.RLock()
 	defer s.localMu.RUnlock()
 	return s.local
-}
-
-// FeedbackRequest streams one observed decision back into the service: the
-// per-task features and the allocation that was actually executed become
-// local-process training samples; an optional observed importance vector
-// drives drift detection and, with AddToStore, grows the historical store.
-type FeedbackRequest struct {
-	Signature  []float64   `json:"signature"`
-	Features   [][]float64 `json:"features"`
-	Allocation []int       `json:"allocation"`
-	Importance []float64   `json:"importance,omitempty"`
-	AddToStore bool        `json:"add_to_store,omitempty"`
-	// Seq is an optional client-supplied idempotency key (non-zero). The
-	// cluster router replays feedback on a failed round trip, and refits are
-	// not idempotent — a server that has already applied a seq answers the
-	// replay with Duplicate=true and changes nothing. The ledger is bounded
-	// (maxFeedbackSeqs) and per shard, so cross-shard replays (a retry that
-	// lands on a different owner after ejection) remain at-least-once.
-	Seq int64 `json:"seq,omitempty"`
 }
 
 // maxFeedbackSeqs bounds the duplicate-detection ledger; the window only
