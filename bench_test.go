@@ -17,6 +17,7 @@ import (
 	"repro/internal/knapsack"
 	"repro/internal/mathx"
 	"repro/internal/mlearn"
+	"repro/internal/neural"
 	"repro/internal/rl"
 	"repro/internal/serve"
 	"repro/internal/wire"
@@ -275,6 +276,76 @@ func BenchmarkDQNStep(b *testing.B) {
 		if err := agent.Observe(tr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkForwardTailB1 measures the batch-of-1 network tail the greedy
+// rollout pays after every assignment (64→64→51 from the first layer's sums,
+// 41 of the 51 outputs open) at the allocation MDP's dimensions, with the
+// ~16% nonzero environment half of the bench world.
+func BenchmarkForwardTailB1(b *testing.B) {
+	const cells, actions = 50 * 9, 51
+	net, err := neural.New(neural.Config{Layers: []int{2 * cells, 64, 64, actions}, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.NewRand(1)
+	env := make([]float64, cells)
+	for k := 0; k < cells; k += 6 {
+		env[k] = rng.Float64()
+	}
+	var scratch neural.TailScratch
+	sums := make([]float64, net.FirstLayerSize())
+	if err := net.FirstLayerRange(sums, cells, env, &scratch); err != nil {
+		b.Fatal(err)
+	}
+	open := make([]int, 0, actions)
+	for o := 10; o < actions; o++ {
+		open = append(open, o)
+	}
+	q := make([]float64, actions)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.ForwardTail(q, sums, open, &scratch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCRLRollout measures the warm CRL decision — the core.rollout_us
+// line of the latency budget: one greedy rollout per environment at 50 tasks ×
+// 9 processors through a [64,64] policy trained on the paper world, alone (b1)
+// and as the coalescer's batch of four (b4, ns/op covers all four).
+func BenchmarkCRLRollout(b *testing.B) {
+	s := benchScenario(b)
+	cfg := core.DefaultCRLConfig()
+	cfg.Episodes = 30
+	crl, err := core.NewCRL(s.Template.Clone(), s.Store, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := crl.Train(); err != nil {
+		b.Fatal(err)
+	}
+	var knn core.KNNScratch
+	for _, batch := range []int{1, 4} {
+		envs := make([]*core.Environment, batch)
+		for i := range envs {
+			envs[i] = &core.Environment{}
+			if err := crl.DefineEnvironmentInto(s.Eval[i%len(s.Eval)].Signature, envs[i], &knn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		out := make([]core.Allocation, batch)
+		b.Run("b"+strconv.Itoa(batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := crl.PredictBatchInto(envs, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

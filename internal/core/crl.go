@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/neural"
 	"repro/internal/rl"
 )
 
@@ -285,35 +286,52 @@ func (c *CRL) PredictWithEnvironment(env *Environment) (Allocation, error) {
 	return ae.Allocation(), nil
 }
 
-// rolloutScratch is the reusable workspace behind PredictBatchInto: one MDP
-// lane per batch slot, a state matrix sized to the largest batch seen, and
-// per-lane action buffers. It belongs to exactly one CRL (an inference
-// replica), which the serving layer checks out exclusively per batch.
+// rolloutScratch is the reusable workspace behind PredictBatchInto: the MDP
+// the environments of a batch are rolled through one after another, the first
+// layer's running pre-activation sums, the cached Q row and the network tail's
+// activations. It belongs to exactly one CRL (an inference replica), which the
+// serving layer checks out exclusively per batch.
 type rolloutScratch struct {
-	lanes    []*AllocEnv
-	states   *mathx.Matrix
-	view     mathx.Matrix // row-window header over states, reused per step
-	valid    [][]int      // per-lane valid-action buffers
-	rowValid [][]int      // per-live-row views into valid
-	acts     []int
-	live     []int // lane indices still mid-episode
+	lane  *AllocEnv
+	pre   []float64 // layer-0 pre-activation sums for the lane's current state
+	q     []float64 // Q row from the last tail evaluation; open entries are current
+	open  []int     // unassigned tasks + skip: the outputs that evaluation computed
+	valid []int
+	tail  neural.TailScratch
+	stale bool // q predates the lane's state: the next step re-evaluates the tail
+	tails int  // tail evaluations made by the last PredictBatchInto call
 }
 
-// PredictBatchInto rolls the greedy policy for a batch of environments in
-// lockstep: every step evaluates all live episodes' states through one
-// neural.ForwardBatch pass and advances each episode by its own argmax
-// action. out[i] receives the allocation for envs[i], appended into its
-// existing backing array.
+// PredictBatchInto rolls the greedy policy for a batch of environments.
+// out[i] receives the allocation for envs[i], appended into its existing
+// backing array.
 //
-// Equivalence invariant: the batched GEMM kernels compute every output row
-// from that row's inputs alone, with a deterministic ascending-k
-// accumulation per element, so PredictBatchInto(envs, out) is bitwise
-// identical to B separate single-environment calls — batch composition can
-// never change an answer. The request coalescer in internal/serve leans on
-// this, and the property is pinned by TestPredictBatchMatchesSequential.
+// The rollout is incremental. The state is [S ‖ e] (AllocEnv.StateInto):
+// inside an episode the environment half e never changes, the selection half
+// S gains exactly one cell per assignment, and a skip changes nothing the
+// network sees. So per environment the first layer's contribution of e is
+// computed once (ascending k, exact zeros of e skipped), each assignment adds
+// one weight column to those sums, and the remaining layers are re-evaluated
+// only after an assignment — a skip reuses the cached Q row, recomputing only
+// the valid-action set. The last layer is evaluated only for the tasks still
+// unassigned plus skip, a superset of every valid set until the next
+// assignment.
 //
-// Not goroutine-safe: the rollout runs through the agent's and the scratch's
-// shared buffers, so concurrent callers need separate Clone replicas.
+// Contract. (a) Each environment is rolled out from its own inputs alone,
+// through buffers that are fully rewritten before they are read, so
+// PredictBatchInto(envs, out) is bitwise identical to len(envs) separate
+// single-environment calls — batch composition can never change an answer.
+// The request coalescer in internal/serve leans on this, and the property is
+// pinned by TestPredictBatchMatchesSequential. (b) Layer 0 is accumulated as
+// (environment half in ascending k, then selection cells in assignment
+// order), not as the full forward's single ascending-k sweep, so a Q value
+// may differ from neural.ForwardBatch's in the last ulp; every later layer
+// sums in ForwardBatch's order and the argmax breaks ties toward the lowest
+// action index as before. PredictWithEnvironment, which runs the full forward
+// at every step, is the reference the tests hold the allocations equal to.
+//
+// Not goroutine-safe: the rollout runs through the scratch's buffers, so
+// concurrent callers need separate Clone replicas.
 func (c *CRL) PredictBatchInto(envs []*Environment, out []Allocation) error {
 	if !c.trained {
 		return ErrNotTrained
@@ -325,62 +343,84 @@ func (c *CRL) PredictBatchInto(envs []*Environment, out []Allocation) error {
 	if len(out) < b {
 		return fmt.Errorf("core: %d outputs for %d environments", len(out), b)
 	}
+	for i, env := range envs {
+		if len(env.Importance) != len(c.template.Tasks) {
+			return fmt.Errorf("core: environment %d has %d importances for %d tasks",
+				i, len(env.Importance), len(c.template.Tasks))
+		}
+	}
 	s := &c.rollout
-	for len(s.lanes) < b {
+	net := c.agent.Online()
+	if s.lane == nil {
 		lane, err := NewAllocEnv(c.template.Clone(), nil)
 		if err != nil {
 			return fmt.Errorf("crl batch lane: %w", err)
 		}
-		lane.DenseReward = c.cfg.DenseReward
-		s.lanes = append(s.lanes, lane)
-		s.valid = append(s.valid, make([]int, 0, lane.ActionSize()))
+		s.lane = lane
+		s.pre = make([]float64, net.FirstLayerSize())
+		s.q = make([]float64, lane.ActionSize())
+		s.open = make([]int, 0, lane.ActionSize())
+		s.valid = make([]int, 0, lane.ActionSize())
 	}
-	stateSize := s.lanes[0].StateSize()
-	if s.states == nil || s.states.Rows < b {
-		s.states = mathx.NewMatrix(b, stateSize)
-		s.rowValid = make([][]int, b)
-		s.acts = make([]int, b)
-		s.live = make([]int, 0, b)
+	s.tails = 0
+	for i, env := range envs {
+		if err := s.roll(net, env.Importance); err != nil {
+			return fmt.Errorf("crl batch rollout lane %d: %w", i, err)
+		}
+		out[i] = s.lane.CopyAllocation(out[i])
 	}
-	s.live = s.live[:0]
-	for i := 0; i < b; i++ {
-		if len(envs[i].Importance) != len(c.template.Tasks) {
-			return fmt.Errorf("core: environment %d has %d importances for %d tasks",
-				i, len(envs[i].Importance), len(c.template.Tasks))
-		}
-		if err := s.lanes[i].Reinit(envs[i].Importance); err != nil {
-			return fmt.Errorf("crl batch lane %d: %w", i, err)
-		}
-		s.live = append(s.live, i)
+	return nil
+}
+
+// roll runs one greedy episode for the given importance vector through the
+// scratch's lane, leaving the allocation in it.
+func (s *rolloutScratch) roll(net *neural.Network, importance []float64) error {
+	if err := s.begin(net, importance); err != nil {
+		return err
 	}
-	maxSteps := s.lanes[0].N() + s.lanes[0].M() + 1
-	for step := 0; step < maxSteps && len(s.live) > 0; step++ {
-		rows := len(s.live)
-		for r, li := range s.live {
-			lane := s.lanes[li]
-			lane.StateInto(s.states.Row(r))
-			s.valid[li] = lane.ValidActionsInto(s.valid[li])
-			s.rowValid[r] = s.valid[li]
+	maxSteps := s.lane.N() + s.lane.M() + 1
+	for step := 0; step < maxSteps && !s.lane.Done(); step++ {
+		if err := s.step(net); err != nil {
+			return err
 		}
-		s.view = mathx.Matrix{Rows: rows, Cols: stateSize, Data: s.states.Data[:rows*stateSize]}
-		if err := c.agent.GreedyActionsBatch(&s.view, s.rowValid[:rows], s.acts[:rows]); err != nil {
-			return fmt.Errorf("crl batch rollout: %w", err)
-		}
-		w := 0
-		for r, li := range s.live {
-			done, err := s.lanes[li].Apply(s.acts[r])
-			if err != nil {
-				return fmt.Errorf("crl batch rollout lane %d: %w", li, err)
-			}
-			if !done {
-				s.live[w] = li
-				w++
-			}
-		}
-		s.live = s.live[:w]
 	}
-	for i := 0; i < b; i++ {
-		out[i] = s.lanes[i].CopyAllocation(out[i])
+	return nil
+}
+
+// begin rebinds the lane to an importance vector and hoists the environment
+// half of the state out of the episode: pre = W₀[:, NM:2NM]·e.
+func (s *rolloutScratch) begin(net *neural.Network, importance []float64) error {
+	if err := s.lane.Reinit(importance); err != nil {
+		return err
+	}
+	s.stale = true
+	return net.FirstLayerRange(s.pre, len(s.lane.state), s.lane.envMatrix, &s.tail)
+}
+
+// step takes the greedy action in the lane's current state.
+func (s *rolloutScratch) step(net *neural.Network) error {
+	lane := s.lane
+	if s.stale {
+		s.open = lane.OpenActionsInto(s.open)
+		if err := net.ForwardTail(s.q, s.pre, s.open, &s.tail); err != nil {
+			return err
+		}
+		s.tails++
+		s.stale = false
+	}
+	s.valid = lane.ValidActionsInto(s.valid)
+	a, err := rl.ArgmaxOver(s.q, s.valid)
+	if err != nil {
+		return err
+	}
+	if _, err := lane.Apply(a); err != nil {
+		return err
+	}
+	if a != lane.SkipAction() {
+		// Selection cell (task a, its processor) stepped 0 → 1. A skip only
+		// advances the current processor, which the state does not encode.
+		s.stale = true
+		return net.AddFirstLayerColumn(s.pre, a*lane.M()+lane.assigned[a])
 	}
 	return nil
 }
@@ -422,12 +462,16 @@ func (c *CRL) TaskScores(z []float64) ([]float64, *Environment, error) {
 	return scores, env, nil
 }
 
-// Clone returns an independent inference replica of the model: the agent's
-// networks are deep-copied while the (concurrency-safe, append-only)
-// environment store is shared. A CRL is not goroutine-safe — Predict,
-// PredictWithEnvironment and TaskScores run forward passes through the
-// agent's shared activation scratch — so concurrent serving uses one clone
-// per in-flight rollout (see internal/serve's per-cluster replica pools).
+// Clone returns an independent inference replica of the model. The replica
+// owns a copy of the online network's weights and biases and nothing the
+// rollout never reads — no optimizer state, target network or replay ring
+// (rl.DQN.Clone) — while the (concurrency-safe, append-only) environment
+// store is shared. The weights are copied rather than shared read-only
+// because Predict, PredictWithEnvironment and TaskScores still run forward
+// passes through the network's own activation scratch; only PredictBatchInto
+// keeps every activation in the replica's rolloutScratch. A CRL is not
+// goroutine-safe, so concurrent serving uses one clone per in-flight rollout
+// (see internal/serve's per-cluster replica pools).
 func (c *CRL) Clone() (*CRL, error) {
 	agent, err := c.agent.Clone()
 	if err != nil {

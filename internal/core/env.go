@@ -24,6 +24,19 @@ type Environment struct {
 // capacities normalized by their maximum so inputs stay in [0, 1].
 func (e *Environment) Matrix() []float64 {
 	n, m := len(e.Importance), len(e.Capacity)
+	maxCap := e.maxCapacity()
+	out := make([]float64, n*m)
+	for j := 0; j < n; j++ {
+		for p := 0; p < m; p++ {
+			out[j*m+p] = e.Importance[j] * (e.Capacity[p] / maxCap)
+		}
+	}
+	return out
+}
+
+// maxCapacity is the normalizer of Matrix: the largest capacity, or 1 when
+// every capacity is zero.
+func (e *Environment) maxCapacity() float64 {
 	maxCap := 0.0
 	for _, c := range e.Capacity {
 		if c > maxCap {
@@ -33,13 +46,7 @@ func (e *Environment) Matrix() []float64 {
 	if maxCap == 0 {
 		maxCap = 1
 	}
-	out := make([]float64, n*m)
-	for j := 0; j < n; j++ {
-		for p := 0; p < m; p++ {
-			out[j*m+p] = e.Importance[j] * (e.Capacity[p] / maxCap)
-		}
-	}
-	return out
+	return maxCap
 }
 
 // EnvironmentOf extracts the Environment of a TATIM problem with the given
@@ -77,11 +84,13 @@ type AllocEnv struct {
 	// terminal-only design).
 	DenseReward bool
 
-	envMatrix []float64
-	state     []float64 // selection matrix S, length N*M
-	assigned  []int     // task → processor or Unassigned
-	remTime   []float64
-	remRes    []float64
+	envMatrix  []float64
+	maxCap     float64   // envMatrix's capacity normalizer; capacities never change
+	state      []float64 // selection matrix S, length N*M
+	assigned   []int     // task → processor or Unassigned
+	unassigned int       // tasks still Unassigned; 0 ends the episode
+	remTime    []float64
+	remRes     []float64
 	// procOrder visits processors fastest-first: the operator fills the
 	// most capable node before advancing, so skipping early costs the most
 	// valuable capacity — a natural curriculum for the agent.
@@ -100,6 +109,7 @@ func NewAllocEnv(p *Problem, signature []float64) (*AllocEnv, error) {
 		env:     EnvironmentOf(p, signature),
 	}
 	e.envMatrix = e.env.Matrix()
+	e.maxCap = e.env.maxCapacity()
 	e.procOrder = make([]int, len(p.Processors))
 	for i := range e.procOrder {
 		e.procOrder[i] = i
@@ -143,6 +153,7 @@ func (e *AllocEnv) reset() {
 	for i := range e.assigned {
 		e.assigned[i] = Unassigned
 	}
+	e.unassigned = n
 	for i, pr := range e.problem.Processors {
 		e.remTime[i] = e.problem.TimeLimit
 		e.remRes[i] = pr.Capacity
@@ -173,18 +184,9 @@ func (e *AllocEnv) Reinit(importance []float64) error {
 		e.problem.Tasks[j].Importance = v
 		e.env.Importance[j] = v
 	}
-	maxCap := 0.0
-	for _, c := range e.env.Capacity {
-		if c > maxCap {
-			maxCap = c
-		}
-	}
-	if maxCap == 0 {
-		maxCap = 1
-	}
 	for j := 0; j < n; j++ {
 		for p := 0; p < m; p++ {
-			e.envMatrix[j*m+p] = e.env.Importance[j] * (e.env.Capacity[p] / maxCap)
+			e.envMatrix[j*m+p] = e.env.Importance[j] * (e.env.Capacity[p] / e.maxCap)
 		}
 	}
 	e.reset()
@@ -254,6 +256,19 @@ func (e *AllocEnv) ValidActionsInto(buf []int) []int {
 	return append(buf, e.SkipAction())
 }
 
+// OpenActionsInto appends into buf[:0] every still-unassigned task plus skip,
+// whether or not the task fits the current processor: a superset of every
+// ValidActions set until the next assignment, in the same order.
+func (e *AllocEnv) OpenActionsInto(buf []int) []int {
+	buf = buf[:0]
+	for j, a := range e.assigned {
+		if a == Unassigned {
+			buf = append(buf, j)
+		}
+	}
+	return append(buf, e.SkipAction())
+}
+
 // Step applies an action per the MDP above.
 func (e *AllocEnv) Step(action int) ([]float64, float64, bool, error) {
 	if e.done {
@@ -308,13 +323,14 @@ func (e *AllocEnv) apply(action int) (float64, error) {
 			return 0, fmt.Errorf("core: task %d does not fit processor %d", j, cur)
 		}
 		e.assigned[j] = cur
+		e.unassigned--
 		e.remTime[cur] -= t.TimeCost
 		e.remRes[cur] -= t.Resource
 		e.state[j*m+cur] = 1
 		if e.DenseReward {
 			reward = t.Importance
 		}
-		if e.allAssigned() {
+		if e.unassigned == 0 {
 			e.done = true
 		}
 	}
@@ -323,15 +339,6 @@ func (e *AllocEnv) apply(action int) (float64, error) {
 
 // Done reports whether the episode has terminated.
 func (e *AllocEnv) Done() bool { return e.done }
-
-func (e *AllocEnv) allAssigned() bool {
-	for _, a := range e.assigned {
-		if a == Unassigned {
-			return false
-		}
-	}
-	return true
-}
 
 // Allocation returns a copy of the current assignment.
 func (e *AllocEnv) Allocation() Allocation {

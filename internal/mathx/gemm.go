@@ -14,6 +14,9 @@ import (
 //	MatMulTransA dst = aᵀ·b   — gradient accumulation (Δᵀ · activations)
 //	MatMulTransB dst = a·bᵀ   — batched forward (X · Wᵀ, W row-major out×in)
 //
+// MatVecTransB is MatMulTransB's batch-of-1 form for single-sample inference
+// (one compacted input row, optionally a subset of the outputs).
+//
 // All kernels overwrite dst, validate shapes, allocate nothing, and use a
 // fixed, deterministic accumulation order (ascending k per output element) so
 // seeded training runs are bit-for-bit reproducible at a given size. Inputs
@@ -235,6 +238,86 @@ func transBRows(dst, a, b *Matrix, cols []int, r0, r1 int) {
 			drow[j] = s
 		}
 	}
+}
+
+// SparseVec is one input row in compacted form: Idx lists, ascending, the
+// positions of its nonzero entries and Val[t] is the entry at Idx[t]. It is
+// what MatVecTransB streams; Compact fills it without allocating once the two
+// slices have grown to the widest input seen.
+type SparseVec struct {
+	Idx []int
+	Val []float64
+}
+
+// Compact resets v to the nonzero entries of x, recording entry k at
+// position offset+k so a sub-range of a wider input keeps its column numbers.
+func (v *SparseVec) Compact(x []float64, offset int) {
+	v.Idx, v.Val = v.Idx[:0], v.Val[:0]
+	for k, xv := range x {
+		if xv != 0 {
+			v.Idx = append(v.Idx, offset+k)
+			v.Val = append(v.Val, xv)
+		}
+	}
+}
+
+// MatVecTransB is the batch-of-1 form of MatMulTransBCols: for every row o of
+// b listed in rows (every row when rows is nil) it writes
+// dst[o] = Σ_t x.Val[t]·b[o, x.Idx[t]], leaving the other entries of dst
+// untouched. Four output rows share one pass over x, so four independent
+// accumulator chains hide the add latency that bounds transBRows' single-row
+// path; each output is still summed in ascending x.Idx order, which makes the
+// result bitwise equal to MatMulTransBCols on the one-row batch whose nonzero
+// columns are x.Idx.
+func MatVecTransB(dst []float64, b *Matrix, x *SparseVec, rows []int) error {
+	if len(dst) != b.Rows || len(x.Idx) != len(x.Val) {
+		return fmt.Errorf("matvec transB: dst %d for (%dx%d), %d indices for %d values: %w",
+			len(dst), b.Rows, b.Cols, len(x.Idx), len(x.Val), ErrDimensionMismatch)
+	}
+	if n := len(x.Idx); n > 0 && (x.Idx[0] < 0 || x.Idx[n-1] >= b.Cols) {
+		return fmt.Errorf("matvec transB: columns [%d,%d] of %d: %w",
+			x.Idx[0], x.Idx[n-1], b.Cols, ErrDimensionMismatch)
+	}
+	count := b.Rows
+	if rows != nil {
+		count = len(rows)
+		for _, o := range rows {
+			if o < 0 || o >= b.Rows {
+				return fmt.Errorf("matvec transB: row %d of %d: %w", o, b.Rows, ErrDimensionMismatch)
+			}
+		}
+	}
+	row := func(i int) int {
+		if rows != nil {
+			return rows[i]
+		}
+		return i
+	}
+	idx, val := x.Idx, x.Val[:len(x.Idx)]
+	i := 0
+	for ; i+3 < count; i += 4 {
+		o0, o1, o2, o3 := row(i), row(i+1), row(i+2), row(i+3)
+		b0, b1, b2, b3 := b.Row(o0), b.Row(o1), b.Row(o2), b.Row(o3)
+		var s0, s1, s2, s3 float64
+		for t, k := range idx {
+			v := val[t]
+			s0 += v * b0[k]
+			s1 += v * b1[k]
+			s2 += v * b2[k]
+			s3 += v * b3[k]
+		}
+		dst[o0], dst[o1], dst[o2], dst[o3] = s0, s1, s2, s3
+	}
+	for ; i < count; i++ {
+		o := row(i)
+		brow := b.Row(o)
+		var s float64
+		for t, k := range idx {
+			s += val[t] * brow[k]
+		}
+		dst[o] = s
+	}
+	return nil
 }
 
 // NonzeroColumns appends to buf[:0] the ascending indices of columns of m

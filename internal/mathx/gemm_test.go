@@ -157,6 +157,109 @@ func TestMatMulTransBColsMatchesDense(t *testing.T) {
 	}
 }
 
+// TestMatVecTransBMatchesOneRowGemm pins the batch-of-1 kernel to the batched
+// one bit for bit: every output is the same ascending-k sum whether it is
+// computed four rows per pass, in the remainder loop, or for an output subset.
+func TestMatVecTransBMatchesOneRowGemm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sentinel := math.Float64bits(math.NaN())
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(90)
+		m := 1 + rng.Intn(70) // m%4 covers 0..3 many times over
+		sparse := rng.Float64()
+		if trial%10 == 0 {
+			sparse = 1 // all-zero input
+		}
+		a := randMatrix(rng, 1, k, sparse)
+		b := randMatrix(rng, m, k, 0.1)
+		want := NewMatrix(1, m)
+		if err := MatMulTransBCols(want, a, b, NonzeroColumns(a, make([]int, 0, k))); err != nil {
+			t.Fatal(err)
+		}
+		var x SparseVec
+		x.Compact(a.Row(0), 0)
+		got := make([]float64, m)
+		if err := MatVecTransB(got, b, &x, nil); err != nil {
+			t.Fatalf("trial %d (%dx%d): %v", trial, m, k, err)
+		}
+		for o := range got {
+			if math.Float64bits(got[o]) != math.Float64bits(want.At(0, o)) {
+				t.Fatalf("trial %d (%dx%d) output %d: %v, batched %v", trial, m, k, o, got[o], want.At(0, o))
+			}
+		}
+		// An output subset computes exactly the listed rows.
+		var rows []int
+		listed := make([]bool, m)
+		for o := 0; o < m; o++ {
+			if rng.Float64() < 0.6 {
+				rows = append(rows, o)
+				listed[o] = true
+			}
+		}
+		if rows == nil {
+			rows = []int{}
+		}
+		sub := make([]float64, m)
+		for o := range sub {
+			sub[o] = math.NaN()
+		}
+		if err := MatVecTransB(sub, b, &x, rows); err != nil {
+			t.Fatalf("trial %d subset: %v", trial, err)
+		}
+		for o := range sub {
+			bits := math.Float64bits(sub[o])
+			if listed[o] && bits != math.Float64bits(want.At(0, o)) {
+				t.Fatalf("trial %d subset output %d: %v, batched %v", trial, o, sub[o], want.At(0, o))
+			}
+			if !listed[o] && bits != sentinel {
+				t.Fatalf("trial %d subset wrote unlisted output %d", trial, o)
+			}
+		}
+	}
+}
+
+// TestSparseVecCompactOffset checks that a sub-range of a wider input keeps
+// its column numbers, and that Compact reuses its buffers.
+func TestSparseVecCompactOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	b := randMatrix(rng, 7, 30, 0)
+	full := make([]float64, 30)
+	for k := 10; k < 30; k += 3 {
+		full[k] = rng.Float64()
+	}
+	var whole, part SparseVec
+	whole.Compact(full, 0)
+	part.Compact([]float64{9, 9, 9}, 0) // stale contents must not survive
+	part.Compact(full[10:], 10)
+	want, got := make([]float64, 7), make([]float64, 7)
+	if err := MatVecTransB(want, b, &whole, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := MatVecTransB(got, b, &part, nil); err != nil {
+		t.Fatal(err)
+	}
+	for o := range want {
+		if got[o] != want[o] {
+			t.Fatalf("output %d: sub-range %v, whole %v", o, got[o], want[o])
+		}
+	}
+}
+
+func TestMatVecTransBRejectsBadShapes(t *testing.T) {
+	b := NewMatrix(4, 5)
+	x := &SparseVec{Idx: []int{1, 4}, Val: []float64{1, 2}}
+	for name, err := range map[string]error{
+		"short dst":        MatVecTransB(make([]float64, 3), b, x, nil),
+		"row out of range": MatVecTransB(make([]float64, 4), b, x, []int{0, 4}),
+		"col out of range": MatVecTransB(make([]float64, 4), b, &SparseVec{Idx: []int{1, 5}, Val: []float64{1, 2}}, nil),
+		"ragged vector":    MatVecTransB(make([]float64, 4), b, &SparseVec{Idx: []int{1}, Val: []float64{1, 2}}, nil),
+	} {
+		if !errors.Is(err, ErrDimensionMismatch) {
+			t.Errorf("%s: got %v, want ErrDimensionMismatch", name, err)
+		}
+	}
+}
+
 func TestGemmDimensionMismatch(t *testing.T) {
 	a := NewMatrix(3, 4)
 	b := NewMatrix(5, 6)

@@ -23,43 +23,41 @@ import (
 // exactly generalizing Train's per-sample d==0 skip: masked Q-targets and
 // dead ReLU units cost nothing.
 
-// batchScratch is the reusable workspace behind ForwardBatch/TrainBatch.
+// batchScratch is the reusable workspace behind ForwardBatch/TrainBatch. The
+// forward half (acts, weights, cols) is sized by the first forward; the
+// training half (deltas, gradW, gradB, activeO — a second copy of the weights'
+// footprint) only by the first TrainBatch, so networks that are never trained
+// — DQN target networks, inference replicas — never pay for it.
 type batchScratch struct {
-	rows    int             // allocated batch capacity
-	acts    []*mathx.Matrix // per layer: post-activation outputs (rows × out)
-	deltas  []*mathx.Matrix // per layer: backpropagated deltas (rows × out)
-	weights []*mathx.Matrix // per layer: header over layer.weights (out × in)
-	gradW   []*mathx.Matrix // per layer: summed weight gradients (out × in)
-	gradB   [][]float64     // per layer: summed bias gradients
-	cols    [][]int         // per layer: nonzero input-column scratch
-	activeO []int           // active-output-unit scratch
+	rows      int             // allocated activation capacity
+	trainRows int             // allocated delta capacity
+	acts      []*mathx.Matrix // per layer: post-activation outputs (rows × out)
+	deltas    []*mathx.Matrix // per layer: backpropagated deltas (rows × out)
+	weights   []*mathx.Matrix // per layer: header over layer.weights (out × in)
+	gradW     []*mathx.Matrix // per layer: summed weight gradients (out × in)
+	gradB     [][]float64     // per layer: summed bias gradients
+	cols      [][]int         // per layer: nonzero input-column scratch
+	activeO   []int           // active-output-unit scratch
 }
 
 // denseColsFrac is the nonzero-column fraction above which the forward pass
 // uses the dense kernel instead of the column-subset one.
 const denseColsFrac = 0.875
 
-// ensureBatch sizes the scratch workspace for `rows` samples. Weight headers
-// and gradient buffers are batch-independent and allocated once; activation
-// and delta matrices grow when a larger batch arrives.
+// ensureBatch sizes the forward half of the scratch workspace for `rows`
+// samples. Weight headers are batch-independent and allocated once;
+// activation matrices grow when a larger batch arrives.
 func (n *Network) ensureBatch(rows int) {
 	s := &n.batch
 	if s.weights == nil {
 		s.weights = make([]*mathx.Matrix, len(n.layers))
-		s.gradW = make([]*mathx.Matrix, len(n.layers))
-		s.gradB = make([][]float64, len(n.layers))
 		s.cols = make([][]int, len(n.layers))
 		s.acts = make([]*mathx.Matrix, len(n.layers))
-		s.deltas = make([]*mathx.Matrix, len(n.layers))
 		for li, l := range n.layers {
 			s.weights[li] = &mathx.Matrix{Rows: l.out, Cols: l.in, Data: l.weights}
-			s.gradW[li] = mathx.NewMatrix(l.out, l.in)
-			s.gradB[li] = make([]float64, l.out)
 			s.cols[li] = make([]int, 0, l.in)
 			s.acts[li] = &mathx.Matrix{Cols: l.out}
-			s.deltas[li] = &mathx.Matrix{Cols: l.out}
 		}
-		s.activeO = make([]int, 0, n.OutputSize())
 	}
 	for li, l := range n.layers {
 		// Weight slices are stable across training but replaced by
@@ -67,15 +65,39 @@ func (n *Network) ensureBatch(rows int) {
 		s.weights[li].Data = l.weights
 		if rows > s.rows {
 			s.acts[li].Data = make([]float64, rows*l.out)
-			s.deltas[li].Data = make([]float64, rows*l.out)
 		}
 		s.acts[li].Rows = rows
 		s.acts[li].Data = s.acts[li].Data[:rows*l.out]
-		s.deltas[li].Rows = rows
-		s.deltas[li].Data = s.deltas[li].Data[:rows*l.out]
 	}
 	if rows > s.rows {
 		s.rows = rows
+	}
+}
+
+// ensureTrain sizes the training half of the scratch workspace: gradient
+// buffers once, delta matrices whenever a larger batch arrives.
+func (n *Network) ensureTrain(rows int) {
+	s := &n.batch
+	if s.gradW == nil {
+		s.gradW = make([]*mathx.Matrix, len(n.layers))
+		s.gradB = make([][]float64, len(n.layers))
+		s.deltas = make([]*mathx.Matrix, len(n.layers))
+		for li, l := range n.layers {
+			s.gradW[li] = mathx.NewMatrix(l.out, l.in)
+			s.gradB[li] = make([]float64, l.out)
+			s.deltas[li] = &mathx.Matrix{Cols: l.out}
+		}
+		s.activeO = make([]int, 0, n.OutputSize())
+	}
+	for li, l := range n.layers {
+		if rows > s.trainRows {
+			s.deltas[li].Data = make([]float64, rows*l.out)
+		}
+		s.deltas[li].Rows = rows
+		s.deltas[li].Data = s.deltas[li].Data[:rows*l.out]
+	}
+	if rows > s.trainRows {
+		s.trainRows = rows
 	}
 }
 
@@ -146,6 +168,7 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 	if err := n.forwardBatch(x); err != nil {
 		return 0, err
 	}
+	n.ensureTrain(x.Rows)
 	s := &n.batch
 	last := len(n.layers) - 1
 	out := s.acts[last]
@@ -224,12 +247,9 @@ func (n *Network) applyBatchUpdate(l *layer, gradW *mathx.Matrix, gradB []float6
 		beta2 = 0.999
 		eps   = 1e-8
 	)
+	l.ensureOptState(adam)
 	var c1, c2 float64
 	if adam {
-		if l.mWeights == nil {
-			l.mWeights = make([]float64, len(l.weights))
-			l.mBias = make([]float64, len(l.bias))
-		}
 		c1 = 1 - math.Pow(beta1, float64(n.adamStep))
 		c2 = 1 - math.Pow(beta2, float64(n.adamStep))
 	}

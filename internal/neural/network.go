@@ -80,14 +80,30 @@ const (
 
 // layer is one dense layer: out = act(W·in + b).
 type layer struct {
-	in, out  int
-	weights  []float64 // row-major out×in
-	bias     []float64
-	act      Activation
+	in, out int
+	weights []float64 // row-major out×in
+	bias    []float64
+	act     Activation
+	// Optimizer state, allocated by the first update (ensureOptState): a
+	// network that is only ever evaluated — a DQN target network, an inference
+	// replica — carries its weights and nothing else.
 	vWeights []float64 // momentum / Adam first-moment buffers
 	vBias    []float64
-	mWeights []float64 // Adam second-moment buffers (allocated lazily)
+	mWeights []float64 // Adam second-moment buffers
 	mBias    []float64
+}
+
+// ensureOptState allocates the layer's optimizer buffers before its first
+// update.
+func (l *layer) ensureOptState(adam bool) {
+	if l.vWeights == nil {
+		l.vWeights = make([]float64, len(l.weights))
+		l.vBias = make([]float64, len(l.bias))
+	}
+	if adam && l.mWeights == nil {
+		l.mWeights = make([]float64, len(l.weights))
+		l.mBias = make([]float64, len(l.bias))
+	}
 }
 
 // Config describes a network.
@@ -156,13 +172,11 @@ func New(cfg Config) (*Network, error) {
 			act = cfg.Output
 		}
 		l := &layer{
-			in:       cfg.Layers[i],
-			out:      cfg.Layers[i+1],
-			weights:  make([]float64, cfg.Layers[i+1]*cfg.Layers[i]),
-			bias:     make([]float64, cfg.Layers[i+1]),
-			vWeights: make([]float64, cfg.Layers[i+1]*cfg.Layers[i]),
-			vBias:    make([]float64, cfg.Layers[i+1]),
-			act:      act,
+			in:      cfg.Layers[i],
+			out:     cfg.Layers[i+1],
+			weights: make([]float64, cfg.Layers[i+1]*cfg.Layers[i]),
+			bias:    make([]float64, cfg.Layers[i+1]),
+			act:     act,
 		}
 		// He initialization keeps ReLU activations well-scaled.
 		std := math.Sqrt(2.0 / float64(l.in))
@@ -285,10 +299,7 @@ func (n *Network) applyUpdate() {
 	}
 	for li, l := range n.layers {
 		in := n.activations[li]
-		if adam && l.mWeights == nil {
-			l.mWeights = make([]float64, len(l.weights))
-			l.mBias = make([]float64, len(l.bias))
-		}
+		l.ensureOptState(adam)
 		for o := 0; o < l.out; o++ {
 			d := n.deltas[li][o]
 			if d == 0 {
@@ -350,21 +361,26 @@ func (n *Network) CopyStateFrom(src *Network) error {
 	}
 	for i, l := range n.layers {
 		sl := src.layers[i]
-		copy(l.vWeights, sl.vWeights)
-		copy(l.vBias, sl.vBias)
-		if sl.mWeights == nil {
-			l.mWeights, l.mBias = nil, nil
-			continue
-		}
-		if l.mWeights == nil {
-			l.mWeights = make([]float64, len(l.weights))
-			l.mBias = make([]float64, len(l.bias))
-		}
-		copy(l.mWeights, sl.mWeights)
-		copy(l.mBias, sl.mBias)
+		l.vWeights = copyState(l.vWeights, sl.vWeights)
+		l.vBias = copyState(l.vBias, sl.vBias)
+		l.mWeights = copyState(l.mWeights, sl.mWeights)
+		l.mBias = copyState(l.mBias, sl.mBias)
 	}
 	n.adamStep = src.adamStep
 	return nil
+}
+
+// copyState copies one optimizer buffer, keeping "not yet allocated" (nil) as
+// it is in src.
+func copyState(dst, src []float64) []float64 {
+	if src == nil {
+		return nil
+	}
+	if dst == nil {
+		dst = make([]float64, len(src))
+	}
+	copy(dst, src)
+	return dst
 }
 
 // Clone returns an independent copy of the network (weights and config; the
@@ -406,18 +422,17 @@ func cloneVec(v []float64) []float64 {
 // state.
 func (n *Network) MarshalJSON() ([]byte, error) {
 	s := snapshot{Config: n.cfg, AdamStep: n.adamStep}
-	hasAdam := false
+	// Updates allocate optimizer state on every layer at once, so the first
+	// layer speaks for all of them.
+	first := n.layers[0]
 	for _, l := range n.layers {
 		s.Weights = append(s.Weights, cloneVec(l.weights))
 		s.Biases = append(s.Biases, cloneVec(l.bias))
-		s.VWeights = append(s.VWeights, cloneVec(l.vWeights))
-		s.VBiases = append(s.VBiases, cloneVec(l.vBias))
-		if l.mWeights != nil {
-			hasAdam = true
+		if first.vWeights != nil {
+			s.VWeights = append(s.VWeights, cloneVec(l.vWeights))
+			s.VBiases = append(s.VBiases, cloneVec(l.vBias))
 		}
-	}
-	if hasAdam {
-		for _, l := range n.layers {
+		if first.mWeights != nil {
 			s.MWeights = append(s.MWeights, cloneVec(l.mWeights))
 			s.MBiases = append(s.MBiases, cloneVec(l.mBias))
 		}
@@ -461,10 +476,9 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if s.Weights == nil || s.Biases == nil {
 		return fmt.Errorf("neural unmarshal: missing parameter blocks: %w", ErrBadTopology)
 	}
-	if s.MWeights != nil {
+	if s.VWeights != nil || s.MWeights != nil {
 		for _, l := range restored.layers {
-			l.mWeights = make([]float64, len(l.weights))
-			l.mBias = make([]float64, len(l.bias))
+			l.ensureOptState(s.MWeights != nil)
 		}
 	}
 	for _, blk := range []struct {

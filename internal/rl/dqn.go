@@ -95,9 +95,17 @@ func (c DQNConfig) withDefaults() DQNConfig {
 // learning step evaluates the whole replay mini-batch in one target-network
 // ForwardBatch and applies one accumulated TrainBatch optimizer step, so the
 // per-step cost is a handful of GEMMs instead of 2×BatchSize scalar passes.
+// Inference comes in two forms: QValues / GreedyAction / RunGreedy run the
+// full forward per state, and Online hands the network to callers that
+// evaluate it incrementally (core.CRL.PredictBatchInto, whose consecutive
+// states differ in one input cell).
 type DQN struct {
 	cfg    DQNConfig
 	online *neural.Network
+	// target is nil while it would equal the online network — before the
+	// first learning step, after UnmarshalPolicy, in a Clone — and is
+	// materialized by ensureTarget when learning needs it, so an agent that
+	// only ever infers holds one network, not two.
 	target *neural.Network
 	replay *ReplayBuffer
 	rng    *rand.Rand
@@ -142,14 +150,9 @@ func NewDQN(stateSize, actionSize int, cfg DQNConfig) (*DQN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dqn online net: %w", err)
 	}
-	target, err := online.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("dqn target net: %w", err)
-	}
 	return &DQN{
 		cfg:    cfg,
 		online: online,
-		target: target,
 		replay: newReplayFor(cfg),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		warmup: cfg.WarmupSteps,
@@ -191,7 +194,7 @@ func (d *DQN) GreedyAction(s []float64, valid []int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return argmaxOver(q, valid)
+	return ArgmaxOver(q, valid)
 }
 
 // QValuesBatch evaluates the online network over a batch of states (one per
@@ -205,33 +208,22 @@ func (d *DQN) QValuesBatch(states *mathx.Matrix) (*mathx.Matrix, error) {
 	return q, nil
 }
 
-// GreedyActionsBatch picks the highest-Q valid action for every row of
-// states in one batched forward pass, writing the chosen actions into out.
-// Row i maxes only over valid[i]. The per-row argmax depends only on that
-// row's Q values, and the batched GEMM kernels accumulate each output
-// element independently in ascending-k order, so out[i] is bitwise-identical
-// to a GreedyActionsBatch call on the single-row batch {states.Row(i)} — the
-// invariant the serving layer's request coalescer is built on. Performs no
-// steady-state allocations once the network's batch scratch has grown.
-func (d *DQN) GreedyActionsBatch(states *mathx.Matrix, valid [][]int, out []int) error {
-	if states == nil || states.Rows < 1 {
-		return fmt.Errorf("dqn greedy batch: empty batch")
+// Online returns the online Q-network for inference surfaces that evaluate it
+// incrementally instead of through QValues (neural's FirstLayerRange /
+// AddFirstLayerColumn / ForwardTail, which write nothing to the network).
+// Callers must not train it.
+func (d *DQN) Online() *neural.Network { return d.online }
+
+// ensureTarget materializes the target network, in sync with the online one.
+func (d *DQN) ensureTarget() error {
+	if d.target != nil {
+		return nil
 	}
-	if len(valid) < states.Rows || len(out) < states.Rows {
-		return fmt.Errorf("dqn greedy batch: %d rows with %d valid sets / %d outputs",
-			states.Rows, len(valid), len(out))
-	}
-	q, err := d.online.ForwardBatch(states)
+	target, err := d.online.Clone()
 	if err != nil {
-		return fmt.Errorf("dqn greedy batch: %w", err)
+		return fmt.Errorf("dqn target net: %w", err)
 	}
-	for i := 0; i < states.Rows; i++ {
-		a, err := argmaxOver(q.Row(i), valid[i])
-		if err != nil {
-			return fmt.Errorf("dqn greedy batch row %d: %w", i, err)
-		}
-		out[i] = a
-	}
+	d.target = target
 	return nil
 }
 
@@ -263,6 +255,9 @@ func (d *DQN) Observe(t Transition) error {
 		return nil
 	}
 	d.ensureBatch()
+	if err := d.ensureTarget(); err != nil {
+		return err
+	}
 	prio := d.replay.Prioritized()
 	if d.cfg.PrioritizedReplay {
 		// With alpha <= 0 this is the exact uniform path (same RNG stream,
@@ -316,7 +311,7 @@ func (d *DQN) Observe(t Transition) error {
 			continue
 		}
 		if oq != nil {
-			if a, err := argmaxOver(oq.Row(i), tr.NextValid); err == nil {
+			if a, err := ArgmaxOver(oq.Row(i), tr.NextValid); err == nil {
 				d.qNext[i] = tq.Row(i)[a]
 			}
 		} else {
@@ -366,24 +361,22 @@ func (d *DQN) Observe(t Transition) error {
 // Steps returns the number of observed transitions.
 func (d *DQN) Steps() int { return d.steps }
 
-// Clone returns an independent copy of the agent's policy: online and target
-// networks are deep-copied, the replay buffer and RNG start fresh. A DQN is
-// not goroutine-safe — even read-only inference (QValues, GreedyAction,
-// RunGreedy) writes into the networks' shared activation scratch — so
-// concurrent inference must run on per-goroutine clones.
+// Clone returns an independent inference replica of the agent's policy: the
+// online network's weights and biases are deep-copied and nothing else is —
+// no optimizer state, no target network, an unallocated replay ring, a fresh
+// RNG. A DQN is not goroutine-safe — even read-only inference (QValues,
+// GreedyAction, RunGreedy) writes into the network's activation scratch — so
+// concurrent inference runs on per-goroutine clones, and a clone costs what
+// inference reads. A clone that is trained anyway starts its target network
+// in sync with its online network.
 func (d *DQN) Clone() (*DQN, error) {
 	online, err := d.online.Clone()
 	if err != nil {
 		return nil, fmt.Errorf("dqn clone online: %w", err)
 	}
-	target, err := d.target.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("dqn clone target: %w", err)
-	}
 	return &DQN{
 		cfg:    d.cfg,
 		online: online,
-		target: target,
 		replay: newReplayFor(d.cfg),
 		rng:    rand.New(rand.NewSource(d.cfg.Seed)),
 		steps:  d.steps,
@@ -407,8 +400,15 @@ func (d *DQN) CloneFrom(src *DQN) error {
 	if err := d.online.CopyStateFrom(src.online); err != nil {
 		return fmt.Errorf("dqn clone from online: %w", err)
 	}
-	if err := d.target.CopyStateFrom(src.target); err != nil {
-		return fmt.Errorf("dqn clone from target: %w", err)
+	if src.target == nil {
+		d.target = nil // the donor's target equals its online network; so does ours now
+	} else {
+		if err := d.ensureTarget(); err != nil {
+			return err
+		}
+		if err := d.target.CopyStateFrom(src.target); err != nil {
+			return fmt.Errorf("dqn clone from target: %w", err)
+		}
 	}
 	d.steps = src.steps
 	d.warmup = d.cfg.BatchSize
@@ -540,10 +540,6 @@ func (d *DQN) UnmarshalPolicy(data []byte) error {
 	if err := d.online.UnmarshalJSON(data); err != nil {
 		return fmt.Errorf("dqn unmarshal policy: %w", err)
 	}
-	target, err := d.online.Clone()
-	if err != nil {
-		return fmt.Errorf("dqn restore target: %w", err)
-	}
-	d.target = target
+	d.target = nil
 	return nil
 }

@@ -53,11 +53,15 @@ type Transition struct {
 // when built with NewPrioritizedReplayBuffer — TD-error-proportional
 // prioritized sampling (Schaul et al.) over a sum tree.
 type ReplayBuffer struct {
+	capacity int
+	// buf is the ring, allocated by the first Add: an agent that never learns
+	// (an inference replica) never pays for capacity × Transition headers.
 	buf  []Transition
 	next int
 	full bool
 
-	// Prioritized-sampling state; tree is nil for plain uniform buffers.
+	// Prioritized-sampling state; alpha is 0 and tree stays nil for plain
+	// uniform buffers, and tree is allocated with buf.
 	// tree is an iterative segment tree: leaves at [cap, 2·cap) hold each
 	// slot's priority^alpha, internal node i sums children 2i and 2i+1, so
 	// updates and proportional descent are O(log cap) with no allocation.
@@ -72,7 +76,7 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &ReplayBuffer{buf: make([]Transition, capacity)}
+	return &ReplayBuffer{capacity: capacity}
 }
 
 // NewPrioritizedReplayBuffer creates a buffer whose SamplePrioritizedInto
@@ -86,18 +90,23 @@ func NewPrioritizedReplayBuffer(capacity int, alpha float64) *ReplayBuffer {
 		return r
 	}
 	r.alpha = alpha
-	r.tree = make([]float64, 2*len(r.buf))
 	r.maxPrio = 1
 	return r
 }
 
 // Prioritized reports whether the buffer samples by priority.
-func (r *ReplayBuffer) Prioritized() bool { return r.tree != nil }
+func (r *ReplayBuffer) Prioritized() bool { return r.alpha > 0 }
 
 // Add appends a transition, evicting the oldest when full. In a prioritized
 // buffer the new entry gets the largest priority seen so far, guaranteeing
 // every transition is replayed at least once before its priority decays.
 func (r *ReplayBuffer) Add(t Transition) {
+	if r.buf == nil {
+		r.buf = make([]Transition, r.capacity)
+		if r.Prioritized() {
+			r.tree = make([]float64, 2*r.capacity)
+		}
+	}
 	slot := r.next
 	r.buf[slot] = t
 	r.next++
@@ -256,9 +265,9 @@ func maxOver(q []float64, idx []int) float64 {
 	return best
 }
 
-// argmaxOver returns the idx element maximizing q, breaking ties toward the
+// ArgmaxOver returns the idx element maximizing q, breaking ties toward the
 // lowest index. Empty idx returns an error.
-func argmaxOver(q []float64, idx []int) (int, error) {
+func ArgmaxOver(q []float64, idx []int) (int, error) {
 	if len(idx) == 0 {
 		return 0, ErrNoActions
 	}

@@ -78,7 +78,7 @@ func TestReplayBuffer(t *testing.T) {
 			t.Fatalf("evicted transition sampled: %d", tr.Action)
 		}
 	}
-	if got := NewReplayBuffer(0); len(got.buf) != 1 {
+	if got := NewReplayBuffer(0); got.capacity != 1 {
 		t.Fatal("capacity < 1 should clamp to 1")
 	}
 	empty := NewReplayBuffer(4)
@@ -118,12 +118,12 @@ func TestMaxArgmaxHelpers(t *testing.T) {
 	if got := maxOver(q, nil); got != 0 {
 		t.Errorf("maxOver empty = %v, want 0", got)
 	}
-	a, err := argmaxOver(q, []int{0, 2, 3})
+	a, err := ArgmaxOver(q, []int{0, 2, 3})
 	if err != nil || a != 2 {
-		t.Errorf("argmaxOver = %d, %v", a, err)
+		t.Errorf("ArgmaxOver = %d, %v", a, err)
 	}
-	if _, err := argmaxOver(q, nil); !errors.Is(err, ErrNoActions) {
-		t.Errorf("argmaxOver empty err = %v", err)
+	if _, err := ArgmaxOver(q, nil); !errors.Is(err, ErrNoActions) {
+		t.Errorf("ArgmaxOver empty err = %v", err)
 	}
 }
 

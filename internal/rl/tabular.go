@@ -72,7 +72,7 @@ func (t *TabularQ) SelectAction(state []float64, valid []int) (int, error) {
 	if t.rng.Float64() < t.Epsilon.At(t.steps) {
 		return valid[t.rng.Intn(len(valid))], nil
 	}
-	return argmaxOver(t.row(state), valid)
+	return ArgmaxOver(t.row(state), valid)
 }
 
 // Observe applies the Q-learning update for one transition.
@@ -145,7 +145,7 @@ func (t *TabularQ) Train(env Environment, episodes, maxSteps int) (*TrainResult,
 
 // GreedyAction returns the argmax action among valid for state.
 func (t *TabularQ) GreedyAction(state []float64, valid []int) (int, error) {
-	return argmaxOver(t.row(state), valid)
+	return ArgmaxOver(t.row(state), valid)
 }
 
 // States returns the number of distinct states seen.

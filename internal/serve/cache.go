@@ -100,11 +100,11 @@ type policyEntry struct {
 	stale atomic.Bool // set by drift detection; next get retrains
 
 	// replicas pools inference clones: every rollout runs on an exclusive
-	// clone because DQN forwards mutate shared activation scratch.
+	// clone because it runs through that clone's rollout scratch.
 	replicas chan *core.CRL
 
-	// co coalesces concurrent warm rollouts for this policy onto batched
-	// forward passes (coalesce.go). Valid only once the entry resolves
+	// co coalesces concurrent warm rollouts for this policy onto shared
+	// replica checkouts (coalesce.go). Valid only once the entry resolves
 	// with a healthy crl.
 	co *coalescer
 }

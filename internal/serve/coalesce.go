@@ -37,8 +37,13 @@ type batchSignal struct {
 }
 
 // coalescer gathers concurrent warm rollouts for one cached policy into
-// micro-batches over a single pooled replica, so N requests cost one
-// neural.ForwardBatch pass per MDP step instead of N sequential forwards.
+// micro-batches over a single pooled replica. core.PredictBatchInto rolls the
+// environments of a batch out one after another, each incrementally (the
+// environment half of the DQN's first layer hoisted out of the episode, one
+// weight column added per assignment, the network tail re-evaluated only after
+// an assignment), so a batch costs what its rollouts cost alone; what batching
+// buys is one replica checkout for N requests once the pool is saturated,
+// instead of N more clones or N waits.
 //
 // Shape:
 //
@@ -58,9 +63,10 @@ type batchSignal struct {
 //     it gets errBatchError, the replica is dropped, and the entry keeps
 //     serving.
 //
-// Correctness leans on the bitwise row-independence of core.PredictBatchInto:
-// batching never changes any request's allocation, so coalesced and serial
-// execution are observably identical (pinned by the equivalence tests).
+// Correctness leans on core.PredictBatchInto answering every environment from
+// that environment's inputs alone: batching never changes any request's
+// allocation, so coalesced and serial execution are observably identical
+// (pinned by the equivalence tests).
 type coalescer struct {
 	c       *policyCache
 	entry   *policyEntry

@@ -120,8 +120,8 @@ type Config struct {
 	CacheShards int
 	// MaxBatch bounds the request coalescer's micro-batch: concurrent
 	// warm CRL rollouts for one cluster gather onto a single
-	// neural.ForwardBatch pass of at most this many requests (default 16;
-	// 1 disables coalescing).
+	// core.PredictBatchInto call, on one replica, of at most this many
+	// requests (default 16; 1 disables coalescing).
 	MaxBatch int
 	// BatchWindow is how long the first queued request waits for
 	// batch-mates before the partial batch flushes (default 200µs). The

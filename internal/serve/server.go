@@ -372,8 +372,8 @@ func importanceOf(a core.Allocation, imp []float64) float64 {
 
 // Allocate answers one allocation query. Safe for arbitrary concurrency:
 // store reads are lock-protected, every DQN rollout runs on an exclusive
-// pooled replica (concurrent rollouts for one cluster coalesce onto batched
-// forward passes), and the local model is immutable-after-Fit.
+// pooled replica (concurrent rollouts for one cluster coalesce onto one
+// replica checkout), and the local model is immutable-after-Fit.
 //
 // Availability contract: once the request is validated, Allocate answers.
 // Any policy-path failure — a training that errors, panics, outlives the
