@@ -31,7 +31,7 @@ var (
 
 // benchScenario builds the paper-scale world once and shares it across
 // benchmarks (the build itself is benchmarked separately).
-func benchScenario(b *testing.B) *dcta.Scenario {
+func benchScenario(b testing.TB) *dcta.Scenario {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchScn, benchErr = dcta.NewScenario(dcta.DefaultScenarioConfig(1))
@@ -255,27 +255,79 @@ func randomInstance(n, m int) *knapsack.Instance {
 	return in
 }
 
-// BenchmarkDQNStep measures one DQN observe/learn step at the allocation
-// MDP's dimensions (50 tasks × 9 processors).
+// BenchmarkDQNStep measures one DQN observe/learn step of a served training:
+// the paper world's 50×9 MDP (900 inputs, 51 actions), serve's agent ([64,64],
+// batch 32), a replay ring filled by real ε-greedy episodes on a stored
+// environment, and real transitions of that environment observed one after
+// another.
 func BenchmarkDQNStep(b *testing.B) {
-	stateSize := 2 * 50 * 9
-	agent, err := rl.NewDQN(stateSize, 51, rl.DQNConfig{
-		Hidden: []int{48}, BatchSize: 8, WarmupSteps: 1, Seed: 1,
-	})
+	s := benchScenario(b)
+	stored := s.Store.All()[0]
+	prob := s.Template.Clone()
+	for j := range prob.Tasks {
+		prob.Tasks[j].Importance = mathx.Clamp(stored.Importance[j], 0, 1)
+	}
+	env, err := core.NewAllocEnv(prob, stored.Signature)
 	if err != nil {
 		b.Fatal(err)
 	}
-	state := make([]float64, stateSize)
-	next := make([]float64, stateSize)
-	tr := rl.Transition{
-		State: state, Action: 3, Reward: 1, NextState: next,
-		NextValid: []int{0, 1, 2}, Done: false,
+	agent, err := rl.NewDQN(env.StateSize(), env.ActionSize(), rl.DQNConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := agent.Observe(tr); err != nil {
+	var episode []rl.Transition
+	for ep := 0; ep < 8; ep++ {
+		if _, _, err := agent.TrainEpisode(env, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for state := env.Reset(); !env.Done(); {
+		tr := rl.Transition{State: state}
+		if tr.Action, err = agent.SelectAction(state, env.ValidActions()); err != nil {
+			b.Fatal(err)
+		}
+		if tr.NextState, tr.Reward, tr.Done, err = env.Step(tr.Action); err != nil {
+			b.Fatal(err)
+		}
+		tr.NextValid = env.ValidActions()
+		episode = append(episode, tr)
+		state = tr.NextState
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := agent.Observe(episode[i%len(episode)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCRLTrain measures one served training — serve.trainClusterMode's
+// recipe, see training_test.go — with its allocations: the small world's
+// warm-started fine-tune (what a cold_churn miss waits for) and the paper
+// world's, and the paper world's training from scratch (what a prewarm sweep
+// pays per cluster).
+func BenchmarkCRLTrain(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		scn  *dcta.Scenario
+		warm bool
+	}{
+		{"small_warm", smallScenario(b), true},
+		{"paper_warm", benchScenario(b), true},
+		{"paper_scratch", benchScenario(b), false},
+	} {
+		w := newTrainWorld(b, bc.scn)
+		var donor *core.CRL
+		if bc.warm {
+			donor = w.train(b, 0, nil, nil)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.train(b, 1, donor, nil)
+			}
+		})
 	}
 }
 

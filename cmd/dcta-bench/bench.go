@@ -59,8 +59,10 @@ func writeBenchJSON(path string) error {
 	return nil
 }
 
-// benchDQNStep mirrors BenchmarkDQNStep: one Observe (replay add + batched
-// learning step) at the allocation MDP's dimensions.
+// benchDQNStep is the step BENCH_PR2.json recorded: one Observe (replay add +
+// batched learning step) of an all-zero state at the allocation MDP's
+// dimensions, hidden [48], batch 8. It is kept as it was so that the file
+// stays comparable; BenchmarkDQNStep measures a step of a served training.
 func benchDQNStep() (float64, error) {
 	stateSize := 2 * 50 * 9
 	agent, err := rl.NewDQN(stateSize, 51, rl.DQNConfig{

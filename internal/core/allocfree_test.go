@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/rl"
 )
 
 // TestRolloutZeroAllocs pins the warm rollout's allocation contract at the
@@ -59,5 +60,47 @@ func TestCloneHeapBudget(t *testing.T) {
 	t.Logf("Clone + first rollout allocated %d bytes", grown)
 	if float64(grown) > budget {
 		t.Fatalf("Clone + first rollout allocated %d bytes, budget %d", grown, int(budget))
+	}
+}
+
+// TestTrainEpisodeZeroAllocs pins the training loop's allocation contract at
+// the serving shape with serve's agent (batch 32): once the replay ring has
+// wrapped, a whole ε-greedy training episode — every step's action choice,
+// environment step, replay insert and learning step — allocates nothing.
+func TestTrainEpisodeZeroAllocs(t *testing.T) {
+	crl, err := newPaperShape(92, 1, true, rl.DQNConfig{ReplayCapacity: 128, Seed: 93})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := crl.store.All()[0]
+	prob, err := crl.problemFor(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := NewAllocEnv(prob, env.Signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	run := func() {
+		n, _, err := crl.agent.TrainEpisode(alloc, alloc.N()+alloc.M()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += n
+	}
+	for steps < 3*128 {
+		run()
+	}
+	// Counted exactly: AllocsPerRun rounds an allocation on every other
+	// episode down to none.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations in 20 training episodes, want 0", n)
 	}
 }

@@ -146,7 +146,7 @@ func (c *CRL) Train() (*rl.TrainResult, error) {
 	// problem structure is fixed and Train resets the env per episode, so
 	// rebuilding the problem clone and MDP every episode is pure overhead.
 	cache := make([]*AllocEnv, len(envs))
-	agg := &rl.TrainResult{StopReason: rl.StopBudget}
+	agg := &rl.TrainResult{StopReason: rl.StopBudget, RewardsPerEp: make([]float64, 0, c.cfg.Episodes)}
 	for ep := 0; ep < c.cfg.Episodes; ep++ {
 		if c.cfg.Interrupt != nil && ep > 0 && c.cfg.Interrupt() {
 			agg.StopReason = rl.StopInterrupted
@@ -167,13 +167,13 @@ func (c *CRL) Train() (*rl.TrainResult, error) {
 			alloc.DenseReward = c.cfg.DenseReward
 			cache[ei] = alloc
 		}
-		res, err := c.agent.Train(alloc, 1, alloc.N()+alloc.M()+1)
+		steps, total, err := c.agent.TrainEpisode(alloc, alloc.N()+alloc.M()+1)
 		if err != nil {
 			return nil, fmt.Errorf("crl episode %d: %w", ep, err)
 		}
 		agg.Episodes++
-		agg.TotalSteps += res.TotalSteps
-		agg.RewardsPerEp = append(agg.RewardsPerEp, res.RewardsPerEp...)
+		agg.TotalSteps += steps
+		agg.RewardsPerEp = append(agg.RewardsPerEp, total)
 		if c.cfg.StopWindow > 0 && agg.Episodes >= minEp &&
 			plateaued(agg.RewardsPerEp, c.cfg.StopWindow, stopEps) {
 			agg.StopReason = rl.StopPlateau

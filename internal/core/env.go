@@ -134,12 +134,13 @@ func (e *AllocEnv) SkipAction() int { return e.N() }
 // resets (nothing outside the env aliases them — encode and Allocation both
 // copy), so per-episode setup is allocation-free after the first call.
 func (e *AllocEnv) Reset() []float64 {
-	e.reset()
+	e.Restart()
 	return e.encode()
 }
 
-// reset reinitializes the episode state in place.
-func (e *AllocEnv) reset() {
+// Restart reinitializes the episode state in place: Reset without the state
+// encoding it allocates (rl.InPlaceEnvironment).
+func (e *AllocEnv) Restart() {
 	n, m := e.N(), e.M()
 	if len(e.state) != n*m {
 		e.state = make([]float64, n*m)
@@ -189,7 +190,7 @@ func (e *AllocEnv) Reinit(importance []float64) error {
 			e.envMatrix[j*m+p] = e.env.Importance[j] * (e.env.Capacity[p] / e.maxCap)
 		}
 	}
-	e.reset()
+	e.Restart()
 	return nil
 }
 
@@ -271,18 +272,28 @@ func (e *AllocEnv) OpenActionsInto(buf []int) []int {
 
 // Step applies an action per the MDP above.
 func (e *AllocEnv) Step(action int) ([]float64, float64, bool, error) {
+	reward, done, err := e.StepInPlace(action)
+	if err != nil {
+		return nil, 0, done, err
+	}
+	return e.encode(), reward, done, nil
+}
+
+// StepInPlace is Step without the state encoding it allocates; read the state
+// with StateInto (rl.InPlaceEnvironment).
+func (e *AllocEnv) StepInPlace(action int) (float64, bool, error) {
 	if e.done {
-		return nil, 0, true, rl.ErrEpisodeDone
+		return 0, true, rl.ErrEpisodeDone
 	}
 	reward, err := e.apply(action)
 	if err != nil {
-		return nil, 0, false, err
+		return 0, false, err
 	}
 	if e.done && !e.DenseReward {
 		// Terminal-only reward: Σ I_j over allocated tasks.
 		reward = e.problem.Objective(e.assigned)
 	}
-	return e.encode(), reward, e.done, nil
+	return reward, e.done, nil
 }
 
 // Apply advances the episode like Step but materializes neither the state
@@ -351,4 +362,7 @@ func (e *AllocEnv) CopyAllocation(dst Allocation) Allocation {
 	return append(dst[:0], e.assigned...)
 }
 
-var _ rl.Environment = (*AllocEnv)(nil)
+var (
+	_ rl.Environment        = (*AllocEnv)(nil)
+	_ rl.InPlaceEnvironment = (*AllocEnv)(nil)
+)

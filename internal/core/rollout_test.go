@@ -19,6 +19,19 @@ import (
 // exactly zero. fits=false makes every task cost more time than any processor
 // has, so no assignment is ever valid.
 func trainPaperShape(seed int64, episodes int, fits bool) (*CRL, error) {
+	crl, err := newPaperShape(seed, episodes, fits, rl.DQNConfig{WarmupSteps: 32, BatchSize: 8, Seed: seed + 1})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := crl.Train(); err != nil {
+		return nil, err
+	}
+	return crl, nil
+}
+
+// newPaperShape is trainPaperShape's untrained model, with the given agent
+// configuration (Hidden defaults to [64,64]).
+func newPaperShape(seed int64, episodes int, fits bool, dqn rl.DQNConfig) (*CRL, error) {
 	const n, m = 50, 9
 	rng := mathx.NewRand(seed)
 	p := &Problem{TimeLimit: 4}
@@ -51,15 +64,8 @@ func trainPaperShape(seed int64, episodes int, fits bool) (*CRL, error) {
 	cfg := DefaultCRLConfig()
 	cfg.Episodes = episodes
 	cfg.Seed = seed
-	cfg.DQN = rl.DQNConfig{WarmupSteps: 32, BatchSize: 8, Seed: seed + 1} // Hidden defaults to [64,64]
-	crl, err := NewCRL(p, store, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := crl.Train(); err != nil {
-		return nil, err
-	}
-	return crl, nil
+	cfg.DQN = dqn
+	return NewCRL(p, store, cfg)
 }
 
 var (

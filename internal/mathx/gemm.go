@@ -11,7 +11,8 @@ import (
 // materializing a transpose:
 //
 //	MatMul       dst = a·b    — back-propagated deltas (Δ_next · W_next)
-//	MatMulTransA dst = aᵀ·b   — gradient accumulation (Δᵀ · activations)
+//	MatMulTransA dst = aᵀ·b   — gradient accumulation (Δᵀ · activations;
+//	                            MatMulTransACols: only the listed columns)
 //	MatMulTransB dst = a·bᵀ   — batched forward (X · Wᵀ, W row-major out×in)
 //
 // MatVecTransB is MatMulTransB's batch-of-1 form for single-sample inference
@@ -85,28 +86,48 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 // n×m. Rows of a are streamed once (ascending k), so zero entries of a — e.g.
 // masked or dead-unit delta columns — cost one compare each.
 func MatMulTransA(dst, a, b *Matrix) error {
+	return MatMulTransACols(dst, a, b, nil)
+}
+
+// MatMulTransACols computes the listed columns of dst = aᵀ·b and leaves every
+// other element of dst as it was; a nil cols is the whole product. A computed
+// element is summed exactly as MatMulTransA sums it (ascending k, zero a[k,i]
+// skipped), so it is bitwise the dense one. The batched gradient step uses
+// this with the input columns that are nonzero somewhere in the mini-batch:
+// every other column of Δᵀ·X is exactly zero and is never read.
+func MatMulTransACols(dst, a, b *Matrix, cols []int) error {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		return fmt.Errorf("matmul transA: (%dx%d)ᵀ·(%dx%d)→(%dx%d): %w",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrDimensionMismatch)
 	}
-	workers := gemmWorkers(a.Rows*a.Cols*b.Cols, dst.Rows)
+	inner := b.Cols
+	if cols != nil {
+		inner = len(cols)
+	}
+	workers := gemmWorkers(a.Rows*a.Cols*inner, dst.Rows)
 	if workers == 1 {
-		transARows(dst, a, b, 0, dst.Rows)
+		transARows(dst, a, b, cols, 0, dst.Rows)
 		return nil
 	}
 	return blockedRows(dst.Rows, workers, func(r0, r1 int) {
-		transARows(dst, a, b, r0, r1)
+		transARows(dst, a, b, cols, r0, r1)
 	})
 }
 
 // transARows computes dst rows [r0, r1) of aᵀ·b: dst[i,:] += a[k,i]·b[k,:]
 // for ascending k, restricted to the row range so parallel workers never
-// share output rows.
-func transARows(dst, a, b *Matrix, r0, r1 int) {
+// share output rows, and to the cols subset of every row when cols is non-nil.
+func transARows(dst, a, b *Matrix, cols []int, r0, r1 int) {
 	for i := r0; i < r1; i++ {
 		drow := dst.Row(i)
-		for j := range drow {
-			drow[j] = 0
+		if cols == nil {
+			for j := range drow {
+				drow[j] = 0
+			}
+		} else {
+			for _, j := range cols {
+				drow[j] = 0
+			}
 		}
 	}
 	for k := 0; k < a.Rows; k++ {
@@ -118,8 +139,14 @@ func transARows(dst, a, b *Matrix, r0, r1 int) {
 				continue
 			}
 			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += v * bv
+			if cols == nil {
+				for j, bv := range brow {
+					drow[j] += v * bv
+				}
+			} else {
+				for _, j := range cols {
+					drow[j] += v * brow[j]
+				}
 			}
 		}
 	}

@@ -333,7 +333,7 @@ func TestGemmParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	serA := NewMatrix(n, m)
-	transARows(serA, at, b, 0, n)
+	transARows(serA, at, b, nil, 0, n)
 	matricesClose(t, parA, serA, 0)
 
 	bt := randMatrix(rng, m, k, 0.2)
@@ -366,5 +366,59 @@ func TestGemmDeterministic(t *testing.T) {
 		if d1.Data[i] != d2.Data[i] {
 			t.Fatalf("nondeterministic element %d: %v vs %v", i, d1.Data[i], d2.Data[i])
 		}
+	}
+}
+
+// TestMatMulTransAColsMatchesDense: on the listed columns the column-subset
+// kernel is bitwise the dense one, and it writes nowhere else — for random
+// shapes and sparsities (the last shape takes the parallel path with either
+// list), an empty list and the full list.
+func TestMatMulTransAColsMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial, shape := range [][3]int{{1, 1, 1}, {7, 5, 9}, {32, 64, 240}, {16, 3, 50}, {40, 70, 3200}} {
+		k, n, m := shape[0], shape[1], shape[2]
+		a := randMatrix(rng, k, n, 0.4)
+		b := randMatrix(rng, k, m, 0.6)
+		dense := NewMatrix(n, m)
+		if err := MatMulTransA(dense, a, b); err != nil {
+			t.Fatal(err)
+		}
+		some, all := []int{}, []int{} // nil would ask for the whole product
+		for j := 0; j < m; j++ {
+			all = append(all, j)
+			if rng.Intn(4) == 0 {
+				some = append(some, j)
+			}
+		}
+		for name, cols := range map[string][]int{"some": some, "empty": {}, "all": all} {
+			const sentinel = 12345.5
+			got := NewMatrix(n, m)
+			for i := range got.Data {
+				got.Data[i] = sentinel
+			}
+			if err := MatMulTransACols(got, a, b, cols); err != nil {
+				t.Fatal(err)
+			}
+			listed := make([]bool, m)
+			for _, j := range cols {
+				listed[j] = true
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < m; j++ {
+					want := sentinel
+					if listed[j] {
+						want = dense.At(i, j)
+					}
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("trial %d (%s): [%d,%d] = %v, want %v (listed %v)",
+							trial, name, i, j, got.At(i, j), want, listed[j])
+					}
+				}
+			}
+		}
+	}
+	err := MatMulTransACols(NewMatrix(2, 2), NewMatrix(3, 2), NewMatrix(4, 2), []int{0})
+	if !errors.Is(err, ErrDimensionMismatch) {
+		t.Fatalf("shape mismatch err = %v", err)
 	}
 }

@@ -74,6 +74,11 @@ func (n *Network) ensureBatch(rows int) {
 	}
 }
 
+// ReserveBatch sizes the forward workspace for batches of up to rows samples,
+// for a caller whose batch sizes vary and who wants no later forward to grow
+// it (the DQN's target network sees between one and BatchSize rows a step).
+func (n *Network) ReserveBatch(rows int) { n.ensureBatch(rows) }
+
 // ensureTrain sizes the training half of the scratch workspace: gradient
 // buffers once, delta matrices whenever a larger batch arrives.
 func (n *Network) ensureTrain(rows int) {
@@ -206,7 +211,13 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 			d[k] *= l.act.derivative(av)
 		}
 	}
-	// Accumulate summed gradients as GEMMs and take one optimizer step.
+	// Accumulate summed gradients as GEMMs and take one optimizer step. An
+	// input column that is zero across the batch has an exactly-zero gradient
+	// column, which moves nothing only when the step is stateless (SGD without
+	// momentum): then the gradient is accumulated and applied over the live
+	// columns forwardBatch listed, and the rest of gradW is never read.
+	// Momentum and Adam keep moving a weight whose gradient is zero, so they
+	// take the dense step.
 	adam := n.cfg.Optimizer == OptAdam
 	if adam {
 		n.adamStep++
@@ -216,7 +227,11 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 		if li > 0 {
 			in = s.acts[li-1]
 		}
-		if err := mathx.MatMulTransA(s.gradW[li], s.deltas[li], in); err != nil {
+		var live []int
+		if n.stateless() {
+			live = s.cols[li]
+		}
+		if err := mathx.MatMulTransACols(s.gradW[li], s.deltas[li], in, live); err != nil {
 			return 0, fmt.Errorf("train batch gradient layer %d: %w", li, err)
 		}
 		gb := s.gradB[li]
@@ -231,16 +246,27 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 		// Units whose delta column is zero across the batch get no update —
 		// the batched form of Train's per-sample d==0 skip.
 		s.activeO = mathx.NonzeroColumns(s.deltas[li], s.activeO)
-		n.applyBatchUpdate(l, s.gradW[li], gb, s.activeO)
+		n.applyBatchUpdate(l, s.gradW[li], gb, s.activeO, live)
 	}
 	return loss, nil
 }
 
 // applyBatchUpdate advances layer l one optimizer step along the summed
-// batch gradient, restricted to the active output units. The update formulas
-// mirror applyUpdate exactly so 1-row batches reproduce Train's step.
-func (n *Network) applyBatchUpdate(l *layer, gradW *mathx.Matrix, gradB []float64, active []int) {
+// batch gradient, restricted to the active output units and, on the stateless
+// step, to the live input columns. The update formulas mirror applyUpdate
+// exactly so 1-row batches reproduce Train's step.
+func (n *Network) applyBatchUpdate(l *layer, gradW *mathx.Matrix, gradB []float64, active, live []int) {
 	lr, mom := n.cfg.LearningRate, n.cfg.Momentum
+	if n.stateless() {
+		for _, o := range active {
+			w, grow := l.weights[o*l.in:(o+1)*l.in], gradW.Row(o)
+			for _, i := range live {
+				w[i] -= lr * grow[i]
+			}
+			l.bias[o] -= lr * gradB[o]
+		}
+		return
+	}
 	adam := n.cfg.Optimizer == OptAdam
 	const (
 		beta1 = 0.9

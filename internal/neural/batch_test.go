@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,6 +140,57 @@ func TestTrainBatchOneRowMatchesTrain(t *testing.T) {
 			}
 			if d := maxWeightDiff(a, b); d > 1e-12 {
 				t.Fatalf("parameters diverged by %v after 50 steps", d)
+			}
+		})
+	}
+}
+
+// TestDeadColumnsMoveOnlyUnderStatefulOptimizers pins the branch in
+// TrainBatch: an input column that is zero across the batch has a zero
+// gradient, which leaves its weights alone under plain SGD — the step that
+// visits live columns only and keeps no velocity — but not under momentum or
+// Adam, whose state from the step before still moves them.
+func TestDeadColumnsMoveOnlyUnderStatefulOptimizers(t *testing.T) {
+	for name, cfg := range testConfigs() {
+		t.Run(name, func(t *testing.T) {
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(41))
+			x := mathx.NewMatrix(4, n.InputSize())
+			tg := mathx.NewMatrix(4, n.OutputSize())
+			for r := 0; r < x.Rows; r++ {
+				copy(x.Row(r), randVec(rng, n.InputSize(), 0))
+				copy(tg.Row(r), randVec(rng, n.OutputSize(), 0))
+			}
+			if _, err := n.TrainBatch(x, tg, nil); err != nil {
+				t.Fatal(err)
+			}
+			const dead = 2
+			for r := 0; r < x.Rows; r++ {
+				x.Row(r)[dead] = 0
+			}
+			l := n.layers[0]
+			before := make([]float64, l.out)
+			for o := range before {
+				before[o] = l.weights[o*l.in+dead]
+			}
+			if _, err := n.TrainBatch(x, tg, nil); err != nil {
+				t.Fatal(err)
+			}
+			moved := 0
+			for o := range before {
+				if l.weights[o*l.in+dead] != before[o] {
+					moved++
+				}
+			}
+			if n.stateless() {
+				if moved != 0 || l.vWeights != nil {
+					t.Fatalf("plain SGD moved %d weights of a dead column (velocity allocated: %v)", moved, l.vWeights != nil)
+				}
+			} else if moved == 0 {
+				t.Fatal("a stateful optimizer left a dead column alone: it took the live-column step")
 			}
 		})
 	}
@@ -341,5 +393,35 @@ func TestBatchShapeErrors(t *testing.T) {
 	}
 	if _, err := n.TrainBatch(x, mathx.NewMatrix(2, 2), mathx.NewMatrix(1, 2)); err == nil {
 		t.Error("TrainBatch accepted mismatched mask rows")
+	}
+}
+
+// TestVelocityCarryingSnapshotLoads: snapshots written while plain SGD still
+// kept a velocity buffer carry v_weights at momentum 0. They load; the buffer,
+// which the step never read, is dropped and not written back.
+func TestVelocityCarryingSnapshotLoads(t *testing.T) {
+	old := []byte(`{
+		"config": {"Layers": [2, 3, 1], "LearningRate": 0.1, "Optimizer": 1, "Seed": 1},
+		"weights": [[1, 2, 3, 4, 5, 6], [7, 8, 9]],
+		"biases": [[0.1, 0.2, 0.3], [0.4]],
+		"v_weights": [[1, 1, 1, 1, 1, 1], [1, 1, 1]],
+		"v_biases": [[1, 1, 1], [1]]
+	}`)
+	var n Network
+	if err := n.UnmarshalJSON(old); err != nil {
+		t.Fatalf("velocity-carrying snapshot rejected: %v", err)
+	}
+	if n.layers[0].weights[5] != 6 || n.layers[1].bias[0] != 0.4 {
+		t.Fatal("parameters not restored")
+	}
+	if n.layers[0].vWeights != nil {
+		t.Fatal("dead velocity buffer restored at momentum 0")
+	}
+	blob, err := n.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(blob, []byte("v_weights")) {
+		t.Fatal("velocity written back at momentum 0")
 	}
 }

@@ -183,7 +183,9 @@ func TestIncrementalShapeErrors(t *testing.T) {
 // no optimizer state and no gradient buffers; the first TrainBatch allocates
 // both, and an untrained network round-trips through JSON without them.
 func TestTrainingStateIsAllocatedByTraining(t *testing.T) {
-	n, err := New(Config{Layers: []int{8, 6, 3}, Seed: 61})
+	// Momentum, so that the first update has optimizer state to allocate: the
+	// stateless step (SGD at momentum 0) never allocates any.
+	n, err := New(Config{Layers: []int{8, 6, 3}, Momentum: 0.9, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}

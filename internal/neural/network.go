@@ -84,17 +84,26 @@ type layer struct {
 	weights []float64 // row-major out×in
 	bias    []float64
 	act     Activation
-	// Optimizer state, allocated by the first update (ensureOptState): a
-	// network that is only ever evaluated — a DQN target network, an inference
-	// replica — carries its weights and nothing else.
+	// Optimizer state, allocated by the first update that has any
+	// (ensureOptState): a network that is only ever evaluated — a DQN target
+	// network, an inference replica — or trained by the stateless step carries
+	// its weights and nothing else.
 	vWeights []float64 // momentum / Adam first-moment buffers
 	vBias    []float64
 	mWeights []float64 // Adam second-moment buffers
 	mBias    []float64
 }
 
+// stateless reports whether the optimizer step keeps nothing between updates:
+// SGD at momentum 0, where v = 0·v − lr·g; w += v is bitwise w −= lr·g, so the
+// velocity buffer is dead state that is neither allocated, written, copied
+// nor serialized.
+func (n *Network) stateless() bool {
+	return n.cfg.Optimizer == OptSGD && n.cfg.Momentum == 0
+}
+
 // ensureOptState allocates the layer's optimizer buffers before its first
-// update.
+// stateful update.
 func (l *layer) ensureOptState(adam bool) {
 	if l.vWeights == nil {
 		l.vWeights = make([]float64, len(l.weights))
@@ -297,15 +306,25 @@ func (n *Network) applyUpdate() {
 		c1 = 1 - math.Pow(beta1, float64(n.adamStep))
 		c2 = 1 - math.Pow(beta2, float64(n.adamStep))
 	}
+	stateless := n.stateless()
 	for li, l := range n.layers {
 		in := n.activations[li]
-		l.ensureOptState(adam)
+		if !stateless {
+			l.ensureOptState(adam)
+		}
 		for o := 0; o < l.out; o++ {
 			d := n.deltas[li][o]
 			if d == 0 {
 				continue
 			}
 			base := o * l.in
+			if stateless {
+				for i := 0; i < l.in; i++ {
+					l.weights[base+i] -= lr * (d * in[i])
+				}
+				l.bias[o] -= lr * d
+				continue
+			}
 			if adam {
 				for i := 0; i < l.in; i++ {
 					g := d * in[i]
@@ -475,6 +494,11 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	}
 	if s.Weights == nil || s.Biases == nil {
 		return fmt.Errorf("neural unmarshal: missing parameter blocks: %w", ErrBadTopology)
+	}
+	if restored.stateless() {
+		// Older snapshots carry a velocity at momentum 0, where it is
+		// multiplied by zero before it is used: load them, drop it.
+		s.VWeights, s.VBiases = nil, nil
 	}
 	if s.VWeights != nil || s.MWeights != nil {
 		for _, l := range restored.layers {

@@ -91,10 +91,12 @@ func (c DQNConfig) withDefaults() DQNConfig {
 
 // DQN is a Deep Q-Network agent: an online Q-network trained against a
 // periodically synced target network from uniformly sampled replay
-// transitions — the optimization of the paper's Alg. 1 lines 3-6. Each
-// learning step evaluates the whole replay mini-batch in one target-network
-// ForwardBatch and applies one accumulated TrainBatch optimizer step, so the
-// per-step cost is a handful of GEMMs instead of 2×BatchSize scalar passes.
+// transitions — the optimization of the paper's Alg. 1 lines 3-6. A learning
+// step costs what its inputs require: the frozen target network is evaluated
+// once per replayed transition and target version (the replay ring memoises
+// its Q rows), the online network takes one accumulated TrainBatch step that
+// touches only the input columns alive in the mini-batch, and an episode
+// step allocates nothing.
 // Inference comes in two forms: QValues / GreedyAction / RunGreedy run the
 // full forward per state, and Online hands the network to callers that
 // evaluate it incrementally (core.CRL.PredictBatchInto, whose consecutive
@@ -107,30 +109,46 @@ type DQN struct {
 	// materialized by ensureTarget when learning needs it, so an agent that
 	// only ever infers holds one network, not two.
 	target *neural.Network
-	replay *ReplayBuffer
-	rng    *rand.Rand
-	steps  int
+	// targetVer counts the changes of the target network's weights. Whatever
+	// changes them — the TargetSyncEvery copy, CloneFrom, UnmarshalPolicy —
+	// bumps it, which invalidates every Q row the replay ring has memoised.
+	targetVer int
+	replay    *ReplayBuffer
+	rng       *rand.Rand
+	steps     int
 	// warmup is the replay fill level learning waits for: cfg.WarmupSteps
 	// normally, lowered to one mini-batch by CloneFrom (a warm-started agent
 	// starts competent, so it fine-tunes as soon as a batch of fresh
 	// experience exists instead of idling through a full exploration warmup).
 	warmup int
 
-	// Reusable mini-batch scratch: sampled transitions plus the state,
-	// next-state, target and mask matrices handed to the batched network
-	// kernels. Sized once from cfg.BatchSize, so steady-state Observe calls
-	// allocate nothing. slots/weights/qNext serve the prioritized path:
-	// sampled buffer slots (for priority write-back), importance-sampling
-	// weights (fed through the mask, which TrainBatch treats as a per-output
-	// weight) and per-row bootstrap values.
+	// Reusable mini-batch scratch, sized once from cfg.BatchSize so that
+	// steady-state Observe calls allocate nothing: the sampled transitions
+	// (views into the ring) with their slots and importance-sampling weights
+	// (fed through the mask, which TrainBatch treats as a per-output weight),
+	// the state, target and mask matrices handed to TrainBatch, each sample's
+	// memoised target Q row and bootstrap value, and fill — the memo rows the
+	// target network has yet to write. nexts, every sampled next state, exists
+	// only under Double DQN, where the online network picks the bootstrap
+	// action anew on every step.
 	batchTr []Transition
-	states  *mathx.Matrix
-	nexts   *mathx.Matrix
-	targets *mathx.Matrix
-	mask    *mathx.Matrix
 	slots   []int
 	weights []float64
+	states  *mathx.Matrix
+	targets *mathx.Matrix
+	mask    *mathx.Matrix
+	rows    [][]float64
 	qNext   []float64
+	head    mathx.Matrix // the first rows of states, as the target network's input
+	fill    [][]float64
+	nexts   *mathx.Matrix
+
+	// Episode-loop scratch (TrainEpisode): the current and the next state with
+	// their valid actions, and the ε-greedy forward's sums, Q row and tail.
+	state, next      []float64
+	valid, nextValid []int
+	sums, q          []float64
+	tail             neural.TailScratch
 }
 
 // NewDQN builds an agent for an environment with the given state/action
@@ -153,18 +171,21 @@ func NewDQN(stateSize, actionSize int, cfg DQNConfig) (*DQN, error) {
 	return &DQN{
 		cfg:    cfg,
 		online: online,
-		replay: newReplayFor(cfg),
+		replay: newReplayFor(cfg, actionSize),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		warmup: cfg.WarmupSteps,
 	}, nil
 }
 
-// newReplayFor builds the replay buffer matching cfg's sampling mode.
-func newReplayFor(cfg DQNConfig) *ReplayBuffer {
+// newReplayFor builds the replay buffer matching cfg's sampling mode for an
+// agent with the given action count.
+func newReplayFor(cfg DQNConfig, actions int) *ReplayBuffer {
+	r := NewReplayBuffer(cfg.ReplayCapacity)
 	if cfg.PrioritizedReplay {
-		return NewPrioritizedReplayBuffer(cfg.ReplayCapacity, cfg.PriorityAlpha)
+		r = NewPrioritizedReplayBuffer(cfg.ReplayCapacity, cfg.PriorityAlpha)
 	}
-	return NewReplayBuffer(cfg.ReplayCapacity)
+	r.actions = actions
+	return r
 }
 
 // QValues returns the online network's Q estimates for state s.
@@ -176,7 +197,12 @@ func (d *DQN) QValues(s []float64) ([]float64, error) {
 	return q, nil
 }
 
-// SelectAction picks ε-greedily among valid actions.
+// SelectAction picks ε-greedily among valid actions. Its greedy branch is the
+// training loop's forward: the compacted state through neural's incremental
+// surface into the agent's own scratch, only the valid outputs evaluated.
+// Every layer sums in ascending input order and adds the bias last, as
+// ForwardBatch does; QValues adds it first, so the two may differ in a Q
+// value's last ulp (GreedyAction is the full-forward reference).
 func (d *DQN) SelectAction(s []float64, valid []int) (int, error) {
 	if len(valid) == 0 {
 		return 0, ErrNoActions
@@ -185,7 +211,22 @@ func (d *DQN) SelectAction(s []float64, valid []int) (int, error) {
 	if d.rng.Float64() < eps {
 		return valid[d.rng.Intn(len(valid))], nil
 	}
-	return d.GreedyAction(s, valid)
+	if len(s) != d.online.InputSize() {
+		return 0, fmt.Errorf("dqn select action: state size %d, want %d: %w",
+			len(s), d.online.InputSize(), neural.ErrBadInput)
+	}
+	if d.q == nil {
+		d.sums = make([]float64, d.online.FirstLayerSize())
+		d.q = make([]float64, d.online.OutputSize())
+	}
+	err := d.online.FirstLayerRange(d.sums, 0, s, &d.tail)
+	if err == nil {
+		err = d.online.ForwardTail(d.q, d.sums, valid, &d.tail)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("dqn select action: %w", err)
+	}
+	return ArgmaxOver(d.q, valid)
 }
 
 // GreedyAction picks the valid action with the highest Q estimate.
@@ -223,6 +264,7 @@ func (d *DQN) ensureTarget() error {
 	if err != nil {
 		return fmt.Errorf("dqn target net: %w", err)
 	}
+	target.ReserveBatch(d.cfg.BatchSize)
 	d.target = target
 	return nil
 }
@@ -232,24 +274,52 @@ func (d *DQN) ensureBatch() {
 	if d.batchTr != nil {
 		return
 	}
-	b := d.cfg.BatchSize
+	b, in, out := d.cfg.BatchSize, d.online.InputSize(), d.online.OutputSize()
 	d.batchTr = make([]Transition, b)
-	d.states = mathx.NewMatrix(b, d.online.InputSize())
-	d.nexts = mathx.NewMatrix(b, d.online.InputSize())
-	d.targets = mathx.NewMatrix(b, d.online.OutputSize())
-	d.mask = mathx.NewMatrix(b, d.online.OutputSize())
 	d.slots = make([]int, b)
 	d.weights = make([]float64, b)
+	d.states = mathx.NewMatrix(b, in)
+	d.targets = mathx.NewMatrix(b, out)
+	d.mask = mathx.NewMatrix(b, out)
+	d.rows = make([][]float64, b)
 	d.qNext = make([]float64, b)
+	d.fill = make([][]float64, b)
+	if d.cfg.DoubleDQN {
+		d.nexts = mathx.NewMatrix(b, in)
+	}
 }
 
-// Observe records a transition and performs one learning step. It implements
-// the loss of Alg. 1 line 4: (r + max_a' Q_target(s',a') − Q(s,a))², batched:
-// all sampled next-states go through the target network in one ForwardBatch,
-// and the online network takes a single optimizer step on the accumulated
-// mini-batch gradient instead of BatchSize sequential updates.
+// Observe records a copy of the transition and performs one learning step.
 func (d *DQN) Observe(t Transition) error {
-	d.replay.Add(t)
+	size := d.online.InputSize()
+	if len(t.State) != size {
+		return fmt.Errorf("dqn observe: state size %d, want %d: %w", len(t.State), size, neural.ErrBadInput)
+	}
+	if !t.Done && t.NextState != nil && len(t.NextState) != size {
+		return fmt.Errorf("dqn observe: next state size %d, want %d: %w", len(t.NextState), size, neural.ErrBadInput)
+	}
+	d.replay.add(t, false)
+	return d.learn()
+}
+
+// putNext writes the state a transition bootstraps from into a batch row.
+// Terminal rows bootstrap to 0 and get a zero row, as does a missing next
+// state, so the batch stays rectangular.
+func putNext(row []float64, tr *Transition) {
+	if tr.Done || tr.NextState == nil {
+		clear(row)
+	} else {
+		copy(row, tr.NextState)
+	}
+}
+
+// learn counts the transition just added and, past the warmup, takes one
+// learning step. It implements the loss of Alg. 1 line 4,
+// (r + max_a' Q_target(s',a') − Q(s,a))², batched: the sampled next states
+// the target network has not seen since it last changed go through it in one
+// ForwardBatch, and the online network takes a single optimizer step on the
+// accumulated mini-batch gradient instead of BatchSize sequential updates.
+func (d *DQN) learn() error {
 	d.steps++
 	if d.replay.Len() < d.warmup {
 		return nil
@@ -258,90 +328,88 @@ func (d *DQN) Observe(t Transition) error {
 	if err := d.ensureTarget(); err != nil {
 		return err
 	}
-	prio := d.replay.Prioritized()
-	if d.cfg.PrioritizedReplay {
-		// With alpha <= 0 this is the exact uniform path (same RNG stream,
-		// unit weights), keeping seeded runs bitwise-comparable.
-		d.replay.SamplePrioritizedInto(d.rng, d.batchTr, d.slots, d.weights, d.cfg.PriorityBeta)
-	} else {
-		d.replay.SampleInto(d.rng, d.batchTr)
-	}
-	stateSize := d.online.InputSize()
-	for i, tr := range d.batchTr {
-		srow := d.states.Row(i)
-		if len(tr.State) != stateSize {
-			return fmt.Errorf("dqn observe: state size %d, want %d: %w",
-				len(tr.State), stateSize, neural.ErrBadInput)
+	// Without PrioritizedReplay, or with alpha <= 0, this is the exact uniform
+	// draw with unit weights, keeping seeded runs bitwise-comparable.
+	d.replay.SampleInto(d.rng, d.batchTr, d.slots, d.weights, d.cfg.PriorityBeta)
+	// The target network sees only the sampled next states whose memo row it
+	// has not written since it last changed. They are gathered into the head
+	// of the states matrix, which the sampled states overwrite afterwards.
+	in, stale := d.online.InputSize(), 0
+	for i := range d.batchTr {
+		tr := &d.batchTr[i]
+		if d.nexts != nil {
+			putNext(d.nexts.Row(i), tr)
 		}
-		copy(srow, tr.State)
-		nrow := d.nexts.Row(i)
-		if tr.Done || tr.NextState == nil {
-			// Terminal rows bootstrap to 0; feed a zero row so the batch
-			// stays rectangular.
-			for k := range nrow {
-				nrow[k] = 0
-			}
+		if tr.Done {
 			continue
 		}
-		if len(tr.NextState) != stateSize {
-			return fmt.Errorf("dqn observe: next state size %d, want %d: %w",
-				len(tr.NextState), stateSize, neural.ErrBadInput)
+		row, fresh := d.replay.memoRow(d.slots[i], d.targetVer)
+		d.rows[i] = row
+		if !fresh {
+			putNext(d.states.Row(stale), tr)
+			d.fill[stale] = row
+			stale++
 		}
-		copy(nrow, tr.NextState)
 	}
-	tq, err := d.target.ForwardBatch(d.nexts)
-	if err != nil {
-		return fmt.Errorf("dqn target forward: %w", err)
+	if stale > 0 {
+		d.head = mathx.Matrix{Rows: stale, Cols: in, Data: d.states.Data[:stale*in]}
+		tq, err := d.target.ForwardBatch(&d.head)
+		if err != nil {
+			return fmt.Errorf("dqn target forward: %w", err)
+		}
+		for k, row := range d.fill[:stale] {
+			copy(row, tq.Row(k))
+		}
 	}
 	var oq *mathx.Matrix
 	if d.cfg.DoubleDQN {
 		// Select the bootstrap action with the online network, evaluate it
-		// with the target network (van Hasselt). oq and tq live in the two
-		// networks' separate scratch spaces, so both stay valid here.
-		oq, err = d.online.ForwardBatch(d.nexts)
-		if err != nil {
+		// with the target network (van Hasselt). The online network moves on
+		// every step, so its choice is never memoised.
+		var err error
+		if oq, err = d.online.ForwardBatch(d.nexts); err != nil {
 			return fmt.Errorf("dqn online forward: %w", err)
 		}
 	}
 	// Bootstrap values must be gathered before any further online forward:
 	// a later ForwardBatch would overwrite oq's scratch rows.
-	for i, tr := range d.batchTr {
+	for i := range d.batchTr {
+		tr := &d.batchTr[i]
+		copy(d.states.Row(i), tr.State)
 		d.qNext[i] = 0
 		if tr.Done {
 			continue
 		}
 		if oq != nil {
 			if a, err := ArgmaxOver(oq.Row(i), tr.NextValid); err == nil {
-				d.qNext[i] = tq.Row(i)[a]
+				d.qNext[i] = d.rows[i][a]
 			}
 		} else {
-			d.qNext[i] = maxOver(tq.Row(i), tr.NextValid)
+			d.qNext[i] = maxOver(d.rows[i], tr.NextValid)
 		}
 	}
 	// Prioritized replay needs the pre-update Q(s,a) to refresh each sampled
 	// slot's TD-error priority. This extra forward is deterministic and
 	// RNG-free, so it does not perturb the uniform-equivalence invariant.
+	prio := d.replay.Prioritized()
 	var sq *mathx.Matrix
 	if prio {
+		var err error
 		if sq, err = d.online.ForwardBatch(d.states); err != nil {
 			return fmt.Errorf("dqn priority forward: %w", err)
 		}
 	}
-	for i, tr := range d.batchTr {
+	for i := range d.batchTr {
+		tr := &d.batchTr[i]
 		y := tr.Reward + d.cfg.Gamma*d.qNext[i]
-		// Train only the taken action's output; under prioritized replay the
-		// mask carries the sample's importance weight (1 elsewhere means the
-		// plain gate semantics are unchanged).
+		// Train only the taken action's output; the mask carries the sample's
+		// importance weight (exactly 1 unless replay is prioritized, and 1 is
+		// the plain gate).
 		trow, mrow := d.targets.Row(i), d.mask.Row(i)
-		for k := range trow {
-			trow[k], mrow[k] = 0, 0
-		}
+		clear(trow)
+		clear(mrow)
 		trow[tr.Action] = y
-		if d.cfg.PrioritizedReplay {
-			mrow[tr.Action] = d.weights[i]
-		} else {
-			mrow[tr.Action] = 1
-		}
+		mrow[tr.Action] = d.weights[i]
 		if prio {
 			td := y - sq.Row(i)[tr.Action]
 			d.replay.UpdatePriority(d.slots[i], math.Abs(td)+d.cfg.PriorityEps)
@@ -354,6 +422,7 @@ func (d *DQN) Observe(t Transition) error {
 		if err := d.target.CopyWeightsFrom(d.online); err != nil {
 			return fmt.Errorf("dqn target sync: %w", err)
 		}
+		d.targetVer++
 	}
 	return nil
 }
@@ -377,7 +446,7 @@ func (d *DQN) Clone() (*DQN, error) {
 	return &DQN{
 		cfg:    d.cfg,
 		online: online,
-		replay: newReplayFor(d.cfg),
+		replay: newReplayFor(d.cfg, d.online.OutputSize()),
 		rng:    rand.New(rand.NewSource(d.cfg.Seed)),
 		steps:  d.steps,
 		warmup: d.warmup,
@@ -410,6 +479,7 @@ func (d *DQN) CloneFrom(src *DQN) error {
 			return fmt.Errorf("dqn clone from target: %w", err)
 		}
 	}
+	d.targetVer++
 	d.steps = src.steps
 	d.warmup = d.cfg.BatchSize
 	return nil
@@ -446,46 +516,18 @@ func (d *DQN) Train(env Environment, episodes, maxSteps int) (*TrainResult, erro
 	if err := validateEnv(env); err != nil {
 		return nil, err
 	}
-	if maxSteps <= 0 {
-		maxSteps = env.StateSize()*env.StateSize() + 1
+	inPlace, ok := env.(InPlaceEnvironment)
+	if !ok {
+		inPlace = &copyingEnv{Environment: env}
 	}
-	res := &TrainResult{Episodes: episodes, StopReason: StopBudget}
+	res := &TrainResult{Episodes: episodes, StopReason: StopBudget,
+		RewardsPerEp: make([]float64, 0, max(episodes, 0))}
 	for ep := 0; ep < episodes; ep++ {
-		state := env.Reset()
-		var total float64
-		for step := 0; step < maxSteps; step++ {
-			valid := env.ValidActions()
-			if len(valid) == 0 {
-				break
-			}
-			a, err := d.SelectAction(state, valid)
-			if err != nil {
-				return nil, fmt.Errorf("episode %d: %w", ep, err)
-			}
-			next, reward, done, err := env.Step(a)
-			if err != nil {
-				return nil, fmt.Errorf("episode %d step %d: %w", ep, step, err)
-			}
-			total += reward
-			tr := Transition{
-				State:     mathx.Clone(state),
-				Action:    a,
-				Reward:    reward,
-				NextState: mathx.Clone(next),
-				Done:      done,
-			}
-			if !done {
-				tr.NextValid = append([]int(nil), env.ValidActions()...)
-			}
-			if err := d.Observe(tr); err != nil {
-				return nil, fmt.Errorf("episode %d observe: %w", ep, err)
-			}
-			state = next
-			res.TotalSteps++
-			if done {
-				break
-			}
+		steps, total, err := d.TrainEpisode(inPlace, maxSteps)
+		if err != nil {
+			return nil, fmt.Errorf("episode %d: %w", ep, err)
 		}
+		res.TotalSteps += steps
 		res.RewardsPerEp = append(res.RewardsPerEp, total)
 	}
 	if len(res.RewardsPerEp) > 0 {
@@ -493,6 +535,56 @@ func (d *DQN) Train(env Environment, episodes, maxSteps int) (*TrainResult, erro
 		res.FinalReward = res.RewardsPerEp[len(res.RewardsPerEp)-1]
 	}
 	return res, nil
+}
+
+// TrainEpisode runs one ε-greedy episode on env, learning after every step,
+// and returns the steps taken and the episode's return. maxSteps is as in
+// Train. A step allocates nothing once the replay ring has wrapped: the ring
+// is handed one copy of each state the episode visits — the next state of
+// step t is the state of step t+1 — and one of its valid actions.
+func (d *DQN) TrainEpisode(env InPlaceEnvironment, maxSteps int) (steps int, total float64, err error) {
+	if err := validateEnv(env); err != nil {
+		return 0, 0, err
+	}
+	size := d.online.InputSize()
+	if env.StateSize() != size {
+		return 0, 0, fmt.Errorf("dqn train: environment state size %d, want %d: %w",
+			env.StateSize(), size, neural.ErrBadInput)
+	}
+	if maxSteps <= 0 {
+		maxSteps = size*size + 1
+	}
+	if d.state == nil {
+		d.state, d.next = make([]float64, size), make([]float64, size)
+	}
+	env.Restart()
+	env.StateInto(d.state)
+	d.valid = env.ValidActionsInto(d.valid)
+	for ; steps < maxSteps && len(d.valid) > 0; steps++ {
+		t := Transition{State: d.state}
+		if t.Action, err = d.SelectAction(d.state, d.valid); err != nil {
+			return steps, total, err
+		}
+		if t.Reward, t.Done, err = env.StepInPlace(t.Action); err != nil {
+			return steps, total, fmt.Errorf("step %d: %w", steps, err)
+		}
+		total += t.Reward
+		if !t.Done {
+			env.StateInto(d.next)
+			d.nextValid = env.ValidActionsInto(d.nextValid)
+			t.NextState, t.NextValid = d.next, d.nextValid
+		}
+		d.replay.add(t, steps > 0)
+		if err := d.learn(); err != nil {
+			return steps, total, fmt.Errorf("step %d observe: %w", steps, err)
+		}
+		if t.Done {
+			return steps + 1, total, nil
+		}
+		d.state, d.next = d.next, d.state
+		d.valid, d.nextValid = d.nextValid, d.valid
+	}
+	return steps, total, nil
 }
 
 // RunGreedy executes one fully greedy episode (prediction phase of Alg. 1)
@@ -541,5 +633,6 @@ func (d *DQN) UnmarshalPolicy(data []byte) error {
 		return fmt.Errorf("dqn unmarshal policy: %w", err)
 	}
 	d.target = nil
+	d.targetVer++
 	return nil
 }

@@ -79,7 +79,7 @@ func TestPrioritizedSamplingBias(t *testing.T) {
 	hot, total := 0, 0
 	minHotW, maxRareW := math.Inf(1), 0.0
 	for round := 0; round < 32; round++ {
-		n := r.SamplePrioritizedInto(rng, dst, slots, weights, 0.4)
+		n := r.SampleInto(rng, dst, slots, weights, 0.4)
 		if n != len(dst) {
 			t.Fatalf("filled %d of %d", n, len(dst))
 		}
@@ -114,23 +114,22 @@ func TestPrioritizedSamplingBias(t *testing.T) {
 // TestPrioritizedUniformFallback: alpha ≤ 0 must reproduce the uniform
 // sampler's RNG stream exactly, with every weight exactly 1.
 func TestPrioritizedUniformFallback(t *testing.T) {
-	mk := func() *ReplayBuffer {
-		r := NewPrioritizedReplayBuffer(16, 0)
+	fill := func(r *ReplayBuffer) *ReplayBuffer {
 		for i := 0; i < 10; i++ {
 			r.Add(Transition{Action: i})
 		}
 		return r
 	}
-	a, b := mk(), mk()
-	if a.Prioritized() {
+	a, b := fill(NewReplayBuffer(16)), fill(NewPrioritizedReplayBuffer(16, 0))
+	if b.Prioritized() {
 		t.Fatal("alpha=0 buffer must not be prioritized")
 	}
 	dstA := make([]Transition, 32)
 	dstB := make([]Transition, 32)
 	slots := make([]int, 32)
 	weights := make([]float64, 32)
-	a.SampleInto(rand.New(rand.NewSource(9)), dstA)
-	b.SamplePrioritizedInto(rand.New(rand.NewSource(9)), dstB, slots, weights, 0.4)
+	a.SampleInto(rand.New(rand.NewSource(9)), dstA, make([]int, 32), make([]float64, 32), 0)
+	b.SampleInto(rand.New(rand.NewSource(9)), dstB, slots, weights, 0.4)
 	for i := range dstA {
 		if dstA[i].Action != dstB[i].Action || slots[i] != dstB[i].Action {
 			t.Fatalf("draw %d: uniform %d, fallback %d (slot %d)",

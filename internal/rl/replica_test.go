@@ -87,7 +87,8 @@ func TestLazyTargetKeepsTrainingBitwise(t *testing.T) {
 }
 
 // TestReplayRingAllocatedOnFirstAdd covers both sampling modes: capacity is
-// remembered, nothing is allocated until a transition arrives.
+// remembered, nothing is allocated until a transition arrives, and then the
+// ring starts small.
 func TestReplayRingAllocatedOnFirstAdd(t *testing.T) {
 	for name, r := range map[string]*ReplayBuffer{
 		"uniform":     NewReplayBuffer(10000),
@@ -101,7 +102,7 @@ func TestReplayRingAllocatedOnFirstAdd(t *testing.T) {
 		}
 		r.UpdatePriority(3, 2) // no entries yet: must be a no-op, not a panic
 		r.Add(Transition{Action: 1})
-		if len(r.buf) != 10000 || r.Len() != 1 {
+		if len(r.buf) != replayInitSlots || r.Len() != 1 {
 			t.Fatalf("%s: ring %d slots, len %d after one Add", name, len(r.buf), r.Len())
 		}
 	}

@@ -49,25 +49,102 @@ type Transition struct {
 	Done      bool
 }
 
+// InPlaceEnvironment is an Environment driven without per-step garbage: the
+// state and the valid-action set are written into caller-owned buffers and a
+// step returns only the reward. DQN.Train runs every episode through it
+// (core.AllocEnv implements it; any other Environment is adapted).
+type InPlaceEnvironment interface {
+	StateSize() int
+	ActionSize() int
+	// Restart starts a new episode.
+	Restart()
+	// StateInto writes the current state encoding into dst (length StateSize).
+	StateInto(dst []float64)
+	// ValidActionsInto appends the currently admissible actions to buf[:0].
+	ValidActionsInto(buf []int) []int
+	// StepInPlace applies the action and returns (reward, done).
+	StepInPlace(action int) (reward float64, done bool, err error)
+}
+
+// copyingEnv adapts a plain Environment to InPlaceEnvironment by copying out
+// of the slices it allocates.
+type copyingEnv struct {
+	Environment
+	state []float64
+}
+
+func (c *copyingEnv) Restart()                { c.state = c.Reset() }
+func (c *copyingEnv) StateInto(dst []float64) { copy(dst, c.state) }
+
+func (c *copyingEnv) ValidActionsInto(buf []int) []int {
+	return append(buf[:0], c.ValidActions()...)
+}
+
+func (c *copyingEnv) StepInPlace(action int) (float64, bool, error) {
+	next, reward, done, err := c.Step(action)
+	if n := c.StateSize(); err == nil && (len(c.state) != n || !done && len(next) != n) {
+		err = fmt.Errorf("rl: environment state of %d then %d values, want %d", len(c.state), len(next), n)
+	}
+	c.state = next
+	return reward, done, err
+}
+
+// replayInitSlots is the ring's size after the first Add; it doubles from
+// there up to the capacity.
+const replayInitSlots = 64
+
 // ReplayBuffer is a bounded FIFO of transitions with uniform sampling, and —
 // when built with NewPrioritizedReplayBuffer — TD-error-proportional
 // prioritized sampling (Schaul et al.) over a sum tree.
+//
+// The ring owns its storage: Add copies State, NextState and NextValid, and a
+// transition handed out by SampleInto is a view into the ring, valid until the
+// next Add. State vectors of evicted transitions are reused.
 type ReplayBuffer struct {
 	capacity int
-	// buf is the ring, allocated by the first Add: an agent that never learns
-	// (an inference replica) never pays for capacity × Transition headers.
+	// buf is the ring, allocated by the first Add and grown by doubling up to
+	// capacity: an agent that never learns (an inference replica) pays for
+	// nothing, a training that observes 56 transitions for 64 slots. Slot
+	// numbers never move: transition n lives in slot n mod capacity.
 	buf  []Transition
+	meta []slotMeta // per slot, parallel to buf
 	next int
 	full bool
+	free [][]float64 // state vectors of evicted transitions
+	// actions is the owning agent's action count (0 in a bare buffer): the
+	// width of a memo row and the room every slot's NextValid is given, so
+	// that overwriting a slot never has to grow it.
+	actions int
+
+	// memo holds, per slot, the target network's Q row for the slot's
+	// NextState (memoRow). Evaluating the target on a subset of a mini-batch's
+	// rows, or on each row once instead of once per duplicate, is bitwise the
+	// full-batch evaluation: a row of mathx.MatMulTransBCols depends on no
+	// other row — the columns that only other rows make nonzero add 0·w to an
+	// accumulator that started at +0 — so a memoised row is the row the frozen
+	// target would produce again.
+	memo []float64
 
 	// Prioritized-sampling state; alpha is 0 and tree stays nil for plain
-	// uniform buffers, and tree is allocated with buf.
+	// uniform buffers, and tree is allocated by the first Add.
 	// tree is an iterative segment tree: leaves at [cap, 2·cap) hold each
 	// slot's priority^alpha, internal node i sums children 2i and 2i+1, so
-	// updates and proportional descent are O(log cap) with no allocation.
+	// updates and proportional descent are O(log cap) with no allocation. It
+	// is sized to the capacity, not to the grown ring, because its shape fixes
+	// the order its sums are taken in and so which slot a draw lands on.
 	alpha   float64
 	tree    []float64
 	maxPrio float64 // largest stored priority^alpha; seeds new entries
+}
+
+// slotMeta is what the ring knows about a slot beside its transition.
+type slotMeta struct {
+	// nextShared: the following transition's State is this one's NextState
+	// (one vector, freed when that transition is evicted).
+	nextShared bool
+	// memoVer is 1 + the target version the slot's memo row was computed
+	// under; 0 after the slot is overwritten.
+	memoVer int
 }
 
 // NewReplayBuffer creates a buffer holding up to capacity transitions.
@@ -79,11 +156,10 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	return &ReplayBuffer{capacity: capacity}
 }
 
-// NewPrioritizedReplayBuffer creates a buffer whose SamplePrioritizedInto
-// draws transitions with probability ∝ priority^alpha. alpha ≤ 0 degenerates
-// to the plain uniform sampler: sampling then consumes the RNG exactly like
-// SampleInto and every importance weight is exactly 1, so a seeded run is
-// bitwise-identical to a uniform buffer — the equivalence tests pin this.
+// NewPrioritizedReplayBuffer creates a buffer whose SampleInto draws
+// transitions with probability ∝ priority^alpha. alpha ≤ 0 degenerates to the
+// plain uniform buffer: one rng.Intn per draw and every importance weight
+// exactly 1 — the equivalence tests pin this.
 func NewPrioritizedReplayBuffer(capacity int, alpha float64) *ReplayBuffer {
 	r := NewReplayBuffer(capacity)
 	if alpha <= 0 {
@@ -97,20 +173,49 @@ func NewPrioritizedReplayBuffer(capacity int, alpha float64) *ReplayBuffer {
 // Prioritized reports whether the buffer samples by priority.
 func (r *ReplayBuffer) Prioritized() bool { return r.alpha > 0 }
 
-// Add appends a transition, evicting the oldest when full. In a prioritized
-// buffer the new entry gets the largest priority seen so far, guaranteeing
-// every transition is replayed at least once before its priority decays.
-func (r *ReplayBuffer) Add(t Transition) {
-	if r.buf == nil {
-		r.buf = make([]Transition, r.capacity)
-		if r.Prioritized() {
+// Add appends a copy of the transition, evicting the oldest when full. In a
+// prioritized buffer the new entry gets the largest priority seen so far,
+// guaranteeing every transition is replayed at least once before its priority
+// decays.
+func (r *ReplayBuffer) Add(t Transition) { r.add(t, false) }
+
+// add stores t. follows means t is the step after the transition added last,
+// so its State is that transition's NextState: the ring shares the vector it
+// already holds instead of storing the state twice, and t.State is not read.
+func (r *ReplayBuffer) add(t Transition, follows bool) {
+	if r.next == len(r.buf) && len(r.buf) < r.capacity {
+		n := min(max(replayInitSlots, 2*len(r.buf)), r.capacity)
+		r.buf = append(make([]Transition, 0, n), r.buf...)[:n]
+		r.meta = append(make([]slotMeta, 0, n), r.meta...)[:n]
+		if r.Prioritized() && r.tree == nil {
 			r.tree = make([]float64, 2*r.capacity)
 		}
 	}
 	slot := r.next
-	r.buf[slot] = t
+	state := t.State
+	if follows {
+		last := (slot + len(r.buf) - 1) % len(r.buf)
+		state, r.meta[last].nextShared = r.buf[last].NextState, true
+	}
+	old, m := &r.buf[slot], &r.meta[slot]
+	r.release(old.State)
+	if !m.nextShared {
+		r.release(old.NextState)
+	}
+	if !follows {
+		state = r.own(state)
+	}
+	valid := old.NextValid[:0]
+	if cap(valid) < len(t.NextValid) {
+		valid = make([]int, 0, max(r.actions, len(t.NextValid)))
+	}
+	*m = slotMeta{}
+	*old = Transition{
+		State: state, Action: t.Action, Reward: t.Reward, NextState: r.own(t.NextState),
+		NextValid: append(valid, t.NextValid...), Done: t.Done,
+	}
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 		r.full = true
 	}
@@ -119,9 +224,45 @@ func (r *ReplayBuffer) Add(t Transition) {
 	}
 }
 
+// own returns a ring-owned copy of a state vector (nil stays nil).
+func (r *ReplayBuffer) own(src []float64) []float64 {
+	if src == nil {
+		return nil
+	}
+	var dst []float64
+	if n := len(r.free); n > 0 && cap(r.free[n-1]) >= len(src) {
+		dst, r.free = r.free[n-1][:len(src)], r.free[:n-1]
+	} else {
+		dst = make([]float64, len(src))
+	}
+	copy(dst, src)
+	return dst
+}
+
+// release keeps an evicted transition's state vector for reuse.
+func (r *ReplayBuffer) release(v []float64) {
+	if v != nil {
+		r.free = append(r.free, v)
+	}
+}
+
+// memoRow returns slot's memo row and whether it was written under target
+// version ver. A row that was not is stamped ver, and the caller fills it
+// before anything reads it — a second sample of the same slot in one
+// mini-batch then finds it fresh and shares it.
+func (r *ReplayBuffer) memoRow(slot, ver int) ([]float64, bool) {
+	if n := len(r.buf) * r.actions; len(r.memo) < n {
+		r.memo = append(make([]float64, 0, n), r.memo...)[:n]
+	}
+	m := &r.meta[slot]
+	fresh := m.memoVer == ver+1
+	m.memoVer = ver + 1
+	return r.memo[slot*r.actions : (slot+1)*r.actions], fresh
+}
+
 // setLeaf writes an already-exponentiated priority into the tree.
 func (r *ReplayBuffer) setLeaf(slot int, p float64) {
-	i := slot + len(r.buf)
+	i := slot + r.capacity
 	r.tree[i] = p
 	for i >>= 1; i >= 1; i >>= 1 {
 		r.tree[i] = r.tree[2*i] + r.tree[2*i+1]
@@ -144,13 +285,14 @@ func (r *ReplayBuffer) UpdatePriority(slot int, priority float64) {
 	r.setLeaf(slot, p)
 }
 
-// SamplePrioritizedInto fills dst with priority-proportional samples (with
-// replacement), recording each sample's buffer slot in slots and its
-// max-normalized importance-sampling weight (N·P(i))^−β / max_j w_j in
-// weights. Like SampleInto it allocates nothing and reports how many entries
-// were filled. On a uniform buffer (or alpha ≤ 0) it falls back to the exact
-// uniform path: same rng.Intn consumption, weights all exactly 1.
-func (r *ReplayBuffer) SamplePrioritizedInto(rng *rand.Rand, dst []Transition,
+// SampleInto is the one sampler: it fills dst with samples drawn with
+// replacement, recording each sample's slot in slots and its importance-
+// sampling weight in weights, allocates nothing, and reports how many entries
+// it filled — len(dst), or 0 when the buffer is empty. A uniform buffer draws
+// one rng.Intn per sample and every weight is exactly 1; a prioritized one
+// draws proportionally to priority^alpha with the max-normalized weight
+// (N·P(i))^−β / max_j w_j.
+func (r *ReplayBuffer) SampleInto(rng *rand.Rand, dst []Transition,
 	slots []int, weights []float64, beta float64) int {
 	sz := r.Len()
 	if sz == 0 {
@@ -165,7 +307,7 @@ func (r *ReplayBuffer) SamplePrioritizedInto(rng *rand.Rand, dst []Transition,
 		}
 		return len(dst)
 	}
-	n := len(r.buf)
+	n := r.capacity
 	total := r.tree[1]
 	maxW := 0.0
 	for i := range dst {
@@ -200,35 +342,9 @@ func (r *ReplayBuffer) SamplePrioritizedInto(rng *rand.Rand, dst []Transition,
 // Len returns the number of stored transitions.
 func (r *ReplayBuffer) Len() int {
 	if r.full {
-		return len(r.buf)
+		return r.capacity
 	}
 	return r.next
-}
-
-// Sample draws n transitions uniformly with replacement.
-// It returns fewer (possibly zero) entries only when the buffer is empty.
-func (r *ReplayBuffer) Sample(rng *rand.Rand, n int) []Transition {
-	sz := r.Len()
-	if sz == 0 {
-		return nil
-	}
-	out := make([]Transition, n)
-	r.SampleInto(rng, out)
-	return out
-}
-
-// SampleInto fills dst with uniformly sampled transitions (with replacement)
-// without allocating, the hot-path variant of Sample. It reports how many
-// entries were filled: len(dst), or 0 when the buffer is empty.
-func (r *ReplayBuffer) SampleInto(rng *rand.Rand, dst []Transition) int {
-	sz := r.Len()
-	if sz == 0 {
-		return 0
-	}
-	for i := range dst {
-		dst[i] = r.buf[rng.Intn(sz)]
-	}
-	return len(dst)
 }
 
 // EpsilonSchedule is a linear ε decay from Start to End over DecaySteps.
@@ -281,7 +397,10 @@ func ArgmaxOver(q []float64, idx []int) (int, error) {
 }
 
 // validateEnv sanity-checks an environment's static contract.
-func validateEnv(env Environment) error {
+func validateEnv(env interface {
+	StateSize() int
+	ActionSize() int
+}) error {
 	if env.StateSize() < 1 {
 		return fmt.Errorf("rl: state size %d", env.StateSize())
 	}

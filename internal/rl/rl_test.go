@@ -73,7 +73,11 @@ func TestReplayBuffer(t *testing.T) {
 	}
 	// Oldest entries (0, 1) were evicted.
 	rng := mathx.NewRand(1)
-	for _, tr := range rb.Sample(rng, 50) {
+	sample, slots, weights := make([]Transition, 50), make([]int, 50), make([]float64, 50)
+	if n := rb.SampleInto(rng, sample, slots, weights, 0); n != 50 {
+		t.Fatalf("sampled %d of 50", n)
+	}
+	for _, tr := range sample {
 		if tr.Action < 2 {
 			t.Fatalf("evicted transition sampled: %d", tr.Action)
 		}
@@ -82,8 +86,8 @@ func TestReplayBuffer(t *testing.T) {
 		t.Fatal("capacity < 1 should clamp to 1")
 	}
 	empty := NewReplayBuffer(4)
-	if s := empty.Sample(rng, 3); s != nil {
-		t.Fatalf("empty sample = %v", s)
+	if n := empty.SampleInto(rng, sample, slots, weights, 0); n != 0 {
+		t.Fatalf("sampled %d transitions from an empty buffer", n)
 	}
 }
 

@@ -185,8 +185,10 @@ type policyCache struct {
 	pending atomic.Int64  // demand trainings running or queued on the gate
 	maxWait int64         // pending ceiling (gate capacity + queue)
 
-	// onTrained, when non-nil, runs (in its own goroutine) after every
-	// successful demand training — the speculative pre-trainer's trigger.
+	// onTrained, when non-nil, runs after every successful demand training,
+	// on the training's goroutine once it has released its gate slot and its
+	// pending count — the speculative pre-trainer's trigger: the hot cluster
+	// just trained, so predict and warm its neighbours off the request path.
 	onTrained func(cluster int)
 
 	// onReplicate, when non-nil, runs after every successful demand training
@@ -425,10 +427,15 @@ func (sh *cacheShard) startTrainingLocked(ctx context.Context, key int, outcome 
 	sh.mu.Unlock()
 	c.pending.Add(1)
 	go func() {
-		defer c.pending.Add(-1)
 		c.gate <- struct{}{}
-		defer func() { <-c.gate }()
-		sh.runTraining(e)
+		trained := sh.runTraining(e)
+		<-c.gate
+		c.pending.Add(-1)
+		// Last, with the slot and the pending count given back: the
+		// pre-trainer gives up for good if it finds either still held.
+		if trained && c.onTrained != nil {
+			c.onTrained(e.key)
+		}
 	}()
 	return c.wait(ctx, e, outcome)
 }
@@ -470,8 +477,9 @@ func (sh *cacheShard) admitLocked(key int) error {
 }
 
 // runTraining executes one training (panic-safe) and publishes the result to
-// every waiter, updating the cluster's breaker.
-func (sh *cacheShard) runTraining(e *policyEntry) {
+// every waiter, updating the cluster's breaker. It reports whether the
+// training succeeded.
+func (sh *cacheShard) runTraining(e *policyEntry) bool {
 	c := sh.c
 	start := c.now()
 	crl, imp, err := c.safeTrain(e.key)
@@ -491,16 +499,10 @@ func (sh *cacheShard) runTraining(e *policyEntry) {
 	}
 	sh.mu.Unlock()
 	close(e.ready)
-	if err == nil {
-		if c.onReplicate != nil {
-			c.onReplicate(e.key) // non-blocking enqueue by contract
-		}
-		if c.onTrained != nil {
-			// The hot cluster just trained; let the pre-trainer predict and
-			// warm its neighbours off the request path.
-			go c.onTrained(e.key)
-		}
+	if err == nil && c.onReplicate != nil {
+		c.onReplicate(e.key) // non-blocking enqueue by contract
 	}
+	return err == nil
 }
 
 // safeTrain invokes the train function, converting a panic into an error so

@@ -105,6 +105,40 @@ func TestSpeculationPretrainsNeighbour(t *testing.T) {
 	}
 }
 
+// TestSpeculationFollowsDemandTraining pins the order the training goroutine
+// works in: with a single gate slot, the trigger must fire only after the
+// demand training has given back the slot and its pending count, or the
+// pre-trainer finds one of them held and gives up for good. The trigger runs
+// on the training goroutine, so wrapping it tells the test when speculation
+// is over — no polling.
+func TestSpeculationFollowsDemandTraining(t *testing.T) {
+	cfg := fastConfig()
+	cfg.TrainConcurrency = 1
+	cfg.SpeculateNeighbors = 1
+	s := serverWithStore(t, cfg, multiClusterStore(t, 3))
+	speculate, done := s.cache.onTrained, make(chan struct{})
+	s.cache.onTrained = func(cluster int) {
+		speculate(cluster)
+		close(done)
+	}
+
+	if resp := allocate(t, s, 0); resp.Cache != CacheMiss {
+		t.Fatalf("cache outcome = %q, want %q", resp.Cache, CacheMiss)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the demand training never triggered the pre-trainer")
+	}
+	st := s.Stats().Cache
+	if st.SpeculativeTrainings != 1 || st.SpeculativeInstalls != 1 {
+		t.Fatalf("one demand miss should pre-train and install one neighbour: %+v", st)
+	}
+	if e := s.cache.entry(1); e == nil || e.prov != provSpeculative {
+		t.Fatalf("cluster 1 should hold a speculative policy (entry %+v)", e)
+	}
+}
+
 // TestSpeculativeInstallNeverDisplaces: a speculative result must never
 // replace a resident policy nor evict one from a full shard.
 func TestSpeculativeInstallNeverDisplaces(t *testing.T) {
