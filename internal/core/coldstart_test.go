@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -178,5 +179,62 @@ func TestWarmStartFrom(t *testing.T) {
 	}
 	if plain.WarmStarted() != nil {
 		t.Fatal("scratch-trained snapshot grew a warm-start provenance")
+	}
+}
+
+// TestTrainReleasesLearningState: a finished training holds no replay ring —
+// nothing a trained CRL is kept for reads it — and still predicts, seeds a
+// warm start, and trains or observes again from an empty ring.
+func TestTrainReleasesLearningState(t *testing.T) {
+	crl := fastCRL(t, nil)
+	if _, err := crl.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if n := crl.agent.ReplayLen(); n != 0 {
+		t.Fatalf("a finished training still holds %d replayed transitions", n)
+	}
+	steps := crl.agent.Steps()
+	if steps == 0 {
+		t.Fatal("release dropped the step counter")
+	}
+	if _, _, err := crl.Predict([]float64{0.4}); err != nil {
+		t.Fatalf("predict after release: %v", err)
+	}
+	first, err := crl.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recipient := fastCRL(t, func(cfg *CRLConfig) { cfg.Episodes = 10 })
+	if err := recipient.WarmStartFrom(crl, WarmStart{Source: 1}); err != nil {
+		t.Fatalf("warm start from a released donor: %v", err)
+	}
+	if _, err := recipient.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if recipient.agent.Steps() <= steps {
+		t.Fatal("the warm-started recipient did not resume the donor's step count")
+	}
+
+	// Training again re-allocates what it needs and releases it again.
+	if _, err := crl.Train(); err != nil {
+		t.Fatalf("second training: %v", err)
+	}
+	if n := crl.agent.ReplayLen(); n != 0 {
+		t.Fatalf("the second training left %d replayed transitions", n)
+	}
+	second, err := crl.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(first, second) {
+		t.Fatal("the second training did not learn")
+	}
+	state := make([]float64, crl.agent.Online().InputSize())
+	if err := crl.agent.Observe(rl.Transition{State: state, Action: 0, Reward: 1, Done: true}); err != nil {
+		t.Fatalf("observe after release: %v", err)
+	}
+	if n := crl.agent.ReplayLen(); n != 1 {
+		t.Fatalf("replay holds %d transitions after one Observe, want 1", n)
 	}
 }

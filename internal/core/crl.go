@@ -131,6 +131,12 @@ func (c *CRL) problemFor(env *Environment) (*Problem, error) {
 // (relative improvement between consecutive StopWindow-episode windows below
 // StopEpsilon), never before the MinEpisodes floor; the outcome is reported
 // in TrainResult.StopReason.
+//
+// A finished training releases what only learning reads (the replay ring,
+// the mini-batch scratch, the gradient buffers — rl.DQN.ReleaseTraining): a
+// trained CRL is held for its answers, as a warm-start donor and for its
+// snapshot, none of which read them. Training it again starts from an empty
+// ring.
 func (c *CRL) Train() (*rl.TrainResult, error) {
 	rng := mathx.NewRand(c.cfg.Seed)
 	envs := c.store.All()
@@ -184,6 +190,7 @@ func (c *CRL) Train() (*rl.TrainResult, error) {
 		agg.MeanReward = mathx.Mean(agg.RewardsPerEp)
 		agg.FinalReward = agg.RewardsPerEp[n-1]
 	}
+	c.agent.ReleaseTraining()
 	c.trained = true
 	return agg, nil
 }
@@ -243,12 +250,19 @@ func (c *CRL) DefineEnvironment(z []float64) (*Environment, error) {
 // serving warm path uses. Environment definition only reads the (concurrency
 // safe) store, so any goroutine may call this on a shared CRL.
 func (c *CRL) DefineEnvironmentInto(z []float64, dst *Environment, scratch *KNNScratch) error {
-	if c.cfg.Blend && c.cfg.K > 1 {
-		return c.store.DefineBlendedInto(z, c.cfg.K, dst, scratch)
+	return c.cfg.DefineEnvironmentInto(c.store, z, dst, scratch)
+}
+
+// DefineEnvironmentInto answers the environment-definition query over store
+// per cfg's kNN policy (K, Blend) — what a CRL built with cfg over store
+// defines, without the model: the definition reads no network.
+func (cfg CRLConfig) DefineEnvironmentInto(store *EnvironmentStore, z []float64, dst *Environment, scratch *KNNScratch) error {
+	if cfg.Blend && cfg.K > 1 {
+		return store.DefineBlendedInto(z, cfg.K, dst, scratch)
 	}
 	// k=1 inside DefineBlendedInto copies the single nearest entry verbatim —
 	// bitwise-identical to Define — without Define's result allocation.
-	return c.store.DefineBlendedInto(z, 1, dst, scratch)
+	return store.DefineBlendedInto(z, 1, dst, scratch)
 }
 
 // Predict is the prediction phase of Alg. 1: define the environment for Z,

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"time"
@@ -43,8 +42,9 @@ func FailoverProbe(topo *cluster.LocalCluster, store *core.EnvironmentStore, wl 
 		return nil, fmt.Errorf("failover probe needs a fully live fleet: %d/%d shards in the ring", got, topo.Shards())
 	}
 
-	// Partition the workload's frames by primary owner and aim at the shard
-	// owning the most keys — the worst-case single failure for this workload.
+	// Partition the workload's CRL frames (the probe asserts on replica-held
+	// policies) by primary owner and aim at the shard owning the most keys —
+	// the worst-case single failure for this workload.
 	frames := map[string][][]byte{}
 	for i, req := range wl.Allocs {
 		k, _, err := store.NearestIndex(req.Signature)
@@ -52,7 +52,7 @@ func FailoverProbe(topo *cluster.LocalCluster, store *core.EnvironmentStore, wl 
 			return nil, fmt.Errorf("failover probe: key for request %d: %w", i, err)
 		}
 		owner := ring.Owner(k)
-		frames[owner] = append(frames[owner], wl.AllocFrames[i])
+		frames[owner] = append(frames[owner], wl.CRLFrames[i])
 	}
 	victimID, most := "", 0
 	for owner, fs := range frames {
@@ -107,8 +107,7 @@ func FailoverProbe(topo *cluster.LocalCluster, store *core.EnvironmentStore, wl 
 			res.Non2xx++
 			continue
 		}
-		if bytes.Contains(body, needleCacheHit) || bytes.Contains(body, needleCacheWarm) ||
-			bytes.Contains(body, needleCacheSpec) || bytes.Contains(body, needleCacheReplica) {
+		if answeredWarm(body) {
 			res.Warm++
 		}
 	}

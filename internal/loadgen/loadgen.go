@@ -166,8 +166,13 @@ func ScenarioConfig(seed int64, scale string) (dcta.ScenarioConfig, error) {
 // the JSON encoder.
 type Workload struct {
 	Allocs      []serve.AllocateRequest
-	AllocFrames [][]byte                // full POST /v1/allocate frames
-	Feedbacks   []serve.FeedbackRequest // allocation filled in per response
+	AllocFrames [][]byte // full POST /v1/allocate frames
+	// CRLFrames are AllocFrames with the allocator forced to "crl". A
+	// feature-carrying request is answered by DCTA, which consults no policy;
+	// the probes that measure the policy cache (ColdSweep, FailoverProbe)
+	// send these.
+	CRLFrames [][]byte
+	Feedbacks []serve.FeedbackRequest // allocation filled in per response
 }
 
 // BuildWorkload extracts the allocate/feedback request pairs from a
@@ -189,6 +194,11 @@ func BuildWorkload(scn *dcta.Scenario) (*Workload, error) {
 		}
 		w.Allocs = append(w.Allocs, req)
 		w.AllocFrames = append(w.AllocFrames, BuildFrame("/v1/allocate", body))
+		req.Allocator = "crl"
+		if body, err = json.Marshal(req); err != nil {
+			return nil, fmt.Errorf("encode allocate: %w", err)
+		}
+		w.CRLFrames = append(w.CRLFrames, BuildFrame("/v1/allocate", body))
 		w.Feedbacks = append(w.Feedbacks, serve.FeedbackRequest{
 			Signature: ep.Signature,
 			Features:  vecs,
@@ -207,7 +217,7 @@ type LevelResult struct {
 	Throughput  float64 // allocates per second
 	P50, P95    float64 // ns
 	P99, Max    float64 // ns
-	HitRate     float64 // (hit+warm) / requests
+	HitRate     float64 // answered without training / requests
 	Degraded    int     // 200s answered by the fallback path
 	NonOK       int     // non-2xx responses (should be zero)
 }
@@ -480,7 +490,8 @@ func FetchStats(addr string) (serve.Stats, error) {
 }
 
 // ColdSweep touches every distinct evaluation signature once, sequentially,
-// recording the server-reported training time of each cluster it warms.
+// on the CRL arm, recording the server-reported training time of each cluster
+// it warms.
 func ColdSweep(addr string, wl *Workload) (*ColdResult, error) {
 	conn, err := DialFast(addr)
 	if err != nil {
@@ -489,9 +500,9 @@ func ColdSweep(addr string, wl *Workload) (*ColdResult, error) {
 	defer conn.Close()
 	cold := &ColdResult{}
 	var lats []float64
-	for i := range wl.AllocFrames {
+	for i := range wl.CRLFrames {
 		start := time.Now()
-		code, body, err := conn.Do(wl.AllocFrames[i])
+		code, body, err := conn.Do(wl.CRLFrames[i])
 		if err != nil {
 			return nil, fmt.Errorf("cold allocate %d: %w", i, err)
 		}
@@ -526,8 +537,17 @@ var (
 	needleCacheWarm    = []byte(`"cache":"` + serve.CacheWarm + `"`)
 	needleCacheSpec    = []byte(`"cache":"` + serve.CacheSpeculative + `"`)
 	needleCacheReplica = []byte(`"cache":"` + serve.CacheReplica + `"`)
+	needleCacheBypass  = []byte(`"cache":"` + serve.CacheBypass + `"`)
 	needleDegraded     = []byte(`"mode":"` + serve.ModeDegraded + `"`)
 )
+
+// answeredWarm classifies a 200 body: answered without training — by a
+// resident policy, or in normal mode by no policy at all (DCTA).
+func answeredWarm(body []byte) bool {
+	return bytes.Contains(body, needleCacheHit) || bytes.Contains(body, needleCacheWarm) ||
+		bytes.Contains(body, needleCacheSpec) || bytes.Contains(body, needleCacheReplica) ||
+		(bytes.Contains(body, needleCacheBypass) && !bytes.Contains(body, needleDegraded))
+}
 
 // RunLevel runs one closed-loop phase: `concurrency` workers each looping
 // allocate (plus every-Nth feedback) until the shared request budget
@@ -577,8 +597,7 @@ func RunLevel(addr string, wl *Workload, concurrency, requests, feedbackNth int)
 					continue
 				}
 				st.lats = append(st.lats, float64(time.Since(t0).Nanoseconds()))
-				if bytes.Contains(body, needleCacheHit) || bytes.Contains(body, needleCacheWarm) ||
-					bytes.Contains(body, needleCacheSpec) || bytes.Contains(body, needleCacheReplica) {
+				if answeredWarm(body) {
 					st.hits++
 				}
 				if bytes.Contains(body, needleDegraded) {

@@ -31,11 +31,22 @@ func TestNeedlesMatchWire(t *testing.T) {
 	if !bytes.Contains(repl, needleCacheReplica) {
 		t.Fatalf("replica needle %q missing from wire %q", needleCacheReplica, repl)
 	}
-	deg, _ := json.Marshal(serve.AllocateResponse{Cache: "bypass", Mode: serve.ModeDegraded})
+	deg, _ := json.Marshal(serve.AllocateResponse{Cache: serve.CacheBypass, Mode: serve.ModeDegraded})
 	if !bytes.Contains(deg, needleDegraded) {
 		t.Fatalf("degraded needle %q missing from wire %q", needleDegraded, deg)
 	}
 	if bytes.Contains(deg, needleCacheHit) || bytes.Contains(deg, needleCacheWarm) {
 		t.Fatalf("degraded answer matched a hit needle: %q", deg)
+	}
+	// A bypass answer is warm exactly when it is not degraded: DCTA consults
+	// no policy and trains nothing; the fallback is not a warm answer.
+	dcta, _ := json.Marshal(serve.AllocateResponse{Cache: serve.CacheBypass, Mode: serve.ModeNormal})
+	if !answeredWarm(dcta) || answeredWarm(deg) || !answeredWarm(hit) || !answeredWarm(repl) {
+		t.Fatalf("answeredWarm: dcta %v degraded %v hit %v replica %v, want true false true true",
+			answeredWarm(dcta), answeredWarm(deg), answeredWarm(hit), answeredWarm(repl))
+	}
+	miss, _ := json.Marshal(serve.AllocateResponse{Cache: serve.CacheMiss, Mode: serve.ModeNormal})
+	if answeredWarm(miss) {
+		t.Fatalf("a cold miss classified warm: %q", miss)
 	}
 }

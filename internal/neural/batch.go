@@ -106,6 +106,16 @@ func (n *Network) ensureTrain(rows int) {
 	}
 }
 
+// ReleaseTraining drops the training half of the scratch workspace — pure
+// scratch, rewritten before it is read — so a network that is done learning
+// holds its weights and forward buffers only. The next TrainBatch sizes it
+// again.
+func (n *Network) ReleaseTraining() {
+	s := &n.batch
+	s.deltas, s.gradW, s.gradB, s.activeO = nil, nil, nil, nil
+	s.trainRows = 0
+}
+
 // forwardBatch runs the batched forward pass, leaving per-layer activations
 // and nonzero-column lists in the scratch workspace.
 func (n *Network) forwardBatch(x *mathx.Matrix) error {

@@ -425,3 +425,45 @@ func TestVelocityCarryingSnapshotLoads(t *testing.T) {
 		t.Fatal("velocity written back at momentum 0")
 	}
 }
+
+// TestReleaseTrainingKeepsStepsBitwise: the gradient buffers are scratch,
+// rewritten before they are read, so dropping them between two steps moves no
+// weight — under the stateless live-column step and the dense stateful ones
+// alike, with the batch growing after the release — and keeps the optimizer
+// state, which is not scratch.
+func TestReleaseTrainingKeepsStepsBitwise(t *testing.T) {
+	for name, cfg := range testConfigs() {
+		t.Run(name, func(t *testing.T) {
+			kept, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			released, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, out := cfg.Layers[0], cfg.Layers[len(cfg.Layers)-1]
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			for step := 0; step < 12; step++ {
+				rows := 2 + step/4
+				x, y := mathx.NewMatrix(rows, in), mathx.NewMatrix(rows, out)
+				copy(x.Data, randVec(rng, rows*in, 0.5))
+				copy(y.Data, randVec(rng, rows*out, 0))
+				if step%4 == 3 {
+					released.ReleaseTraining()
+					if released.batch.gradW != nil || released.batch.deltas != nil {
+						t.Fatal("released network still holds gradient buffers")
+					}
+				}
+				for _, n := range []*Network{kept, released} {
+					if _, err := n.TrainBatch(x, y, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if d := maxWeightDiff(kept, released); d != 0 {
+					t.Fatalf("step %d: releasing the gradient buffers moved a weight by %g", step, d)
+				}
+			}
+		})
+	}
+}

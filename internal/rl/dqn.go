@@ -122,15 +122,27 @@ type DQN struct {
 	// experience exists instead of idling through a full exploration warmup).
 	warmup int
 
-	// Reusable mini-batch scratch, sized once from cfg.BatchSize so that
-	// steady-state Observe calls allocate nothing: the sampled transitions
-	// (views into the ring) with their slots and importance-sampling weights
-	// (fed through the mask, which TrainBatch treats as a per-output weight),
-	// the state, target and mask matrices handed to TrainBatch, each sample's
-	// memoised target Q row and bootstrap value, and fill — the memo rows the
-	// target network has yet to write. nexts, every sampled next state, exists
-	// only under Double DQN, where the online network picks the bootstrap
-	// action anew on every step.
+	// miniBatch is learn's scratch, sized once from cfg.BatchSize so that
+	// steady-state Observe calls allocate nothing.
+	miniBatch
+
+	// Episode-loop scratch (TrainEpisode): the current and the next state with
+	// their valid actions, and the ε-greedy forward's sums, Q row and tail.
+	state, next      []float64
+	valid, nextValid []int
+	sums, q          []float64
+	tail             neural.TailScratch
+}
+
+// miniBatch is the reusable scratch of one learning step: the sampled
+// transitions (views into the ring) with their slots and importance-sampling
+// weights (fed through the mask, which TrainBatch treats as a per-output
+// weight), the state, target and mask matrices handed to TrainBatch, each
+// sample's memoised target Q row and bootstrap value, and fill — the memo rows
+// the target network has yet to write. nexts, every sampled next state, exists
+// only under Double DQN, where the online network picks the bootstrap action
+// anew on every step.
+type miniBatch struct {
 	batchTr []Transition
 	slots   []int
 	weights []float64
@@ -142,13 +154,6 @@ type DQN struct {
 	head    mathx.Matrix // the first rows of states, as the target network's input
 	fill    [][]float64
 	nexts   *mathx.Matrix
-
-	// Episode-loop scratch (TrainEpisode): the current and the next state with
-	// their valid actions, and the ε-greedy forward's sums, Q row and tail.
-	state, next      []float64
-	valid, nextValid []int
-	sums, q          []float64
-	tail             neural.TailScratch
 }
 
 // NewDQN builds an agent for an environment with the given state/action
@@ -429,6 +434,21 @@ func (d *DQN) learn() error {
 
 // Steps returns the number of observed transitions.
 func (d *DQN) Steps() int { return d.steps }
+
+// ReplayLen returns the number of transitions the replay ring holds.
+func (d *DQN) ReplayLen() int { return d.replay.Len() }
+
+// ReleaseTraining drops the state only a learning step reads: the replay
+// ring with its memo rows, the mini-batch scratch and the online network's
+// gradient buffers. Both networks, the step counter and the RNG stay, so
+// inference, Clone, CloneFrom donors and MarshalJSON read what they read
+// before. All of it is allocated on demand: a later Observe starts from an
+// empty ring and waits out the warmup again.
+func (d *DQN) ReleaseTraining() {
+	d.replay = newReplayFor(d.cfg, d.online.OutputSize())
+	d.miniBatch = miniBatch{}
+	d.online.ReleaseTraining()
+}
 
 // Clone returns an independent inference replica of the agent's policy: the
 // online network's weights and biases are deep-copied and nothing else is —

@@ -58,12 +58,15 @@ func TestWarmAllocateZeroAllocsCRL(t *testing.T) {
 }
 
 // TestWarmAllocateZeroAllocsDCTA extends the zero-alloc contract to the DCTA
-// warm path: combined scoring (local SVM + general importance) and the greedy
-// pack also run entirely on pooled scratch.
+// path, which bypasses the policy cache: the sub-store memo hit, environment
+// definition, combined scoring (local SVM + general importance) and the greedy
+// pack run entirely on pooled scratch — through AllocateInto, and from the
+// body's bytes to the answer's — and no policy is ever trained for them.
 func TestWarmAllocateZeroAllocsDCTA(t *testing.T) {
 	cfg := fastConfig()
 	cfg.RefitEvery = 12
-	s, ws := zeroAllocServer(t, cfg)
+	s := newTestServer(t, cfg)
+	ws := s.getWS()
 	ctx := context.Background()
 
 	// Fit the local model through the feedback path (as production would).
@@ -84,21 +87,37 @@ func TestWarmAllocateZeroAllocsDCTA(t *testing.T) {
 	}
 
 	req := AllocateRequest{Signature: []float64{0}, Features: mkFeatures(imp, 0.05, 61)}
-	for i := 0; i < 8; i++ {
-		if err := s.AllocateInto(ctx, req, ws); err != nil {
-			t.Fatal(err)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := map[string]func(){
+		"AllocateInto": func() {
+			if err := s.AllocateInto(ctx, req, ws); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"body bytes to answer bytes": func() {
+			ws.buf = append(ws.buf[:0], body...)
+			if code, err := s.answerAllocate(ctx, ws); err != nil {
+				t.Fatal(code, err)
+			}
+		},
+	}
+	for name, answer := range paths {
+		// The first calls build the cluster's sub-store and grow the scratch.
+		for i := 0; i < 8; i++ {
+			answer()
+			if ws.resp.Allocator != "DCTA" || ws.resp.Mode != ModeNormal || ws.resp.Cache != CacheBypass {
+				t.Fatalf("%s warmup %d: %+v", name, i, ws.resp)
+			}
 		}
-		if ws.resp.Allocator != "DCTA" || ws.resp.Mode != ModeNormal {
-			t.Fatalf("warmup %d: %+v", i, ws.resp)
+		if avg := testing.AllocsPerRun(200, answer); avg != 0 {
+			t.Fatalf("DCTA allocate, %s: %.2f allocs/op, want 0", name, avg)
 		}
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		if err := s.AllocateInto(ctx, req, ws); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm DCTA allocate: %.2f allocs/op, want 0", avg)
+	if st := s.Stats(); st.Cache.Trainings != 0 || st.Cache.Size != 0 || st.DCTABypass != st.Allocates {
+		t.Fatalf("the bypass path touched the policy cache: %+v", st)
 	}
 }
 

@@ -40,8 +40,9 @@ const (
 	// from demand TTL churn (the primary retrains and re-pushes; the replica
 	// only holds the copy for failover) but drift invalidation stays live.
 	CacheReplica = "replica"
-	// CacheBypass marks a degraded answer that never consulted a policy:
-	// the fallback allocator computed it directly from the store.
+	// CacheBypass marks an answer for which no policy was consulted: the
+	// degraded fallback, or a DCTA answer (Mode tells them apart). Either
+	// way it was computed directly from the store.
 	CacheBypass = "bypass"
 )
 

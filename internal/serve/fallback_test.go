@@ -106,9 +106,12 @@ func TestFallbackUsesLocalModelWhenFitted(t *testing.T) {
 	s.cache.train = func(int) (*core.CRL, []float64, error) {
 		return nil, nil, errors.New("down")
 	}
+	// Forced onto the CRL arm: a feature-carrying auto request is DCTA's,
+	// which consults no policy and so has no training to fail.
 	resp, err := s.Allocate(ctx, AllocateRequest{
 		Signature: []float64{0},
 		Features:  mkFeatures(imp, 0.05, 99),
+		Allocator: "crl",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,17 @@ type Server struct {
 	panics    atomic.Int64 // handler panics recovered by the HTTP middleware
 	ckptSkips atomic.Int64 // corrupt checkpoint sections skipped on load
 	fbDupes   atomic.Int64 // duplicate feedback requests absorbed by seq dedupe
+	// Which plan a normal answer shipped: a DCTA answer that consulted no
+	// policy, or on the CRL arm the DQN rollout or the greedy guard.
+	dctaBypass     atomic.Int64
+	rolloutShipped atomic.Int64
+	guardShipped   atomic.Int64
+
+	// subs memoises clusterStore per cluster, valid while the store is subLen
+	// long: the append-only store changes a neighbourhood only by growing.
+	subMu  sync.RWMutex
+	subLen int
+	subs   map[int]*core.EnvironmentStore
 
 	// repl is the replication sender (nil unless EnableReplication ran);
 	// replStop makes Drain's sender shutdown idempotent.
@@ -105,6 +116,8 @@ func NewServer(template *core.Problem, store *core.EnvironmentStore, local *allo
 		local:    local,
 		started:  cfg.Now(),
 		lat:      make([]int64, latencyWindow),
+		subLen:   store.Len(),
+		subs:     make(map[int]*core.EnvironmentStore),
 	}
 	s.cache = newPolicyCache(cfg, s.trainCluster)
 	if cfg.SpeculateNeighbors > 0 {
@@ -133,10 +146,21 @@ func (s *Server) Drain() {
 	s.stopReplication()
 }
 
-// clusterStore builds the training sub-store for a cluster: the
-// ClusterNeighborhood stored environments nearest the cluster
-// representative's signature — Alg. 1's per-cluster history.
+// clusterStore returns a cluster's sub-store: the ClusterNeighborhood stored
+// environments nearest the cluster representative's signature — Alg. 1's
+// per-cluster history, which trainings learn over and DCTA requests define
+// their environment from. A sub-store is immutable once built and shared by
+// every reader; store growth builds a new one, and a policy trained before
+// keeps the one it was trained over.
 func (s *Server) clusterStore(cluster int) (*core.EnvironmentStore, error) {
+	n := s.store.Len()
+	s.subMu.RLock()
+	sub := s.subs[cluster]
+	fresh := s.subLen == n
+	s.subMu.RUnlock()
+	if fresh && sub != nil {
+		return sub, nil
+	}
 	rep, err := s.store.At(cluster)
 	if err != nil {
 		return nil, err
@@ -145,12 +169,22 @@ func (s *Server) clusterStore(cluster int) (*core.EnvironmentStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := core.NewEnvironmentStore()
+	sub = core.NewEnvironmentStore()
 	for _, env := range neighbors {
 		if err := sub.Add(env); err != nil {
 			return nil, err
 		}
 	}
+	// Stamped with the length read before the build: if the store grew since,
+	// the next lookup sees a longer store and builds again.
+	s.subMu.Lock()
+	if n > s.subLen {
+		s.subLen, s.subs = n, make(map[int]*core.EnvironmentStore)
+	}
+	if n == s.subLen {
+		s.subs[cluster] = sub
+	}
+	s.subMu.Unlock()
 	return sub, nil
 }
 
@@ -314,7 +348,8 @@ func finiteMat(name string, m [][]float64) error {
 
 // Serving modes (AllocateResponse.Mode).
 const (
-	// ModeNormal answered from the policy-cache path.
+	// ModeNormal answered by the allocator the request selected: a cached
+	// policy (CRL) or, consulting none, DCTA over the cluster's sub-store.
 	ModeNormal = "normal"
 	// ModeDegraded answered from the greedy fallback because the policy
 	// path was unavailable (see DegradedReason).
@@ -420,28 +455,41 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 		// store, impossible after NewServer) is a client error.
 		return fmt.Errorf("%w: cluster lookup: %v", ErrBadRequest, err)
 	}
-	if req.Allocator == "dcta" {
+	// DCTA or CRL is decided here, once: only a CRL answer reads a policy.
+	local := s.localModel()
+	fitted := local != nil && local.Fitted()
+	useDCTA := false
+	switch req.Allocator {
+	case "dcta":
 		if len(req.Features) != len(s.template.Tasks) {
 			return fmt.Errorf("%w: dcta needs %d feature vectors, got %d",
 				ErrBadRequest, len(s.template.Tasks), len(req.Features))
 		}
-		if local := s.localModel(); local == nil || !local.Fitted() {
+		if !fitted {
 			return fmt.Errorf("%w: local model not fitted", ErrBadRequest)
 		}
+		useDCTA = true
+	case "", "auto":
+		useDCTA = fitted && len(req.Features) == len(s.template.Tasks)
 	}
 	if s.draining.Load() {
 		// Draining-but-not-yet-stopped: never start a training, but keep
 		// answering until the listener closes.
 		return s.fallbackAllocateInto(req, cluster, start, DegradedDraining, ws)
 	}
-	entry, outcome, err := s.cache.get(ctx, cluster)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return err // the caller is gone; no one reads the answer
+	if useDCTA {
+		err = s.dctaAllocateInto(req, cluster, local, start, ws)
+	} else {
+		entry, outcome, gerr := s.cache.get(ctx, cluster)
+		if gerr != nil {
+			if errors.Is(gerr, context.Canceled) {
+				return gerr // the caller is gone; no one reads the answer
+			}
+			return s.fallbackAllocateInto(req, cluster, start, degradedReason(gerr), ws)
 		}
-		return s.fallbackAllocateInto(req, cluster, start, degradedReason(err), ws)
+		err = s.policyAllocateInto(ctx, req.Signature, cluster, entry, outcome, start, ws)
 	}
-	if err := s.policyAllocateInto(ctx, req, cluster, entry, outcome, start, ws); err != nil {
+	if err != nil {
 		if errors.Is(err, ErrBadRequest) || errors.Is(err, context.Canceled) {
 			return err
 		}
@@ -458,70 +506,79 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 	return nil
 }
 
-// policyAllocateInto is the warm path. The environment is defined once,
-// replica-free, against the entry's cluster sub-store (environment
-// definition only reads the concurrency-safe store). Requests that mix in
-// the local process (DCTA) never touch a DQN at all — scores and packing
-// run on pure request-local scratch. CRL requests roll the policy through
-// the entry's coalescer: batch-1 uncontended, micro-batched under load,
-// guarded by a greedy pack on the defined importance (CRLAllocator
-// semantics: the better of rollout and guard ships).
-func (s *Server) policyAllocateInto(ctx context.Context, req AllocateRequest, cluster int,
-	entry *policyEntry, outcome string, start time.Time, ws *allocWS) error {
-	if err := entry.crl.DefineEnvironmentInto(req.Signature, &ws.env, &ws.knn); err != nil {
+// dctaAllocateInto answers a request that mixes in the local process: Eq. 6's
+// F = w1·F1 + w2·F2 packed to the coverage target. F1 is the kNN-matched
+// importance, so the answer reads no DQN: the environment is defined straight
+// from the cluster's sub-store, under the kNN policy a training of the cluster
+// would be configured with, and scores and packing run on request-local
+// scratch. Nothing here touches the policy cache, the training gate or a
+// breaker, so the request never waits for, starts or is refused a training.
+func (s *Server) dctaAllocateInto(req AllocateRequest, cluster int, local *alloc.LocalModel,
+	start time.Time, ws *allocWS) error {
+	sub, err := s.clusterStore(cluster)
+	if err != nil {
+		return fmt.Errorf("serve: cluster store: %w", err)
+	}
+	if err := s.trainCRLConfig(cluster).DefineEnvironmentInto(sub, req.Signature, &ws.env, &ws.knn); err != nil {
 		return fmt.Errorf("serve: define environment: %w", err)
 	}
-
-	local := s.localModel()
-	useDCTA := false
-	switch req.Allocator {
-	case "", "auto":
-		useDCTA = len(req.Features) == len(s.template.Tasks) && local != nil && local.Fitted()
-	case "dcta":
-		useDCTA = true // validated in AllocateInto
-	case "crl":
+	ws.combined, ws.featBuf, err = alloc.CombineScoresInto(
+		local, ws.env.Importance, req.Features, s.cfg.W1, s.cfg.W2, ws.combined, ws.featBuf)
+	if err != nil {
+		return fmt.Errorf("serve: dcta: %w", err)
 	}
-
 	w := &ws.waiter
-	var name string
-	if useDCTA {
-		name = "DCTA"
-		var err error
-		ws.combined, ws.featBuf, err = alloc.CombineScoresInto(
-			local, ws.env.Importance, req.Features, s.cfg.W1, s.cfg.W2, ws.combined, ws.featBuf)
-		if err != nil {
-			return fmt.Errorf("serve: dcta: %w", err)
-		}
-		w.out, _ = alloc.PackByScoreInto(s.template, ws.combined, s.cfg.CoverageTarget, w.out, &ws.pack)
-	} else {
-		name = "CRL"
-		w.env = &ws.env
-		if err := entry.co.rollout(ctx, w); err != nil {
-			return fmt.Errorf("serve: crl rollout: %w", err)
-		}
-		// Greedy guard: whenever the rollout captures less of the defined
-		// importance than a greedy pack would, the guard's plan ships.
-		ws.guard, _ = alloc.PackByScoreInto(s.template, ws.env.Importance, 1.0, ws.guard, &ws.pack)
-		if importanceOf(ws.guard, ws.env.Importance) > importanceOf(w.out, ws.env.Importance) {
-			w.out, ws.guard = ws.guard, w.out
-		}
-	}
+	w.out, _ = alloc.PackByScoreInto(s.template, ws.combined, s.cfg.CoverageTarget, w.out, &ws.pack)
+	s.dctaBypass.Add(1)
+	s.answerInto(ws, cluster, CacheBypass, "DCTA", start)
+	return nil
+}
 
+// policyAllocateInto is the warm CRL path. The environment is defined once,
+// replica-free, against the entry's cluster sub-store (environment
+// definition only reads the concurrency-safe store). The policy rolls
+// through the entry's coalescer: batch-1 uncontended, micro-batched under
+// load, guarded by a greedy pack on the defined importance (CRLAllocator
+// semantics: the better of rollout and guard ships).
+func (s *Server) policyAllocateInto(ctx context.Context, sig []float64, cluster int,
+	entry *policyEntry, outcome string, start time.Time, ws *allocWS) error {
+	if err := entry.crl.DefineEnvironmentInto(sig, &ws.env, &ws.knn); err != nil {
+		return fmt.Errorf("serve: define environment: %w", err)
+	}
+	w := &ws.waiter
+	w.env = &ws.env
+	if err := entry.co.rollout(ctx, w); err != nil {
+		return fmt.Errorf("serve: crl rollout: %w", err)
+	}
+	// Greedy guard: whenever the rollout captures less of the defined
+	// importance than a greedy pack would, the guard's plan ships.
+	ws.guard, _ = alloc.PackByScoreInto(s.template, ws.env.Importance, 1.0, ws.guard, &ws.pack)
+	if importanceOf(ws.guard, ws.env.Importance) > importanceOf(w.out, ws.env.Importance) {
+		w.out, ws.guard = ws.guard, w.out
+		s.guardShipped.Add(1)
+	} else {
+		s.rolloutShipped.Add(1)
+	}
+	s.answerInto(ws, cluster, outcome, "CRL", start)
+	if outcome == CacheMiss || outcome == CacheExpired || outcome == CacheDrift {
+		ws.resp.TrainNanos = int64(entry.trainDur)
+	}
+	return nil
+}
+
+// answerInto writes the normal-mode answer for the plan in ws.waiter.out.
+func (s *Server) answerInto(ws *allocWS, cluster int, cache, allocator string, start time.Time) {
 	latency := s.cfg.Now().Sub(start)
 	s.allocates.Add(1)
 	s.recordLatency(latency)
 	resp := &ws.resp
-	resp.Allocation = append(resp.Allocation[:0], w.out...)
+	resp.Allocation = append(resp.Allocation[:0], ws.waiter.out...)
 	resp.Cluster = cluster
-	resp.Cache = outcome
-	resp.Allocator = name
+	resp.Cache = cache
+	resp.Allocator = allocator
 	resp.Mode = ModeNormal
-	resp.PredictedImportance = importanceOf(w.out, ws.env.Importance)
+	resp.PredictedImportance = importanceOf(ws.waiter.out, ws.env.Importance)
 	resp.LatencyNanos = int64(latency)
-	if outcome == CacheMiss || outcome == CacheExpired || outcome == CacheDrift {
-		resp.TrainNanos = int64(entry.trainDur)
-	}
-	return nil
 }
 
 // problemWithImportance clones the template and installs an importance
@@ -694,11 +751,17 @@ type Stats struct {
 	// DegradedCount is the number of allocations answered by the fallback
 	// path (subset of Allocates).
 	DegradedCount int64 `json:"degraded"`
-	Feedbacks     int64 `json:"feedbacks"`
-	Refits        int64 `json:"refits"`
-	StoreSize     int   `json:"store_size"`
-	StoreAdds     int64 `json:"store_adds"`
-	WindowSize    int   `json:"feedback_window"`
+	// DCTABypass counts normal answers that consulted no policy (DCTA);
+	// RolloutShipped and GuardShipped split the CRL answers by which plan
+	// shipped, the DQN rollout or the greedy guard on the defined importance.
+	DCTABypass     int64 `json:"dcta_bypass"`
+	RolloutShipped int64 `json:"rollout_shipped"`
+	GuardShipped   int64 `json:"guard_shipped"`
+	Feedbacks      int64 `json:"feedbacks"`
+	Refits         int64 `json:"refits"`
+	StoreSize      int   `json:"store_size"`
+	StoreAdds      int64 `json:"store_adds"`
+	WindowSize     int   `json:"feedback_window"`
 	// RecoveredPanics counts HTTP handler panics absorbed by the recovery
 	// middleware.
 	RecoveredPanics int64 `json:"recovered_panics"`
@@ -728,6 +791,9 @@ func (s *Server) Stats() Stats {
 		UptimeSeconds:      s.cfg.Now().Sub(s.started).Seconds(),
 		Allocates:          s.allocates.Load(),
 		DegradedCount:      s.degraded.Load(),
+		DCTABypass:         s.dctaBypass.Load(),
+		RolloutShipped:     s.rolloutShipped.Load(),
+		GuardShipped:       s.guardShipped.Load(),
 		Feedbacks:          s.feedbacks.Load(),
 		Refits:             s.refits.Load(),
 		StoreSize:          s.store.Len(),

@@ -5,6 +5,9 @@ package dcta_test
 import (
 	"runtime"
 	"testing"
+
+	"repro"
+	"repro/internal/core"
 )
 
 // TestTrainingHeapBudget bounds what one served warm-started training may
@@ -34,5 +37,51 @@ func TestTrainingHeapBudget(t *testing.T) {
 		if grown > tc.budget {
 			t.Errorf("%s world: one warm-started training allocated %d bytes, budget %d", tc.name, grown, tc.budget)
 		}
+	}
+}
+
+// liveHeap returns the bytes reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the second cycle frees what the first one's finalizers released
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestResidentPolicyHeapBudget bounds what is held, not what was allocated on
+// the way: a paper-world policy trained by serve's recipe and kept resident —
+// both networks, no replay ring, no mini-batch or gradient scratch — stays
+// within 2 MB of live heap (1.2 MB measured over one scratch and three
+// warm-started trainings; 5.9 MB while a finished training kept its ring), and
+// a built scenario, whose CRL is such a policy, within 12 MB (6.6 MB measured;
+// 35 MB before, 26 of them that one ring).
+func TestResidentPolicyHeapBudget(t *testing.T) {
+	w := newTrainWorld(t, benchScenario(t))
+	const policies = 4
+	resident := make([]*core.CRL, 0, policies)
+	before := liveHeap()
+	var donor *core.CRL
+	for c := 0; c < policies; c++ {
+		donor = w.train(t, c, donor, nil)
+		resident = append(resident, donor)
+	}
+	per := float64(liveHeap()-before) / policies
+	runtime.KeepAlive(resident)
+	t.Logf("paper world: %.2f MB of live heap per resident policy", per/1e6)
+	if per > 2e6 {
+		t.Errorf("a resident paper-world policy holds %.2f MB of live heap, budget 2 MB", per/1e6)
+	}
+
+	before = liveHeap()
+	scn, err := dcta.NewScenario(dcta.DefaultScenarioConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := float64(liveHeap() - before)
+	runtime.KeepAlive(scn)
+	t.Logf("paper world: a built scenario holds %.2f MB of live heap", held/1e6)
+	if held > 12e6 {
+		t.Errorf("a built paper-world scenario holds %.2f MB of live heap, budget 12 MB", held/1e6)
 	}
 }
