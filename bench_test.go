@@ -255,14 +255,11 @@ func randomInstance(n, m int) *knapsack.Instance {
 	return in
 }
 
-// BenchmarkDQNStep measures one DQN observe/learn step of a served training:
-// the paper world's 50×9 MDP (900 inputs, 51 actions), serve's agent ([64,64],
-// batch 32), a replay ring filled by real ε-greedy episodes on a stored
-// environment, and real transitions of that environment observed one after
-// another.
-func BenchmarkDQNStep(b *testing.B) {
+// storedEnv is the allocation MDP of the paper world's i-th stored
+// environment: 50×9, so 900 state inputs and 51 actions.
+func storedEnv(b *testing.B, i int) *core.AllocEnv {
 	s := benchScenario(b)
-	stored := s.Store.All()[0]
+	stored := s.Store.All()[i]
 	prob := s.Template.Clone()
 	for j := range prob.Tasks {
 		prob.Tasks[j].Importance = mathx.Clamp(stored.Importance[j], 0, 1)
@@ -271,16 +268,29 @@ func BenchmarkDQNStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return env
+}
+
+// dqnAgent is serve's DQN agent ([64,64], batch 32) on env after 8 real
+// ε-greedy training episodes, which filled its replay ring.
+func dqnAgent(b *testing.B, env *core.AllocEnv) *rl.DQN {
 	agent, err := rl.NewDQN(env.StateSize(), env.ActionSize(), rl.DQNConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var episode []rl.Transition
 	for ep := 0; ep < 8; ep++ {
 		if _, _, err := agent.TrainEpisode(env, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return agent
+}
+
+// playEpisode returns the transitions of one ε-greedy episode of agent on
+// env, without learning from them.
+func playEpisode(b *testing.B, agent *rl.DQN, env *core.AllocEnv) []rl.Transition {
+	var episode []rl.Transition
+	var err error
 	for state := env.Reset(); !env.Done(); {
 		tr := rl.Transition{State: state}
 		if tr.Action, err = agent.SelectAction(state, env.ValidActions()); err != nil {
@@ -293,10 +303,58 @@ func BenchmarkDQNStep(b *testing.B) {
 		episode = append(episode, tr)
 		state = tr.NextState
 	}
+	return episode
+}
+
+// BenchmarkDQNStep measures one DQN observe/learn step of a served training:
+// the paper world's 50×9 MDP (900 inputs, 51 actions), serve's agent ([64,64],
+// batch 32), a replay ring filled by real ε-greedy episodes on a stored
+// environment, and real transitions of that environment observed one after
+// another.
+func BenchmarkDQNStep(b *testing.B) {
+	env := storedEnv(b, 0)
+	agent := dqnAgent(b, env)
+	episode := playEpisode(b, agent, env)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := agent.Observe(episode[i%len(episode)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainBatch measures the learn step's TrainBatch alone — the
+// kernel-level line under BenchmarkDQNStep: a copy of BenchmarkDQNStep's
+// online network (900→64→64→51, plain SGD) stepping on a replay mini-batch of
+// 32 transitions drawn from ε-greedy episodes on 8 stored environments, as a
+// cluster's training draws them from its sub-store, with one taken action's
+// output masked in per row.
+func BenchmarkTrainBatch(b *testing.B) {
+	agent := dqnAgent(b, storedEnv(b, 0))
+	var pool []rl.Transition
+	for i := 0; i < 8; i++ {
+		pool = append(pool, playEpisode(b, agent, storedEnv(b, i))...)
+	}
+	net, err := agent.Online().Clone()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rows = 32
+	states := mathx.NewMatrix(rows, net.InputSize())
+	targets := mathx.NewMatrix(rows, net.OutputSize())
+	mask := mathx.NewMatrix(rows, net.OutputSize())
+	rng := mathx.NewRand(1)
+	for r := 0; r < rows; r++ {
+		tr := pool[rng.Intn(len(pool))]
+		copy(states.Row(r), tr.State)
+		targets.Set(r, tr.Action, tr.Reward)
+		mask.Set(r, tr.Action, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.TrainBatch(states, targets, mask); err != nil {
 			b.Fatal(err)
 		}
 	}

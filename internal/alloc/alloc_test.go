@@ -454,16 +454,29 @@ func TestDCTAGeneralFromQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.GeneralFromQ = true
 	feats := make([][]float64, len(p.Tasks))
 	for j := range feats {
 		feats[j] = make([]float64, features.Dim)
 	}
-	res, err := d.Allocate(Request{Problem: p, Signature: []float64{0.3}, Features: feats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CheckFeasible(res.Allocation); err != nil {
-		t.Fatal(err)
+	req := Request{Problem: p, Signature: []float64{0.3}, Features: feats}
+	// The decision is charged kNN, SVM margins and packing, plus one Q
+	// evaluation only on the arm that runs one.
+	for _, fromQ := range []bool{false, true} {
+		d.GeneralFromQ = fromQ
+		res, err := d.Allocate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CheckFeasible(res.Allocation); err != nil {
+			t.Fatal(err)
+		}
+		_, packOps := packByScore(p, res.Priority, d.CoverageTarget)
+		want := float64(len(req.Signature)+len(p.Tasks)*features.Dim) + packOps
+		if fromQ {
+			want += dqnForwardOps(len(p.Tasks), len(p.Processors))
+		}
+		if res.DecisionOps != want {
+			t.Errorf("GeneralFromQ=%v: DecisionOps %v, want %v", fromQ, res.DecisionOps, want)
+		}
 	}
 }

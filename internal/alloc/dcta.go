@@ -358,10 +358,12 @@ func (d *DCTA) Allocate(req Request) (*Result, error) {
 		return nil, fmt.Errorf("dcta local process: %w", err)
 	}
 	allocation, packOps := packByScore(req.Problem, combined, d.CoverageTarget)
-	m := len(req.Problem.Processors)
-	ops := dqnForwardOps(n, m) + // one Q evaluation
-		float64(n*features.Dim) + // SVM margins
-		packOps
+	// kNN over the store (as CRLAllocator charges it), SVM margins and the
+	// packing; a Q evaluation only when F₁ comes from one.
+	ops := float64(len(req.Signature)) + float64(n*features.Dim) + packOps
+	if d.GeneralFromQ {
+		ops += dqnForwardOps(n, len(req.Problem.Processors))
+	}
 	var predicted float64
 	for j, proc := range allocation {
 		if proc != core.Unassigned && j < len(env.Importance) {

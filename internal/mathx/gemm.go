@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/conc"
 )
@@ -32,8 +33,10 @@ import (
 // DQN-scale mini-batches suitable for ReportAllocs-verified steady state.
 
 // parallelThreshold is the multiply-add count above which the kernels spread
-// dst rows across goroutines. DQN-scale batches (32×900×64 ≈ 1.8M) stay just
-// below; bulk evaluation batches go parallel.
+// dst rows across goroutines. A DQN learn step stays far below: its first
+// layer runs the row-support kernels over each row's ~45 nonzeros (32×45×64 ≈
+// 92k), and even a dense 32×900×64 product (≈ 1.8M) would stay serial; bulk
+// evaluation batches go parallel.
 const parallelThreshold = 1 << 21
 
 // gemmWorkers returns the worker count for a kernel of the given flop count
@@ -347,10 +350,221 @@ func MatVecTransB(dst []float64, b *Matrix, x *SparseVec, rows []int) error {
 	return nil
 }
 
+// RowSupport is the sparsity pattern of a row-major matrix in compressed-row
+// form: row r's nonzero columns are Idx[Ptr[r]:Ptr[r+1]], ascending. The
+// values stay in the matrix, so a support costs four bytes per nonzero. A
+// mini-batch whose rows are sparse each, but not in the same columns, costs
+// the support kernels its own nonzeros instead of its rows times the union of
+// their columns.
+type RowSupport struct {
+	Ptr        []int
+	Idx        []int32
+	rows, cols int    // shape of the scanned matrix; rows < 0 when invalid
+	seen       []bool // per column: listed while building the live columns
+}
+
+// NewRowSupport returns a support for matrices of up to rows×cols holding at
+// most maxNonzeros nonzeros; it allocates nothing afterwards.
+func NewRowSupport(rows, cols, maxNonzeros int) *RowSupport {
+	return &RowSupport{
+		Ptr:  make([]int, 0, rows+1),
+		Idx:  make([]int32, 0, maxNonzeros),
+		rows: -1,
+		seen: make([]bool, cols),
+	}
+}
+
+// Scan records the sparsity pattern of m in one row-major pass and returns
+// m's nonzero columns, ascending, appended to live[:0]. It reports false —
+// leaving the support invalid and live empty — as soon as m turns out larger
+// or denser than the support was sized for, so the probe that chooses the
+// sparse kernels costs a dense matrix only the prefix it takes to overflow.
+func (s *RowSupport) Scan(m *Matrix, live []int) ([]int, bool) {
+	s.rows, live = -1, live[:0]
+	if m.Rows+1 > cap(s.Ptr) || m.Cols > len(s.seen) {
+		return live, false
+	}
+	ptr, idx := s.Ptr[:m.Rows+1], s.Idx[:0]
+	limit := cap(idx)
+	ptr[0] = 0
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		k := 0
+		for ; k < len(row); k++ {
+			// Four +0 entries at a time skip on one test; anything else,
+			// a −0 included, falls through to the exact comparison.
+			if k+3 < len(row) && math.Float64bits(row[k])|math.Float64bits(row[k+1])|
+				math.Float64bits(row[k+2])|math.Float64bits(row[k+3]) == 0 {
+				k += 3
+				continue
+			}
+			if row[k] != 0 {
+				if len(idx) == limit {
+					return live, false
+				}
+				idx = append(idx, int32(k))
+			}
+		}
+		ptr[r+1] = len(idx)
+	}
+	s.Ptr, s.Idx, s.rows, s.cols = ptr, idx, m.Rows, m.Cols
+	for _, k := range idx {
+		s.seen[k] = true
+	}
+	for k, ok := range s.seen[:m.Cols] {
+		if ok {
+			live = append(live, k)
+			s.seen[k] = false
+		}
+	}
+	return live, true
+}
+
+// describes reports whether s holds the pattern of a rows×cols matrix.
+func (s *RowSupport) describes(rows, cols int) bool {
+	return s != nil && s.rows == rows && s.cols == cols
+}
+
+// MatMulTransBSupport computes dst = a·bᵀ like MatMulTransBCols, but sums
+// row r of a over its own nonzero columns, which s — scanned from a — lists,
+// instead of over a column subset shared by the whole batch. Four rows of b
+// share one pass over a row's support, as in MatVecTransB; every element is
+// still summed in ascending column order, so the result is bitwise
+// MatMulTransBCols's on the batch's nonzero columns: the terms left out are
+// 0·b = ±0, and a sum that starts at +0 never becomes −0.
+func MatMulTransBSupport(dst, a *Matrix, s *RowSupport, b *Matrix) error {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows || !s.describes(a.Rows, a.Cols) {
+		return fmt.Errorf("matmul transB support: (%dx%d)·(%dx%d)ᵀ→(%dx%d): %w",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrDimensionMismatch)
+	}
+	workers := gemmWorkers(len(s.Idx)*b.Rows, dst.Rows)
+	if workers == 1 {
+		transBSupportRows(dst, a, s, b, 0, dst.Rows)
+		return nil
+	}
+	return blockedRows(dst.Rows, workers, func(r0, r1 int) {
+		transBSupportRows(dst, a, s, b, r0, r1)
+	})
+}
+
+// transBSupportRows computes dst rows [r0, r1) of MatMulTransBSupport.
+func transBSupportRows(dst, a *Matrix, s *RowSupport, b *Matrix, r0, r1 int) {
+	for r := r0; r < r1; r++ {
+		arow, drow := a.Row(r), dst.Row(r)
+		idx := s.Idx[s.Ptr[r]:s.Ptr[r+1]]
+		o := 0
+		for ; o+3 < b.Rows; o += 4 {
+			b0, b1, b2, b3 := b.Row(o), b.Row(o+1), b.Row(o+2), b.Row(o+3)
+			var s0, s1, s2, s3 float64
+			for _, k := range idx {
+				v := arow[k]
+				s0 += v * b0[k]
+				s1 += v * b1[k]
+				s2 += v * b2[k]
+				s3 += v * b3[k]
+			}
+			drow[o], drow[o+1], drow[o+2], drow[o+3] = s0, s1, s2, s3
+		}
+		for ; o < b.Rows; o++ {
+			brow := b.Row(o)
+			var sum float64
+			for _, k := range idx {
+				sum += arow[k] * brow[k]
+			}
+			drow[o] = sum
+		}
+	}
+}
+
+// MatMulTransBMasked computes the elements of dst = a·bᵀ where mask is
+// nonzero and leaves every other element of dst as it was. Row r of a is
+// summed over the columns s lists for it, or over all of them when s is nil;
+// either way each computed element is MatMulTransBCols's, bit for bit. A
+// training step whose loss reads one output per row pays for that one.
+func MatMulTransBMasked(dst, a *Matrix, s *RowSupport, b, mask *Matrix) error {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows ||
+		mask.Rows != dst.Rows || mask.Cols != dst.Cols || (s != nil && !s.describes(a.Rows, a.Cols)) {
+		return fmt.Errorf("matmul transB masked: (%dx%d)·(%dx%d)ᵀ→(%dx%d), mask %dx%d: %w",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, mask.Rows, mask.Cols, ErrDimensionMismatch)
+	}
+	for r := 0; r < a.Rows; r++ {
+		arow, drow := a.Row(r), dst.Row(r)
+		for o, m := range mask.Row(r) {
+			if m == 0 {
+				continue
+			}
+			brow := b.Row(o)
+			var sum float64
+			if s == nil {
+				for k, v := range arow {
+					sum += v * brow[k]
+				}
+			} else {
+				for _, k := range s.Idx[s.Ptr[r]:s.Ptr[r+1]] {
+					sum += arow[k] * brow[k]
+				}
+			}
+			drow[o] = sum
+		}
+	}
+	return nil
+}
+
+// MatMulTransASupport computes the listed columns of dst = aᵀ·b like
+// MatMulTransACols, but streams each row of b over its own nonzero columns,
+// which s — scanned from b — lists: for ascending k and every i with
+// a[k,i] ≠ 0, dst[i,j] += a[k,i]·b[k,j] over row k's support only. Each
+// element keeps MatMulTransACols's order of adds and drops only ±0 terms, so
+// the result is bitwise its. cols must include every column s lists (the live
+// columns Scan returned); nil computes, and first zeroes, the whole of dst.
+func MatMulTransASupport(dst, a, b *Matrix, s *RowSupport, cols []int) error {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols || !s.describes(b.Rows, b.Cols) {
+		return fmt.Errorf("matmul transA support: (%dx%d)ᵀ·(%dx%d)→(%dx%d): %w",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrDimensionMismatch)
+	}
+	workers := gemmWorkers(len(s.Idx)*a.Cols, dst.Rows)
+	if workers == 1 {
+		transASupportRows(dst, a, b, s, cols, 0, dst.Rows)
+		return nil
+	}
+	return blockedRows(dst.Rows, workers, func(r0, r1 int) {
+		transASupportRows(dst, a, b, s, cols, r0, r1)
+	})
+}
+
+// transASupportRows computes dst rows [r0, r1) of MatMulTransASupport.
+func transASupportRows(dst, a, b *Matrix, s *RowSupport, cols []int, r0, r1 int) {
+	for i := r0; i < r1; i++ {
+		drow := dst.Row(i)
+		if cols == nil {
+			clear(drow)
+			continue
+		}
+		for _, j := range cols {
+			drow[j] = 0
+		}
+	}
+	for k := 0; k < a.Rows; k++ {
+		arow, brow := a.Row(k), b.Row(k)
+		idx := s.Idx[s.Ptr[k]:s.Ptr[k+1]]
+		for i := r0; i < r1; i++ {
+			v := arow[i]
+			if v == 0 {
+				continue
+			}
+			drow := dst.Row(i)
+			for _, j := range idx {
+				drow[j] += v * brow[j]
+			}
+		}
+	}
+}
+
 // NonzeroColumns appends to buf[:0] the ascending indices of columns of m
 // that hold at least one nonzero, and returns the extended slice. It is the
-// sparsity probe the batched forward uses to decide between the dense and
-// column-subset kernels.
+// sparsity probe the batched forward falls back to when a layer's input is
+// too dense to row-compact, to decide between the dense and column-subset
+// kernels.
 func NonzeroColumns(m *Matrix, buf []int) []int {
 	buf = buf[:0]
 	for j := 0; j < m.Cols; j++ {

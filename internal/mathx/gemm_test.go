@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -420,5 +421,166 @@ func TestMatMulTransAColsMatchesDense(t *testing.T) {
 	err := MatMulTransACols(NewMatrix(2, 2), NewMatrix(3, 2), NewMatrix(4, 2), []int{0})
 	if !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("shape mismatch err = %v", err)
+	}
+}
+
+// rowsOfDensity builds a rows×cols matrix whose row r is nonzero in a
+// densities[r%len(densities)] fraction of its cells, with a few −0 entries
+// (which count as zero) among the rest.
+func rowsOfDensity(rng *rand.Rand, rows, cols int, densities []float64) *Matrix {
+	m := NewMatrix(rows, cols)
+	for r := 0; r < rows; r++ {
+		row, d := m.Row(r), densities[r%len(densities)]
+		for k := range row {
+			switch u := rng.Float64(); {
+			case u < d:
+				row[k] = rng.Float64()*2 - 1
+			case u > 0.98:
+				row[k] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return m
+}
+
+// TestRowSupportScan checks the pattern and live columns one scan records,
+// that an overflowing or oversized matrix is refused, and that a refused or
+// repeated scan leaves nothing stale behind.
+func TestRowSupportScan(t *testing.T) {
+	m := NewMatrix(3, 6)
+	m.Set(0, 4, 1)
+	m.Set(0, 1, -2)
+	m.Set(2, 4, 0.5)
+	m.Set(2, 5, math.Copysign(0, -1))
+	s := NewRowSupport(4, 6, 3)
+	live, ok := s.Scan(m, make([]int, 0, 6))
+	if !ok {
+		t.Fatal("scan of 3 nonzeros refused at capacity 3")
+	}
+	wantPtr, wantIdx, wantLive := []int{0, 2, 2, 3}, []int32{1, 4, 4}, []int{1, 4}
+	if !slices.Equal(s.Ptr, wantPtr) || !slices.Equal(s.Idx, wantIdx) || !slices.Equal(live, wantLive) {
+		t.Fatalf("ptr %v idx %v live %v, want %v %v %v", s.Ptr, s.Idx, live, wantPtr, wantIdx, wantLive)
+	}
+	m.Set(1, 0, 3)
+	if live, ok = s.Scan(m, live); ok || len(live) != 0 || s.describes(3, 6) {
+		t.Fatalf("scan of 4 nonzeros at capacity 3: ok %v, live %v", ok, live)
+	}
+	if _, ok = s.Scan(NewMatrix(5, 6), live); ok {
+		t.Fatal("scan of 5 rows accepted by a 4-row support")
+	}
+	m.Set(0, 4, 0)
+	m.Set(1, 0, 0)
+	if live, ok = s.Scan(m, live); !ok || !slices.Equal(live, []int{1, 4}) {
+		t.Fatalf("rescan: ok %v, live %v", ok, live)
+	}
+	if live, ok = s.Scan(NewMatrix(2, 6), live); !ok || len(live) != 0 || len(s.Idx) != 0 {
+		t.Fatalf("zero matrix: ok %v, live %v, idx %v", ok, live, s.Idx)
+	}
+}
+
+// TestSupportKernelsMatchColumnKernels pins the row-support kernels to the
+// column-subset ones bit for bit, on rows from all-zero to fully dense
+// (−0 entries included), with and without a live-column list, on a DQN-sized
+// batch and on one past parallelThreshold: MatMulTransBSupport and
+// MatMulTransBMasked against MatMulTransBCols, MatMulTransASupport against
+// MatMulTransACols — and the masked and column-listed kernels write nothing
+// else.
+func TestSupportKernelsMatchColumnKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	densities := []float64{0, 0.05, 0.5, 1, 0.02}
+	for _, sh := range []struct {
+		rows, in, out int
+		parallel      bool
+	}{{1, 7, 5, false}, {32, 900, 64, false}, {13, 30, 3, false}, {300, 800, 40, true}} {
+		x := rowsOfDensity(rng, sh.rows, sh.in, densities)
+		w := randMatrix(rng, sh.out, sh.in, 0.1)
+		w.Data[0] = math.Copysign(0, -1)
+		s := NewRowSupport(sh.rows, sh.in, sh.rows*sh.in)
+		live, ok := s.Scan(x, nil)
+		if !ok {
+			t.Fatalf("%+v: scan refused at full capacity", sh)
+		}
+		if sh.parallel && len(s.Idx)*sh.out < parallelThreshold {
+			t.Fatalf("%+v: meant to take the parallel path", sh)
+		}
+
+		want := NewMatrix(sh.rows, sh.out)
+		if err := MatMulTransBCols(want, x, w, live); err != nil {
+			t.Fatal(err)
+		}
+		dense := NewMatrix(sh.rows, sh.out)
+		if err := MatMulTransB(dense, x, w); err != nil {
+			t.Fatal(err)
+		}
+		got := NewMatrix(sh.rows, sh.out)
+		if err := MatMulTransBSupport(got, x, s, w); err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, "transB support vs cols", got, want, nil)
+		bitsEqual(t, "transB support vs dense", got, dense, nil)
+
+		mask := randMatrix(rng, sh.rows, sh.out, 0.7)
+		for _, supp := range []*RowSupport{s, nil} {
+			masked := NewMatrix(sh.rows, sh.out)
+			masked.Fill(math.NaN())
+			if err := MatMulTransBMasked(masked, x, supp, w, mask); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqual(t, "transB masked", masked, want, mask)
+		}
+
+		delta := rowsOfDensity(rng, sh.rows, sh.out, []float64{0.5, 0, 1})
+		for _, cols := range [][]int{live, nil} {
+			wantG := NewMatrix(sh.out, sh.in)
+			wantG.Fill(12345.5)
+			if err := MatMulTransACols(wantG, delta, x, cols); err != nil {
+				t.Fatal(err)
+			}
+			gotG := NewMatrix(sh.out, sh.in)
+			gotG.Fill(12345.5)
+			if err := MatMulTransASupport(gotG, delta, x, s, cols); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqual(t, "transA support", gotG, wantG, nil)
+		}
+	}
+}
+
+// bitsEqual requires got and want to hold the same bit patterns wherever mask
+// (nil: everywhere) is nonzero, and got to keep its NaN fill elsewhere.
+func bitsEqual(t *testing.T, what string, got, want, mask *Matrix) {
+	t.Helper()
+	for i, v := range got.Data {
+		if mask != nil && mask.Data[i] == 0 {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: wrote unmasked element %d", what, i)
+			}
+			continue
+		}
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, v, want.Data[i])
+		}
+	}
+}
+
+func TestSupportKernelsRejectBadShapes(t *testing.T) {
+	x := NewMatrix(3, 4)
+	s := NewRowSupport(3, 4, 12)
+	if _, ok := s.Scan(x, nil); !ok {
+		t.Fatal("scan refused")
+	}
+	other := NewRowSupport(3, 4, 12)
+	w, d := NewMatrix(5, 4), NewMatrix(3, 5)
+	for name, err := range map[string]error{
+		"support of another matrix": MatMulTransBSupport(NewMatrix(3, 5), x, other, w),
+		"transB dst":                MatMulTransBSupport(NewMatrix(3, 4), x, s, w),
+		"masked mask":               MatMulTransBMasked(NewMatrix(3, 5), x, s, w, NewMatrix(2, 5)),
+		"masked support":            MatMulTransBMasked(NewMatrix(3, 5), x, other, w, NewMatrix(3, 5)),
+		"transA dst":                MatMulTransASupport(NewMatrix(4, 4), d, x, s, nil),
+		"transA support":            MatMulTransASupport(NewMatrix(5, 4), d, x, other, nil),
+	} {
+		if !errors.Is(err, ErrDimensionMismatch) {
+			t.Errorf("%s: got %v, want ErrDimensionMismatch", name, err)
+		}
 	}
 }

@@ -16,6 +16,16 @@ import (
 // performs zero allocations (guarded by a ReportAllocs benchmark and an
 // AllocsPerRun test).
 //
+// Work follows the inputs' nonzeros. One row-major scan per layer measures
+// the input's density: a sparse input (the DQN's one-hot selection and
+// environment cells, ~5% nonzero) is compacted to each row's own nonzero
+// columns, and the forward product and the weight gradient run over those
+// only (mathx.MatMulTransBSupport / MatMulTransASupport); a dense one keeps
+// the column-subset or dense kernel. TrainBatch evaluates the last layer only
+// where its mask is nonzero — the DQN's one taken action per row. Every path
+// sums each element in the same order as the dense kernels, so training is
+// bitwise independent of which one ran.
+//
 // Semantics: TrainBatch applies a single update with the SUMMED gradient of
 // ½‖out−target‖² over the batch rows, so TrainBatch on a 1-row batch is the
 // same step Train takes (the equivalence is pinned by tests). Output units
@@ -24,24 +34,31 @@ import (
 // dead ReLU units cost nothing.
 
 // batchScratch is the reusable workspace behind ForwardBatch/TrainBatch. The
-// forward half (acts, weights, cols) is sized by the first forward; the
+// forward half (acts, weights, cols, support) is sized by the first forward; the
 // training half (deltas, gradW, gradB, activeO — a second copy of the weights'
 // footprint) only by the first TrainBatch, so networks that are never trained
 // — DQN target networks, inference replicas — never pay for it.
 type batchScratch struct {
-	rows      int             // allocated activation capacity
-	trainRows int             // allocated delta capacity
-	acts      []*mathx.Matrix // per layer: post-activation outputs (rows × out)
-	deltas    []*mathx.Matrix // per layer: backpropagated deltas (rows × out)
-	weights   []*mathx.Matrix // per layer: header over layer.weights (out × in)
-	gradW     []*mathx.Matrix // per layer: summed weight gradients (out × in)
-	gradB     [][]float64     // per layer: summed bias gradients
-	cols      [][]int         // per layer: nonzero input-column scratch
-	activeO   []int           // active-output-unit scratch
+	rows      int                 // allocated activation capacity
+	trainRows int                 // allocated delta capacity
+	acts      []*mathx.Matrix     // per layer: post-activation outputs (rows × out)
+	deltas    []*mathx.Matrix     // per layer: backpropagated deltas (rows × out)
+	weights   []*mathx.Matrix     // per layer: header over layer.weights (out × in)
+	gradW     []*mathx.Matrix     // per layer: summed weight gradients (out × in)
+	gradB     [][]float64         // per layer: summed bias gradients
+	cols      [][]int             // per layer: nonzero input-column scratch
+	support   []*mathx.RowSupport // per layer: the input's row-compacted pattern
+	sparse    []bool              // per layer: support holds the current input's pattern
+	activeO   []int               // active-output-unit scratch
 }
 
-// denseColsFrac is the nonzero-column fraction above which the forward pass
-// uses the dense kernel instead of the column-subset one.
+// sparseRowsFrac is the nonzero fraction of a layer's input at or below which
+// the batch is row-compacted; it also sizes each layer's support, so the
+// compaction scratch is a fixed fraction of the input's footprint.
+const sparseRowsFrac = 0.25
+
+// denseColsFrac is the nonzero-column fraction above which an input too dense
+// to row-compact takes the dense kernel instead of the column-subset one.
 const denseColsFrac = 0.875
 
 // ensureBatch sizes the forward half of the scratch workspace for `rows`
@@ -53,6 +70,8 @@ func (n *Network) ensureBatch(rows int) {
 		s.weights = make([]*mathx.Matrix, len(n.layers))
 		s.cols = make([][]int, len(n.layers))
 		s.acts = make([]*mathx.Matrix, len(n.layers))
+		s.support = make([]*mathx.RowSupport, len(n.layers))
+		s.sparse = make([]bool, len(n.layers))
 		for li, l := range n.layers {
 			s.weights[li] = &mathx.Matrix{Rows: l.out, Cols: l.in, Data: l.weights}
 			s.cols[li] = make([]int, 0, l.in)
@@ -65,6 +84,7 @@ func (n *Network) ensureBatch(rows int) {
 		s.weights[li].Data = l.weights
 		if rows > s.rows {
 			s.acts[li].Data = make([]float64, rows*l.out)
+			s.support[li] = mathx.NewRowSupport(rows, l.in, int(sparseRowsFrac*float64(rows*l.in)))
 		}
 		s.acts[li].Rows = rows
 		s.acts[li].Data = s.acts[li].Data[:rows*l.out]
@@ -116,9 +136,11 @@ func (n *Network) ReleaseTraining() {
 	s.trainRows = 0
 }
 
-// forwardBatch runs the batched forward pass, leaving per-layer activations
-// and nonzero-column lists in the scratch workspace.
-func (n *Network) forwardBatch(x *mathx.Matrix) error {
+// forwardBatch runs the batched forward pass, leaving per-layer activations,
+// nonzero-column lists and row supports in the scratch workspace. A non-nil
+// mask restricts the last layer to the outputs it enables; the others are
+// left stale.
+func (n *Network) forwardBatch(x, mask *mathx.Matrix) error {
 	if x.Cols != n.InputSize() {
 		return fmt.Errorf("forward batch: got %d input cols, want %d: %w",
 			x.Cols, n.InputSize(), ErrBadInput)
@@ -128,23 +150,44 @@ func (n *Network) forwardBatch(x *mathx.Matrix) error {
 	}
 	n.ensureBatch(x.Rows)
 	s := &n.batch
+	last := len(n.layers) - 1
 	in := x
 	for li, l := range n.layers {
-		// Probe column sparsity: allocation selection matrices and sparse
-		// hidden activations leave many all-zero columns to skip.
-		s.cols[li] = mathx.NonzeroColumns(in, s.cols[li])
-		cols := s.cols[li]
-		if len(cols) > int(denseColsFrac*float64(in.Cols)) {
-			cols = nil
+		supp := s.support[li]
+		s.cols[li], s.sparse[li] = supp.Scan(in, s.cols[li])
+		if !s.sparse[li] {
+			// Too dense to compact: probe for all-zero columns instead.
+			s.cols[li] = mathx.NonzeroColumns(in, s.cols[li])
+			supp = nil
 		}
 		out := s.acts[li]
-		if err := mathx.MatMulTransBCols(out, in, s.weights[li], cols); err != nil {
+		masked := li == last && mask != nil
+		var err error
+		switch {
+		case masked:
+			err = mathx.MatMulTransBMasked(out, in, supp, s.weights[li], mask)
+		case supp != nil:
+			err = mathx.MatMulTransBSupport(out, in, supp, s.weights[li])
+		default:
+			cols := s.cols[li]
+			if len(cols) > int(denseColsFrac*float64(in.Cols)) {
+				cols = nil
+			}
+			err = mathx.MatMulTransBCols(out, in, s.weights[li], cols)
+		}
+		if err != nil {
 			return fmt.Errorf("forward batch layer %d: %w", li, err)
 		}
 		for r := 0; r < out.Rows; r++ {
 			row := out.Row(r)
+			var mrow []float64
+			if masked {
+				mrow = mask.Row(r)
+			}
 			for o := range row {
-				row[o] = l.act.apply(row[o] + l.bias[o])
+				if mrow == nil || mrow[o] != 0 {
+					row[o] = l.act.apply(row[o] + l.bias[o])
+				}
 			}
 		}
 		in = out
@@ -157,7 +200,7 @@ func (n *Network) forwardBatch(x *mathx.Matrix) error {
 // owned by the network, valid until the next Forward*/Train* call; callers
 // that need to keep it must copy.
 func (n *Network) ForwardBatch(x *mathx.Matrix) (*mathx.Matrix, error) {
-	if err := n.forwardBatch(x); err != nil {
+	if err := n.forwardBatch(x, nil); err != nil {
 		return nil, err
 	}
 	return n.batch.acts[len(n.layers)-1], nil
@@ -180,7 +223,7 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 		return 0, fmt.Errorf("train batch: mask %dx%d for batch %d, output %d: %w",
 			mask.Rows, mask.Cols, x.Rows, n.OutputSize(), ErrBadInput)
 	}
-	if err := n.forwardBatch(x); err != nil {
+	if err := n.forwardBatch(x, mask); err != nil {
 		return 0, err
 	}
 	n.ensureTrain(x.Rows)
@@ -221,13 +264,15 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 			d[k] *= l.act.derivative(av)
 		}
 	}
-	// Accumulate summed gradients as GEMMs and take one optimizer step. An
-	// input column that is zero across the batch has an exactly-zero gradient
-	// column, which moves nothing only when the step is stateless (SGD without
-	// momentum): then the gradient is accumulated and applied over the live
-	// columns forwardBatch listed, and the rest of gradW is never read.
-	// Momentum and Adam keep moving a weight whose gradient is zero, so they
-	// take the dense step.
+	// Accumulate summed gradients as GEMMs and take one optimizer step. A
+	// row-compacted input streams each row's own nonzeros; a denser one the
+	// whole row or the batch's live columns. An input column that is zero
+	// across the batch has an exactly-zero gradient column, which moves
+	// nothing only when the step is stateless (SGD without momentum): then
+	// the gradient is accumulated and applied over the live columns
+	// forwardBatch listed, and the rest of gradW is never read. Momentum and
+	// Adam keep moving a weight whose gradient is zero, so they take the
+	// dense step.
 	adam := n.cfg.Optimizer == OptAdam
 	if adam {
 		n.adamStep++
@@ -241,7 +286,13 @@ func (n *Network) TrainBatch(x, target, mask *mathx.Matrix) (float64, error) {
 		if n.stateless() {
 			live = s.cols[li]
 		}
-		if err := mathx.MatMulTransACols(s.gradW[li], s.deltas[li], in, live); err != nil {
+		var err error
+		if s.sparse[li] {
+			err = mathx.MatMulTransASupport(s.gradW[li], s.deltas[li], in, s.support[li], live)
+		} else {
+			err = mathx.MatMulTransACols(s.gradW[li], s.deltas[li], in, live)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("train batch gradient layer %d: %w", li, err)
 		}
 		gb := s.gradB[li]

@@ -467,3 +467,195 @@ func TestReleaseTrainingKeepsStepsBitwise(t *testing.T) {
 		})
 	}
 }
+
+// refTrainBatch is TrainBatch as it was built on the column-subset kernels —
+// every layer probed with mathx.NonzeroColumns, forwarded with
+// MatMulTransBCols over all outputs and differentiated with
+// MatMulTransACols — kept as the reference the row-compacted, masked path
+// must match bit for bit. It owns its scratch and shares only the optimizer
+// update with the code under test.
+func refTrainBatch(n *Network, x, target, mask *mathx.Matrix) (float64, error) {
+	last := len(n.layers) - 1
+	acts, cols, err := refForward(n, x)
+	if err != nil {
+		return 0, err
+	}
+	deltas := make([]*mathx.Matrix, len(n.layers))
+	for li, l := range n.layers {
+		deltas[li] = mathx.NewMatrix(x.Rows, l.out)
+	}
+	var loss float64
+	for k, v := range acts[last].Data {
+		m := 1.0
+		if mask != nil {
+			m = mask.Data[k]
+		}
+		if m == 0 {
+			continue
+		}
+		diff := v - target.Data[k]
+		loss += m * 0.5 * diff * diff
+		deltas[last].Data[k] = m * diff * n.layers[last].act.derivative(v)
+	}
+	for li := last - 1; li >= 0; li-- {
+		next := n.layers[li+1]
+		if err := mathx.MatMul(deltas[li], deltas[li+1], &mathx.Matrix{Rows: next.out, Cols: next.in, Data: next.weights}); err != nil {
+			return 0, err
+		}
+		for k, av := range acts[li].Data {
+			deltas[li].Data[k] *= n.layers[li].act.derivative(av)
+		}
+	}
+	if n.cfg.Optimizer == OptAdam {
+		n.adamStep++
+	}
+	for li, l := range n.layers {
+		in := x
+		if li > 0 {
+			in = acts[li-1]
+		}
+		var live []int
+		if n.stateless() {
+			live = cols[li]
+		}
+		gradW := mathx.NewMatrix(l.out, l.in)
+		if err := mathx.MatMulTransACols(gradW, deltas[li], in, live); err != nil {
+			return 0, err
+		}
+		gb := make([]float64, l.out)
+		for k, dv := range deltas[li].Data {
+			gb[k%l.out] += dv
+		}
+		n.applyBatchUpdate(l, gradW, gb, mathx.NonzeroColumns(deltas[li], nil), live)
+	}
+	return loss, nil
+}
+
+// refForward is ForwardBatch on the column-subset kernels, returning every
+// layer's activations and nonzero input columns.
+func refForward(n *Network, x *mathx.Matrix) ([]*mathx.Matrix, [][]int, error) {
+	acts := make([]*mathx.Matrix, len(n.layers))
+	cols := make([][]int, len(n.layers))
+	in := x
+	for li, l := range n.layers {
+		w := &mathx.Matrix{Rows: l.out, Cols: l.in, Data: l.weights}
+		cols[li] = mathx.NonzeroColumns(in, nil)
+		c := cols[li]
+		if len(c) > int(denseColsFrac*float64(in.Cols)) {
+			c = nil
+		}
+		acts[li] = mathx.NewMatrix(x.Rows, l.out)
+		if err := mathx.MatMulTransBCols(acts[li], in, w, c); err != nil {
+			return nil, nil, err
+		}
+		for k, v := range acts[li].Data {
+			acts[li].Data[k] = l.act.apply(v + l.bias[k%l.out])
+		}
+		in = acts[li]
+	}
+	return acts, cols, nil
+}
+
+// TestTrainBatchRowSparseMatchesDense drives TrainBatch and refTrainBatch in
+// lockstep at the DQN's shape (900→64→64→51) and a small one, under plain
+// SGD, momentum and Adam, on batches of rows that are all zero, ~5%, ~50% or
+// fully nonzero — sparse enough for the row-compacted path, dense enough for
+// the column kernels, and mixed — including 1-row batches, one-hot and
+// fractional masks, rows whose mask is all zero, and no mask. Weights,
+// biases, losses and ForwardBatch outputs must stay bitwise equal.
+func TestTrainBatchRowSparseMatchesDense(t *testing.T) {
+	shapes := map[string][]int{"dqn": {900, 64, 64, 51}, "small": {40, 12, 7}}
+	opts := map[string]Config{
+		"sgd":      {LearningRate: 0.01},
+		"momentum": {LearningRate: 0.01, Momentum: 0.9},
+		"adam":     {LearningRate: 0.001, Optimizer: OptAdam},
+	}
+	mixes := [][]float64{{0.05}, {0, 0.05}, {0.05, 0.5, 1, 0}, {1}, {0.5}}
+	for sname, layers := range shapes {
+		for oname, cfg := range opts {
+			t.Run(sname+"/"+oname, func(t *testing.T) {
+				cfg.Layers, cfg.Seed = layers, 3
+				got, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				sparseSteps := 0
+				for step := 0; step < 3*len(mixes)*4; step++ {
+					rows := []int{32, 1, 5}[step%3]
+					mix := mixes[(step/3)%len(mixes)]
+					x := mathx.NewMatrix(rows, got.InputSize())
+					tg := mathx.NewMatrix(rows, got.OutputSize())
+					for r := 0; r < rows; r++ {
+						copy(x.Row(r), randVec(rng, x.Cols, 1-mix[r%len(mix)]))
+						copy(tg.Row(r), randVec(rng, tg.Cols, 0))
+					}
+					var mk *mathx.Matrix
+					switch step % 4 {
+					case 1: // one taken action per row, as the DQN trains
+						mk = mathx.NewMatrix(rows, got.OutputSize())
+						for r := 0; r < rows; r++ {
+							mk.Set(r, rng.Intn(mk.Cols), 1)
+						}
+					case 2: // fractional weights, every other row masked out
+						mk = mathx.NewMatrix(rows, got.OutputSize())
+						for r := 0; r < rows; r += 2 {
+							for o := range mk.Row(r) {
+								if rng.Intn(3) == 0 {
+									mk.Set(r, o, rng.Float64())
+								}
+							}
+						}
+					case 3: // everything masked out
+						mk = mathx.NewMatrix(rows, got.OutputSize())
+					}
+					lossG, err := got.TrainBatch(x, tg, mk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.batch.sparse[0] {
+						sparseSteps++
+					}
+					lossR, err := refTrainBatch(ref, x, tg, mk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(lossG) != math.Float64bits(lossR) {
+						t.Fatalf("step %d: loss %v, reference %v", step, lossG, lossR)
+					}
+					for li := range got.layers {
+						lg, lr := got.layers[li], ref.layers[li]
+						for _, p := range [][2][]float64{{lg.weights, lr.weights}, {lg.bias, lr.bias}} {
+							for k := range p[0] {
+								if math.Float64bits(p[0][k]) != math.Float64bits(p[1][k]) {
+									t.Fatalf("step %d layer %d: parameter %d = %v, reference %v", step, li, k, p[0][k], p[1][k])
+								}
+							}
+						}
+					}
+					out, err := got.ForwardBatch(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refActs, _, err := refForward(ref, x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refOut := refActs[len(refActs)-1]
+					for k, v := range out.Data {
+						if math.Float64bits(v) != math.Float64bits(refOut.Data[k]) {
+							t.Fatalf("step %d: output %d = %v, reference %v", step, k, v, refOut.Data[k])
+						}
+					}
+				}
+				if sparseSteps == 0 {
+					t.Fatal("no step took the row-compacted path")
+				}
+			})
+		}
+	}
+}
