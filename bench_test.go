@@ -43,8 +43,9 @@ func benchScenario(b testing.TB) *dcta.Scenario {
 }
 
 // BenchmarkScenarioBuild measures the end-to-end world construction: trace
-// generation, MTL fitting, importance computation, store building, CRL and
-// local-process training.
+// generation, MTL fitting, importance computation, store building and
+// local-process training. The offline CRL is not part of it: the scenario
+// trains it on first read.
 func BenchmarkScenarioBuild(b *testing.B) {
 	cfg := dcta.DefaultScenarioConfig(7)
 	cfg.HistoryContexts = 30
@@ -57,6 +58,26 @@ func BenchmarkScenarioBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkImportanceVector measures Definition 1 for all 50 tasks of one
+// paper-world epoch: the three buildings prepared, the engine asked once per
+// (chiller, band), and the owning building re-scored per task.
+func BenchmarkImportanceVector(b *testing.B) {
+	s := benchScenario(b)
+	pc := s.History[0].Plant
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imp, err := s.Engine.ImportanceVector(s.Sequencer, pc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		importanceSink = imp
+	}
+}
+
+// importanceSink keeps BenchmarkImportanceVector's result alive.
+var importanceSink []float64
 
 // BenchmarkFig2LongTail regenerates Fig. 2 (task-importance long tail).
 func BenchmarkFig2LongTail(b *testing.B) {

@@ -28,13 +28,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	crl, err := s.CRL()
+	if err != nil {
+		return err
+	}
 
 	// Ablation 1: the cooperative weights of Eq. (6).
 	fmt.Println("\n── ablation 1: cooperative weights w1 (general) / w2 (local)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "w1\tw2\tmean PT (s)")
 	for _, w1 := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		d, err := dcta.NewDCTA(s.CRL, s.Local)
+		d, err := dcta.NewDCTA(crl, s.Local)
 		if err != nil {
 			return err
 		}
@@ -76,7 +80,7 @@ func run() error {
 	// Ablation 4: the source of DCTA's general term F1.
 	fmt.Println("\n── ablation 4: F1 from defined importance vs Eq.-5 Q-scores")
 	for _, fromQ := range []bool{false, true} {
-		d, err := dcta.NewDCTA(s.CRL, s.Local)
+		d, err := dcta.NewDCTA(crl, s.Local)
 		if err != nil {
 			return err
 		}

@@ -242,8 +242,10 @@ type DCTA struct {
 	local   *LocalModel
 }
 
-// NewDCTA combines a trained CRL model with a trained local model using the
-// default weights (equal trust, 90% coverage).
+// NewDCTA combines a CRL model with a trained local model using the default
+// weights (equal trust, 90% coverage). Only GeneralFromQ reads the CRL's
+// policy, so only then must the CRL be trained before Allocate answers;
+// otherwise Allocate reads its environment store alone.
 func NewDCTA(crl *core.CRL, local *LocalModel) (*DCTA, error) {
 	if crl == nil || local == nil {
 		return nil, fmt.Errorf("alloc: DCTA needs both processes")
@@ -327,7 +329,7 @@ func (d *DCTA) Allocate(req Request) (*Result, error) {
 		return nil, err
 	}
 	local := d.LocalModel()
-	if !d.crl.Trained() || !local.Fitted() {
+	if !local.Fitted() || (d.GeneralFromQ && !d.crl.Trained()) {
 		return nil, ErrNotReady
 	}
 	n := len(req.Problem.Tasks)

@@ -91,23 +91,11 @@ func (s *Sequencer) candidates(chs []Chiller, demandKW float64) []candidate {
 
 // Decide picks the staging with the lowest estimated input power.
 func (s *Sequencer) Decide(tr *Trace, ctx DecisionContext, est COPEstimator) (*Decision, error) {
-	chs, err := s.contextChillers(tr, ctx)
+	chs, cands, err := s.stagings(tr, ctx)
 	if err != nil {
 		return nil, err
 	}
-	cands := s.candidates(chs, ctx.DemandKW)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: demand %.0f kW exceeds plant capacity", ErrBadContext, ctx.DemandKW)
-	}
-	best := -1
-	bestPower := math.Inf(1)
-	for i, c := range cands {
-		power := s.estimatedPower(chs, c, ctx, est)
-		if power < bestPower {
-			bestPower = power
-			best = i
-		}
-	}
+	best, bestPower := s.choose(chs, cands, ctx, est)
 	chosen := cands[best]
 	d := &Decision{PLR: chosen.plr, EstimatedPowerKW: bestPower}
 	for i := range chs {
@@ -116,6 +104,21 @@ func (s *Sequencer) Decide(tr *Trace, ctx DecisionContext, est COPEstimator) (*D
 		}
 	}
 	return d, nil
+}
+
+// choose returns the staging with the lowest estimated input power (the
+// first of equals) and that power. It asks est about every chiller of every
+// staging; only the estimator decides what to cache.
+func (s *Sequencer) choose(chs []Chiller, cands []candidate, ctx DecisionContext, est COPEstimator) (int, float64) {
+	best := -1
+	bestPower := math.Inf(1)
+	for i, c := range cands {
+		if power := s.estimatedPower(chs, c, ctx, est); power < bestPower {
+			bestPower = power
+			best = i
+		}
+	}
+	return best, bestPower
 }
 
 // estimatedPower scores a staging with the estimator's band-granular COPs
@@ -152,22 +155,88 @@ func truePower(tr *Trace, chs []Chiller, c candidate, ctx DecisionContext) float
 	return power
 }
 
-// contextChillers validates a context and resolves its building's plant.
-func (s *Sequencer) contextChillers(tr *Trace, ctx DecisionContext) ([]Chiller, error) {
+// stagings validates a context and lists its building's chillers and
+// feasible stagings.
+func (s *Sequencer) stagings(tr *Trace, ctx DecisionContext) ([]Chiller, []candidate, error) {
 	if tr == nil || len(tr.Records) == 0 {
-		return nil, ErrNoRecords
+		return nil, nil, ErrNoRecords
 	}
 	if ctx.Building == nil {
-		return nil, fmt.Errorf("%w: nil building", ErrBadContext)
+		return nil, nil, fmt.Errorf("%w: nil building", ErrBadContext)
 	}
 	if ctx.DemandKW <= 0 {
-		return nil, fmt.Errorf("%w: demand %.2f kW", ErrBadContext, ctx.DemandKW)
+		return nil, nil, fmt.Errorf("%w: demand %.2f kW", ErrBadContext, ctx.DemandKW)
 	}
 	chs := tr.ChillersOf(ctx.Building.ID)
 	if len(chs) == 0 {
-		return nil, fmt.Errorf("%w: building %d has no chillers", ErrBadContext, ctx.Building.ID)
+		return nil, nil, fmt.Errorf("%w: building %d has no chillers", ErrBadContext, ctx.Building.ID)
 	}
-	return chs, nil
+	cands := s.candidates(chs, ctx.DemandKW)
+	if len(cands) == 0 {
+		return nil, nil, fmt.Errorf("%w: demand %.0f kW exceeds plant capacity", ErrBadContext, ctx.DemandKW)
+	}
+	return chs, cands, nil
+}
+
+// PreparedDecision is one decision context with everything no estimator
+// changes worked out once: the building's chillers, its feasible stagings,
+// each staging's true input power, the physics optimum and the
+// all-chillers-on baseline. Scoring it under an estimator then costs only
+// the sequencer's argmin over estimated power, so one context can be scored
+// under many estimators — Definition 1's leave-one-out views — without
+// re-running the physics. It is read-only once prepared.
+type PreparedDecision struct {
+	seq   *Sequencer
+	ctx   DecisionContext
+	chs   []Chiller
+	cands []candidate
+	// truePower[i] is cands[i]'s input power under the hidden physics.
+	truePower []float64
+	optKW     float64
+	allOnKW   float64
+}
+
+// Prepare validates a decision context and prepares it for scoring.
+func (s *Sequencer) Prepare(tr *Trace, ctx DecisionContext) (*PreparedDecision, error) {
+	chs, cands, err := s.stagings(tr, ctx)
+	if err != nil {
+		return nil, err
+	}
+	p := &PreparedDecision{
+		seq: s, ctx: ctx, chs: chs, cands: cands,
+		truePower: make([]float64, len(cands)),
+		optKW:     math.Inf(1),
+	}
+	for i, c := range cands {
+		p.truePower[i] = truePower(tr, chs, c, ctx)
+		if p.truePower[i] < p.optKW {
+			p.optKW = p.truePower[i]
+		}
+	}
+	var capSum float64
+	for i := range chs {
+		capSum += chs[i].Model.CapacityKW()
+	}
+	p.allOnKW = truePower(tr, chs, candidate{mask: 1<<len(chs) - 1, capSum: capSum, plr: ctx.DemandKW / capSum}, ctx)
+	return p, nil
+}
+
+// Chillers lists the decision's machines in plant order. The slice is the
+// decision's own; callers must not modify it.
+func (p *PreparedDecision) Chillers() []Chiller { return p.chs }
+
+// Performance is the decision's H under est (see DecisionPerformance).
+func (p *PreparedDecision) Performance(est COPEstimator) float64 {
+	chosen, opt, _ := p.evaluate(est)
+	return opt / chosen
+}
+
+// evaluate runs the decision under est and returns the true powers of the
+// chosen staging, the physics-optimal staging, and the all-chillers-on
+// baseline.
+func (p *PreparedDecision) evaluate(est COPEstimator) (chosenKW, optKW, allOnKW float64) {
+	best, _ := p.seq.choose(p.chs, p.cands, p.ctx, est)
+	return p.truePower[best], p.optKW, p.allOnKW
 }
 
 // DecisionPerformance is the decision function's H for one context: the
@@ -175,21 +244,22 @@ func (s *Sequencer) contextChillers(tr *Trace, ctx DecisionContext) ([]Chiller, 
 // power of the staging the sequencer chose from the estimates. H ∈ (0, 1];
 // H = 1 means the estimates led to the genuinely best decision.
 func DecisionPerformance(tr *Trace, seq *Sequencer, ctx DecisionContext, est COPEstimator) (float64, error) {
-	chosen, opt, _, err := evaluate(tr, seq, ctx, est)
+	p, err := seq.Prepare(tr, ctx)
 	if err != nil {
 		return 0, err
 	}
-	return opt / chosen, nil
+	return p.Performance(est), nil
 }
 
 // SavingPerformance scores a decision on the Fig. 3 energy-saving scale:
 // the share of the achievable saving (running all chillers vs the optimal
 // staging) that the chosen staging realizes, clamped to [0, 1].
 func SavingPerformance(tr *Trace, seq *Sequencer, ctx DecisionContext, est COPEstimator) (float64, error) {
-	chosen, opt, all, err := evaluate(tr, seq, ctx, est)
+	p, err := seq.Prepare(tr, ctx)
 	if err != nil {
 		return 0, err
 	}
+	chosen, opt, all := p.evaluate(est)
 	achievable := all - opt
 	if achievable < 1e-9 {
 		return 1, nil
@@ -201,37 +271,4 @@ func SavingPerformance(tr *Trace, seq *Sequencer, ctx DecisionContext, est COPEs
 		sv = 1
 	}
 	return sv, nil
-}
-
-// evaluate runs one decision and returns the true powers of the chosen
-// staging, the physics-optimal staging, and the all-chillers-on baseline.
-func evaluate(tr *Trace, seq *Sequencer, ctx DecisionContext, est COPEstimator) (chosenKW, optKW, allOnKW float64, err error) {
-	chs, err := seq.contextChillers(tr, ctx)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cands := seq.candidates(chs, ctx.DemandKW)
-	if len(cands) == 0 {
-		return 0, 0, 0, fmt.Errorf("%w: demand %.0f kW exceeds plant capacity", ErrBadContext, ctx.DemandKW)
-	}
-	best := -1
-	bestEst := math.Inf(1)
-	optKW = math.Inf(1)
-	for i, c := range cands {
-		if p := seq.estimatedPower(chs, c, ctx, est); p < bestEst {
-			bestEst = p
-			best = i
-		}
-		if p := truePower(tr, chs, c, ctx); p < optKW {
-			optKW = p
-		}
-	}
-	chosenKW = truePower(tr, chs, cands[best], ctx)
-
-	var capSum float64
-	for i := range chs {
-		capSum += chs[i].Model.CapacityKW()
-	}
-	allOnKW = truePower(tr, chs, candidate{mask: 1<<len(chs) - 1, capSum: capSum, plr: ctx.DemandKW / capSum}, ctx)
-	return chosenKW, optKW, allOnKW, nil
 }

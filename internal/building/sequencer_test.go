@@ -217,3 +217,81 @@ func TestPerformanceErrorPropagation(t *testing.T) {
 		t.Fatalf("overload err = %v", err)
 	}
 }
+
+// referenceEvaluate is the decision evaluation written out directly: every
+// staging's estimated and true power computed in one sweep, the chosen
+// staging's true power and the all-on baseline computed again.
+func referenceEvaluate(tr *Trace, seq *Sequencer, ctx DecisionContext, est COPEstimator) (chosenKW, optKW, allOnKW float64) {
+	chs := tr.ChillersOf(ctx.Building.ID)
+	cands := seq.candidates(chs, ctx.DemandKW)
+	best := -1
+	bestEst := math.Inf(1)
+	optKW = math.Inf(1)
+	for i, c := range cands {
+		if p := seq.estimatedPower(chs, c, ctx, est); p < bestEst {
+			bestEst = p
+			best = i
+		}
+		if p := truePower(tr, chs, c, ctx); p < optKW {
+			optKW = p
+		}
+	}
+	chosenKW = truePower(tr, chs, cands[best], ctx)
+	var capSum float64
+	for i := range chs {
+		capSum += chs[i].Model.CapacityKW()
+	}
+	allOnKW = truePower(tr, chs, candidate{mask: 1<<len(chs) - 1, capSum: capSum, plr: ctx.DemandKW / capSum}, ctx)
+	return chosenKW, optKW, allOnKW
+}
+
+// countingEstimator answers with the truth on a skewed band and counts its
+// queries, so a test can see that scoring asks it about every staging.
+type countingEstimator struct {
+	truth truthEstimator
+	calls int
+}
+
+func (c *countingEstimator) Estimate(chillerID int, band LoadBand, outdoorC float64) (float64, bool) {
+	c.calls++
+	if chillerID%3 == 0 {
+		return 0, false
+	}
+	return c.truth.Estimate(chillerID, (band+1)%3, outdoorC)
+}
+
+// TestPreparedDecisionMatchesReference: one prepared decision scored under
+// several estimators gives bit for bit the powers the direct evaluation
+// gives, and an estimator is asked exactly what the direct evaluation asks.
+func TestPreparedDecisionMatchesReference(t *testing.T) {
+	tr := testTrace(t)
+	seq := NewSequencer()
+	for _, demand := range []float64{30, 300, 900, 1600, 2600, 4000} {
+		for _, b := range tr.Buildings {
+			ctx := testContext(tr, demand)
+			ctx.Building = tr.BuildingByID(b.ID)
+			p, err := seq.Prepare(tr, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, est := range map[string]func() COPEstimator{
+				"truth":    func() COPEstimator { return truthEstimator{tr, ctx.Time} },
+				"abstain":  func() COPEstimator { return abstainEstimator{} },
+				"counting": func() COPEstimator { return &countingEstimator{truth: truthEstimator{tr, ctx.Time}} },
+			} {
+				prepared, direct := est(), est()
+				c, o, a := p.evaluate(prepared)
+				rc, ro, ra := referenceEvaluate(tr, seq, ctx, direct)
+				if math.Float64bits(c) != math.Float64bits(rc) || math.Float64bits(o) != math.Float64bits(ro) ||
+					math.Float64bits(a) != math.Float64bits(ra) {
+					t.Fatalf("%s, building %d, %v kW: prepared (%v, %v, %v), direct (%v, %v, %v)",
+						name, b.ID, demand, c, o, a, rc, ro, ra)
+				}
+				if pc, ok := prepared.(*countingEstimator); ok && pc.calls != direct.(*countingEstimator).calls {
+					t.Fatalf("building %d, %v kW: prepared asked %d times, direct %d",
+						b.ID, demand, pc.calls, direct.(*countingEstimator).calls)
+				}
+			}
+		}
+	}
+}

@@ -239,10 +239,17 @@ func (c *CRL) WarmStarted() *WarmStart { return c.warmStart }
 // DefineEnvironment answers the environment-definition query for sensing
 // data Z per the configured kNN policy.
 func (c *CRL) DefineEnvironment(z []float64) (*Environment, error) {
-	if c.cfg.Blend && c.cfg.K > 1 {
-		return c.store.DefineBlended(z, c.cfg.K)
+	return c.cfg.DefineEnvironment(c.store, z)
+}
+
+// DefineEnvironment answers the environment-definition query over store per
+// cfg's kNN policy (K, Blend) — what a CRL built with cfg over store
+// defines, without building or training the model.
+func (cfg CRLConfig) DefineEnvironment(store *EnvironmentStore, z []float64) (*Environment, error) {
+	if cfg.Blend && cfg.K > 1 {
+		return store.DefineBlended(z, cfg.K)
 	}
-	return c.store.Define(z)
+	return store.Define(z)
 }
 
 // DefineEnvironmentInto is DefineEnvironment writing into a caller-owned

@@ -77,7 +77,11 @@ func TestScenarioShape(t *testing.T) {
 	if s.Store.Len() != 20 {
 		t.Fatalf("store = %d", s.Store.Len())
 	}
-	if !s.CRL.Trained() || !s.Local.Fitted() {
+	crl, err := s.CRL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !crl.Trained() || !s.Local.Fitted() {
 		t.Fatal("models not trained")
 	}
 	if len(s.Template.Processors) != 5 {
@@ -332,7 +336,15 @@ func TestWithWorkersReuse(t *testing.T) {
 	if re.Trace != s.Trace || re.Engine != s.Engine {
 		t.Fatal("world state should be shared")
 	}
-	if re.CRL == s.CRL || re.Store == s.Store {
+	crl, err := s.CRL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reCRL, err := re.CRL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reCRL == crl || re.Store == s.Store {
 		t.Fatal("deployment state should be rebuilt")
 	}
 }

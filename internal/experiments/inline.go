@@ -59,8 +59,9 @@ func EnvMismatchPenalties(s *Scenario) (*EnvMismatchResult, error) {
 			return nil, fmt.Errorf("stale env: %w", err)
 		}
 		out.StaleObjective += st
-		// Defined environment: CRL's own kNN answer.
-		defined, err := s.CRL.DefineEnvironment(ep.Signature)
+		// Defined environment: CRL's own kNN answer, which reads only the
+		// store.
+		defined, err := s.crlConfig().DefineEnvironment(s.Store, ep.Signature)
 		if err != nil {
 			return nil, fmt.Errorf("define env: %w", err)
 		}
@@ -116,7 +117,7 @@ func OfflineVsOnlineModes(s *Scenario, clusters int) (*ModeComparisonResult, err
 	for _, ep := range s.Eval {
 		prob := s.problemWithImportance(ep.Importance)
 		out.AccurateObjective += top(prob, ep.Importance)
-		online, err := s.CRL.DefineEnvironment(ep.Signature)
+		online, err := s.crlConfig().DefineEnvironment(s.Store, ep.Signature)
 		if err != nil {
 			return nil, fmt.Errorf("online define: %w", err)
 		}

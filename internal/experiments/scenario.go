@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/alloc"
@@ -80,8 +81,11 @@ func DefaultScenarioConfig(seed int64) ScenarioConfig {
 	}
 }
 
-// Scenario is the fully constructed experimental world shared by the
-// figure harnesses.
+// Scenario is the experimental world shared by the figure harnesses: the
+// trace, the MTL engine and the epochs' true importance, the environment
+// store, the local process and the testbed, all built by NewScenario. The
+// offline CRL (the general process of Algorithm 1) is not built with it: the
+// CRL method trains it on first read, which only the in-sim allocators do.
 type Scenario struct {
 	Config    ScenarioConfig
 	Trace     *building.Trace
@@ -95,13 +99,23 @@ type Scenario struct {
 	Eval    []Epoch
 	// InputBits is the per-task input size in bits.
 	InputBits []float64
-	// CRL is the trained general process; Local the trained local process.
-	CRL   *core.CRL
+	// Local is the trained local process.
 	Local *alloc.LocalModel
 	// Cluster is the default testbed.
 	Cluster *edgesim.Cluster
 	// Template is the TATIM problem structure for the default cluster.
 	Template *core.Problem
+
+	// crl holds the offline CRL once the CRL method has trained it. It is a
+	// pointer so that WithWorkers' shallow copy can give its clone its own.
+	crl *lazyCRL
+}
+
+// lazyCRL is a CRL trained on first read, once.
+type lazyCRL struct {
+	once sync.Once
+	crl  *core.CRL
+	err  error
 }
 
 // Epoch is one decision context with ground truth attached.
@@ -113,7 +127,8 @@ type Epoch struct {
 }
 
 // NewScenario builds the world: trace → engine → epochs (importance) →
-// store → CRL + local model. It is deterministic in cfg.Seed.
+// store → local model. It is deterministic in cfg.Seed. It does not train
+// the offline CRL; the CRL method does, on first read.
 func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if cfg.Years < 1 || cfg.Tasks < 1 || cfg.Workers < 1 {
 		return nil, fmt.Errorf("years/tasks/workers: %w", ErrBadScenario)
@@ -139,7 +154,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if cfg.CRLEpisodes < 1 {
 		cfg.CRLEpisodes = 60
 	}
-	s := &Scenario{Config: cfg, Sequencer: building.NewSequencer()}
+	s := &Scenario{Config: cfg, Sequencer: building.NewSequencer(), crl: &lazyCRL{}}
 	var err error
 	s.Trace, err = building.Generate(building.Config{
 		Seed: cfg.Seed, StartYear: 2015, Years: cfg.Years, StepHours: cfg.StepHours,
@@ -169,9 +184,6 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		return nil, err
 	}
 	if err := s.buildStore(); err != nil {
-		return nil, err
-	}
-	if err := s.trainCRL(); err != nil {
 		return nil, err
 	}
 	if err := s.trainLocal(); err != nil {
@@ -326,7 +338,20 @@ func noisySignature(rng *rand.Rand, sig []float64, rel float64) []float64 {
 	return out
 }
 
-func (s *Scenario) trainCRL() error {
+// CRL returns the scenario's offline general process: a CRL trained over
+// Store with the scenario's CRL configuration (crlConfig) and Template. The
+// first call trains it — over the store as it stands at that call, which in
+// every program here is the store NewScenario or WithWorkers built — and
+// every later call returns that one model and error. Concurrent first
+// callers wait for the single training.
+func (s *Scenario) CRL() (*core.CRL, error) {
+	s.crl.once.Do(func() { s.crl.crl, s.crl.err = s.trainCRL() })
+	return s.crl.crl, s.crl.err
+}
+
+// crlConfig is the offline CRL's configuration: the experiments' kNN
+// definition (core.DefaultCRLConfig) with an agent sized to the scenario.
+func (s *Scenario) crlConfig() core.CRLConfig {
 	cfg := core.DefaultCRLConfig()
 	cfg.Episodes = s.Config.CRLEpisodes
 	cfg.Seed = s.Config.Seed + 101
@@ -341,15 +366,18 @@ func (s *Scenario) trainCRL() error {
 		},
 		Seed: s.Config.Seed + 202,
 	}
-	crl, err := core.NewCRL(s.Template.Clone(), s.Store, cfg)
+	return cfg
+}
+
+func (s *Scenario) trainCRL() (*core.CRL, error) {
+	crl, err := core.NewCRL(s.Template.Clone(), s.Store, s.crlConfig())
 	if err != nil {
-		return fmt.Errorf("crl: %w", err)
+		return nil, fmt.Errorf("crl: %w", err)
 	}
 	if _, err := crl.Train(); err != nil {
-		return fmt.Errorf("crl train: %w", err)
+		return nil, fmt.Errorf("crl train: %w", err)
 	}
-	s.CRL = crl
-	return nil
+	return crl, nil
 }
 
 // trainLocal builds the local process from historical optimal decisions.
@@ -401,8 +429,9 @@ func (s *Scenario) problemWithImportance(imp []float64) *core.Problem {
 // WithWorkers re-deploys the scenario on a cluster of a different size,
 // reusing the expensive world state (trace, engine, epochs) and rebuilding
 // everything that depends on the processor count: the cluster, the TATIM
-// template, the environment store's capacities, the CRL policy (whose MDP
-// dimensions include M) and the local model's Past Success counters.
+// template, the environment store's capacities and the local model's Past
+// Success counters. The clone's CRL (whose MDP dimensions include M) is its
+// own, trained over the clone's store on its first read.
 func (s *Scenario) WithWorkers(workers int) (*Scenario, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("workers %d: %w", workers, ErrBadScenario)
@@ -412,6 +441,7 @@ func (s *Scenario) WithWorkers(workers int) (*Scenario, error) {
 	}
 	clone := *s
 	clone.Config.Workers = workers
+	clone.crl = &lazyCRL{}
 	var err error
 	clone.Extractor, err = features.NewExtractor(clone.Trace, clone.Engine)
 	if err != nil {
@@ -423,9 +453,6 @@ func (s *Scenario) WithWorkers(workers int) (*Scenario, error) {
 	if err := clone.buildStore(); err != nil {
 		return nil, fmt.Errorf("re-deploy store: %w", err)
 	}
-	if err := clone.trainCRL(); err != nil {
-		return nil, fmt.Errorf("re-deploy crl: %w", err)
-	}
 	if err := clone.trainLocal(); err != nil {
 		return nil, fmt.Errorf("re-deploy local: %w", err)
 	}
@@ -434,11 +461,15 @@ func (s *Scenario) WithWorkers(workers int) (*Scenario, error) {
 
 // Allocators builds the four §V strategies against this scenario.
 func (s *Scenario) Allocators() (map[string]alloc.Allocator, error) {
-	crlAlloc, err := alloc.NewCRLAllocator(s.CRL)
+	crl, err := s.CRL()
 	if err != nil {
 		return nil, err
 	}
-	dcta, err := alloc.NewDCTA(s.CRL, s.Local)
+	crlAlloc, err := alloc.NewCRLAllocator(crl)
+	if err != nil {
+		return nil, err
+	}
+	dcta, err := alloc.NewDCTA(crl, s.Local)
 	if err != nil {
 		return nil, err
 	}

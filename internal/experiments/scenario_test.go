@@ -1,0 +1,207 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/alloc"
+	"repro/internal/core"
+	"repro/internal/rl"
+	"repro/internal/serve"
+)
+
+// smallWorld is the benchmark's small world, written out as the benchmark
+// writes it.
+func smallWorld() ScenarioConfig {
+	cfg := DefaultScenarioConfig(1)
+	cfg.Years, cfg.Tasks, cfg.Workers = 1, 24, 5
+	cfg.HistoryContexts, cfg.EvalContexts, cfg.CRLEpisodes = 40, 16, 10
+	return cfg
+}
+
+// TestLazyCRLTrainsOnceAndAsEagerly: concurrent first readers of a fresh
+// scenario's CRL all get one trained model, and its snapshot is byte for
+// byte that of a CRL trained here, eagerly, from the configuration the
+// scenario has always trained with, over the scenario's store.
+func TestLazyCRLTrainsOnceAndAsEagerly(t *testing.T) {
+	s, err := NewScenario(fastConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([]*core.CRL, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			crl, err := s.CRL()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = crl
+		}(i)
+	}
+	wg.Wait()
+	for i, crl := range got {
+		if crl == nil || crl != got[0] {
+			t.Fatalf("reader %d got %p, reader 0 got %p: not one training", i, crl, got[0])
+		}
+	}
+	if !got[0].Trained() {
+		t.Fatal("CRL returned untrained")
+	}
+
+	cfg := core.DefaultCRLConfig()
+	cfg.Episodes = s.Config.CRLEpisodes
+	cfg.Seed = s.Config.Seed + 101
+	cfg.DQN = rl.DQNConfig{
+		Hidden:          []int{48},
+		BatchSize:       8,
+		WarmupSteps:     64,
+		TargetSyncEvery: 250,
+		Epsilon: rl.EpsilonSchedule{
+			Start: 1, End: 0.05,
+			DecaySteps: s.Config.CRLEpisodes * (len(s.Template.Tasks) + s.Config.Workers) / 2,
+		},
+		Seed: s.Config.Seed + 202,
+	}
+	eager, err := core.NewCRL(s.Template.Clone(), s.Store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eager.Train(); err != nil {
+		t.Fatal(err)
+	}
+	lazyBytes, err := got[0].MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eagerBytes, err := eager.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lazyBytes, eagerBytes) {
+		t.Fatal("lazily trained CRL differs from the eagerly trained one")
+	}
+}
+
+// TestServingNeverTrainsScenarioCRL: a server booted the way dcta-server and
+// the benchmark boot it — template, store and local model of a freshly built
+// scenario — answers DCTA, CRL and feedback requests without the scenario's
+// offline CRL ever being trained.
+func TestServingNeverTrainsScenarioCRL(t *testing.T) {
+	s, err := NewScenario(smallWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := serve.DefaultConfig()
+	cfg.CRL.Episodes = s.Config.CRLEpisodes
+	cfg.Seed = 1
+	cfg.Logf = func(string, ...any) {}
+	srv, err := serve.NewServer(s.Template, s.Store, s.Local, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, ep := range s.Eval[:4] {
+		feats, err := s.Extractor.Vectors(ep.FeatureCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, allocator := range []string{"dcta", "crl"} {
+			resp, err := srv.Allocate(ctx, serve.AllocateRequest{Signature: ep.Signature, Features: feats, Allocator: allocator})
+			if err != nil {
+				t.Fatalf("epoch %d %s: %v", i, allocator, err)
+			}
+			if resp.Mode != serve.ModeNormal {
+				t.Fatalf("epoch %d %s: mode %q", i, allocator, resp.Mode)
+			}
+			if _, err := srv.Feedback(ctx, serve.FeedbackRequest{
+				Signature: ep.Signature, Features: feats, Allocation: resp.Allocation,
+				Importance: ep.Importance, AddToStore: true,
+			}); err != nil {
+				t.Fatalf("epoch %d feedback: %v", i, err)
+			}
+		}
+	}
+	if st := srv.Stats(); st.Cache.Trainings == 0 || st.DCTABypass == 0 || st.Feedbacks == 0 {
+		t.Fatalf("stats %+v: a DCTA answer, a serving training and a feedback must each have happened", st)
+	}
+	if s.crl.crl != nil {
+		t.Fatal("serving trained the scenario's offline CRL")
+	}
+}
+
+// TestDCTAAnswersWithoutTrainedCRL: with F₁ taken from the defined
+// environment, DCTA reads only the CRL's store, so over an untrained CRL it
+// answers every evaluation epoch of the small world bit for bit like over the
+// trained one; with GeneralFromQ it still refuses until the CRL is trained.
+func TestDCTAAnswersWithoutTrainedCRL(t *testing.T) {
+	s, err := NewScenario(smallWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	untrained, err := core.NewCRL(s.Template.Clone(), s.Store, s.crlConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := s.CRL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := alloc.NewDCTA(untrained, s.Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := alloc.NewDCTA(trained, s.Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, ep := range s.Eval {
+		req, err := s.RequestFor(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cold.Allocate(req)
+		if err != nil {
+			t.Fatalf("epoch %d: untrained CRL: %v", i, err)
+		}
+		want, err := warm.Allocate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want.Allocation {
+			if got.Allocation[j] != want.Allocation[j] {
+				t.Fatalf("epoch %d task %d: processor %d, trained CRL gives %d", i, j, got.Allocation[j], want.Allocation[j])
+			}
+		}
+		if !same(got.Priority, want.Priority) ||
+			!same([]float64{got.DecisionOps, got.PredictedImportance}, []float64{want.DecisionOps, want.PredictedImportance}) {
+			t.Fatalf("epoch %d: answer differs from the trained CRL's", i)
+		}
+	}
+	cold.GeneralFromQ = true
+	req, err := s.RequestFor(s.Eval[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Allocate(req); !errors.Is(err, alloc.ErrNotReady) {
+		t.Fatalf("GeneralFromQ over an untrained CRL: err = %v, want ErrNotReady", err)
+	}
+}

@@ -37,6 +37,13 @@ import (
 // layer runs the row-support kernels over each row's ~45 nonzeros (32×45×64 ≈
 // 92k), and even a dense 32×900×64 product (≈ 1.8M) would stay serial; bulk
 // evaluation batches go parallel.
+//
+// Splitting the learn step does not pay on a 2-CPU host. At 1 << 15 its
+// kernels fork over 2 goroutines, still bitwise, but waking a parked CPU
+// costs tens of µs per fork, and the step is ~140 µs of kernel work with
+// serial gaps between forks: BenchmarkTrainBatch read 420–477 → 446–536 µs
+// with 84 allocations per step instead of 0, BenchmarkCRLTrain/paper_scratch
+// 119–130 → 118–182 ms (three alternating runs each; DESIGN.md §6).
 const parallelThreshold = 1 << 21
 
 // gemmWorkers returns the worker count for a kernel of the given flop count

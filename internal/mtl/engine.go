@@ -332,6 +332,46 @@ func (e *Engine) EstimatorExcluding(taskID int) building.COPEstimator {
 
 var _ building.COPEstimator = excludingEstimator{}
 
+// estimateTable is the engine's estimates for one building under one outdoor
+// temperature, asked once per (chiller, band): entry tableSlot(chiller, band)
+// holds Estimate's COP, 0 where the engine abstains — which the sequencer
+// treats exactly as ok=false (prior fallback). It ignores the outdoor
+// temperature it is queried with, so it answers only for the decision it was
+// filled for.
+type estimateTable struct {
+	cop []float64
+}
+
+// numBands is the number of load bands, building.BandLow…BandHigh.
+const numBands = int(building.BandHigh) + 1
+
+func tableSlot(chillerID int, band building.LoadBand) int {
+	return chillerID*numBands + int(band)
+}
+
+// tabulate fills an estimateTable for chs at outdoorC.
+func (e *Engine) tabulate(chs []building.Chiller, outdoorC float64) estimateTable {
+	maxID := 0
+	for _, ch := range chs {
+		maxID = max(maxID, ch.ID)
+	}
+	t := estimateTable{cop: make([]float64, (maxID+1)*numBands)}
+	for _, ch := range chs {
+		for b := building.BandLow; b <= building.BandHigh; b++ {
+			if cop, ok := e.Estimate(ch.ID, b, outdoorC); ok {
+				t.cop[tableSlot(ch.ID, b)] = cop
+			}
+		}
+	}
+	return t
+}
+
+// Estimate implements building.COPEstimator from the table.
+func (t *estimateTable) Estimate(chillerID int, band building.LoadBand, _ float64) (float64, bool) {
+	cop := t.cop[tableSlot(chillerID, band)]
+	return cop, cop != 0
+}
+
 func bandMidpoint(b building.LoadBand) float64 {
 	switch b {
 	case building.BandLow:

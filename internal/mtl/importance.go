@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/building"
-	"repro/internal/conc"
 	"repro/internal/mathx"
 	"repro/internal/mlearn"
 )
@@ -119,31 +118,66 @@ func (e *Engine) Importance(seq *building.Sequencer, pc PlantContext, taskID int
 	return imp, nil
 }
 
-// ImportanceVector computes Definition 1 for every task under one context.
-// H(J;θ) is evaluated once and reused across the leave-one-out passes, which
-// run in parallel: each pass uses a read-only leave-one-out estimator view,
-// so no shared state is mutated.
+// ImportanceVector computes Definition 1 for every task under one context,
+// bitwise what Importance computes task by task. Three things make that
+// cheap without changing a bit:
+//
+//   - each building's decision is prepared once (building.Sequencer.Prepare):
+//     its stagings' true power and the physics optimum do not depend on the
+//     estimator;
+//   - the engine is asked once per (chiller, band) of each building: a
+//     building has one outdoor temperature per context, so Estimate answers
+//     a pair the same way for every staging and every leave-one-out view;
+//   - leaving task j out changes only the decision of the building that owns
+//     j's chiller, so only that building is re-scored, with j's pair
+//     abstaining, and every other building reuses its full-engine H.
+//
+// H(J;θ) and every H(J∖{j}) are summed over the buildings in overallWith's
+// order and tie-breaking stays the sequencer's, so the entries equal the
+// full-pass-per-task reference exactly.
 func (e *Engine) ImportanceVector(seq *building.Sequencer, pc PlantContext) ([]float64, error) {
-	full, err := e.OverallPerformance(seq, pc)
-	if err != nil {
-		return nil, err
+	if len(e.models) == 0 {
+		return nil, ErrNotTrained
 	}
-	out := make([]float64, len(e.tasks))
-	err = conc.ForEach(len(e.tasks), 0, func(i int) error {
-		t := e.tasks[i]
-		without, err := e.overallWith(e.EstimatorExcluding(t.ID), seq, pc)
+	if len(pc.Contexts) == 0 {
+		return nil, fmt.Errorf("mtl: empty plant context")
+	}
+	n := len(pc.Contexts)
+	preps := make([]*building.PreparedDecision, n)
+	tables := make([]estimateTable, n)
+	hs := make([]float64, n)
+	var sum float64
+	for k, ctx := range pc.Contexts {
+		p, err := seq.Prepare(e.trace, ctx)
 		if err != nil {
-			return fmt.Errorf("task %d: %w", t.ID, err)
+			return nil, fmt.Errorf("building %d: %w", ctx.Building.ID, err)
 		}
-		imp := full - without
+		preps[k] = p
+		tables[k] = e.tabulate(p.Chillers(), ctx.OutdoorC)
+		hs[k] = p.Performance(&tables[k])
+		sum += hs[k]
+	}
+	full := sum / float64(n)
+	out := make([]float64, len(e.tasks))
+	for _, t := range e.tasks {
+		owner := e.trace.ChillerByID(t.ChillerID).Building
+		var without float64
+		for k, ctx := range pc.Contexts {
+			h := hs[k]
+			if ctx.Building.ID == owner {
+				pair := &tables[k].cop[tableSlot(t.ChillerID, t.Band)]
+				kept := *pair
+				*pair = 0 // task j abstains
+				h = preps[k].Performance(&tables[k])
+				*pair = kept
+			}
+			without += h
+		}
+		imp := full - without/float64(n)
 		if imp < 0 {
 			imp = 0
 		}
 		out[t.ID] = imp
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -533,7 +533,7 @@ type TrainResult struct {
 // online. maxSteps bounds each episode's length (0 means StateSize²+1, a
 // safe upper bound for the allocation MDP).
 func (d *DQN) Train(env Environment, episodes, maxSteps int) (*TrainResult, error) {
-	if err := validateEnv(env); err != nil {
+	if err := validateEnv(env.StateSize(), env.ActionSize()); err != nil {
 		return nil, err
 	}
 	inPlace, ok := env.(InPlaceEnvironment)
@@ -563,7 +563,7 @@ func (d *DQN) Train(env Environment, episodes, maxSteps int) (*TrainResult, erro
 // is handed one copy of each state the episode visits — the next state of
 // step t is the state of step t+1 — and one of its valid actions.
 func (d *DQN) TrainEpisode(env InPlaceEnvironment, maxSteps int) (steps int, total float64, err error) {
-	if err := validateEnv(env); err != nil {
+	if err := validateEnv(env.StateSize(), env.ActionSize()); err != nil {
 		return 0, 0, err
 	}
 	size := d.online.InputSize()
@@ -610,7 +610,7 @@ func (d *DQN) TrainEpisode(env InPlaceEnvironment, maxSteps int) (steps int, tot
 // RunGreedy executes one fully greedy episode (prediction phase of Alg. 1)
 // and returns the actions taken and the total reward.
 func (d *DQN) RunGreedy(env Environment, maxSteps int) ([]int, float64, error) {
-	if err := validateEnv(env); err != nil {
+	if err := validateEnv(env.StateSize(), env.ActionSize()); err != nil {
 		return nil, 0, err
 	}
 	if maxSteps <= 0 {

@@ -396,16 +396,17 @@ func ArgmaxOver(q []float64, idx []int) (int, error) {
 	return best, nil
 }
 
-// validateEnv sanity-checks an environment's static contract.
-func validateEnv(env interface {
-	StateSize() int
-	ActionSize() int
-}) error {
-	if env.StateSize() < 1 {
-		return fmt.Errorf("rl: state size %d", env.StateSize())
+// validateEnv sanity-checks an environment's static contract from its
+// sizes. It takes the sizes, not the environment: converting a caller's
+// Environment or InPlaceEnvironment to a narrower interface goes through the
+// runtime's type-assertion cache, which allocates a new cache at a random
+// call — a stray allocation in the middle of allocation-free training.
+func validateEnv(stateSize, actionSize int) error {
+	if stateSize < 1 {
+		return fmt.Errorf("rl: state size %d", stateSize)
 	}
-	if env.ActionSize() < 1 {
-		return fmt.Errorf("rl: action size %d", env.ActionSize())
+	if actionSize < 1 {
+		return fmt.Errorf("rl: action size %d", actionSize)
 	}
 	return nil
 }

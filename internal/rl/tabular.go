@@ -93,7 +93,7 @@ func (t *TabularQ) Observe(tr Transition) error {
 
 // Train runs episodes on env with online updates, mirroring DQN.Train.
 func (t *TabularQ) Train(env Environment, episodes, maxSteps int) (*TrainResult, error) {
-	if err := validateEnv(env); err != nil {
+	if err := validateEnv(env.StateSize(), env.ActionSize()); err != nil {
 		return nil, err
 	}
 	if maxSteps <= 0 {

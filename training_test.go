@@ -33,15 +33,20 @@ var (
 	smallErr  error
 )
 
-// smallScenario is the benchmark's small world (24 tasks × 5 processors, 40
-// stored clusters), built once per test binary.
+// smallConfig is the benchmark's small world: 24 tasks × 5 processors, 40
+// stored clusters.
+func smallConfig() dcta.ScenarioConfig {
+	cfg := dcta.DefaultScenarioConfig(1)
+	cfg.Years, cfg.Tasks, cfg.Workers = 1, 24, 5
+	cfg.HistoryContexts, cfg.EvalContexts, cfg.CRLEpisodes = 40, 16, 10
+	return cfg
+}
+
+// smallScenario is the small world, built once per test binary.
 func smallScenario(tb testing.TB) *dcta.Scenario {
 	tb.Helper()
 	smallOnce.Do(func() {
-		cfg := dcta.DefaultScenarioConfig(1)
-		cfg.Years, cfg.Tasks, cfg.Workers = 1, 24, 5
-		cfg.HistoryContexts, cfg.EvalContexts, cfg.CRLEpisodes = 40, 16, 10
-		smallScn, smallErr = dcta.NewScenario(cfg)
+		smallScn, smallErr = dcta.NewScenario(smallConfig())
 	})
 	if smallErr != nil {
 		tb.Fatal(smallErr)
