@@ -8,9 +8,13 @@ package dcta_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -447,7 +451,7 @@ func BenchmarkForwardTailB1(b *testing.B) {
 // BenchmarkCRLRollout measures the warm CRL decision — the core.rollout_us
 // line of the latency budget: one greedy rollout per environment at 50 tasks ×
 // 9 processors through a [64,64] policy trained on the paper world, alone (b1)
-// and as the coalescer's batch of four (b4, ns/op covers all four).
+// and as a PredictBatchInto batch of four (b4, ns/op covers all four).
 func BenchmarkCRLRollout(b *testing.B) {
 	s := benchScenario(b)
 	cfg := core.DefaultCRLConfig()
@@ -724,9 +728,9 @@ func benchServeServer(b *testing.B) *serve.Server {
 	return s
 }
 
-// BenchmarkServeWarmAllocate measures one warm (cache-hit, batch-1 fast
-// path) allocate through the exported API — the per-request cost the
-// BENCH_PR*.json warm p50 is built from, minus HTTP/JSON.
+// BenchmarkServeWarmAllocate measures one warm (cache-hit) allocate through
+// the exported API — the per-request cost the BENCH_PR*.json warm p50 is
+// built from, minus HTTP/JSON.
 func BenchmarkServeWarmAllocate(b *testing.B) {
 	s := benchServeServer(b)
 	ctx := context.Background()
@@ -744,28 +748,49 @@ func BenchmarkServeWarmAllocate(b *testing.B) {
 	}
 }
 
-// BenchmarkServeWarmAllocateParallel drives the same warm path from every
-// GOMAXPROCS' worth of goroutines across both clusters, exercising the
-// sharded policy-cache locks and the request coalescer under contention.
+// BenchmarkServeWarmAllocateParallel drives the same warm path from many
+// goroutines across both clusters, every request for a cluster rolling its
+// one resident policy at once: one goroutine per GOMAXPROCS ("procs") and 64
+// clients ("c64", the load ROADMAP item 6 judges the warm path's tail at).
+// Beside ns/op and allocs/op it reports p99_ns, the 99th percentile of one
+// Allocate call's latency.
 func BenchmarkServeWarmAllocateParallel(b *testing.B) {
-	s := benchServeServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		ctx := context.Background()
-		cluster := 0
-		for pb.Next() {
-			req := serve.AllocateRequest{Signature: []float64{float64(cluster)}}
-			cluster ^= 1
-			resp, err := s.Allocate(ctx, req)
-			if err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		clients int // 0: one per GOMAXPROCS
+	}{{"procs", 0}, {"c64", 64}} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := benchServeServer(b)
+			if tc.clients > 0 {
+				procs := runtime.GOMAXPROCS(0)
+				b.SetParallelism((tc.clients + procs - 1) / procs)
 			}
-			if resp.Mode != serve.ModeNormal {
-				b.Fatalf("degraded answer: %+v", resp)
-			}
-		}
-	})
+			lat := make([]int64, b.N)
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				ctx := context.Background()
+				cluster := 0
+				for pb.Next() {
+					req := serve.AllocateRequest{Signature: []float64{float64(cluster)}}
+					cluster ^= 1
+					start := time.Now()
+					resp, err := s.Allocate(ctx, req)
+					lat[next.Add(1)-1] = int64(time.Since(start))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if resp.Mode != serve.ModeNormal {
+						b.Fatalf("degraded answer: %+v", resp)
+					}
+				}
+			})
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[(len(lat)-1)*99/100]), "p99_ns")
+		})
+	}
 }
 
 // BenchmarkSolverScaling times the Theorem-1 solvers across problem sizes.

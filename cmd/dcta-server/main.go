@@ -49,7 +49,6 @@ func main() {
 		capacity     = flag.Int("cache-capacity", 64, "max resident cluster policies (LRU beyond)")
 		ttl          = flag.Duration("policy-ttl", 0, "retrain policies older than this (0 = never)")
 		drift        = flag.Float64("drift-threshold", 0.35, "relative importance drift that invalidates a policy (<0 disables)")
-		replicas     = flag.Int("replicas", 8, "pooled inference replicas per cached policy")
 		refitEvery   = flag.Int("refit-every", 256, "feedback samples between local-model refits")
 		reqTimeout   = flag.Duration("request-timeout", 120*time.Second, "per-request deadline (cold paths train)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -75,7 +74,7 @@ func main() {
 	)
 	flag.Parse()
 	cfg := serveConfig(
-		*neighborhood, *capacity, *ttl, *drift, *replicas, *refitEvery, *seed, *episodes,
+		*neighborhood, *capacity, *ttl, *drift, *refitEvery, *seed, *episodes,
 	)
 	cfg.TrainBudget = *trainBudget
 	cfg.BreakerThreshold = *brkThresh
@@ -249,13 +248,12 @@ func startGossip(ctx context.Context, s *serve.Server, j joinOptions, httpOpts *
 }
 
 func serveConfig(neighborhood, capacity int, ttl time.Duration, drift float64,
-	replicas, refitEvery int, seed int64, episodes int) serve.Config {
+	refitEvery int, seed int64, episodes int) serve.Config {
 	cfg := serve.DefaultConfig()
 	cfg.ClusterNeighborhood = neighborhood
 	cfg.CacheCapacity = capacity
 	cfg.PolicyTTL = ttl
 	cfg.DriftThreshold = drift
-	cfg.Replicas = replicas
 	cfg.RefitEvery = refitEvery
 	cfg.Seed = seed
 	cfg.CRL.Episodes = episodes

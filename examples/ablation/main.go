@@ -1,7 +1,7 @@
 // Ablation: probes the design choices DESIGN.md §5 calls out —
 // (1) cooperative weights w1/w2 of Eq. (6), (2) kNN environment clustering
-// vs stale environments, and (3) terminal-only vs dense reward in the
-// allocation MDP.
+// vs stale environments, (3) offline vs online environment definition and
+// (4) terminal-only vs dense reward in the allocation MDP.
 package main
 
 import (
@@ -77,27 +77,8 @@ func run() error {
 	fmt.Printf("penalties: online %.1f%%, offline %.1f%% (the paper adopts the online mode)\n",
 		modes.OnlinePenaltyPct, modes.OfflinePenaltyPct)
 
-	// Ablation 4: the source of DCTA's general term F1.
-	fmt.Println("\n── ablation 4: F1 from defined importance vs Eq.-5 Q-scores")
-	for _, fromQ := range []bool{false, true} {
-		d, err := dcta.NewDCTA(crl, s.Local)
-		if err != nil {
-			return err
-		}
-		d.GeneralFromQ = fromQ
-		pt, err := meanPT(s, d)
-		if err != nil {
-			return err
-		}
-		src := "defined importance"
-		if fromQ {
-			src = "Q-scores (Eq. 5)"
-		}
-		fmt.Printf("F1 = %-22s mean PT %.2f s\n", src, pt)
-	}
-
-	// Ablation 5: reward shaping in the allocation MDP.
-	fmt.Println("\n── ablation 5: terminal-only vs dense reward (§III-D)")
+	// Ablation 4: reward shaping in the allocation MDP.
+	fmt.Println("\n── ablation 4: terminal-only vs dense reward (§III-D)")
 	for _, dense := range []bool{false, true} {
 		cfg := dcta.DefaultCRLConfig()
 		cfg.Episodes = 60

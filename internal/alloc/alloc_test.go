@@ -421,62 +421,17 @@ func TestDCTAWeights(t *testing.T) {
 		v[1] = math.Sin(float64(j))
 		feats[j] = v
 	}
-	res, err := d.Allocate(Request{Problem: p, Signature: []float64{0.2}, Features: feats})
+	req := Request{Problem: p, Signature: []float64{0.2}, Features: feats}
+	res, err := d.Allocate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckFeasible(res.Allocation); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestDCTAGeneralFromQ(t *testing.T) {
-	p := testProblem(10, 8, 2)
-	crl := crlFixture(t, p)
-	local := NewLocalModel(1)
-	rng := mathx.NewRand(5)
-	var samples []LocalSample
-	for i := 0; i < 80; i++ {
-		v := make([]float64, features.Dim)
-		for k := range v {
-			v[k] = rng.NormFloat64()
-		}
-		label := -1.0
-		if v[0] > 0 {
-			label = 1
-		}
-		samples = append(samples, LocalSample{Features: v, Selected: label})
-	}
-	if err := local.Fit(samples); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDCTA(crl, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats := make([][]float64, len(p.Tasks))
-	for j := range feats {
-		feats[j] = make([]float64, features.Dim)
-	}
-	req := Request{Problem: p, Signature: []float64{0.3}, Features: feats}
-	// The decision is charged kNN, SVM margins and packing, plus one Q
-	// evaluation only on the arm that runs one.
-	for _, fromQ := range []bool{false, true} {
-		d.GeneralFromQ = fromQ
-		res, err := d.Allocate(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CheckFeasible(res.Allocation); err != nil {
-			t.Fatal(err)
-		}
-		_, packOps := packByScore(p, res.Priority, d.CoverageTarget)
-		want := float64(len(req.Signature)+len(p.Tasks)*features.Dim) + packOps
-		if fromQ {
-			want += dqnForwardOps(len(p.Tasks), len(p.Processors))
-		}
-		if res.DecisionOps != want {
-			t.Errorf("GeneralFromQ=%v: DecisionOps %v, want %v", fromQ, res.DecisionOps, want)
-		}
+	// The decision is charged kNN, SVM margins and packing — no Q evaluation.
+	_, packOps := packByScore(p, res.Priority, d.CoverageTarget)
+	if want := float64(len(req.Signature)+len(p.Tasks)*features.Dim) + packOps; res.DecisionOps != want {
+		t.Errorf("DecisionOps %v, want %v", res.DecisionOps, want)
 	}
 }

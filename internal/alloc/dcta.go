@@ -17,9 +17,9 @@ import (
 // mismatches reality, those priorities mis-rank tasks, which is the failure
 // mode DCTA's local process corrects.
 //
-// Concurrency: NOT goroutine-safe. The greedy rollout forwards through the
-// DQN's shared activation scratch, so concurrent Allocate calls must each
-// wrap their own core.CRL.Clone replica (how internal/serve fans out).
+// Concurrency: NOT goroutine-safe. The greedy rollout (core.CRL.Predict)
+// forwards through the DQN's own activation scratch, so concurrent Allocate
+// calls on one model race.
 type CRLAllocator struct {
 	model *core.CRL
 }
@@ -212,27 +212,19 @@ func SamplesFromDecision(featureVecs [][]float64, allocation core.Allocation) []
 // drive a constraint-respecting greedy packing that keeps only the most
 // important work (§V: DCTA "merely performs the most important tasks").
 //
-// Concurrency: with GeneralFromQ off (the default), Allocate only reads the
-// CRL's environment store (goroutine-safe), scores through an
-// immutable-after-Fit LocalModel, and packs with pure local state, so any
-// number of goroutines may call Allocate on one DCTA. Online feedback must
-// not Fit the live local model — Fit mutates the SVM and scaler under
-// in-flight Score calls — instead fit a fresh LocalModel and SetLocal it;
-// in-flight requests finish on the model they started with. GeneralFromQ
-// routes through the DQN's shared activation scratch and therefore needs an
-// exclusive CRL replica per goroutine (see core.CRL.Clone).
+// Concurrency: Allocate only reads the CRL's environment store
+// (goroutine-safe), scores through an immutable-after-Fit LocalModel, and
+// packs with pure local state, so any number of goroutines may call Allocate
+// on one DCTA. Online feedback must not Fit the live local model — Fit
+// mutates the SVM and scaler under in-flight Score calls — instead fit a
+// fresh LocalModel and SetLocal it; in-flight requests finish on the model
+// they started with.
 type DCTA struct {
 	// W1 and W2 weight the general and local processes.
 	W1, W2 float64
 	// CoverageTarget stops packing once this fraction of the combined score
 	// mass is captured.
 	CoverageTarget float64
-	// GeneralFromQ sources F₁ from the trained Q-function's initial-state
-	// action values (Eq. 5) instead of the defined environment's importance.
-	// Off by default: the Q-scores carry the approximator's noise on top of
-	// the clustering error, which measurably hurts the combined ranking
-	// (see the ablation bench).
-	GeneralFromQ bool
 
 	crl *core.CRL
 
@@ -243,9 +235,8 @@ type DCTA struct {
 }
 
 // NewDCTA combines a CRL model with a trained local model using the default
-// weights (equal trust, 90% coverage). Only GeneralFromQ reads the CRL's
-// policy, so only then must the CRL be trained before Allocate answers;
-// otherwise Allocate reads its environment store alone.
+// weights (equal trust, 90% coverage). Allocate reads the CRL's environment
+// store alone, never its policy, so the CRL need not be trained.
 func NewDCTA(crl *core.CRL, local *LocalModel) (*DCTA, error) {
 	if crl == nil || local == nil {
 		return nil, fmt.Errorf("alloc: DCTA needs both processes")
@@ -329,43 +320,28 @@ func (d *DCTA) Allocate(req Request) (*Result, error) {
 		return nil, err
 	}
 	local := d.LocalModel()
-	if !local.Fitted() || (d.GeneralFromQ && !d.crl.Trained()) {
+	if !local.Fitted() {
 		return nil, ErrNotReady
 	}
 	n := len(req.Problem.Tasks)
 	if len(req.Features) != n {
 		return nil, fmt.Errorf("alloc: %d feature vectors for %d tasks", len(req.Features), n)
 	}
-	// General process F₁: the clustered environment's importance estimate
-	// (or, with GeneralFromQ, the Eq.-5 Q-scores), max-normalized to [0,1]
-	// so it mixes with the local probabilities on a common scale.
-	var general []float64
-	var env *core.Environment
-	if d.GeneralFromQ {
-		var err error
-		general, env, err = d.crl.TaskScores(req.Signature)
-		if err != nil {
-			return nil, fmt.Errorf("dcta general process (Q): %w", err)
-		}
-	} else {
-		var err error
-		env, err = d.crl.DefineEnvironment(req.Signature)
-		if err != nil {
-			return nil, fmt.Errorf("dcta general process: %w", err)
-		}
-		general = mathx.Clone(env.Importance)
+	// General process F₁: the clustered environment's importance estimate,
+	// max-normalized to [0,1] (by CombineScores) so it mixes with the local
+	// probabilities on a common scale.
+	env, err := d.crl.DefineEnvironment(req.Signature)
+	if err != nil {
+		return nil, fmt.Errorf("dcta general process: %w", err)
 	}
-	combined, err := CombineScores(local, general, req.Features, d.W1, d.W2)
+	combined, err := CombineScores(local, env.Importance, req.Features, d.W1, d.W2)
 	if err != nil {
 		return nil, fmt.Errorf("dcta local process: %w", err)
 	}
 	allocation, packOps := packByScore(req.Problem, combined, d.CoverageTarget)
 	// kNN over the store (as CRLAllocator charges it), SVM margins and the
-	// packing; a Q evaluation only when F₁ comes from one.
+	// packing.
 	ops := float64(len(req.Signature)) + float64(n*features.Dim) + packOps
-	if d.GeneralFromQ {
-		ops += dqnForwardOps(n, len(req.Problem.Processors))
-	}
 	var predicted float64
 	for j, proc := range allocation {
 		if proc != core.Unassigned && j < len(env.Importance) {

@@ -14,8 +14,8 @@ import (
 // fitting fresh local models on a growing sample window and swapping them in
 // with SetLocal, and another goroutine appends new environments to the
 // shared store. Run with -race this pins down the documented contract — the
-// default (GeneralFromQ=off) DCTA path is goroutine-safe as long as feedback
-// publishes *new* LocalModels instead of refitting the live one.
+// DCTA path is goroutine-safe as long as feedback publishes *new*
+// LocalModels instead of refitting the live one.
 func TestDCTAConcurrentAllocateWithFeedback(t *testing.T) {
 	p := testProblem(11, 10, 3)
 	crl := crlFixture(t, p)

@@ -11,55 +11,59 @@ import (
 )
 
 // TestRolloutZeroAllocs pins the warm rollout's allocation contract at the
-// serving shape: once a replica's scratch has grown, PredictBatchInto
-// allocates nothing, alone or as a coalesced batch of four. (Excluded from
-// -race builds: the race detector instruments allocations.)
+// serving shape: once a workspace has grown, a rollout allocates nothing —
+// one request's RolloutInto on its own Rollout, or PredictBatchInto over four.
+// (Excluded from -race builds: the race detector instruments allocations.)
 func TestRolloutZeroAllocs(t *testing.T) {
-	crl := paperShapeReplica(t)
+	crl := paperShapePolicy(t)
 	rng := mathx.NewRand(5)
-	for _, b := range []int{1, 4} {
-		envs := make([]*Environment, b)
-		for i := range envs {
-			envs[i] = randomEnvironment(t, crl, rng)
+	env := randomEnvironment(t, crl, rng)
+	var r Rollout
+	var alloc Allocation
+	solo := func() {
+		var err error
+		if alloc, err = crl.RolloutInto(&r, env, alloc); err != nil {
+			t.Fatal(err)
 		}
-		out := make([]Allocation, b)
-		run := func() {
-			if err := crl.PredictBatchInto(envs, out); err != nil {
-				t.Fatal(err)
-			}
+	}
+	envs := make([]*Environment, 4)
+	for i := range envs {
+		envs[i] = randomEnvironment(t, crl, rng)
+	}
+	out := make([]Allocation, len(envs))
+	batch := func() {
+		if err := crl.PredictBatchInto(envs, out); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for name, run := range map[string]func(){"RolloutInto": solo, "PredictBatchInto of 4": batch} {
 		run()
 		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-			t.Fatalf("batch of %d: %v allocations per warm rollout, want 0", b, allocs)
+			t.Fatalf("%s: %v allocations per warm rollout, want 0", name, allocs)
 		}
 	}
 }
 
-// TestCloneHeapBudget bounds what one inference replica costs the serving
-// layer's pools: Clone plus the replica's first rollout (which grows its
-// scratch) may allocate at most 1.2 MB at 50×9 / [64,64], where the weights
-// the rollout reads are 0.5 MB. A clone that also carried a target network,
-// momentum and gradient buffers and a replay ring took ~3.3 MB.
-func TestCloneHeapBudget(t *testing.T) {
-	crl := paperShapeReplica(t)
+// TestRolloutFirstUseHeapBudget bounds what a request-owned workspace costs:
+// a fresh Rollout's first rollout at 50×9 / [64,64], which builds its lane and
+// sizes its buffers, allocates 31 080 bytes (budget 40 KB) — beside 0.59 MB of
+// weights that every workspace reads and none copies.
+func TestRolloutFirstUseHeapBudget(t *testing.T) {
+	crl := paperShapePolicy(t)
 	env := randomEnvironment(t, crl, mathx.NewRand(6))
-	out := make([]Allocation, 1)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	replica, err := crl.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replica.PredictBatchInto([]*Environment{env}, out); err != nil {
+	var r Rollout
+	if _, err := crl.RolloutInto(&r, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	const budget = 1.2e6
+	const budget = 40e3
 	grown := after.TotalAlloc - before.TotalAlloc
-	t.Logf("Clone + first rollout allocated %d bytes", grown)
+	t.Logf("a fresh Rollout's first rollout allocated %d bytes", grown)
 	if float64(grown) > budget {
-		t.Fatalf("Clone + first rollout allocated %d bytes, budget %d", grown, int(budget))
+		t.Fatalf("a fresh Rollout's first rollout allocated %d bytes, budget %d", grown, int(budget))
 	}
 }
 
@@ -93,7 +97,11 @@ func TestTrainEpisodeZeroAllocs(t *testing.T) {
 		run()
 	}
 	// Counted exactly: AllocsPerRun rounds an allocation on every other
-	// episode down to none.
+	// episode down to none. Counted on one P, as AllocsPerRun does: the
+	// count is process-wide, and with an idle second P a preemption can make
+	// the scheduler start an OS thread inside the window (five runtime
+	// mallocs, none of them the episode's).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 20; i++ {

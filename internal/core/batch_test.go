@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mathx"
@@ -16,8 +17,8 @@ import (
 // just the shared fixture's.
 func randomCRLFixture(t *testing.T, rng *rand.Rand) *CRL {
 	t.Helper()
-	n := 4 + rng.Intn(6)  // tasks
-	m := 2 + rng.Intn(3)  // processors
+	n := 4 + rng.Intn(6) // tasks
+	m := 2 + rng.Intn(3) // processors
 	entries := 8 + rng.Intn(24)
 	p := &Problem{TimeLimit: 2 + rng.Float64()*2}
 	for j := 0; j < n; j++ {
@@ -63,24 +64,20 @@ func randomCRLFixture(t *testing.T, rng *rand.Rand) *CRL {
 	return crl
 }
 
-// TestPredictBatchMatchesSequential is the coalescer's load-bearing property:
-// rolling B environments through one PredictBatchInto call returns exactly —
-// bitwise — the allocations of B separate batch-of-1 calls, for every batch
-// size the serving layer can form. If this breaks, request coalescing changes
-// answers and the whole warm path is wrong.
+// TestPredictBatchMatchesSequential: rolling B environments through one
+// PredictBatchInto call returns exactly — bitwise — the allocations of B
+// separate single-environment rollouts, for batch sizes up to 32. If this
+// breaks, what a workspace served before leaks into later answers.
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("world%d", trial), func(t *testing.T) {
 			rng := mathx.NewRand(int64(1000 + 37*trial))
 			crl := randomCRLFixture(t, rng)
-			// A second, independently-scratched replica answers the solo
-			// calls, so agreement proves batch composition is invisible —
-			// not just that one scratch is self-consistent.
-			solo, err := crl.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			// A second workspace answers the solo rollouts, so agreement
+			// proves batch composition is invisible — not just that one
+			// workspace is self-consistent.
+			var solo Rollout
 			var scratch KNNScratch
 			for _, b := range []int{1, 2, 3, 4, 7, 8, 13, 16, 27, 32} {
 				envs := make([]*Environment, b)
@@ -97,23 +94,114 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("batch %d: %v", b, err)
 				}
 				for i := range envs {
-					one := make([]Allocation, 1)
-					if err := solo.PredictBatchInto(envs[i:i+1], one); err != nil {
+					one, err := crl.RolloutInto(&solo, envs[i], nil)
+					if err != nil {
 						t.Fatalf("batch %d solo %d: %v", b, i, err)
 					}
-					if len(batched[i]) != len(one[0]) {
+					if len(batched[i]) != len(one) {
 						t.Fatalf("batch %d env %d: len %d vs solo %d",
-							b, i, len(batched[i]), len(one[0]))
+							b, i, len(batched[i]), len(one))
 					}
-					for j := range one[0] {
-						if batched[i][j] != one[0][j] {
+					for j := range one {
+						if batched[i][j] != one[j] {
 							t.Fatalf("batch %d env %d task %d: batched %d, solo %d",
-								b, i, j, batched[i][j], one[0][j])
+								b, i, j, batched[i][j], one[j])
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestOneRolloutServesTwoPolicies: one workspace rolls two policies trained
+// on one template back to back — two clusters' policies, as a serving
+// workspace meets them — and each answer equals its own policy's reference.
+// The lane is built once: the template is shared, so nothing rebuilds.
+func TestOneRolloutServesTwoPolicies(t *testing.T) {
+	rng := mathx.NewRand(71)
+	a := randomCRLFixture(t, rng)
+	cfg := a.cfg
+	cfg.Seed, cfg.DQN.Seed = 72, 73
+	b, err := NewCRL(a.template, a.store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Train(); err != nil {
+		t.Fatal(err)
+	}
+	var r Rollout
+	var scratch KNNScratch
+	var lane *AllocEnv
+	for i := 0; i < 12; i++ {
+		env := &Environment{}
+		if err := a.DefineEnvironmentInto([]float64{rng.Float64()}, env, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		for k, crl := range []*CRL{a, b} {
+			want, err := crl.PredictWithEnvironment(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := crl.RolloutInto(&r, env, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("env %d policy %d: rollout %v, reference %v", i, k, got, want)
+			}
+			if lane == nil {
+				lane = r.lane
+			} else if r.lane != lane {
+				t.Fatalf("env %d policy %d: the lane was rebuilt for a policy on the same template", i, k)
+			}
+		}
+	}
+}
+
+// TestRolloutRebuildsForAnotherTemplate: a workspace that meets a model built
+// on a different template — the same shape, so a shape check would pass —
+// rebuilds its lane instead of rolling the new model through the old
+// template's costs. The second model shares the first's weights, but its time
+// limit fits no task, so the right answer is to assign nothing.
+func TestRolloutRebuildsForAnotherTemplate(t *testing.T) {
+	rng := mathx.NewRand(81)
+	a := randomCRLFixture(t, rng)
+	tight := a.template.Clone()
+	tight.TimeLimit = 0.1 // every fixture task costs at least 0.5
+	b := &CRL{cfg: a.cfg, template: tight, store: a.store, agent: a.agent, trained: true}
+	var r Rollout
+	var scratch KNNScratch
+	assigned := 0
+	for i := 0; i < 6; i++ {
+		env := &Environment{}
+		if err := a.DefineEnvironmentInto([]float64{rng.Float64()}, env, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		for _, crl := range []*CRL{a, b, a} {
+			want, err := crl.PredictWithEnvironment(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := crl.RolloutInto(&r, env, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("env %d: rollout %v, reference %v", i, got, want)
+			}
+			for _, p := range got {
+				if p != Unassigned {
+					if crl == b {
+						t.Fatalf("env %d: the tight template's model assigned a task: %v", i, got)
+					}
+					assigned++
+				}
+			}
+		}
+	}
+	if assigned == 0 {
+		t.Fatal("the fixture policy never assigned a task; the comparison checked nothing")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/mathx"
 	"repro/internal/neural"
@@ -61,6 +62,12 @@ func DefaultCRLConfig() CRLConfig {
 // prediction time. The problem *structure* (task costs, processors, time
 // limit) is fixed; only the importance vector varies between environments —
 // the paper's "item value changed randomly over time" Knapsack variant.
+//
+// Concurrency: once Train has returned, RolloutInto and the environment
+// definitions are safe for any number of concurrent callers — they read the
+// model and write only caller-owned memory. Predict, PredictWithEnvironment
+// and PredictBatchInto are not: the first two forward through the network's
+// own activation scratch, the last through the model's own Rollout.
 type CRL struct {
 	cfg       CRLConfig
 	template  *Problem
@@ -68,7 +75,7 @@ type CRL struct {
 	agent     *rl.DQN
 	trained   bool
 	warmStart *WarmStart
-	rollout   rolloutScratch
+	rollout   Rollout // PredictBatchInto's workspace
 }
 
 // WarmStart records transfer provenance for a warm-started model: which
@@ -83,6 +90,7 @@ type WarmStart struct {
 }
 
 // NewCRL builds a CRL model over a problem template and historical store.
+// The model only reads the template, so many models may share one.
 func NewCRL(template *Problem, store *EnvironmentStore, cfg CRLConfig) (*CRL, error) {
 	if err := template.Validate(); err != nil {
 		return nil, fmt.Errorf("crl template: %w", err)
@@ -307,95 +315,103 @@ func (c *CRL) PredictWithEnvironment(env *Environment) (Allocation, error) {
 	return ae.Allocation(), nil
 }
 
-// rolloutScratch is the reusable workspace behind PredictBatchInto: the MDP
-// the environments of a batch are rolled through one after another, the first
-// layer's running pre-activation sums, the cached Q row and the network tail's
-// activations. It belongs to exactly one CRL (an inference replica), which the
-// serving layer checks out exclusively per batch.
-type rolloutScratch struct {
-	lane  *AllocEnv
-	pre   []float64 // layer-0 pre-activation sums for the lane's current state
-	q     []float64 // Q row from the last tail evaluation; open entries are current
-	open  []int     // unassigned tasks + skip: the outputs that evaluation computed
-	valid []int
-	tail  neural.TailScratch
-	stale bool // q predates the lane's state: the next step re-evaluates the tail
-	tails int  // tail evaluations made by the last PredictBatchInto call
+// Rollout is the caller-owned workspace of a greedy rollout (RolloutInto):
+// the MDP lane the environment is rolled through, the first layer's running
+// pre-activation sums, the cached Q row and the network tail's activations.
+// The zero value is ready; the first rollout sizes it. One Rollout serves any
+// number of models built on one template, one rollout at a time: meeting a
+// model built on another template (compared by pointer, so exactly) rebuilds
+// the lane. Concurrent rollouts need one Rollout each.
+type Rollout struct {
+	template *Problem // the template the lane was built from
+	lane     *AllocEnv
+	pre      []float64 // layer-0 pre-activation sums for the lane's current state
+	q        []float64 // Q row from the last tail evaluation; open entries are current
+	open     []int     // unassigned tasks + skip: the outputs that evaluation computed
+	valid    []int
+	tail     neural.TailScratch
+	stale    bool // q predates the lane's state: the next step re-evaluates the tail
+	tails    int  // tail evaluations made by the last rollout
 }
 
-// PredictBatchInto rolls the greedy policy for a batch of environments.
-// out[i] receives the allocation for envs[i], appended into its existing
-// backing array.
+// RolloutInto rolls the greedy policy for env through r and returns the
+// allocation appended into out's backing array. It reads the trained model
+// and writes only r and out, so any number of goroutines may call it on one
+// CRL, each with its own Rollout.
 //
 // The rollout is incremental. The state is [S ‖ e] (AllocEnv.StateInto):
 // inside an episode the environment half e never changes, the selection half
 // S gains exactly one cell per assignment, and a skip changes nothing the
-// network sees. So per environment the first layer's contribution of e is
-// computed once (ascending k, exact zeros of e skipped), each assignment adds
-// one weight column to those sums, and the remaining layers are re-evaluated
-// only after an assignment — a skip reuses the cached Q row, recomputing only
-// the valid-action set. The last layer is evaluated only for the tasks still
+// network sees. So the first layer's contribution of e is computed once
+// (ascending k, exact zeros of e skipped), each assignment adds one weight
+// column to those sums, and the remaining layers are re-evaluated only after
+// an assignment — a skip reuses the cached Q row, recomputing only the
+// valid-action set. The last layer is evaluated only for the tasks still
 // unassigned plus skip, a superset of every valid set until the next
 // assignment.
 //
-// Contract. (a) Each environment is rolled out from its own inputs alone,
-// through buffers that are fully rewritten before they are read, so
-// PredictBatchInto(envs, out) is bitwise identical to len(envs) separate
-// single-environment calls — batch composition can never change an answer.
-// The request coalescer in internal/serve leans on this, and the property is
-// pinned by TestPredictBatchMatchesSequential. (b) Layer 0 is accumulated as
+// Contract. (a) The answer depends on env's inputs alone: every buffer of r
+// is fully rewritten before it is read, so what r served before never
+// reaches a later answer (TestPredictBatchMatchesSequential,
+// TestRolloutScratchDoesNotBleed). (b) Layer 0 is accumulated as
 // (environment half in ascending k, then selection cells in assignment
 // order), not as the full forward's single ascending-k sweep, so a Q value
 // may differ from neural.ForwardBatch's in the last ulp; every later layer
 // sums in ForwardBatch's order and the argmax breaks ties toward the lowest
 // action index as before. PredictWithEnvironment, which runs the full forward
 // at every step, is the reference the tests hold the allocations equal to.
-//
-// Not goroutine-safe: the rollout runs through the scratch's buffers, so
-// concurrent callers need separate Clone replicas.
-func (c *CRL) PredictBatchInto(envs []*Environment, out []Allocation) error {
+func (c *CRL) RolloutInto(r *Rollout, env *Environment, out Allocation) (Allocation, error) {
 	if !c.trained {
-		return ErrNotTrained
+		return out, ErrNotTrained
 	}
-	b := len(envs)
-	if b == 0 {
-		return nil
+	if len(env.Importance) != len(c.template.Tasks) {
+		return out, fmt.Errorf("core: environment has %d importances for %d tasks",
+			len(env.Importance), len(c.template.Tasks))
 	}
-	if len(out) < b {
-		return fmt.Errorf("core: %d outputs for %d environments", len(out), b)
-	}
-	for i, env := range envs {
-		if len(env.Importance) != len(c.template.Tasks) {
-			return fmt.Errorf("core: environment %d has %d importances for %d tasks",
-				i, len(env.Importance), len(c.template.Tasks))
-		}
-	}
-	s := &c.rollout
 	net := c.agent.Online()
-	if s.lane == nil {
+	if r.template != c.template || len(r.pre) != net.FirstLayerSize() {
 		lane, err := NewAllocEnv(c.template.Clone(), nil)
 		if err != nil {
-			return fmt.Errorf("crl batch lane: %w", err)
+			return out, fmt.Errorf("crl rollout lane: %w", err)
 		}
-		s.lane = lane
-		s.pre = make([]float64, net.FirstLayerSize())
-		s.q = make([]float64, lane.ActionSize())
-		s.open = make([]int, 0, lane.ActionSize())
-		s.valid = make([]int, 0, lane.ActionSize())
+		*r = Rollout{
+			template: c.template,
+			lane:     lane,
+			pre:      make([]float64, net.FirstLayerSize()),
+			q:        make([]float64, lane.ActionSize()),
+			open:     make([]int, 0, lane.ActionSize()),
+			valid:    make([]int, 0, lane.ActionSize()),
+		}
 	}
-	s.tails = 0
+	if err := r.roll(net, env.Importance); err != nil {
+		return out, fmt.Errorf("crl rollout: %w", err)
+	}
+	return r.lane.CopyAllocation(out), nil
+}
+
+// PredictBatchInto rolls the greedy policy for a batch of environments
+// through the model's own Rollout: out[i] receives envs[i]'s allocation,
+// appended into its existing backing array. It is RolloutInto once per
+// environment, so a batch answers exactly what separate calls answer. Not
+// goroutine-safe, because the Rollout is the model's; concurrent callers use
+// RolloutInto with one Rollout each.
+func (c *CRL) PredictBatchInto(envs []*Environment, out []Allocation) error {
+	if len(out) < len(envs) {
+		return fmt.Errorf("core: %d outputs for %d environments", len(out), len(envs))
+	}
 	for i, env := range envs {
-		if err := s.roll(net, env.Importance); err != nil {
-			return fmt.Errorf("crl batch rollout lane %d: %w", i, err)
+		var err error
+		if out[i], err = c.RolloutInto(&c.rollout, env, out[i]); err != nil {
+			return fmt.Errorf("core: environment %d: %w", i, err)
 		}
-		out[i] = s.lane.CopyAllocation(out[i])
 	}
 	return nil
 }
 
 // roll runs one greedy episode for the given importance vector through the
-// scratch's lane, leaving the allocation in it.
-func (s *rolloutScratch) roll(net *neural.Network, importance []float64) error {
+// lane, leaving the allocation in it.
+func (s *Rollout) roll(net *neural.Network, importance []float64) error {
+	s.tails = 0
 	if err := s.begin(net, importance); err != nil {
 		return err
 	}
@@ -410,7 +426,7 @@ func (s *rolloutScratch) roll(net *neural.Network, importance []float64) error {
 
 // begin rebinds the lane to an importance vector and hoists the environment
 // half of the state out of the episode: pre = W₀[:, NM:2NM]·e.
-func (s *rolloutScratch) begin(net *neural.Network, importance []float64) error {
+func (s *Rollout) begin(net *neural.Network, importance []float64) error {
 	if err := s.lane.Reinit(importance); err != nil {
 		return err
 	}
@@ -419,7 +435,7 @@ func (s *rolloutScratch) begin(net *neural.Network, importance []float64) error 
 }
 
 // step takes the greedy action in the lane's current state.
-func (s *rolloutScratch) step(net *neural.Network) error {
+func (s *Rollout) step(net *neural.Network) error {
 	lane := s.lane
 	if s.stale {
 		s.open = lane.OpenActionsInto(s.open)
@@ -444,68 +460,6 @@ func (s *rolloutScratch) step(net *neural.Network) error {
 		return net.AddFirstLayerColumn(s.pre, a*lane.M()+lane.assigned[a])
 	}
 	return nil
-}
-
-// TaskScores returns a per-task desirability score in [0, 1] from the
-// trained Q-function evaluated at the initial state of the defined
-// environment. DCTA consumes these as the general-process term F₁ of
-// Eq. (6).
-func (c *CRL) TaskScores(z []float64) ([]float64, *Environment, error) {
-	if !c.trained {
-		return nil, nil, ErrNotTrained
-	}
-	env, err := c.DefineEnvironment(z)
-	if err != nil {
-		return nil, nil, err
-	}
-	prob, err := c.problemFor(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	ae, err := NewAllocEnv(prob, env.Signature)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, err := c.agent.QValues(ae.Reset())
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(prob.Tasks)
-	scores := make([]float64, n)
-	lo, hi := mathx.MinOf(q[:n]), mathx.MaxOf(q[:n])
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	for i := 0; i < n; i++ {
-		scores[i] = (q[i] - lo) / span
-	}
-	return scores, env, nil
-}
-
-// Clone returns an independent inference replica of the model. The replica
-// owns a copy of the online network's weights and biases and nothing the
-// rollout never reads — no optimizer state, target network or replay ring
-// (rl.DQN.Clone) — while the (concurrency-safe, append-only) environment
-// store is shared. The weights are copied rather than shared read-only
-// because Predict, PredictWithEnvironment and TaskScores still run forward
-// passes through the network's own activation scratch; only PredictBatchInto
-// keeps every activation in the replica's rolloutScratch. A CRL is not
-// goroutine-safe, so concurrent serving uses one clone per in-flight rollout
-// (see internal/serve's per-cluster replica pools).
-func (c *CRL) Clone() (*CRL, error) {
-	agent, err := c.agent.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("crl clone: %w", err)
-	}
-	return &CRL{
-		cfg:       c.cfg,
-		template:  c.template.Clone(),
-		store:     c.store,
-		agent:     agent,
-		trained:   c.trained,
-		warmStart: c.warmStart,
-	}, nil
 }
 
 // Template returns the problem structure the model allocates for.
@@ -551,6 +505,14 @@ func (c *CRL) MarshalJSON() ([]byte, error) {
 // LoadCRL restores a model persisted with MarshalJSON, reattaching the
 // given historical environment store for prediction-time kNN definition.
 func LoadCRL(data []byte, store *EnvironmentStore) (*CRL, error) {
+	return LoadCRLOn(nil, data, store)
+}
+
+// LoadCRLOn is LoadCRL for a deployment whose models share one template: the
+// snapshot's template must equal template, and the restored model reads
+// template itself, so a Rollout moves between it and the deployment's other
+// models without rebuilding. A nil template keeps the snapshot's own.
+func LoadCRLOn(template *Problem, data []byte, store *EnvironmentStore) (*CRL, error) {
 	if store == nil || store.Len() == 0 {
 		return nil, ErrEmptyStore
 	}
@@ -560,6 +522,12 @@ func LoadCRL(data []byte, store *EnvironmentStore) (*CRL, error) {
 	}
 	if snap.Template == nil {
 		return nil, fmt.Errorf("crl unmarshal: missing template")
+	}
+	if template != nil {
+		if !reflect.DeepEqual(snap.Template, template) {
+			return nil, fmt.Errorf("crl restore: snapshot template differs from the deployment's")
+		}
+		snap.Template = template
 	}
 	c, err := NewCRL(snap.Template, store, snap.Config)
 	if err != nil {

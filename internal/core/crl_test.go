@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -222,28 +220,6 @@ func TestCRLBeatsRandomAllocation(t *testing.T) {
 	}
 }
 
-func TestCRLTaskScores(t *testing.T) {
-	crl := crlFixture(t)
-	if _, _, err := crl.TaskScores([]float64{0.5}); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("untrained scores err = %v", err)
-	}
-	if _, err := crl.Train(); err != nil {
-		t.Fatal(err)
-	}
-	scores, env, err := crl.TaskScores([]float64{0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env == nil || len(scores) != 6 {
-		t.Fatalf("scores = %v", scores)
-	}
-	for i, s := range scores {
-		if s < 0 || s > 1 {
-			t.Fatalf("score[%d] = %v outside [0,1]", i, s)
-		}
-	}
-}
-
 func TestNewCRLValidation(t *testing.T) {
 	p, store := storeFixture(t, 4, 2, 5)
 	bad := p.Clone()
@@ -318,6 +294,19 @@ func TestCRLPersistence(t *testing.T) {
 			}
 		}
 	}
+	// Restored onto the deployment's template, the model reads that template.
+	shared, err := LoadCRLOn(crl.template, data, crl.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.template != crl.template {
+		t.Fatal("LoadCRLOn kept the snapshot's own template")
+	}
+	other := crl.template.Clone()
+	other.TimeLimit++
+	if _, err := LoadCRLOn(other, data, crl.store); err == nil {
+		t.Fatal("snapshot restored onto a different template")
+	}
 	// Error paths.
 	if _, err := LoadCRL(data, NewEnvironmentStore()); !errors.Is(err, ErrEmptyStore) {
 		t.Fatalf("empty store err = %v", err)
@@ -327,55 +316,6 @@ func TestCRLPersistence(t *testing.T) {
 	}
 	if _, err := LoadCRL([]byte(`{"trained":true}`), crl.store); err == nil {
 		t.Fatal("missing template accepted")
-	}
-}
-
-// TestCRLCloneReplicas verifies Clone produces independent inference
-// replicas: identical predictions, and (under -race) safe concurrent
-// rollouts when each goroutine owns its own clone — the serving layer's
-// replica-pool contract.
-func TestCRLCloneReplicas(t *testing.T) {
-	crl := crlFixture(t)
-	if _, err := crl.Train(); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := crl.Predict([]float64{0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const replicas = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, replicas)
-	for r := 0; r < replicas; r++ {
-		clone, err := crl.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !clone.Trained() {
-			t.Fatal("clone lost trained flag")
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 16; i++ {
-				got, _, err := clone.Predict([]float64{0.4})
-				if err != nil {
-					errs <- err
-					return
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						errs <- fmt.Errorf("clone allocation differs at task %d", j)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 

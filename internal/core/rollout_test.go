@@ -74,20 +74,31 @@ var (
 	paperErr  error
 )
 
-// paperShapeReplica returns a fresh replica of one serving-shape policy,
-// trained once per test binary (a second at this size per training run is
-// too much to repeat in every test, ten times over under -race).
-func paperShapeReplica(t testing.TB) *CRL {
+// paperShapePolicy returns one serving-shape policy, trained once per test
+// binary (a second at this size per training run is too much to repeat in
+// every test, ten times over under -race). Tests share it read-only.
+func paperShapePolicy(t testing.TB) *CRL {
 	t.Helper()
 	paperOnce.Do(func() { paperCRL, paperErr = trainPaperShape(91, 30, true) })
 	if paperErr != nil {
 		t.Fatal(paperErr)
 	}
-	replica, err := paperCRL.Clone()
+	return paperCRL
+}
+
+// paperShapeCopy returns a private copy of the serving-shape policy, restored
+// from its snapshot, for a test that rewrites the weights.
+func paperShapeCopy(t testing.TB) *CRL {
+	t.Helper()
+	data, err := paperShapePolicy(t).MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return replica
+	crl, err := LoadCRL(data, paperCRL.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crl
 }
 
 // longTailImportance draws 6–9 nonzero importances out of n.
@@ -186,7 +197,7 @@ func TestRolloutMatchesReference(t *testing.T) {
 			worst = math.Max(worst, checkAgainstReference(t, crl, env))
 		}
 	}
-	paper := paperShapeReplica(t)
+	paper := paperShapePolicy(t)
 	rng := mathx.NewRand(78)
 	for i := 0; i < 12; i++ {
 		worst = math.Max(worst, checkAgainstReference(t, paper, randomEnvironment(t, paper, rng)))
@@ -196,44 +207,14 @@ func TestRolloutMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRolloutScratchDoesNotBleed serves B=4, then B=1, then B=3 with
-// different environments through one replica; every answer must equal what a
-// fresh replica gives that environment alone. Sums, Q rows and open sets left
-// behind by an earlier environment must never reach a later one.
+// TestRolloutScratchDoesNotBleed serves B=4, then B=1, then B=3 different
+// environments through the model's own workspace; every answer must equal
+// what a fresh workspace gives that environment alone. Sums, Q rows and open
+// sets left behind by an earlier environment must never reach a later one.
 func TestRolloutScratchDoesNotBleed(t *testing.T) {
-	crl, replica := paperShapeReplica(t), paperShapeReplica(t)
+	crl := paperShapePolicy(t)
 	rng := mathx.NewRand(92)
 	for _, b := range []int{4, 1, 3} {
-		envs := make([]*Environment, b)
-		for i := range envs {
-			envs[i] = randomEnvironment(t, crl, rng)
-		}
-		out := make([]Allocation, b)
-		if err := replica.PredictBatchInto(envs, out); err != nil {
-			t.Fatal(err)
-		}
-		for i, env := range envs {
-			fresh := paperShapeReplica(t)
-			solo := make([]Allocation, 1)
-			if err := fresh.PredictBatchInto([]*Environment{env}, solo); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(out[i], solo[0]) {
-				t.Fatalf("batch of %d, slot %d: reused replica %v, fresh replica %v", b, i, out[i], solo[0])
-			}
-		}
-	}
-}
-
-// TestRolloutTailEvaluations counts the network tails a rollout pays for: one
-// for the initial state and one per assignment (a final assignment that ends
-// the episode needs none) — skips reuse the cached Q row. A world in which no
-// task fits any processor costs exactly one.
-func TestRolloutTailEvaluations(t *testing.T) {
-	crl := paperShapeReplica(t)
-	rng := mathx.NewRand(102)
-	assignments := 0
-	for _, b := range []int{1, 4} {
 		envs := make([]*Environment, b)
 		for i := range envs {
 			envs[i] = randomEnvironment(t, crl, rng)
@@ -242,23 +223,92 @@ func TestRolloutTailEvaluations(t *testing.T) {
 		if err := crl.PredictBatchInto(envs, out); err != nil {
 			t.Fatal(err)
 		}
-		want := 0
-		for _, alloc := range out {
-			assigned := 0
-			for _, p := range alloc {
-				if p != Unassigned {
-					assigned++
-				}
+		for i, env := range envs {
+			solo, err := crl.RolloutInto(&Rollout{}, env, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			assignments += assigned
-			want += assigned
-			if assigned < len(alloc) {
-				want++ // the episode ended on a skip, so every assignment was followed by a tail
+			if !slices.Equal(out[i], solo) {
+				t.Fatalf("batch of %d, slot %d: reused workspace %v, fresh workspace %v", b, i, out[i], solo)
 			}
 		}
-		if crl.rollout.tails != want {
-			t.Fatalf("batch of %d: %d tail evaluations, want %d (assignments + 1 per environment)",
-				b, crl.rollout.tails, want)
+	}
+}
+
+// TestConcurrentRolloutsShareOnePolicy: 8 goroutines roll one trained
+// serving-shape policy at once, each through its own Rollout, and every
+// allocation is bit-equal to the reference rollout's. Under -race this is the
+// proof that RolloutInto writes nothing the model owns — what lets a serving
+// layer answer every request for a cluster from one resident policy.
+func TestConcurrentRolloutsShareOnePolicy(t *testing.T) {
+	crl := paperShapePolicy(t)
+	rng := mathx.NewRand(121)
+	envs := make([]*Environment, 16)
+	want := make([]Allocation, len(envs))
+	for i := range envs {
+		envs[i] = randomEnvironment(t, crl, rng)
+		var err error
+		if want[i], err = crl.PredictWithEnvironment(envs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var r Rollout
+			var out Allocation
+			for k := 0; k < 3*len(envs); k++ {
+				i := (g + k) % len(envs)
+				var err error
+				if out, err = crl.RolloutInto(&r, envs[i], out); err != nil {
+					errs <- err
+					return
+				}
+				if !slices.Equal(out, want[i]) {
+					errs <- fmt.Errorf("goroutine %d, environment %d: %v, reference %v", g, i, out, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestRolloutTailEvaluations counts the network tails a rollout pays for: one
+// for the initial state and one per assignment (a final assignment that ends
+// the episode needs none) — skips reuse the cached Q row. A world in which no
+// task fits any processor costs exactly one.
+func TestRolloutTailEvaluations(t *testing.T) {
+	crl := paperShapePolicy(t)
+	rng := mathx.NewRand(102)
+	var r Rollout
+	assignments := 0
+	for i := 0; i < 5; i++ {
+		alloc, err := crl.RolloutInto(&r, randomEnvironment(t, crl, rng), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assigned := 0
+		for _, p := range alloc {
+			if p != Unassigned {
+				assigned++
+			}
+		}
+		assignments += assigned
+		want := assigned
+		if assigned < len(alloc) {
+			want++ // the episode ended on a skip, so every assignment was followed by a tail
+		}
+		if r.tails != want {
+			t.Fatalf("environment %d: %d tail evaluations, want %d (assignments + 1)", i, r.tails, want)
 		}
 	}
 	if assignments == 0 {
@@ -269,17 +319,17 @@ func TestRolloutTailEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Allocation, 1)
-	if err := tight.PredictBatchInto([]*Environment{randomEnvironment(t, tight, rng)}, out); err != nil {
+	alloc, err := tight.RolloutInto(&r, randomEnvironment(t, tight, rng), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for j, p := range out[0] {
+	for j, p := range alloc {
 		if p != Unassigned {
 			t.Fatalf("task %d assigned to %d in a world where nothing fits", j, p)
 		}
 	}
-	if tight.rollout.tails != 1 {
-		t.Fatalf("%d tail evaluations where nothing fits, want exactly 1", tight.rollout.tails)
+	if r.tails != 1 {
+		t.Fatalf("%d tail evaluations where nothing fits, want exactly 1", r.tails)
 	}
 }
 
@@ -288,7 +338,7 @@ func TestRolloutTailEvaluations(t *testing.T) {
 // the same row in every state) must roll out without error to the reference's
 // plan.
 func TestRolloutDegenerateInputs(t *testing.T) {
-	crl := paperShapeReplica(t)
+	crl := paperShapeCopy(t)
 	zero := &Environment{
 		Importance: make([]float64, len(crl.template.Tasks)),
 		Capacity:   crl.store.All()[0].Capacity,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -137,10 +136,10 @@ func TestServingNeverTrainsScenarioCRL(t *testing.T) {
 	}
 }
 
-// TestDCTAAnswersWithoutTrainedCRL: with F₁ taken from the defined
-// environment, DCTA reads only the CRL's store, so over an untrained CRL it
+// TestDCTAAnswersWithoutTrainedCRL: F₁ is the defined environment's
+// importance, so DCTA reads only the CRL's store, and over an untrained CRL it
 // answers every evaluation epoch of the small world bit for bit like over the
-// trained one; with GeneralFromQ it still refuses until the CRL is trained.
+// trained one.
 func TestDCTAAnswersWithoutTrainedCRL(t *testing.T) {
 	s, err := NewScenario(smallWorld())
 	if err != nil {
@@ -195,13 +194,5 @@ func TestDCTAAnswersWithoutTrainedCRL(t *testing.T) {
 			!same([]float64{got.DecisionOps, got.PredictedImportance}, []float64{want.DecisionOps, want.PredictedImportance}) {
 			t.Fatalf("epoch %d: answer differs from the trained CRL's", i)
 		}
-	}
-	cold.GeneralFromQ = true
-	req, err := s.RequestFor(s.Eval[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Allocate(req); !errors.Is(err, alloc.ErrNotReady) {
-		t.Fatalf("GeneralFromQ over an untrained CRL: err = %v, want ErrNotReady", err)
 	}
 }

@@ -15,6 +15,10 @@ import (
 // uniform or prioritized and whether or not the bootstrap is Double DQN's.
 // (Excluded from -race builds: the race detector instruments allocations.)
 func TestObserveZeroAllocs(t *testing.T) {
+	// Counted on one P, as AllocsPerRun does: the count is process-wide, and
+	// with an idle second P a preemption can make the scheduler start an OS
+	// thread inside a window (five runtime mallocs, none of them Observe's).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const in, actions = 900, 51
 	for name, cfg := range map[string]DQNConfig{
 		"uniform":     {},

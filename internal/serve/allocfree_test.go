@@ -7,6 +7,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -26,16 +27,16 @@ func zeroAllocServer(t *testing.T, cfg Config) (*Server, *allocWS) {
 }
 
 // TestWarmAllocateZeroAllocsCRL pins the tentpole's memory contract: a warm
-// CRL allocate (cache hit, batch-1 fast path) performs ZERO steady-state heap
-// allocations — the pooled workspace, the replica's rollout scratch, the kNN
-// scratch and the response backing arrays are all reused. Any regression here
+// CRL allocate (cache hit) performs ZERO steady-state heap allocations — the
+// pooled workspace, with the rollout scratch it owns, the kNN scratch and the
+// response backing arrays are all reused. Any regression here
 // (a fresh slice, a fmt.Sprintf, an interface box on the hot path) fails CI.
 func TestWarmAllocateZeroAllocsCRL(t *testing.T) {
 	s, ws := zeroAllocServer(t, fastConfig())
 	ctx := context.Background()
 	req := AllocateRequest{Signature: []float64{0}}
-	// Warm the per-workspace and per-replica scratch: the first calls grow
-	// buffers and clone the pooled replica.
+	// Warm the workspace: the first calls grow its buffers and build its
+	// rollout lane.
 	for i := 0; i < 8; i++ {
 		if err := s.AllocateInto(ctx, req, ws); err != nil {
 			t.Fatal(err)
@@ -54,6 +55,36 @@ func TestWarmAllocateZeroAllocsCRL(t *testing.T) {
 	}
 	if ws.resp.Mode != ModeNormal || ws.resp.Allocator != "CRL" {
 		t.Fatalf("measured path was not the warm CRL path: %+v", ws.resp)
+	}
+
+	// One workspace alternating between two clusters' policies — cluster 1's
+	// restored from a checkpoint — still allocates nothing: every policy
+	// reads the server's one template, so the rollout lane never rebuilds.
+	donor := newTestServer(t, fastConfig())
+	if _, err := donor.Allocate(ctx, AllocateRequest{Signature: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := donor.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.LoadCheckpoint(&ckpt); err != nil || n != 1 {
+		t.Fatalf("restored %d policies: %v", n, err)
+	}
+	other := AllocateRequest{Signature: []float64{1}}
+	alternate := func() {
+		for _, r := range []AllocateRequest{req, other} {
+			if err := s.AllocateInto(ctx, r, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	alternate()
+	if ws.resp.Cache != CacheWarm {
+		t.Fatalf("cluster 1 did not answer from the restored policy: %+v", ws.resp)
+	}
+	if avg := testing.AllocsPerRun(100, alternate); avg != 0 {
+		t.Fatalf("warm CRL allocates alternating two clusters: %.2f allocs/op, want 0", avg)
 	}
 }
 

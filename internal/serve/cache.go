@@ -75,8 +75,9 @@ type trainFunc func(cluster int) (*core.CRL, []float64, error)
 // singleflight-shaped: a background leader goroutine trains and then closes
 // ready; every requester (the one that created the entry included) blocks on
 // ready, its context, or the train budget, and shares the result. Entries
-// are immutable once resolved except for the stale marker and the replica
-// pool.
+// are immutable once resolved except for the stale marker and the promotion
+// time. A resolved entry's crl is read-only: every request rolls it out
+// concurrently through its own scratch (core.CRL.RolloutInto).
 type policyEntry struct {
 	key  int
 	elem *list.Element
@@ -99,35 +100,22 @@ type policyEntry struct {
 	promotedAt atomic.Int64
 
 	stale atomic.Bool // set by drift detection; next get retrains
-
-	// replicas pools inference clones: every rollout runs on an exclusive
-	// clone because it runs through that clone's rollout scratch.
-	replicas chan *core.CRL
-
-	// co coalesces concurrent warm rollouts for this policy onto shared
-	// replica checkouts (coalesce.go). Valid only once the entry resolves
-	// with a healthy crl.
-	co *coalescer
 }
 
-// acquire returns an inference replica, cloning when the pool is dry.
-func (e *policyEntry) acquire() (*core.CRL, error) {
-	select {
-	case r := <-e.replicas:
-		return r, nil
-	default:
-		return e.crl.Clone()
+// resolvedEntry builds an entry for a policy that arrives already trained:
+// restored from a checkpoint, pushed by a peer or pre-trained speculatively.
+func resolvedEntry(key int, crl *core.CRL, imp []float64, trainedAt time.Time, prov int) *policyEntry {
+	e := &policyEntry{
+		key:       key,
+		ready:     make(chan struct{}),
+		crl:       crl,
+		imp:       imp,
+		trainedAt: trainedAt,
+		prov:      prov,
+		resolved:  true,
 	}
-}
-
-// release returns a replica to the pool, dropping it when full. Safe to call
-// on an entry the cache has since evicted: the pool channel outlives the
-// cache slot and is collected with the entry.
-func (e *policyEntry) release(r *core.CRL) {
-	select {
-	case e.replicas <- r:
-	default:
-	}
+	close(e.ready)
+	return e
 }
 
 // breaker is one cluster's training circuit breaker. All fields are guarded
@@ -167,7 +155,6 @@ type policyCache struct {
 	capacity    int
 	ttl         time.Duration
 	drift       float64
-	replicas    int
 	now         func() time.Time
 	train       trainFunc
 	trainBudget time.Duration
@@ -175,12 +162,6 @@ type policyCache struct {
 	baseBackoff time.Duration
 	maxBackoff  time.Duration
 	logf        func(format string, args ...any)
-
-	maxBatch    int
-	batchWindow time.Duration
-	// batchAfter schedules a coalescer window flush; tests inject a fake
-	// to drive window expiry without sleeping.
-	batchAfter func(d time.Duration, f func())
 
 	gate    chan struct{} // training-concurrency semaphore
 	pending atomic.Int64  // demand trainings running or queued on the gate
@@ -213,10 +194,6 @@ type policyCache struct {
 	breakerRejects           atomic.Int64
 	saturations              atomic.Int64
 	budgetMisses             atomic.Int64
-	batchRuns                atomic.Int64 // coalesced batch flushes (size ≥ 1)
-	batchedReqs              atomic.Int64 // requests served via coalesced batches
-	soloReqs                 atomic.Int64 // requests served on the batch-1 fast path
-	batchPanics              atomic.Int64 // batch rollouts that panicked
 	warmStarts               atomic.Int64 // trainings seeded from a neighbour policy
 	earlyStops               atomic.Int64 // trainings that stopped on a return plateau
 	specTrainings            atomic.Int64 // speculative pre-trainings completed
@@ -243,7 +220,6 @@ func newPolicyCache(cfg Config, train trainFunc) *policyCache {
 		capacity:    cfg.CacheCapacity,
 		ttl:         cfg.PolicyTTL,
 		drift:       cfg.DriftThreshold,
-		replicas:    cfg.Replicas,
 		now:         cfg.Now,
 		train:       train,
 		trainBudget: cfg.TrainBudget,
@@ -251,9 +227,6 @@ func newPolicyCache(cfg Config, train trainFunc) *policyCache {
 		baseBackoff: cfg.BreakerBackoff,
 		maxBackoff:  cfg.BreakerMaxBackoff,
 		logf:        cfg.Logf,
-		maxBatch:    cfg.MaxBatch,
-		batchWindow: cfg.BatchWindow,
-		batchAfter:  func(d time.Duration, f func()) { time.AfterFunc(d, f) },
 		gate:        make(chan struct{}, cfg.TrainConcurrency),
 		maxWait:     int64(cfg.TrainConcurrency + cfg.TrainQueue),
 	}
@@ -282,12 +255,7 @@ func newPolicyCache(cfg Config, train trainFunc) *policyCache {
 func (c *policyCache) shard(key int) *cacheShard { return c.shards[key&c.mask] }
 
 func (sh *cacheShard) newEntryLocked(key int) *policyEntry {
-	e := &policyEntry{
-		key:      key,
-		ready:    make(chan struct{}),
-		replicas: make(chan *core.CRL, sh.c.replicas),
-	}
-	e.co = newCoalescer(sh.c, e)
+	e := &policyEntry{key: key, ready: make(chan struct{})}
 	e.elem = sh.lru.PushFront(e)
 	sh.entries[key] = e
 	sh.evictLocked()
@@ -499,10 +467,12 @@ func (sh *cacheShard) runTraining(e *policyEntry) bool {
 		sh.recordSuccessLocked(e.key)
 	}
 	sh.mu.Unlock()
-	close(e.ready)
+	// The push is enqueued before the waiters wake, so whatever a waiter
+	// observes after its answer already includes it.
 	if err == nil && c.onReplicate != nil {
 		c.onReplicate(e.key) // non-blocking enqueue by contract
 	}
+	close(e.ready)
 	return err == nil
 }
 
@@ -595,25 +565,6 @@ func (c *policyCache) entry(key int) *policyEntry {
 	return sh.entries[key]
 }
 
-// flushCoalescers flushes every resident entry's pending micro-batch — the
-// drain/SIGTERM path, so queued warm requests answer before the listener
-// closes instead of waiting out their window.
-func (c *policyCache) flushCoalescers() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		entries := make([]*policyEntry, 0, len(sh.entries))
-		for _, e := range sh.entries {
-			entries = append(entries, e)
-		}
-		sh.mu.Unlock()
-		for _, e := range entries {
-			if e.co != nil {
-				e.co.flush()
-			}
-		}
-	}
-}
-
 // wait blocks until the entry resolves, the caller's context ends, or the
 // train budget runs out. The budget timer runs on the wall clock.
 func (c *policyCache) wait(ctx context.Context, e *policyEntry, outcome string) (*policyEntry, string, error) {
@@ -642,18 +593,7 @@ func (c *policyCache) wait(ctx context.Context, e *policyEntry, outcome string) 
 // restored entries (provCheckpoint) from restored speculative ones that were
 // never demand-confirmed (provSpeculative keeps the discounted TTL/drift).
 func (c *policyCache) install(key int, crl *core.CRL, imp []float64, trainedAt time.Time, prov int) {
-	e := &policyEntry{
-		key:       key,
-		ready:     make(chan struct{}),
-		replicas:  make(chan *core.CRL, c.replicas),
-		crl:       crl,
-		imp:       imp,
-		trainedAt: trainedAt,
-		prov:      prov,
-		resolved:  true,
-	}
-	e.co = newCoalescer(c, e)
-	close(e.ready)
+	e := resolvedEntry(key, crl, imp, trainedAt, prov)
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if old, ok := sh.entries[key]; ok && old.resolved {
@@ -675,18 +615,7 @@ func (c *policyCache) install(key int, crl *core.CRL, imp []float64, trainedAt t
 // newer trainedAt. Returns whether the policy was installed; refusals count
 // as stale pushes.
 func (c *policyCache) installVersioned(key int, crl *core.CRL, imp []float64, trainedAt time.Time, prov int) bool {
-	e := &policyEntry{
-		key:       key,
-		ready:     make(chan struct{}),
-		replicas:  make(chan *core.CRL, c.replicas),
-		crl:       crl,
-		imp:       imp,
-		trainedAt: trainedAt,
-		prov:      prov,
-		resolved:  true,
-	}
-	e.co = newCoalescer(c, e)
-	close(e.ready)
+	e := resolvedEntry(key, crl, imp, trainedAt, prov)
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if old, ok := sh.entries[key]; ok {
@@ -716,18 +645,7 @@ func (c *policyCache) installVersioned(key int, crl *core.CRL, imp []float64, tr
 // eviction candidate; a full shard simply refuses it. Reports whether the
 // policy was installed.
 func (c *policyCache) installSpeculative(key int, crl *core.CRL, imp []float64) bool {
-	e := &policyEntry{
-		key:       key,
-		ready:     make(chan struct{}),
-		replicas:  make(chan *core.CRL, c.replicas),
-		crl:       crl,
-		imp:       imp,
-		trainedAt: c.now(),
-		prov:      provSpeculative,
-		resolved:  true,
-	}
-	e.co = newCoalescer(c, e)
-	close(e.ready)
+	e := resolvedEntry(key, crl, imp, c.now(), provSpeculative)
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if _, ok := sh.entries[key]; ok {
@@ -821,14 +739,6 @@ type CacheStats struct {
 	BreakerRejects     int64 `json:"breaker_rejects"`
 	Saturations        int64 `json:"train_saturations"`
 	BudgetMisses       int64 `json:"train_budget_misses"`
-	// BatchRuns counts coalesced batch flushes, BatchedRequests the warm
-	// rollouts they served, SoloRequests the uncontended batch-1 fast
-	// path, and BatchPanics the batch rollouts that panicked (each
-	// degrading only its own requests).
-	BatchRuns       int64 `json:"batch_runs"`
-	BatchedRequests int64 `json:"batched_requests"`
-	SoloRequests    int64 `json:"solo_requests"`
-	BatchPanics     int64 `json:"batch_panics"`
 	// Cold-start transfer counters: WarmStarts counts trainings seeded from
 	// the nearest already-trained neighbour, EarlyStops trainings that
 	// converged before their episode budget, SpeculativeTrainings/Installs
@@ -882,10 +792,6 @@ func (c *policyCache) stats() CacheStats {
 		BreakerRejects:       c.breakerRejects.Load(),
 		Saturations:          c.saturations.Load(),
 		BudgetMisses:         c.budgetMisses.Load(),
-		BatchRuns:            c.batchRuns.Load(),
-		BatchedRequests:      c.batchedReqs.Load(),
-		SoloRequests:         c.soloReqs.Load(),
-		BatchPanics:          c.batchPanics.Load(),
 		WarmStarts:           c.warmStarts.Load(),
 		EarlyStops:           c.earlyStops.Load(),
 		SpeculativeTrainings: c.specTrainings.Load(),

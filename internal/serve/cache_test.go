@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -304,30 +306,46 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 	}
 }
 
-// TestEvictionChurnWithCheckedOutReplicas is satellite (d): a replica checked
-// out of an entry stays usable — and its release stays safe — after churn
-// evicts the entry, and the evicted cluster simply retrains on next use.
-func TestEvictionChurnWithCheckedOutReplicas(t *testing.T) {
+// TestEvictionWhileRolloutInFlight: churn evicts a cluster's entry while a
+// request is still rolling out that entry's policy. The rollout only reads
+// the policy, so it finishes and answers normally with the plan it would
+// have given anyway, and the evicted cluster simply retrains on next use.
+func TestEvictionWhileRolloutInFlight(t *testing.T) {
 	ctx := context.Background()
 	cfg := fastConfig()
 	cfg.CacheCapacity = 1
 	cfg.Logf = t.Logf
 	s := serverWithStore(t, cfg, multiClusterStore(t, 3))
 
-	if _, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}}); err != nil {
+	baseline, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	e0 := s.cache.entry(0)
 	if e0 == nil {
 		t.Fatal("cluster 0 entry missing after allocate")
 	}
-	replica, err := e0.acquire()
-	if err != nil {
-		t.Fatal(err)
+	// Hold cluster 0's next rollout inside the policy until the churn is done.
+	started, release := make(chan struct{}), make(chan struct{})
+	roll := s.rollout
+	s.rollout = func(crl *core.CRL, r *core.Rollout, env *core.Environment, out core.Allocation) (core.Allocation, error) {
+		if crl == e0.crl {
+			close(started)
+			<-release
+		}
+		return roll(crl, r, env, out)
 	}
+	var inflight *AllocateResponse
+	var inflightErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		inflight, inflightErr = s.Allocate(ctx, AllocateRequest{Signature: []float64{0}})
+	}()
+	<-started
 
 	// Churn the capacity-1 cache through two other clusters; cluster 0's
-	// entry is evicted while its replica is checked out.
+	// entry is evicted while its policy is mid-rollout.
 	for c := 1; c <= 2; c++ {
 		if _, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{float64(c)}}); err != nil {
 			t.Fatal(err)
@@ -340,11 +358,17 @@ func TestEvictionChurnWithCheckedOutReplicas(t *testing.T) {
 		t.Fatalf("evictions = %d, want ≥2", s.Stats().Cache.Evictions)
 	}
 
-	// The orphaned replica still rolls out, and release is a no-op crash-free.
-	if _, err := replica.DefineEnvironment([]float64{0}); err != nil {
-		t.Fatalf("checked-out replica broken after eviction: %v", err)
+	close(release)
+	<-done
+	if inflightErr != nil {
+		t.Fatal(inflightErr)
 	}
-	e0.release(replica)
+	if inflight.Mode != ModeNormal || inflight.Cache != CacheHit {
+		t.Fatalf("in-flight request on the evicted policy = %+v, want a normal hit", inflight)
+	}
+	if !slices.Equal(inflight.Allocation, baseline.Allocation) {
+		t.Fatalf("in-flight allocation %v, before eviction %v", inflight.Allocation, baseline.Allocation)
+	}
 
 	// The evicted cluster retrains on demand.
 	resp, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}})
@@ -353,5 +377,54 @@ func TestEvictionChurnWithCheckedOutReplicas(t *testing.T) {
 	}
 	if resp.Cache != CacheMiss {
 		t.Fatalf("post-eviction cache outcome = %q, want miss", resp.Cache)
+	}
+}
+
+// TestRolloutPanicDegradesAndEntryKeepsServing: a rollout that panics answers
+// its request degraded ("policy_error") and drops the request workspace's
+// half-written scratch; the policy was only read, so the same entry serves
+// the next request normally, with the same plan as before.
+func TestRolloutPanicDegradesAndEntryKeepsServing(t *testing.T) {
+	ctx := context.Background()
+	cfg := fastConfig()
+	cfg.Logf = t.Logf
+	s := newTestServer(t, cfg)
+	req := AllocateRequest{Signature: []float64{0}}
+	ws := s.getWS()
+	if err := s.AllocateInto(ctx, req, ws); err != nil {
+		t.Fatal(err)
+	}
+	baseline := slices.Clone(ws.resp.Allocation)
+	entry := s.cache.entry(0)
+
+	healthy := s.rollout
+	s.rollout = func(crl *core.CRL, r *core.Rollout, env *core.Environment, out core.Allocation) (core.Allocation, error) {
+		if _, err := healthy(crl, r, env, out); err != nil {
+			return out, err
+		}
+		panic("chaos: poisoned rollout")
+	}
+	if err := s.AllocateInto(ctx, req, ws); err != nil {
+		t.Fatal(err)
+	}
+	if ws.resp.Mode != ModeDegraded || ws.resp.DegradedReason != DegradedPolicyError {
+		t.Fatalf("panicking rollout answered %+v, want degraded %q", ws.resp, DegradedPolicyError)
+	}
+	if !reflect.DeepEqual(ws.rollout, core.Rollout{}) {
+		t.Fatal("the panicked rollout's scratch was kept")
+	}
+
+	s.rollout = healthy
+	if err := s.AllocateInto(ctx, req, ws); err != nil {
+		t.Fatal(err)
+	}
+	if ws.resp.Mode != ModeNormal || ws.resp.Cache != CacheHit || s.cache.entry(0) != entry {
+		t.Fatalf("post-panic request = %+v, want a normal hit on the same entry", ws.resp)
+	}
+	if !slices.Equal(ws.resp.Allocation, baseline) {
+		t.Fatalf("post-panic allocation %v, before %v", ws.resp.Allocation, baseline)
+	}
+	if st := s.Stats(); st.DegradedCount != 1 || st.Cache.Trainings != 1 {
+		t.Fatalf("stats after one panic: %d degraded, %d trainings; want 1 and 1", st.DegradedCount, st.Cache.Trainings)
 	}
 }

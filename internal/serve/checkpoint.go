@@ -301,17 +301,8 @@ func (s *Server) loadCheckpointV1(r io.Reader, apply func(checkpointEntry) bool)
 // restoreEntry installs one checkpointed cluster, reporting whether it took.
 // Failures skip the entry: the cluster boots cold and retrains on demand.
 func (s *Server) restoreEntry(e checkpointEntry) bool {
-	if _, err := s.store.At(e.Cluster); err != nil {
-		return false // checkpoint outlived its history; not damage
-	}
-	sub, err := s.clusterStore(e.Cluster)
-	if err != nil {
-		s.skipCheckpointSection(fmt.Sprintf("cluster %d store", e.Cluster), err)
-		return false
-	}
-	crl, err := core.LoadCRL(e.Policy, sub)
-	if err != nil {
-		s.skipCheckpointSection(fmt.Sprintf("cluster %d policy", e.Cluster), err)
+	crl, ok := s.decodeEntryPolicy(e)
+	if !ok {
 		return false
 	}
 	prov := provCheckpoint
@@ -337,7 +328,8 @@ func (s *Server) decodeEntryPolicy(e checkpointEntry) (crl *core.CRL, ok bool) {
 		s.skipCheckpointSection(fmt.Sprintf("cluster %d store", e.Cluster), err)
 		return nil, false
 	}
-	crl, err = core.LoadCRL(e.Policy, sub)
+	// Restored onto the server's template, like every policy trained here.
+	crl, err = core.LoadCRLOn(s.template, e.Policy, sub)
 	if err != nil {
 		s.skipCheckpointSection(fmt.Sprintf("cluster %d policy", e.Cluster), err)
 		return nil, false

@@ -28,13 +28,10 @@ const (
 	// DegradedDraining: the server is draining; no new trainings start but
 	// in-flight traffic still gets a feasible answer.
 	DegradedDraining = "draining"
-	// DegradedPolicyError: the warm policy path itself failed (replica
-	// clone, environment definition, rollout).
+	// DegradedPolicyError: the warm policy path itself failed (environment
+	// definition, or a rollout that errored or panicked); the cluster's
+	// policy keeps serving later requests.
 	DegradedPolicyError = "policy_error"
-	// DegradedBatch: the coalesced micro-batch this request rode in
-	// panicked; only the batch's own requests degrade, the cluster's
-	// policy keeps serving.
-	DegradedBatch = "batch_error"
 )
 
 // degradedReason maps a policy-path error to the response tag.

@@ -241,7 +241,7 @@ func TestHTTPOversizedBodyIsNotPooled(t *testing.T) {
 	if cap(ws.buf) <= wire.MaxPooledBody {
 		t.Fatalf("buffer cap %d after a %d-byte body", cap(ws.buf), 2*wire.MaxPooledBody)
 	}
-	s.wsPool.New = func() any { return &allocWS{waiter: batchWaiter{sig: make(chan batchSignal, 1)}} }
+	s.wsPool.New = func() any { return &allocWS{} }
 	for i := 0; i < 8; i++ { // the grown workspace never comes back
 		if got := s.getWS(); got == ws {
 			t.Fatal("oversized workspace was returned to the pool")

@@ -5,7 +5,8 @@
 // up in a per-cluster policy cache, and rolls the cached policy to a
 // feasible allocation. Cold clusters train exactly once under concurrent
 // identical requests (singleflight); warm answers are a kNN probe plus a
-// greedy DQN rollout on a pooled inference replica. Feedback requests stream
+// greedy DQN rollout of the cluster's one resident policy, through scratch
+// the request owns. Feedback requests stream
 // alloc.LocalModel samples online and may append observed environments to
 // the historical store, so the service keeps re-solving TATIM as importance
 // drifts — the paper's motivating loop (§III, Theorem 1) — without ever
@@ -16,8 +17,8 @@
 // The package splits into:
 //
 //   - cache.go      — the per-cluster policy cache (LRU + TTL + drift +
-//     singleflight + inference-replica pools), the per-cluster training
-//     circuit breaker and the global bounded-concurrency training gate
+//     singleflight), the per-cluster training circuit breaker and the
+//     global bounded-concurrency training gate
 //   - server.go     — Server: allocate/feedback/stats against a template,
 //     store and local model
 //   - fallback.go   — the degraded-mode allocator: when the policy path
@@ -107,10 +108,6 @@ type Config struct {
 	// observed importance whose relative L2 distance from the policy's
 	// train-time importance exceeds it (default 0.35; <0 disables).
 	DriftThreshold float64
-	// Replicas bounds each entry's pool of inference clones; excess
-	// concurrent rollouts clone on demand and the extras are dropped
-	// (default 8).
-	Replicas int
 	// CacheShards is the target shard count for the policy-cache lock:
 	// cluster keys map onto a power-of-two shard array so cache hits never
 	// serialize behind one global mutex or an unrelated cluster's cold
@@ -118,15 +115,6 @@ type Config struct {
 	// CacheCapacity), so a capacity-1 cache keeps exact global LRU
 	// semantics (default 8).
 	CacheShards int
-	// MaxBatch bounds the request coalescer's micro-batch: concurrent
-	// warm CRL rollouts for one cluster gather onto a single
-	// core.PredictBatchInto call, on one replica, of at most this many
-	// requests (default 16; 1 disables coalescing).
-	MaxBatch int
-	// BatchWindow is how long the first queued request waits for
-	// batch-mates before the partial batch flushes (default 200µs). The
-	// uncontended batch-1 fast path never arms this timer.
-	BatchWindow time.Duration
 	// RefitEvery refits the local model after this many fresh feedback
 	// samples (default 256).
 	RefitEvery int
@@ -188,17 +176,8 @@ func (c Config) withDefaults() Config {
 	if c.DriftThreshold == 0 {
 		c.DriftThreshold = 0.35
 	}
-	if c.Replicas < 1 {
-		c.Replicas = 8
-	}
 	if c.CacheShards < 1 {
 		c.CacheShards = 8
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 16
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.RefitEvery < 1 {
 		c.RefitEvery = 256

@@ -92,6 +92,10 @@ type Server struct {
 	// wsPool recycles per-request allocate workspaces (allocWS) so the
 	// warm path runs allocation-free.
 	wsPool sync.Pool
+
+	// rollout rolls a resident policy through a request's scratch; tests
+	// swap in failure modes.
+	rollout func(crl *core.CRL, r *core.Rollout, env *core.Environment, out core.Allocation) (core.Allocation, error)
 }
 
 // NewServer builds a service over a problem template (structure only — the
@@ -118,14 +122,13 @@ func NewServer(template *core.Problem, store *core.EnvironmentStore, local *allo
 		lat:      make([]int64, latencyWindow),
 		subLen:   store.Len(),
 		subs:     make(map[int]*core.EnvironmentStore),
+		rollout:  (*core.CRL).RolloutInto,
 	}
 	s.cache = newPolicyCache(cfg, s.trainCluster)
 	if cfg.SpeculateNeighbors > 0 {
 		s.cache.onTrained = s.speculate
 	}
-	s.wsPool.New = func() any {
-		return &allocWS{waiter: batchWaiter{sig: make(chan batchSignal, 1)}}
-	}
+	s.wsPool.New = func() any { return &allocWS{} }
 	return s, nil
 }
 
@@ -136,13 +139,10 @@ func (s *Server) Store() *core.EnvironmentStore { return s.store }
 func (s *Server) Template() *core.Problem { return s.template.Clone() }
 
 // Drain flips the server into draining mode: subsequent requests fail fast
-// with ErrDraining while in-flight ones finish. Pending coalescer
-// micro-batches are flushed immediately so queued warm requests answer
-// instead of waiting out their window. The HTTP layer calls this before
-// shutting the listener down.
+// with ErrDraining while in-flight ones finish. The HTTP layer calls this
+// before shutting the listener down.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	s.cache.flushCoalescers()
 	s.stopReplication()
 }
 
@@ -261,7 +261,9 @@ func (s *Server) trainClusterMode(cluster int, interrupt func() bool) (*core.CRL
 			}
 		}
 	}
-	crl, err := core.NewCRL(s.template.Clone(), sub, cfg)
+	// Every policy reads the server's one template, so a request's rollout
+	// scratch moves between clusters without rebuilding.
+	crl, err := core.NewCRL(s.template, sub, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,8 +291,8 @@ func (s *Server) trainClusterMode(cluster int, interrupt func() bool) (*core.CRL
 // cluster signature is nearest to sig — the warm-start neighbour selection
 // rule. Returns nil when no other cluster has a usable policy. Reading a
 // resident entry's model is safe concurrently: resolved policies are only
-// ever read (rollouts run on clones), and WarmStartFrom only reads the
-// donor.
+// ever read (rollouts write request-owned scratch), and WarmStartFrom only
+// reads the donor.
 func (s *Server) nearestTrainedDonor(cluster int, sig []float64) (*core.CRL, core.WarmStart) {
 	var best *core.CRL
 	bestKey, bestDist := -1, math.Inf(1)
@@ -358,9 +360,8 @@ const (
 
 // allocWS is the per-request workspace for the warm allocate path: the body
 // buffer, the decode target, the response, and every scratch buffer the
-// pipeline needs, pooled so a steady-state warm request (cache hit, batch-1)
-// performs zero allocations end to end. The embedded batchWaiter carries the
-// request through the coalescer.
+// pipeline needs — the policy rollout's included — pooled so a steady-state
+// warm request (cache hit) performs zero allocations end to end.
 type allocWS struct {
 	buf  []byte           // request body in, encoded response out
 	req  AllocateRequest  // HTTP decode target (slice capacity reused)
@@ -371,20 +372,12 @@ type allocWS struct {
 	pack     alloc.PackScratch
 	combined []float64 // DCTA mixed scores
 	featBuf  []float64 // local-model per-task feature scratch
+	rollout  core.Rollout
+	plan     core.Allocation // the plan the answer ships
 	guard    core.Allocation
-	waiter   batchWaiter
 }
 
-func (s *Server) getWS() *allocWS {
-	ws := s.wsPool.Get().(*allocWS)
-	// Drain a stale signal defensively: every rollout path consumes its
-	// own, but a leaked signal would mis-answer an unrelated request.
-	select {
-	case <-ws.waiter.sig:
-	default:
-	}
-	return ws
-}
+func (s *Server) getWS() *allocWS { return s.wsPool.Get().(*allocWS) }
 
 // putWS recycles ws unless it served an oversized body, whose buffer and
 // decoded arrays would otherwise stay resident.
@@ -406,17 +399,17 @@ func importanceOf(a core.Allocation, imp []float64) float64 {
 }
 
 // Allocate answers one allocation query. Safe for arbitrary concurrency:
-// store reads are lock-protected, every DQN rollout runs on an exclusive
-// pooled replica (concurrent rollouts for one cluster coalesce onto one
-// replica checkout), and the local model is immutable-after-Fit.
+// store reads are lock-protected, every request rolls its cluster's resident
+// policy through its own workspace (the policy is only read), and the local
+// model is immutable-after-Fit.
 //
 // Availability contract: once the request is validated, Allocate answers.
 // Any policy-path failure — a training that errors, panics, outlives the
 // TrainBudget or the request deadline, an open circuit breaker, a saturated
-// training gate, draining, a broken rollout, or a panicking micro-batch —
-// routes to the degraded fallback allocator (fallback.go), which always
-// produces a feasible allocation. Only malformed requests and a canceled
-// caller context error.
+// training gate, draining, or a rollout that errors or panics — routes to
+// the degraded fallback allocator (fallback.go), which always produces a
+// feasible allocation. Only malformed requests and a canceled caller context
+// error.
 func (s *Server) Allocate(ctx context.Context, req AllocateRequest) (*AllocateResponse, error) {
 	ws := s.getWS()
 	defer s.putWS(ws)
@@ -430,8 +423,8 @@ func (s *Server) Allocate(ctx context.Context, req AllocateRequest) (*AllocateRe
 
 // AllocateInto is Allocate writing into ws.resp — the zero-steady-state-
 // allocation entry point the HTTP layer and benchmarks use. ws must come
-// from getWS (or be zero-initialized with a buffered waiter signal) and must
-// not be reused until the response has been consumed.
+// from getWS (or be zero-initialized) and must not be reused until the
+// response has been consumed.
 func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allocWS) error {
 	start := s.cfg.Now()
 	ws.resp = AllocateResponse{Allocation: ws.resp.Allocation[:0]}
@@ -487,21 +480,11 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 			}
 			return s.fallbackAllocateInto(req, cluster, start, degradedReason(gerr), ws)
 		}
-		err = s.policyAllocateInto(ctx, req.Signature, cluster, entry, outcome, start, ws)
+		err = s.policyAllocateInto(req.Signature, cluster, entry, outcome, start, ws)
 	}
 	if err != nil {
-		if errors.Is(err, ErrBadRequest) || errors.Is(err, context.Canceled) {
-			return err
-		}
-		reason := DegradedPolicyError
-		switch {
-		case errors.Is(err, errBatchError):
-			reason = DegradedBatch
-		case errors.Is(err, context.DeadlineExceeded):
-			reason = DegradedDeadline
-		}
 		s.cfg.Logf("serve: policy path cluster %d: %v (answering degraded)", cluster, err)
-		return s.fallbackAllocateInto(req, cluster, start, reason, ws)
+		return s.fallbackAllocateInto(req, cluster, start, DegradedPolicyError, ws)
 	}
 	return nil
 }
@@ -527,34 +510,30 @@ func (s *Server) dctaAllocateInto(req AllocateRequest, cluster int, local *alloc
 	if err != nil {
 		return fmt.Errorf("serve: dcta: %w", err)
 	}
-	w := &ws.waiter
-	w.out, _ = alloc.PackByScoreInto(s.template, ws.combined, s.cfg.CoverageTarget, w.out, &ws.pack)
+	ws.plan, _ = alloc.PackByScoreInto(s.template, ws.combined, s.cfg.CoverageTarget, ws.plan, &ws.pack)
 	s.dctaBypass.Add(1)
 	s.answerInto(ws, cluster, CacheBypass, "DCTA", start)
 	return nil
 }
 
-// policyAllocateInto is the warm CRL path. The environment is defined once,
-// replica-free, against the entry's cluster sub-store (environment
-// definition only reads the concurrency-safe store). The policy rolls
-// through the entry's coalescer: batch-1 uncontended, micro-batched under
-// load, guarded by a greedy pack on the defined importance (CRLAllocator
-// semantics: the better of rollout and guard ships).
-func (s *Server) policyAllocateInto(ctx context.Context, sig []float64, cluster int,
+// policyAllocateInto is the warm CRL path. The environment is defined against
+// the entry's cluster sub-store, and the entry's policy — shared by every
+// request for the cluster, and only read — rolls through the request's own
+// workspace, guarded by a greedy pack on the defined importance
+// (CRLAllocator semantics: the better of rollout and guard ships).
+func (s *Server) policyAllocateInto(sig []float64, cluster int,
 	entry *policyEntry, outcome string, start time.Time, ws *allocWS) error {
 	if err := entry.crl.DefineEnvironmentInto(sig, &ws.env, &ws.knn); err != nil {
 		return fmt.Errorf("serve: define environment: %w", err)
 	}
-	w := &ws.waiter
-	w.env = &ws.env
-	if err := entry.co.rollout(ctx, w); err != nil {
+	if err := s.rollInto(entry.crl, ws); err != nil {
 		return fmt.Errorf("serve: crl rollout: %w", err)
 	}
 	// Greedy guard: whenever the rollout captures less of the defined
 	// importance than a greedy pack would, the guard's plan ships.
 	ws.guard, _ = alloc.PackByScoreInto(s.template, ws.env.Importance, 1.0, ws.guard, &ws.pack)
-	if importanceOf(ws.guard, ws.env.Importance) > importanceOf(w.out, ws.env.Importance) {
-		w.out, ws.guard = ws.guard, w.out
+	if importanceOf(ws.guard, ws.env.Importance) > importanceOf(ws.plan, ws.env.Importance) {
+		ws.plan, ws.guard = ws.guard, ws.plan
 		s.guardShipped.Add(1)
 	} else {
 		s.rolloutShipped.Add(1)
@@ -566,18 +545,33 @@ func (s *Server) policyAllocateInto(ctx context.Context, sig []float64, cluster 
 	return nil
 }
 
-// answerInto writes the normal-mode answer for the plan in ws.waiter.out.
+// rollInto rolls crl for ws.env into ws.plan. A panicking rollout becomes an
+// error, so the request degrades and the process lives; the workspace's
+// scratch, which the panic may have left half-written, is dropped. The policy
+// itself was only read, so its entry keeps serving.
+func (s *Server) rollInto(crl *core.CRL, ws *allocWS) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ws.rollout = core.Rollout{}
+			err = fmt.Errorf("rollout panicked: %v", r)
+		}
+	}()
+	ws.plan, err = s.rollout(crl, &ws.rollout, &ws.env, ws.plan)
+	return err
+}
+
+// answerInto writes the normal-mode answer for the plan in ws.plan.
 func (s *Server) answerInto(ws *allocWS, cluster int, cache, allocator string, start time.Time) {
 	latency := s.cfg.Now().Sub(start)
 	s.allocates.Add(1)
 	s.recordLatency(latency)
 	resp := &ws.resp
-	resp.Allocation = append(resp.Allocation[:0], ws.waiter.out...)
+	resp.Allocation = append(resp.Allocation[:0], ws.plan...)
 	resp.Cluster = cluster
 	resp.Cache = cache
 	resp.Allocator = allocator
 	resp.Mode = ModeNormal
-	resp.PredictedImportance = importanceOf(ws.waiter.out, ws.env.Importance)
+	resp.PredictedImportance = importanceOf(ws.plan, ws.env.Importance)
 	resp.LatencyNanos = int64(latency)
 }
 
