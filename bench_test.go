@@ -793,6 +793,88 @@ func BenchmarkServeWarmAllocateParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkServeWarmDuringColdBurst measures what a warm answer pays while
+// a cold burst holds the training gate: on the small world with a cache of 8
+// (cold_churn's shape), GOMAXPROCS goroutines draw clusters uniformly, most of
+// which miss and train, while one goroutine times b.N answers on a resident
+// cluster. Warm requests arrive on a 500 µs ticker, as a network poller
+// wakes them: a goroutine that never blocks would keep a P to itself and
+// never wait behind a training. Only cache:"hit" answers are timed (a cold
+// draw can evict the resident cluster's shard, and the retraining answer is
+// not a warm one). It reports warm_p50_ns, warm_p99_ns, their sample count
+// warm_hits and cold_trainings_per_s; set -benchtime to a count (e.g.
+// 2000x) for a stable p99.
+func BenchmarkServeWarmDuringColdBurst(b *testing.B) {
+	scn := smallScenario(b)
+	cfg := serve.DefaultConfig()
+	cfg.CRL.Episodes = scn.Config.CRLEpisodes
+	cfg.CacheCapacity = 8
+	cfg.Logf = func(string, ...any) {}
+	s, err := serve.NewServer(scn.Template, scn.Store, scn.Local, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	envs := scn.Store.All()
+	const resident = 0
+	warm := serve.AllocateRequest{Signature: envs[resident].Signature, Allocator: "crl"}
+	if _, err := s.Allocate(ctx, warm); err != nil {
+		b.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	procs := runtime.GOMAXPROCS(0)
+	for g := 0; g < procs; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := mathx.NewRand(int64(g) + 1)
+			for !stop.Load() {
+				c := 1 + rng.Intn(len(envs)-1) // any cluster but the resident one
+				req := serve.AllocateRequest{Signature: envs[c].Signature, Allocator: "crl"}
+				if _, err := s.Allocate(ctx, req); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	lat := make([]int64, 0, b.N)
+	tick := time.NewTicker(500 * time.Microsecond)
+	defer tick.Stop()
+	trainedBefore := s.Stats().Cache.Trainings
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		<-tick.C
+		t0 := time.Now()
+		resp, err := s.Allocate(ctx, warm)
+		d := time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Cache == serve.CacheHit {
+			lat = append(lat, int64(d))
+		}
+	}
+	elapsed := time.Since(start)
+	trained := s.Stats().Cache.Trainings - trainedBefore
+	b.StopTimer()
+	b.ReportMetric(float64(len(lat)), "warm_hits")
+	b.ReportMetric(float64(trained)/elapsed.Seconds(), "cold_trainings_per_s")
+	if len(lat) == 0 {
+		return // a probe run of a few answers can meet only the resident's retraining
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[(len(lat)-1)/2]), "warm_p50_ns")
+	b.ReportMetric(float64(lat[(len(lat)-1)*99/100]), "warm_p99_ns")
+}
+
 // BenchmarkSolverScaling times the Theorem-1 solvers across problem sizes.
 func BenchmarkSolverScaling(b *testing.B) {
 	var points []dcta.ScalingPoint

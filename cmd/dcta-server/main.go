@@ -15,7 +15,9 @@
 // Failure handling: trainings that fail, hang past -train-budget, or trip a
 // cluster's circuit breaker (-breaker-threshold / -breaker-backoff) degrade
 // to the greedy fallback allocator instead of erroring; -train-concurrency
-// bounds simultaneous trainings so a cold burst cannot fork-bomb the box.
+// bounds simultaneous trainings (default one per P) so a cold burst cannot
+// fork-bomb the box, and a value below GOMAXPROCS reserves CPUs for warm
+// answers while a burst trains.
 // With -checkpoint-every set, the cache is checkpointed periodically
 // (atomic temp-file+rename writes), so a crash loses at most one interval.
 package main
@@ -56,7 +58,7 @@ func main() {
 		trainBudget  = flag.Duration("train-budget", 0, "max wait for a policy training before answering degraded (0 = wait out the request deadline)")
 		brkThresh    = flag.Int("breaker-threshold", 3, "consecutive training failures that open a cluster's circuit breaker (<0 disables)")
 		brkBackoff   = flag.Duration("breaker-backoff", time.Second, "first breaker open window (doubles per reopen, jittered)")
-		trainConc    = flag.Int("train-concurrency", 0, "max concurrent policy trainings (0 = GOMAXPROCS/2)")
+		trainConc    = flag.Int("train-concurrency", 0, "max concurrent policy trainings (0 = GOMAXPROCS; set lower to keep CPUs free for warm answers during a cold burst)")
 		noWarmStart  = flag.Bool("no-warm-start", false, "disable neighbour warm-start: cold clusters always train from scratch")
 		warmFrac     = flag.Float64("warm-episode-frac", 0, "episode-budget fraction for warm-started trainings (0 = default 1/4)")
 		speculate    = flag.Int("speculate", 0, "pre-train up to N predicted-next clusters per demand training on idle gate capacity (0 disables)")

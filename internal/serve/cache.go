@@ -163,7 +163,7 @@ type policyCache struct {
 	maxBackoff  time.Duration
 	logf        func(format string, args ...any)
 
-	gate    chan struct{} // training-concurrency semaphore
+	gate    chan struct{} // training-concurrency semaphore, one slot per P by default
 	pending atomic.Int64  // demand trainings running or queued on the gate
 	maxWait int64         // pending ceiling (gate capacity + queue)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -215,6 +216,70 @@ func TestTrainGateSaturation(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTrainGateOneSlotPerP: on the default config, GOMAXPROCS distinct cold
+// clusters train side by side. Each training holds in the trainer until all
+// of them have entered it, which happens only if the gate admits GOMAXPROCS
+// at once.
+func TestTrainGateOneSlotPerP(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	cfg := fastConfig()
+	cfg.Logf = t.Logf
+	s := serverWithStore(t, cfg, multiClusterStore(t, n))
+
+	realTrain := s.cache.train
+	entered, release := make(chan struct{}, n), make(chan struct{})
+	s.cache.train = func(cluster int) (*core.CRL, []float64, error) {
+		entered <- struct{}{}
+		<-release
+		return realTrain(cluster)
+	}
+	var wg sync.WaitGroup
+	answers := make([]*AllocateResponse, n)
+	for c := 0; c < n; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			resp, err := s.Allocate(context.Background(), AllocateRequest{Signature: []float64{float64(c)}})
+			if err != nil {
+				t.Errorf("cluster %d: %v", c, err)
+			}
+			answers[c] = resp
+		}(c)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for got := 0; got < n; got++ {
+		select {
+		case <-entered:
+		case <-ctx.Done():
+			close(release)
+			wg.Wait()
+			t.Fatalf("%d of %d cold trainings ran at once: the gate holds fewer than GOMAXPROCS slots", got, n)
+		}
+	}
+	close(release)
+	wg.Wait()
+	for c, resp := range answers {
+		if resp == nil || resp.Mode != ModeNormal || resp.Cache != CacheMiss {
+			t.Fatalf("cluster %d answer = %+v, want normal miss", c, resp)
+		}
+	}
+}
+
+// TestTrainGateDefaults pins the gate's size: one slot per P, a single slot
+// at GOMAXPROCS 1, and a queue twice as deep.
+func TestTrainGateDefaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		cfg := Config{}.withDefaults()
+		if cfg.TrainConcurrency != procs || cfg.TrainQueue != 2*procs {
+			t.Errorf("GOMAXPROCS %d: gate %d, queue %d; want %d, %d",
+				procs, cfg.TrainConcurrency, cfg.TrainQueue, procs, 2*procs)
+		}
+	}
+}
+
 // TestTrainBudgetDegradesThenWarms bounds the cold-path wait: a training
 // slower than TrainBudget answers degraded, the training finishes in the
 // background, and the next request hits the warmed cache.
@@ -270,8 +335,9 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 	s := serverWithStore(t, cfg, multiClusterStore(t, 4))
 
 	realTrain := s.cache.train
-	release := make(chan struct{})
+	started, release := make(chan struct{}, 3), make(chan struct{})
 	s.cache.train = func(cluster int) (*core.CRL, []float64, error) {
+		started <- struct{}{}
 		<-release
 		return realTrain(cluster)
 	}
@@ -286,8 +352,9 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 			}
 		}(c)
 	}
-	for s.cache.pending.Load() < 3 {
-		time.Sleep(time.Millisecond)
+	// A training starts only after its entry is in the map.
+	for c := 0; c < 3; c++ {
+		<-started
 	}
 	over, evictions := s.cache.entryCount(), s.cache.evictions.Load()
 	if over != 3 || evictions != 0 {

@@ -149,7 +149,11 @@ type Config struct {
 	BreakerMaxBackoff time.Duration
 	// TrainConcurrency bounds concurrently running cluster trainings — the
 	// global gate that keeps a cold burst of distinct signatures from
-	// fork-bombing trainings (default GOMAXPROCS/2, min 1).
+	// fork-bombing trainings (default GOMAXPROCS: one training per P, so
+	// concurrent cold clusters train side by side instead of queueing). A
+	// burst that fills every slot also holds every P, and a warm hit then
+	// waits for a preemption slice; set it below GOMAXPROCS to keep CPUs
+	// free for warm answers.
 	TrainConcurrency int
 	// TrainQueue bounds trainings waiting on the gate beyond the running
 	// ones; when queue and gate are both full, new cold clusters answer
@@ -207,10 +211,7 @@ func (c Config) withDefaults() Config {
 		c.BreakerMaxBackoff = 2 * time.Minute
 	}
 	if c.TrainConcurrency < 1 {
-		c.TrainConcurrency = runtime.GOMAXPROCS(0) / 2
-		if c.TrainConcurrency < 1 {
-			c.TrainConcurrency = 1
-		}
+		c.TrainConcurrency = runtime.GOMAXPROCS(0)
 	}
 	if c.TrainQueue < 1 {
 		c.TrainQueue = 2 * c.TrainConcurrency

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/mathx"
@@ -325,6 +327,119 @@ func TestFeedbackRefitEnablesDCTA(t *testing.T) {
 	}
 	if got := s.Stats(); got.Refits != 1 || got.Feedbacks != 2 {
 		t.Fatalf("stats after feedback: %+v", got)
+	}
+}
+
+// TestFeedbackWindowSnapshots checks the ring-held window against the slice
+// it replaces (append, then drop the oldest beyond MaxFeedback): every refit
+// snapshot holds the same samples in the same order, across several
+// wrap-arounds, with feedback sizes that do not divide the window and one
+// burst larger than it.
+func TestFeedbackWindowSnapshots(t *testing.T) {
+	cfg := fastConfig()
+	cfg.RefitEvery = 500
+	s := newTestServer(t, cfg)
+	var snapshots [][]alloc.LocalSample
+	s.fit = func(seed int64, samples []alloc.LocalSample) (*alloc.LocalModel, error) {
+		snapshots = append(snapshots, samples)
+		return alloc.NewLocalModel(seed), nil
+	}
+	var want [][]alloc.LocalSample
+	var ref []alloc.LocalSample
+	sinceFit, id := 0, 0
+	sizes := []int{7, 13, 6, 29}
+	for i := 0; i < 1200; i++ {
+		n := sizes[i%len(sizes)]
+		if i == 300 {
+			n = cfg.MaxFeedback + 904
+		}
+		feats := make([][]float64, n)
+		executed := make([]int, n)
+		for j := range feats {
+			feats[j] = []float64{float64(id)}
+			if id%3 == 0 {
+				executed[j] = core.Unassigned
+			}
+			id++
+		}
+		fb, err := s.Feedback(context.Background(), FeedbackRequest{Features: feats, Allocation: executed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, alloc.SamplesFromDecision(feats, executed)...)
+		if over := len(ref) - cfg.MaxFeedback; over > 0 {
+			ref = append(ref[:0:0], ref[over:]...)
+		}
+		if sinceFit += n; sinceFit >= cfg.RefitEvery {
+			sinceFit = 0
+			want = append(want, append([]alloc.LocalSample(nil), ref...))
+		}
+		if fb.WindowSize != len(ref) {
+			t.Fatalf("feedback %d: window %d, want %d", i, fb.WindowSize, len(ref))
+		}
+	}
+	if id < 3*cfg.MaxFeedback {
+		t.Fatalf("only %d samples: the window wrapped fewer than three times", id)
+	}
+	if !reflect.DeepEqual(snapshots, want) {
+		t.Fatalf("%d refit snapshots differ from the slice window's %d", len(snapshots), len(want))
+	}
+}
+
+// TestRefitPublishesOnlyNewer overlaps two refits: the first fit is held
+// until the second, on a newer window, has published. The first then
+// finishes last, and the served model must stay the second.
+func TestRefitPublishesOnlyNewer(t *testing.T) {
+	cfg := fastConfig()
+	cfg.RefitEvery = 6 // every 6-task feedback refits
+	s := newTestServer(t, cfg)
+	ctx := context.Background()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var calls int
+	var second *alloc.LocalModel
+	s.fit = func(seed int64, samples []alloc.LocalSample) (*alloc.LocalModel, error) {
+		mu.Lock()
+		calls++
+		call := calls
+		mu.Unlock()
+		if call == 1 {
+			close(entered)
+			<-release
+		}
+		m, err := fitLocal(seed, samples)
+		if call == 2 {
+			second = m
+		}
+		return m, err
+	}
+	imp := clusterImportance(0)
+	executed := []int{0, 0, 1, core.Unassigned, core.Unassigned, 1}
+	first := make(chan *FeedbackResponse, 1)
+	go func() {
+		fb, err := s.Feedback(ctx, FeedbackRequest{Features: mkFeatures(imp, 0.05, 51), Allocation: executed})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- fb
+	}()
+	<-entered
+	fb, err := s.Feedback(ctx, FeedbackRequest{Features: mkFeatures(imp, 0.05, 52), Allocation: executed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fb.Refitted || s.localModel() != second {
+		t.Fatalf("second refit did not publish: %+v", fb)
+	}
+	close(release)
+	if fb := <-first; fb == nil || fb.Refitted {
+		t.Fatalf("the older fit reported publishing: %+v", fb)
+	}
+	if s.localModel() != second {
+		t.Fatal("the older fit replaced the newer model")
+	}
+	if got := s.Stats().Refits; got != 1 {
+		t.Fatalf("refits = %d, want 1", got)
 	}
 }
 

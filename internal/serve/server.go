@@ -31,16 +31,20 @@ type Server struct {
 	store    *core.EnvironmentStore
 	cache    *policyCache
 
-	// localMu guards the local-model pointer; the model itself is immutable
-	// after Fit, so requests snapshot the pointer and score lock-free.
-	localMu sync.RWMutex
-	local   *alloc.LocalModel
+	// localMu guards the local-model pointer and its generation; the model
+	// itself is immutable after Fit, so requests snapshot the pointer and
+	// score lock-free. localGen is the refit generation of local (0: the boot
+	// model): only a newer fit replaces it.
+	localMu  sync.RWMutex
+	local    *alloc.LocalModel
+	localGen uint64
 
 	// fbMu serializes the feedback window, refit bookkeeping and the
-	// duplicate-seq ledger.
+	// duplicate-seq ledger. fitGen numbers refit snapshots in window order.
 	fbMu     sync.Mutex
-	window   []alloc.LocalSample
+	window   sampleRing
 	sinceFit int
+	fitGen   uint64
 	// fbSeen/fbSeenQ dedupe client-supplied feedback sequence numbers: the
 	// router replays feedback on failover, but refits are not idempotent, so
 	// a bounded FIFO set of recent seqs absorbs the replays.
@@ -96,6 +100,19 @@ type Server struct {
 	// rollout rolls a resident policy through a request's scratch; tests
 	// swap in failure modes.
 	rollout func(crl *core.CRL, r *core.Rollout, env *core.Environment, out core.Allocation) (core.Allocation, error)
+
+	// fit fits a fresh local model on a refit snapshot; tests hold it to
+	// order overlapping refits.
+	fit func(seed int64, samples []alloc.LocalSample) (*alloc.LocalModel, error)
+}
+
+// fitLocal is Server.fit: a fresh SVM local model fitted on samples.
+func fitLocal(seed int64, samples []alloc.LocalSample) (*alloc.LocalModel, error) {
+	m := alloc.NewLocalModel(seed)
+	if err := m.Fit(samples); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // NewServer builds a service over a problem template (structure only — the
@@ -123,7 +140,9 @@ func NewServer(template *core.Problem, store *core.EnvironmentStore, local *allo
 		subLen:   store.Len(),
 		subs:     make(map[int]*core.EnvironmentStore),
 		rollout:  (*core.CRL).RolloutInto,
+		fit:      fitLocal,
 	}
+	s.window.max = cfg.MaxFeedback
 	s.cache = newPolicyCache(cfg, s.trainCluster)
 	if cfg.SpeculateNeighbors > 0 {
 		s.cache.onTrained = s.speculate
@@ -602,8 +621,10 @@ const maxFeedbackSeqs = 4096
 
 // FeedbackResponse reports what the feedback changed.
 type FeedbackResponse struct {
-	Samples           int  `json:"samples"`
-	WindowSize        int  `json:"window_size"`
+	Samples    int `json:"samples"`
+	WindowSize int `json:"window_size"`
+	// Refitted is true when this request refit the local model and the fit
+	// was published; a fit that a newer window's fit overtook is dropped.
 	Refitted          bool `json:"refitted"`
 	DriftInvalidated  bool `json:"drift_invalidated"`
 	StoredEnvironment bool `json:"stored_environment"`
@@ -639,7 +660,7 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 	s.fbMu.Lock()
 	if req.Seq != 0 {
 		if s.fbSeen[req.Seq] {
-			window := len(s.window)
+			window := s.window.len()
 			s.fbMu.Unlock()
 			s.fbDupes.Add(1)
 			return &FeedbackResponse{WindowSize: window, Duplicate: true}, nil
@@ -657,32 +678,38 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 			s.fbSeenNext = (s.fbSeenNext + 1) % maxFeedbackSeqs
 		}
 	}
-	s.window = append(s.window, samples...)
-	if over := len(s.window) - s.cfg.MaxFeedback; over > 0 {
-		s.window = append(s.window[:0:0], s.window[over:]...)
-	}
+	s.window.push(samples)
 	s.sinceFit += len(samples)
 	refit := s.sinceFit >= s.cfg.RefitEvery
 	var snapshot []alloc.LocalSample
+	var gen uint64
 	if refit {
 		s.sinceFit = 0
-		snapshot = append([]alloc.LocalSample(nil), s.window...)
+		s.fitGen++
+		gen = s.fitGen
+		snapshot = s.window.snapshot()
 	}
-	resp.WindowSize = len(s.window)
+	resp.WindowSize = s.window.len()
 	s.fbMu.Unlock()
 
 	if refit {
 		// Fit a *fresh* model outside all locks, then publish it: in-flight
-		// requests keep scoring on the model they started with.
-		fresh := alloc.NewLocalModel(s.cfg.Seed + s.refits.Load() + 808)
-		if err := fresh.Fit(snapshot); err != nil {
+		// requests keep scoring on the model they started with. Overlapping
+		// fits may finish in any order, so only a fit of a newer snapshot
+		// than the served model's replaces it.
+		fresh, err := s.fit(s.cfg.Seed+s.refits.Load()+808, snapshot)
+		if err != nil {
 			return nil, fmt.Errorf("serve: refit local model: %w", err)
 		}
 		s.localMu.Lock()
-		s.local = fresh
+		if gen > s.localGen {
+			s.local, s.localGen = fresh, gen
+			resp.Refitted = true
+		}
 		s.localMu.Unlock()
-		s.refits.Add(1)
-		resp.Refitted = true
+		if resp.Refitted {
+			s.refits.Add(1)
+		}
 	}
 
 	if len(req.Signature) > 0 && len(req.Importance) > 0 {
@@ -716,6 +743,35 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 	}
 	s.feedbacks.Add(1)
 	return resp, nil
+}
+
+// sampleRing is the feedback window: the most recent max samples. It grows
+// until full, then overwrites the oldest sample in place, so a steady stream
+// of feedback copies no window.
+type sampleRing struct {
+	buf  []alloc.LocalSample
+	next int // the oldest sample, next to be overwritten, once buf is full
+	max  int
+}
+
+func (r *sampleRing) len() int { return len(r.buf) }
+
+func (r *sampleRing) push(samples []alloc.LocalSample) {
+	for _, smp := range samples {
+		if len(r.buf) < r.max {
+			r.buf = append(r.buf, smp)
+			continue
+		}
+		r.buf[r.next] = smp
+		r.next = (r.next + 1) % r.max
+	}
+}
+
+// snapshot copies the window oldest first: the order every refit fits in.
+func (r *sampleRing) snapshot() []alloc.LocalSample {
+	out := make([]alloc.LocalSample, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 func (s *Server) recordLatency(d time.Duration) {
@@ -779,7 +835,7 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
 	s.fbMu.Lock()
-	window := len(s.window)
+	window := s.window.len()
 	s.fbMu.Unlock()
 	return Stats{
 		UptimeSeconds:      s.cfg.Now().Sub(s.started).Seconds(),
