@@ -8,6 +8,7 @@ package dcta_test
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strconv"
@@ -484,30 +485,39 @@ func BenchmarkCRLRollout(b *testing.B) {
 	}
 }
 
-// wireAllocateBody is an allocate body at the paper's scale: an 8-number
-// signature and 50 tasks × 12 Table-I features, half of them measurements at
-// full precision and half small integers (building, model, condition), ~6 KB
-// as json.Marshal writes it — the body the warm_dcta benchmark workload sends.
-func wireAllocateBody(b *testing.B) []byte {
-	rng := mathx.NewRand(3)
-	req := wire.AllocateRequest{Features: make([][]float64, 50)}
-	for d := 0; d < 8; d++ {
-		req.Signature = append(req.Signature, rng.NormFloat64())
+// wireBody starts a paper-scale request body the way bench/gen.go writes
+// one: a 5-number signature in strconv's shortest 'g' form, then 50 tasks ×
+// 12 Table-I features as json.Marshal writes them, half measurements at full
+// precision and half small integers (building, model, condition) — ~6 KB,
+// 605 numbers. The body is left open for the caller's further members.
+func wireBody(b *testing.B, rng *rand.Rand) []byte {
+	body := []byte(`{"signature":[`)
+	for d := 0; d < 5; d++ {
+		if d > 0 {
+			body = append(body, ',')
+		}
+		body = strconv.AppendFloat(body, rng.NormFloat64(), 'g', -1, 64)
 	}
-	for j := range req.Features {
+	features := make([][]float64, 50)
+	for j := range features {
 		for k := 0; k < 12; k++ {
 			v := float64(rng.Intn(3))
 			if k%2 == 0 {
 				v = rng.NormFloat64()
 			}
-			req.Features[j] = append(req.Features[j], v)
+			features[j] = append(features[j], v)
 		}
 	}
-	body, err := json.Marshal(req)
+	feat, err := json.Marshal(features)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return body
+	return append(append(body, `],"features":`...), feat...)
+}
+
+// wireAllocateBody is the allocate body the warm_dcta workload sends.
+func wireAllocateBody(b *testing.B) []byte {
+	return append(wireBody(b, mathx.NewRand(3)), '}')
 }
 
 // BenchmarkWireDecodeAllocate measures the shard's request decode (the
@@ -519,6 +529,37 @@ func BenchmarkWireDecodeAllocate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := wire.DecodeAllocate(body, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireDecodeFeedback measures the shard's decode of the feedback
+// write router_mixed sends after every 8th allocate: the allocate body's
+// members plus the executed allocation, the observed importance (json.Marshal
+// floats) and a seq, as bench/gen.go appends them. Feedback reuses nothing,
+// so each decode allocates its slices.
+func BenchmarkWireDecodeFeedback(b *testing.B) {
+	rng := mathx.NewRand(4)
+	body := append(wireBody(b, rng), `,"allocation":[`...)
+	importance := make([]float64, 50)
+	for j := range importance {
+		if j > 0 {
+			body = append(body, ',')
+		}
+		body = strconv.AppendInt(body, int64(rng.Intn(10)-1), 10)
+		importance[j] = rng.ExpFloat64() / 50
+	}
+	imp, err := json.Marshal(importance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body = append(append(append(body, `],"importance":`...), imp...), `,"seq":4242}`...)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var req wire.FeedbackRequest
+		if err := wire.DecodeFeedback(body, &req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -243,62 +244,125 @@ func (s *scanner) literal(lit string) error {
 	return nil
 }
 
-// digits moves i over a run of decimal digits.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+// maxMantDigits is how many significant digits a uint64 always holds.
+const maxMantDigits = 19
+
+// decimal is a number literal's value, ±mant·10^exp10, unless trunc: then
+// it has more significant digits than mant holds. exp10 stays far inside int
+// range however long the literal. Four fields keep it in registers.
+type decimal struct {
+	mant  uint64
+	exp10 int
+	neg   bool
+	trunc bool
 }
 
-// number moves over one RFC 8259 number literal and reports whether it has
-// neither fraction nor exponent.
-func (s *scanner) number() (integral bool, err error) {
+// number moves over one RFC 8259 number literal, collecting its digits and
+// decimal exponent on the way, and reports whether it has neither fraction
+// nor exponent.
+func (s *scanner) number() (d decimal, integral bool, err error) {
 	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
+	d.neg, integral = i < len(b) && b[i] == '-', true
+	if d.neg {
 		i++
 	}
-	if i < len(b) && b[i] == '0' {
+	lo := i
+	switch {
+	case i < len(b) && b[i] == '0':
 		i++
-	} else if j := digits(b, i); j > i {
-		i = j
-	} else if s.peek() == 'n' {
-		return false, s.fail("null array element")
-	} else {
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		// Most integer parts are one digit ("3", "7.25"): no call for those.
+		d.mant = uint64(b[i] - '0')
+		if i++; i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i, d.mant = digits(b, i, d.mant)
+		}
+	case s.peek() == 'n':
+		return d, false, s.fail("null array element")
+	default:
 		s.i = i
-		return false, s.fail("want a number")
+		return d, false, s.fail("want a number")
 	}
-	integral = true
+	nd := i - lo // digits folded into mant
 	if i < len(b) && b[i] == '.' {
 		integral = false
-		j := digits(b, i+1)
-		if s.i = j; j == i+1 {
-			return false, s.fail("want a digit after '.'")
+		frac := i + 1
+		if i, d.mant = digits(b, frac, d.mant); i == frac {
+			s.i = i
+			return d, false, s.fail("want a digit after '.'")
 		}
-		i = j
+		d.exp10 = frac - i
+		nd += i - frac
+	}
+	if nd > maxMantDigits { // mant has wrapped, unless the extra digits lead ("0.000…")
+		for j := lo; j < i && (b[j] == '0' || b[j] == '.'); j++ {
+			if b[j] == '0' {
+				nd--
+			}
+		}
+		d.trunc = nd > maxMantDigits
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
 		integral = false
 		i++
+		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		j := digits(b, i)
-		if s.i = j; j == i {
-			return false, s.fail("want a digit in the exponent")
+		exp, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // strconv stops here too, so a longer exponent reads as it does
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = j
+		if i == exp {
+			s.i = i
+			return d, false, s.fail("want a digit in the exponent")
+		}
+		if neg {
+			e = -e
+		}
+		d.exp10 += e
 	}
 	s.i = i
-	return integral, nil
+	return d, integral, nil
 }
 
-// float reads one number exactly as encoding/json does: grammar first, then
-// strconv.ParseFloat on the literal, whose range error rejects the value.
+// digits moves i over a run of decimal digits, folding each into mant
+// (modulo 2^64: the caller counts them). Eight at a time while they last.
+func digits(b []byte, i int, mant uint64) (int, uint64) {
+	const zeros, high = 0x3030303030303030, 0xF0F0F0F0F0F0F0F0
+	for ; len(b)-i >= 8; i += 8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if v&high != zeros || (v+0x0606060606060606)&high != zeros { // not eight of '0'…'9'
+			break
+		}
+		// Pairs, then quads, then the eight: v's first byte is the top digit.
+		v -= zeros
+		v = v*10 + v>>8
+		v = ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		mant = mant*1e8 + v
+	}
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		mant = mant*10 + uint64(b[i]-'0')
+	}
+	return i, mant
+}
+
+// float reads one number, bit-identical to encoding/json's. The digits the
+// grammar pass collected go through Eisel–Lemire; what it cannot settle —
+// more than 19 significant digits, an exponent outside its table, a rounding
+// the 128-bit product leaves open, a subnormal or overflowing result — goes
+// to strconv.ParseFloat on the literal, whose range error rejects the value.
 func (s *scanner) float() (float64, error) {
 	lo := s.i
-	if _, err := s.number(); err != nil {
+	d, _, err := s.number()
+	if err != nil {
 		return 0, err
+	}
+	if !d.trunc {
+		if v, ok := eiselLemire(d.mant, d.exp10, d.neg); ok {
+			return v, nil
+		}
 	}
 	// The conversion does not escape, so literals up to 32 bytes (every
 	// shortest-form float64) are parsed without touching the heap.
@@ -312,7 +376,7 @@ func (s *scanner) float() (float64, error) {
 
 func (s *scanner) integer() (int64, error) {
 	lo := s.i
-	integral, err := s.number()
+	_, integral, err := s.number()
 	if err != nil {
 		return 0, err
 	}
@@ -599,6 +663,6 @@ func (s *scanner) skip(depth int) error {
 	case c == '[' || c == '{':
 		return s.fail("value nested too deep")
 	}
-	_, err := s.number()
+	_, _, err := s.number()
 	return err
 }

@@ -49,12 +49,12 @@ func mustMarshal(v any) []byte {
 	return b
 }
 
-// corpus is the seed corpus of the three fuzz targets and the input of the
-// table-driven properties: the body shapes bench/gen.go and
-// loadgen.BuildWorkload emit, every tightening, and malformed bodies around
-// each production of the grammar.
+// corpus is the seed corpus of the three body fuzz targets and the input of
+// the table-driven properties: the body shapes bench/gen.go and
+// loadgen.BuildWorkload emit, every tightening, malformed bodies around each
+// production of the grammar, and every edge literal of number_test.go.
 func corpus() [][]byte {
-	return [][]byte{
+	bodies := [][]byte{
 		// bench/gen.go: hand-appended members, 'g' floats.
 		paperAllocate(50, 12, 1),
 		paperAllocate(3, 2, 2),
@@ -135,6 +135,11 @@ func corpus() [][]byte {
 		[]byte(`{"signature":[1],"importance":[1e999]}`),
 		[]byte(`{"signature":[1],"allocator":` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}`),
 	}
+	// Each edge literal as a signature element and as a seq.
+	for _, lit := range edgeLiterals {
+		bodies = append(bodies, []byte(`{"signature":[0.5,`+lit+`]}`), []byte(`{"seq":`+lit+`}`))
+	}
+	return bodies
 }
 
 func sameBits(a, b []float64) bool {

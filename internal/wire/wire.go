@@ -4,8 +4,18 @@
 // the router (internal/cluster) pulls the routing signature out with it, so
 // the two tiers cannot disagree on what a body means. It is one forward pass
 // over the body bytes with no reflection and, into a warmed target, no
-// allocation; numbers go through strconv.ParseFloat on the literal exactly as
-// encoding/json's do, so decoded values are bit-identical to the stdlib's.
+// allocation.
+//
+// Each number literal is read once: the pass that checks its grammar also
+// folds its digits into a 64-bit mantissa, eight at a time, and sums its
+// decimal exponent, and Eisel–Lemire (float.go) turns the two into the
+// nearest float64. What that cannot settle — more than 19 significant
+// digits, an exponent
+// outside its 10^±64 table, a rounding its 128-bit product leaves open, a
+// subnormal or overflowing result — goes to strconv.ParseFloat on the
+// literal, as encoding/json's numbers do. Both are correctly rounded, so
+// decoded values are bit-identical to the stdlib's, and the out-of-range
+// error is strconv's.
 //
 // # Request grammar
 //
