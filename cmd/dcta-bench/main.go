@@ -58,7 +58,7 @@ func main() {
 }
 
 func run(fig string, seed int64, scale string) error {
-	cfg, err := configFor(seed, scale)
+	cfg, err := dcta.ScaledScenarioConfig(seed, scale)
 	if err != nil {
 		return err
 	}
@@ -99,29 +99,6 @@ func run(fig string, seed int64, scale string) error {
 		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil
-}
-
-func configFor(seed int64, scale string) (dcta.ScenarioConfig, error) {
-	cfg := dcta.DefaultScenarioConfig(seed)
-	switch scale {
-	case "fast":
-		cfg.Years = 1
-		cfg.Tasks = 24
-		cfg.HistoryContexts = 20
-		cfg.EvalContexts = 4
-		cfg.Workers = 5
-		cfg.CRLEpisodes = 10
-	case "default":
-	case "full":
-		cfg.Years = 4
-		cfg.StepHours = 1
-		cfg.HistoryContexts = 120
-		cfg.EvalContexts = 24
-		cfg.CRLEpisodes = 150
-	default:
-		return cfg, fmt.Errorf("unknown scale %q (fast, default, full)", scale)
-	}
-	return cfg, nil
 }
 
 func header(title string) {

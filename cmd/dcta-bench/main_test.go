@@ -1,30 +1,34 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro"
+)
 
 func TestConfigFor(t *testing.T) {
-	fast, err := configFor(3, "fast")
+	fast, err := dcta.ScaledScenarioConfig(3, "fast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast.Seed != 3 || fast.Tasks != 24 || fast.Workers != 5 {
 		t.Fatalf("fast config = %+v", fast)
 	}
-	def, err := configFor(1, "default")
+	def, err := dcta.ScaledScenarioConfig(1, "default")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def.Tasks != 50 || def.Workers != 9 {
 		t.Fatalf("default config = %+v", def)
 	}
-	full, err := configFor(1, "full")
+	full, err := dcta.ScaledScenarioConfig(1, "full")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Years != 4 || full.StepHours != 1 || full.HistoryContexts != 120 {
 		t.Fatalf("full config = %+v", full)
 	}
-	if _, err := configFor(1, "warp"); err == nil {
+	if _, err := dcta.ScaledScenarioConfig(1, "warp"); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }

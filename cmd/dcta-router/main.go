@@ -4,14 +4,18 @@
 // looks the key up on a consistent-hash ring over the shard fleet, and
 // proxies the request to the owning shard over persistent connections.
 //
-//	dcta-router -addr :8090 -scale fast -seed 1 \
-//	    -shards s0=127.0.0.1:8080,s1=127.0.0.1:8081,s2=127.0.0.1:8082
+//	dcta-router -addr 127.0.0.1:8090 -scale fast -seed 1 -join 127.0.0.1:8080
 //
-// The router probes every shard's /healthz; a shard that misses its
-// liveness budget is ejected and its ring ranges reassign to the survivors
-// (requests for those ranges degrade to the survivors' cold/degraded path —
-// they never 5xx while any shard lives). A shard that comes back is
-// re-admitted on its next healthy probe and its ranges return.
+// The router learns the fleet from the gossip plane alone: it joins through
+// any live member (-join is required), admits every shard the converged
+// view names, and masks the ones it confirms dead. Beside that view it
+// keeps two local liveness inputs on its own router→shard links: it probes
+// every shard's /healthz, and a request that fails at the wire ejects its
+// shard at once. A shard that misses its liveness budget is ejected and
+// its ring ranges reassign to the survivors (requests for those ranges
+// degrade to the survivors' cold/degraded path — they never 5xx while any
+// shard lives). A shard that comes back is re-admitted on its next healthy
+// probe and its ranges return.
 //
 // Endpoints: POST /v1/allocate and /v1/feedback (proxied), GET /v1/stats
 // (fleet aggregate + per-shard counters), GET /v1/cluster (the shard map),
@@ -38,38 +42,38 @@ func main() {
 		addr       = flag.String("addr", ":8090", "listen address")
 		scale      = flag.String("scale", "fast", "scenario scale: fast, default, full (must match the shards')")
 		seed       = flag.Int64("seed", 1, "scenario seed (must match the shards')")
-		shardSpec  = flag.String("shards", "", "optional static bootstrap shard list: id=host:port,... (with -join it is only a fallback seed; the gossip view supersedes it)")
 		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the ring")
 		probeEvery = flag.Duration("probe-every", 250*time.Millisecond, "liveness probe cadence")
 		misses     = flag.Int("liveness-misses", 3, "consecutive failed probes before a shard is ejected")
 		proxyTO    = flag.Duration("proxy-timeout", 30*time.Second, "per-request proxy deadline (cold shards train)")
-		replicas   = flag.Int("replica-groups", cluster.DefaultReplicaGroups, "owners per ring range across the fleet (informational: surfaced in /v1/stats; must match the shards' -replica-groups)")
-		joinSeeds  = flag.String("join", "", "gossip seed peers (host:port,...): learn the shard fleet from the membership plane instead of -shards")
+		joinSeeds  = flag.String("join", "", "gossip seed peers (host:port,...), required: the router learns the shard fleet from the membership plane")
 		advertise  = flag.String("advertise", "", "address fleet members dial this router's gossip endpoint at (default: -addr when it names a host)")
 		gossipTick = flag.Duration("gossip-interval", time.Second, "gossip protocol tick interval")
 		suspectTO  = flag.Duration("suspicion-timeout", 0, "unrefuted-suspect window before a member is declared dead (0 = derived)")
 	)
 	flag.Parse()
-	if err := run(*addr, *scale, *seed, *shardSpec, *vnodes, *probeEvery, *misses, *proxyTO, *replicas,
+	if err := run(*addr, *scale, *seed, *vnodes, *probeEvery, *misses, *proxyTO,
 		*joinSeeds, *advertise, *gossipTick, *suspectTO); err != nil {
 		fmt.Fprintln(os.Stderr, "dcta-router:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, scale string, seed int64, shardSpec string, vnodes int,
-	probeEvery time.Duration, misses int, proxyTO time.Duration, replicas int,
+func run(addr, scale string, seed int64, vnodes int,
+	probeEvery time.Duration, misses int, proxyTO time.Duration,
 	joinSeeds, advertise string, gossipTick, suspectTO time.Duration) error {
-	var shards []cluster.Shard
-	var err error
-	if shardSpec != "" {
-		if shards, err = cluster.ParseShards(shardSpec); err != nil {
-			return err
-		}
-	} else if joinSeeds == "" {
-		return fmt.Errorf("need -shards, -join, or both")
+	if joinSeeds == "" {
+		return fmt.Errorf("-join is required")
 	}
-	scnCfg, err := scenarioConfig(seed, scale)
+	seeds, err := cluster.ParseSeeds(joinSeeds)
+	if err != nil {
+		return err
+	}
+	adv, err := cluster.AdvertiseAddr(advertise, addr)
+	if err != nil {
+		return err
+	}
+	scnCfg, err := dcta.ScaledScenarioConfig(seed, scale)
 	if err != nil {
 		return err
 	}
@@ -78,85 +82,34 @@ func run(addr, scale string, seed int64, shardSpec string, vnodes int,
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	router, err := cluster.NewRouter(scn.Store, shards, cluster.RouterConfig{
+	router, err := cluster.NewRouter(scn.Store, nil, cluster.RouterConfig{
 		VNodes:         vnodes,
 		ProbeEvery:     probeEvery,
 		LivenessMisses: misses,
 		ProxyTimeout:   proxyTO,
-		ReplicaGroups:  replicas,
 	})
 	if err != nil {
 		return err
 	}
-	if joinSeeds != "" || shardSpec != "" {
-		// The router gossips like any other member (role router — it never
-		// owns ring ranges) and rebuilds its ring from the converged view;
-		// its private probes stay on as a second, faster liveness input.
-		adv := advertise
-		if adv == "" {
-			if host, _, err := net.SplitHostPort(addr); err == nil && host != "" {
-				adv = addr
-			}
-		}
-		agent, err := cluster.NewAgent(
-			cluster.Member{ID: "router", Addr: adv, Role: cluster.RoleRouter},
-			cluster.GossipConfig{Interval: gossipTick, SuspicionTimeout: suspectTO, Logf: log.Printf})
-		if err != nil {
-			return err
-		}
-		if len(shards) > 0 {
-			members := make([]cluster.Member, 0, len(shards))
-			for _, sh := range shards {
-				members = append(members, cluster.Member{ID: sh.ID, Addr: sh.Addr, Role: cluster.RoleShard})
-			}
-			agent.Seed(members)
-		}
-		if joinSeeds != "" {
-			seeds, err := cluster.ParseSeeds(joinSeeds)
-			if err != nil {
-				return err
-			}
-			// Fleet boots race (the seed may still be building its scenario),
-			// so keep knocking rather than dying on the first refused dial.
-			if err := agent.JoinRetry(seeds, cluster.DefaultJoinRetryWindow, log.Printf); err != nil {
-				if len(shards) == 0 {
-					return err
-				}
-				log.Printf("gossip: join failed (%v); continuing on the static -shards seed", err)
-			}
-		}
-		router.AttachMembership(agent)
+	// The router gossips like any other member (role router — it never owns
+	// ring ranges) and builds its ring from the converged view; its private
+	// probes stay on as a second, faster liveness input.
+	agent, err := cluster.NewAgent(
+		cluster.Member{ID: "router", Addr: adv, Role: cluster.RoleRouter},
+		cluster.GossipConfig{Interval: gossipTick, SuspicionTimeout: suspectTO, Logf: log.Printf})
+	if err != nil {
+		return err
 	}
+	// Fleet boots race (the seed may still be building its scenario), so
+	// keep knocking rather than dying on the first refused dial.
+	if err := agent.JoinRetry(seeds, cluster.DefaultJoinRetryWindow, log.Printf); err != nil {
+		return err
+	}
+	router.AttachMembership(agent)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	return cluster.ListenAndServe(ctx, addr, router, func(a net.Addr) {
-		log.Printf("routing on %s: %d bootstrap shards, %d vnodes each, probe %v ×%d, gossip=%v",
-			a, len(shards), vnodes, probeEvery, misses, joinSeeds != "" || shardSpec != "")
+		log.Printf("routing on %s: %d shards from gossip, %d vnodes each, probe %v ×%d",
+			a, router.Ring().Len(), vnodes, probeEvery, misses)
 	})
-}
-
-// scenarioConfig mirrors dcta-server's -scale presets: the router must build
-// the exact store its shards serve from, or signatures would resolve to
-// different cluster keys on the two tiers.
-func scenarioConfig(seed int64, scale string) (dcta.ScenarioConfig, error) {
-	cfg := dcta.DefaultScenarioConfig(seed)
-	switch scale {
-	case "fast":
-		cfg.Years = 1
-		cfg.Tasks = 24
-		cfg.HistoryContexts = 20
-		cfg.EvalContexts = 4
-		cfg.Workers = 5
-		cfg.CRLEpisodes = 10
-	case "default":
-	case "full":
-		cfg.Years = 4
-		cfg.StepHours = 1
-		cfg.HistoryContexts = 120
-		cfg.EvalContexts = 24
-		cfg.CRLEpisodes = 150
-	default:
-		return cfg, fmt.Errorf("unknown scale %q (fast, default, full)", scale)
-	}
-	return cfg, nil
 }

@@ -5,6 +5,12 @@
 //	dcta-server -addr :8080 -scale fast
 //	dcta-server -checkpoint policies.ckpt      # warm-start across restarts
 //	dcta-server -checkpoint policies.ckpt -checkpoint-every 5m
+//	dcta-server -addr 127.0.0.1:8080 -node-id s0   # first shard of a fleet
+//	dcta-server -addr 127.0.0.1:8081 -node-id s1 -join 127.0.0.1:8080
+//
+// A shard's cluster membership comes from the gossip plane alone: it
+// joins through any live member, and the converged view sets its ring
+// identity, its replication peers and the warm state it pulls.
 //
 // Endpoints: POST /v1/allocate, POST /v1/feedback, GET /v1/stats,
 // GET /healthz. SIGINT/SIGTERM drains gracefully: /healthz flips to 503 so
@@ -63,14 +69,12 @@ func main() {
 		warmFrac     = flag.Float64("warm-episode-frac", 0, "episode-budget fraction for warm-started trainings (0 = default 1/4)")
 		speculate    = flag.Int("speculate", 0, "pre-train up to N predicted-next clusters per demand training on idle gate capacity (0 disables)")
 		prioritized  = flag.Bool("prioritized-replay", false, "TD-error-prioritized experience replay (α=0.6) in policy trainings")
-		nodeID       = flag.String("node-id", "", "cluster shard id (joins the -cluster fleet; empty runs standalone)")
-		clusterSpec  = flag.String("cluster", "", "full shard list incl. this node: id=host:port,id=host:port,... (needs -node-id)")
+		nodeID       = flag.String("node-id", "", "cluster shard id: gossips on this node's listener and joins the fleet through -join (empty runs standalone)")
 		vnodes       = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the cluster ring")
-		joinPull     = flag.Bool("join-pull", true, "on cluster join, pull this shard's owned policy checkpoints from its peers")
-		handoffTO    = flag.Duration("handoff-timeout", cluster.DefaultHandoffTimeout, "per-peer deadline for join-time checkpoint pulls")
+		handoffTO    = flag.Duration("handoff-timeout", cluster.DefaultHandoffTimeout, "per-peer deadline for warm-state checkpoint pulls")
 		replicaGrps  = flag.Int("replica-groups", cluster.DefaultReplicaGroups, "owners per cluster range (R): primary plus R-1 successor replicas with async policy replication (1 disables)")
-		joinSeeds    = flag.String("join", "", "gossip seed peers (host:port,host:port,...): join the fleet flag-free through any live member — no -cluster list needed")
-		advertise    = flag.String("advertise", "", "address peers dial this shard at (default: this node's entry in -cluster, or -addr when it names a host)")
+		joinSeeds    = flag.String("join", "", "gossip seed peers (host:port,host:port,...): join the fleet through any live member (needs -node-id; the fleet's first shard names none)")
+		advertise    = flag.String("advertise", "", "address peers dial this shard at (default: -addr when it names a host)")
 		gossipEvery  = flag.Duration("gossip-interval", time.Second, "gossip protocol tick interval")
 		suspectAfter = flag.Duration("suspicion-timeout", 0, "how long a suspected member may stay unrefuted before it is declared dead (0 = derived from interval and fleet size)")
 	)
@@ -91,9 +95,7 @@ func main() {
 	}
 	join := joinOptions{
 		NodeID:       *nodeID,
-		Cluster:      *clusterSpec,
 		VNodes:       *vnodes,
-		Pull:         *joinPull,
 		Timeout:      *handoffTO,
 		Replicas:     *replicaGrps,
 		JoinSeeds:    *joinSeeds,
@@ -111,9 +113,7 @@ func main() {
 // joinOptions is the cluster-membership flag bundle.
 type joinOptions struct {
 	NodeID       string
-	Cluster      string
 	VNodes       int
-	Pull         bool
 	Timeout      time.Duration
 	Replicas     int
 	JoinSeeds    string
@@ -122,84 +122,22 @@ type joinOptions struct {
 	SuspectAfter time.Duration
 }
 
-// joinCluster wires the shard into its fleet: identity from the full ring
-// (recorded in /v1/stats and /v1/cluster), then — unless -join-pull=false —
-// a warm boot pulling this shard's owned checkpoint sections from its
-// peers, and with -replica-groups >= 2 the async replication queue that
-// pushes freshly trained policies to the range's other owners. An
-// unreachable peer just leaves those clusters cold.
-func joinCluster(s *serve.Server, j joinOptions) error {
+// startGossip boots the shard's SWIM membership agent and joins it to the
+// fleet through the -join seeds; the fleet's first shard names none and
+// starts as a one-member view that joiners gossip into. The agent's route
+// is mounted on the shard's listener, and the membership manager sets the
+// shard's identity, replication targets and warm state from the converged
+// view from here on.
+func startGossip(ctx context.Context, s *serve.Server, addr string, j joinOptions, httpOpts *serve.HTTPOptions) error {
 	if j.NodeID == "" {
+		if j.JoinSeeds != "" {
+			return fmt.Errorf("gossip: -join needs -node-id")
+		}
 		return nil
 	}
-	if j.Cluster == "" {
-		// Flag-free fleet: no static list anywhere — identity, warm pulls and
-		// replication all come from the gossip plane (startGossip). This
-		// includes the lone seed node (-node-id with neither -cluster nor
-		// -join), whose first view is just itself and owns the whole ring
-		// until joiners gossip in.
-		return nil
-	}
-	all, err := cluster.ParseShards(j.Cluster)
+	adv, err := cluster.AdvertiseAddr(j.Advertise, addr)
 	if err != nil {
-		return fmt.Errorf("cluster join: %w", err)
-	}
-	var self cluster.Shard
-	found := false
-	for _, sh := range all {
-		if sh.ID == j.NodeID {
-			self, found = sh, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("cluster join: -node-id %q not in -cluster list", j.NodeID)
-	}
-	pulled := 0
-	if j.Pull {
-		pulled, err = cluster.JoinWarm(s, self, all, j.VNodes, j.Replicas, j.Timeout, log.Printf)
-	} else {
-		_, _, err = cluster.AssignIdentity(s, self, all, j.VNodes, j.Replicas)
-	}
-	if err != nil {
-		return fmt.Errorf("cluster join: %w", err)
-	}
-	if err := cluster.EnableShardReplication(s, self, all, j.VNodes, j.Replicas, log.Printf); err != nil {
-		return fmt.Errorf("cluster join: %w", err)
-	}
-	id := s.ClusterIdentity()
-	log.Printf("joined cluster as %s: %d owned + %d replica clusters (%.1f%% of the ring, R=%d), %d policies pulled warm",
-		j.NodeID, len(id.OwnedClusters), len(id.ReplicaClusters), id.OwnedFraction*100, j.Replicas, pulled)
-	return nil
-}
-
-// startGossip boots the shard's SWIM membership agent: seeded from the
-// static -cluster list when one is given, joined through -join seeds when
-// not (or both — the wire always supersedes the bootstrap list). The
-// returned route must be mounted on the shard's listener, and the
-// membership manager keeps identity, replication targets and warm state in
-// lockstep with the converged view from here on.
-func startGossip(ctx context.Context, s *serve.Server, j joinOptions, httpOpts *serve.HTTPOptions) error {
-	if j.NodeID == "" {
-		return nil
-	}
-	var static []cluster.Shard
-	if j.Cluster != "" {
-		var err error
-		if static, err = cluster.ParseShards(j.Cluster); err != nil {
-			return fmt.Errorf("gossip: %w", err)
-		}
-	}
-	adv := j.Advertise
-	if adv == "" {
-		for _, sh := range static {
-			if sh.ID == j.NodeID {
-				adv = sh.Addr
-			}
-		}
-	}
-	if adv == "" {
-		return fmt.Errorf("gossip: -advertise required (peers must be able to dial this shard back)")
+		return fmt.Errorf("gossip: %w", err)
 	}
 	agent, err := cluster.NewAgent(
 		cluster.Member{ID: j.NodeID, Addr: adv, Role: cluster.RoleShard},
@@ -211,23 +149,13 @@ func startGossip(ctx context.Context, s *serve.Server, j joinOptions, httpOpts *
 	if err != nil {
 		return fmt.Errorf("gossip: %w", err)
 	}
-	if len(static) > 0 {
-		members := make([]cluster.Member, 0, len(static))
-		for _, sh := range static {
-			members = append(members, cluster.Member{ID: sh.ID, Addr: sh.Addr, Role: cluster.RoleShard})
-		}
-		agent.Seed(members)
-	}
 	if j.JoinSeeds != "" {
 		seeds, err := cluster.ParseSeeds(j.JoinSeeds)
 		if err != nil {
 			return fmt.Errorf("gossip: %w", err)
 		}
 		if err := agent.JoinRetry(seeds, cluster.DefaultJoinRetryWindow, log.Printf); err != nil {
-			if len(static) == 0 {
-				return fmt.Errorf("gossip: %w", err)
-			}
-			log.Printf("gossip: join failed (%v); continuing on the static -cluster seed", err)
+			return fmt.Errorf("gossip: %w", err)
 		}
 		// Rejoin bump: outrank any suspicion the fleet may still hold about
 		// a previous life of this shard id.
@@ -244,8 +172,9 @@ func startGossip(ctx context.Context, s *serve.Server, j joinOptions, httpOpts *
 	}
 	go agent.Run(ctx)
 	id := s.ClusterIdentity()
-	log.Printf("gossip membership up as %s@%s: %d members known, epoch %d, %d owned + %d replica clusters, %d policies pulled warm",
-		j.NodeID, adv, len(agent.View().Members), agent.Epoch(), len(id.OwnedClusters), len(id.ReplicaClusters), pulled)
+	log.Printf("gossip membership up as %s@%s: %d members known, epoch %d, %d owned + %d replica clusters (%.1f%% of the ring, R=%d), %d policies pulled warm",
+		j.NodeID, adv, len(agent.View().Members), agent.Epoch(), len(id.OwnedClusters), len(id.ReplicaClusters),
+		id.OwnedFraction*100, j.Replicas, pulled)
 	return nil
 }
 
@@ -262,33 +191,9 @@ func serveConfig(neighborhood, capacity int, ttl time.Duration, drift float64,
 	return cfg
 }
 
-// scenarioConfig mirrors dcta-bench's -scale presets.
-func scenarioConfig(seed int64, scale string) (dcta.ScenarioConfig, error) {
-	cfg := dcta.DefaultScenarioConfig(seed)
-	switch scale {
-	case "fast":
-		cfg.Years = 1
-		cfg.Tasks = 24
-		cfg.HistoryContexts = 20
-		cfg.EvalContexts = 4
-		cfg.Workers = 5
-		cfg.CRLEpisodes = 10
-	case "default":
-	case "full":
-		cfg.Years = 4
-		cfg.StepHours = 1
-		cfg.HistoryContexts = 120
-		cfg.EvalContexts = 24
-		cfg.CRLEpisodes = 150
-	default:
-		return cfg, fmt.Errorf("unknown scale %q (fast, default, full)", scale)
-	}
-	return cfg, nil
-}
-
 func run(addr, scale string, seed int64, checkpoint string, ckptEvery time.Duration,
 	cfg serve.Config, opts serve.HTTPOptions, join joinOptions) error {
-	scnCfg, err := scenarioConfig(seed, scale)
+	scnCfg, err := dcta.ScaledScenarioConfig(seed, scale)
 	if err != nil {
 		return err
 	}
@@ -317,13 +222,9 @@ func run(addr, scale string, seed int64, checkpoint string, ckptEvery time.Durat
 		}
 	}
 
-	if err := joinCluster(s, join); err != nil {
-		return err
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := startGossip(ctx, s, join, &opts); err != nil {
+	if err := startGossip(ctx, s, addr, join, &opts); err != nil {
 		return err
 	}
 	if checkpoint != "" && ckptEvery > 0 {

@@ -201,6 +201,9 @@ var (
 	NewScenario = experiments.NewScenario
 	// DefaultScenarioConfig is the paper-scale scenario configuration.
 	DefaultScenarioConfig = experiments.DefaultScenarioConfig
+	// ScaledScenarioConfig maps a -scale preset (fast, default, full) to a
+	// scenario configuration.
+	ScaledScenarioConfig = experiments.ScaledScenarioConfig
 	// Fig2LongTail regenerates Fig. 2.
 	Fig2LongTail = experiments.Fig2LongTail
 	// Fig3AccurateVsRandom regenerates Fig. 3.

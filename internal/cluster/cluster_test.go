@@ -311,6 +311,41 @@ func TestClusterFailoverAndWarmRejoin(t *testing.T) {
 	}
 }
 
+// TestClusterRestartPullsOnce: a restarted shard is warmed by one pull, the
+// one its membership manager starts on its first view. Every owned policy
+// then crosses the wire once; a second pull would resend each section, and
+// the version gate would refuse every repeat as stale.
+func TestClusterRestartPullsOnce(t *testing.T) {
+	lc := startCluster(t, 3, nil)
+	for k := 0; k < clusterCount; k++ {
+		if code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(k)); code != http.StatusOK {
+			t.Fatalf("warm cluster %d: %d %s", k, code, body)
+		}
+	}
+	if !lc.AwaitReplication(10 * time.Second) {
+		t.Fatal("replication queues did not drain")
+	}
+
+	const victim = 0
+	if err := lc.KillShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := lc.RestartShard(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := lc.Server(victim).Stats().Cluster
+	if st == nil {
+		t.Fatal("restarted shard has no cluster identity")
+	}
+	if pulled < 1 || st.HandoffPulls != int64(pulled) {
+		t.Fatalf("restart pulled %d policies, stats count %d; want the same count, at least one", pulled, st.HandoffPulls)
+	}
+	if st.ReplicaStale != 0 {
+		t.Fatalf("restarted shard refused %d stale sections: its warm state was pulled more than once", st.ReplicaStale)
+	}
+}
+
 // TestClusterMalformedBodyPassthrough: requests the router cannot route by
 // signature go round-robin and the shard owns the 4xx; bad requests must
 // never eject anyone.

@@ -389,9 +389,10 @@ func NewAgent(self Member, cfg GossipConfig) (*Agent, error) {
 // SelfID is the agent's member id.
 func (a *Agent) SelfID() string { return a.self }
 
-// Seed preloads a static bootstrap member list (the optional -shards
-// fallback): every entry lands alive at incarnation 0 and is superseded by
-// anything the wire later says.
+// Seed preloads a member list into the gossip view: every entry lands alive
+// at incarnation 0 and is superseded by anything the wire later says.
+// LocalCluster seeds every member with the same list so all views agree at
+// t=0; it is an input to the one gossip view, not a second membership path.
 func (a *Agent) Seed(members []Member) {
 	a.mu.Lock()
 	for _, m := range members {

@@ -494,36 +494,6 @@ func TestGossipSeedIgnoresJunk(t *testing.T) {
 // Flag parsing (satellites)
 // ---------------------------------------------------------------------------
 
-// TestParseShardsDuplicates: duplicate ids and duplicate addresses are both
-// configuration errors, not silent ring skew.
-func TestParseShardsDuplicates(t *testing.T) {
-	cases := []struct {
-		name string
-		spec string
-		want string // "" = accepted
-	}{
-		{"distinct ok", "a=h:1,b=h:2,c=h:3", ""},
-		{"dup id", "a=h:1,a=h:2", "duplicate shard id"},
-		{"dup id later", "a=h:1,b=h:2,a=h:3", "duplicate shard id"},
-		{"dup addr", "a=h:1,b=h:1", "duplicate shard address"},
-		{"dup addr later", "a=h:1,b=h:2,c=h:2", "duplicate shard address"},
-	}
-	for _, tc := range cases {
-		got, err := ParseShards(tc.spec)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: rejected: %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("%s: accepted as %+v, want error about %q", tc.name, got, tc.want)
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err %q, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 // TestParseSeeds covers the -join flag form: bare addresses, no ids.
 func TestParseSeeds(t *testing.T) {
 	got, err := ParseSeeds(" h:1, h:2 ,h:3")
@@ -536,6 +506,32 @@ func TestParseSeeds(t *testing.T) {
 	for _, bad := range []string{"", " , ", "id=h:1", "h:1,h:1"} {
 		if _, err := ParseSeeds(bad); err == nil {
 			t.Errorf("ParseSeeds(%q) accepted", bad)
+		}
+	}
+}
+
+// TestAdvertiseAddr: the address peers dial a node back at — an explicit
+// -advertise wins, a host-qualified -addr is used, a bare :port is an error.
+func TestAdvertiseAddr(t *testing.T) {
+	for _, tc := range []struct {
+		advertise, listen, want string
+	}{
+		{"10.0.0.5:8080", ":8080", "10.0.0.5:8080"},
+		{"10.0.0.5:9000", "127.0.0.1:8080", "10.0.0.5:9000"},
+		{"", "127.0.0.1:8080", "127.0.0.1:8080"},
+		{"", "pi-3.local:8080", "pi-3.local:8080"},
+		{"", ":8080", ""},
+		{"", "8080", ""},
+	} {
+		got, err := AdvertiseAddr(tc.advertise, tc.listen)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("AdvertiseAddr(%q, %q) = %q, want an error", tc.advertise, tc.listen, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("AdvertiseAddr(%q, %q) = %q, %v; want %q", tc.advertise, tc.listen, got, err, tc.want)
 		}
 	}
 }

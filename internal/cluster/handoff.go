@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -117,89 +116,4 @@ func checkpointPath(clusters []int, after, limit int) string {
 		b = strconv.AppendInt(b, int64(limit), 10)
 	}
 	return string(b)
-}
-
-// AssignIdentity computes a node's ownership on the full (all-member) ring
-// and records it on the server (visible in /v1/stats and /v1/cluster).
-// Ownership is a property of the deployment's member list, not of any
-// router's current live view. With replicas >= 2 every cluster key gets
-// that many distinct owners; the first is the primary, the rest hold
-// successor-replica copies. Returns the node's primary- and replica-owned
-// cluster keys.
-func AssignIdentity(s *serve.Server, self Shard, all []Shard, vnodes, replicas int) (primary, replica []int, err error) {
-	ids := make([]string, 0, len(all))
-	found := false
-	for _, sh := range all {
-		ids = append(ids, sh.ID)
-		if sh.ID == self.ID {
-			found = true
-		}
-	}
-	if !found {
-		return nil, nil, fmt.Errorf("cluster: join: %q not in shard list", self.ID)
-	}
-	ring, err := NewRing(vnodes, ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	primary, replica = ring.ReplicatedClusters(self.ID, s.Store().Len(), replicas)
-	s.SetClusterIdentity(serve.ClusterIdentity{
-		NodeID:          self.ID,
-		RingPositions:   ring.VNodes(),
-		OwnedClusters:   primary,
-		OwnedFraction:   ring.OwnedFraction(self.ID),
-		ReplicaGroups:   replicas,
-		ReplicaClusters: replica,
-	})
-	return primary, replica, nil
-}
-
-// EnableShardReplication wires the server's async replication queue against
-// the full-ring owner sets: after a demand training or speculative
-// promotion, the shard pushes that cluster's policy snapshot to the other
-// owners of its range. A no-op when replicas < 2 (nothing to push to).
-func EnableShardReplication(s *serve.Server, self Shard, all []Shard, vnodes, replicas int, logf func(string, ...any)) error {
-	if replicas < 2 {
-		return nil
-	}
-	ids := make([]string, 0, len(all))
-	addrs := make(map[string]string, len(all))
-	for _, sh := range all {
-		ids = append(ids, sh.ID)
-		addrs[sh.ID] = sh.Addr
-	}
-	ring, err := NewRing(vnodes, ids)
-	if err != nil {
-		return err
-	}
-	peersFor := func(cluster int) []string {
-		var out []string
-		for _, owner := range ring.OwnersFor(cluster, replicas) {
-			if owner != self.ID {
-				out = append(out, addrs[owner])
-			}
-		}
-		return out
-	}
-	return s.EnableReplication(serve.ReplicationConfig{PeersFor: peersFor, Logf: logf})
-}
-
-// JoinWarm is the one-call boot path for dcta-server's join flags and
-// LocalCluster's restart: assign identity from the full ring, then pull the
-// owned (primary and replica) clusters' warm state from the peers.
-func JoinWarm(s *serve.Server, self Shard, all []Shard, vnodes, replicas int, timeout time.Duration, logf func(string, ...any)) (int, error) {
-	primary, replica, err := AssignIdentity(s, self, all, vnodes, replicas)
-	if err != nil {
-		return 0, err
-	}
-	var peers []Shard
-	for _, sh := range all {
-		if sh.ID != self.ID {
-			peers = append(peers, sh)
-		}
-	}
-	return PullWarmState(s, peers, primary, replica, 0, timeout, logf), nil
 }

@@ -36,9 +36,9 @@ type LocalOptions struct {
 	// shard's id and real address it returns the address the router should
 	// dial (e.g. a netfault proxy) and a closer. Nil routes direct.
 	WrapShardAddr func(id, addr string) (string, func(), error)
-	// Gossip shapes the membership plane (on by default: every shard runs a
-	// SWIM agent on its serve listener, the router subscribes to the
-	// converged view and re-shapes its ring on epoch bumps).
+	// Gossip shapes the membership plane: every shard runs a SWIM agent on
+	// its serve listener, and the router subscribes to the converged view
+	// and re-shapes its ring on epoch bumps.
 	Gossip LocalGossipOptions
 	// Logf sinks progress lines (default: discard).
 	Logf func(format string, args ...any)
@@ -46,9 +46,6 @@ type LocalOptions struct {
 
 // LocalGossipOptions tunes the in-process membership plane.
 type LocalGossipOptions struct {
-	// Disable turns gossip off entirely: the topology runs on the static
-	// bootstrap list and router probes alone (pre-gossip behavior).
-	Disable bool
 	// Interval between protocol ticks (default 40ms — test-speed).
 	Interval time.Duration
 	// ProbeTimeout bounds one direct ping (default 150ms).
@@ -160,8 +157,11 @@ type LocalCluster struct {
 	closeOne sync.Once
 }
 
-// StartLocal boots the topology: every shard live, identities assigned from
-// the full ring, router probing.
+// StartLocal boots the topology: every shard live and gossiping, the
+// router probing and gossiping. Every member's agent is seeded with the
+// same full member list, so all views agree at t=0; each shard's
+// membership manager assigns its identity and replication peers from that
+// view before StartLocal returns.
 func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *alloc.LocalModel, opts LocalOptions) (*LocalCluster, error) {
 	opts = opts.withDefaults()
 	lc := &LocalCluster{opts: opts, template: template, store: store, local: local}
@@ -174,32 +174,16 @@ func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *all
 		}
 		lc.shards = append(lc.shards, sh)
 	}
-	// Identities come from the full (all-member) ring: ownership is a
-	// property of the deployment, not of the router's current live view.
-	// Replication flows shard↔shard over the real addresses — a fault
-	// wrapper on the router→shard link never cuts the replica channel.
-	all := lc.allShards()
-	for i, sh := range lc.shards {
-		if _, _, err := AssignIdentity(sh.srv, all[i], all, opts.VNodes, opts.ReplicaGroups); err != nil {
-			lc.Close()
-			return nil, err
-		}
-		if err := EnableShardReplication(sh.srv, all[i], all, opts.VNodes, opts.ReplicaGroups, opts.Logf); err != nil {
-			lc.Close()
-			return nil, err
-		}
-	}
-
 	// Gossip plane: every shard's agent boots seeded with the full member
-	// list (the bootstrap equivalent of a join), and its membership manager
-	// takes over identity/replication re-shaping from here on.
-	if !opts.Gossip.Disable {
-		seed := lc.memberList()
-		for _, sh := range lc.shards {
-			if _, err := lc.startShardGossip(sh, seed, nil); err != nil {
-				lc.Close()
-				return nil, err
-			}
+	// list (the in-process equivalent of a join). Identities come from the
+	// full member ring, and replication flows shard↔shard over the real
+	// addresses — a fault wrapper on the router→shard link never cuts the
+	// replica channel.
+	seed := lc.memberList()
+	for _, sh := range lc.shards {
+		if _, err := lc.startShardGossip(sh, seed, nil); err != nil {
+			lc.Close()
+			return nil, err
 		}
 	}
 
@@ -239,17 +223,15 @@ func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *all
 		return nil, fmt.Errorf("cluster: router: %w", err)
 	}
 	lc.routerAddr = ln.Addr().String()
-	if !opts.Gossip.Disable {
-		agent, err := NewAgent(Member{ID: "router", Addr: lc.routerAddr, Role: RoleRouter}, lc.gossipConfig("router"))
-		if err != nil {
-			ln.Close()
-			lc.Close()
-			return nil, err
-		}
-		agent.Seed(lc.memberList())
-		lc.routerAgent = agent
-		router.AttachMembership(agent)
+	agent, err := NewAgent(Member{ID: "router", Addr: lc.routerAddr, Role: RoleRouter}, lc.gossipConfig("router"))
+	if err != nil {
+		ln.Close()
+		lc.Close()
+		return nil, err
 	}
+	agent.Seed(seed)
+	lc.routerAgent = agent
+	router.AttachMembership(agent)
 	ctx, cancel := context.WithCancel(context.Background())
 	lc.routerCancel = cancel
 	lc.routerDone = make(chan error, 1)
@@ -270,17 +252,15 @@ func (lc *LocalCluster) bootShard(sh *localShard, addr string) error {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
+	// Mount /v1/gossip behind the shard's regular middleware. Each shard
+	// gets its own route table: the handler closes over this shard.
 	httpOpts := lc.opts.HTTP
-	if !lc.opts.Gossip.Disable {
-		// Mount /v1/gossip behind the shard's regular middleware. Each shard
-		// gets its own route table: the handler closes over this shard.
-		extra := make(map[string]http.HandlerFunc, len(httpOpts.ExtraRoutes)+1)
-		for p, h := range httpOpts.ExtraRoutes {
-			extra[p] = h
-		}
-		extra[GossipPath] = sh.gossipHandler
-		httpOpts.ExtraRoutes = extra
+	extra := make(map[string]http.HandlerFunc, len(httpOpts.ExtraRoutes)+1)
+	for p, h := range httpOpts.ExtraRoutes {
+		extra[p] = h
 	}
+	extra[GossipPath] = sh.gossipHandler
+	httpOpts.ExtraRoutes = extra
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	ready := make(chan string, 1)
@@ -300,16 +280,6 @@ func (lc *LocalCluster) bootShard(sh *localShard, addr string) error {
 		cancel()
 		return fmt.Errorf("cluster: shard %s: %w", sh.id, err)
 	}
-}
-
-func (lc *LocalCluster) allShards() []Shard {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	out := make([]Shard, 0, len(lc.shards))
-	for _, sh := range lc.shards {
-		out = append(out, Shard{ID: sh.id, Addr: sh.addr})
-	}
-	return out
 }
 
 // memberList renders the current shard set as gossip members (all alive —
@@ -342,10 +312,7 @@ func (lc *LocalCluster) liveGossipAddrs(exclude string) []string {
 			out = append(out, sh.addr)
 		}
 	}
-	if lc.routerAgent != nil {
-		out = append(out, lc.routerAddr)
-	}
-	return out
+	return append(out, lc.routerAddr)
 }
 
 // gossipConfig derives one member's agent config: shared timings, a
@@ -367,8 +334,8 @@ func (lc *LocalCluster) gossipConfig(selfID string) GossipConfig {
 }
 
 // startShardGossip boots sh's agent (joining via joinAddrs and/or seeded
-// with a static member list) and its membership manager. Returns how many
-// policies the initial identity application warm-pulled.
+// with the topology's member list) and its membership manager. Returns how
+// many policies the manager's first view warm-pulled.
 func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddrs []string) (int, error) {
 	agent, err := NewAgent(Member{ID: sh.id, Addr: sh.addr, Role: RoleShard}, lc.gossipConfig(sh.id))
 	if err != nil {
@@ -376,12 +343,12 @@ func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddr
 	}
 	if len(joinAddrs) > 0 {
 		if err := agent.Join(joinAddrs); err != nil {
-			// Fail soft when we also have a static seed (anti-entropy will
+			// Fail soft when we also have a seed list (anti-entropy will
 			// re-converge us); a flag-free join has nothing else to go on.
 			if len(seed) == 0 {
 				return 0, fmt.Errorf("cluster: gossip: %s join: %w", sh.id, err)
 			}
-			lc.opts.Logf("cluster: gossip: %s join failed (%v), falling back to static seed\n", sh.id, err)
+			lc.opts.Logf("cluster: gossip: %s join failed (%v), falling back to the seed list\n", sh.id, err)
 		}
 	}
 	if len(seed) > 0 {
@@ -420,9 +387,6 @@ func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddr
 // lower-incarnation obituary can re-mask the shard — precedence rejects it
 // — so tests observing LiveShards after this are deterministic.
 func (lc *LocalCluster) awaitRouterSeesAlive(id string, minInc uint64, timeout time.Duration) bool {
-	if lc.router == nil || lc.routerAgent == nil {
-		return true
-	}
 	deadline := time.Now().Add(timeout)
 	for {
 		if m, ok := lc.routerAgent.View().Find(id); ok && m.State == StateAlive && m.Incarnation >= minInc {
@@ -439,14 +403,6 @@ func (lc *LocalCluster) awaitRouterSeesAlive(id string, minInc uint64, timeout t
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-func shardIDs(shards []Shard) []string {
-	ids := make([]string, 0, len(shards))
-	for _, s := range shards {
-		ids = append(ids, s.ID)
-	}
-	return ids
 }
 
 // Addr is the router's listen address.
@@ -526,9 +482,10 @@ func (lc *LocalCluster) KillShard(i int) error {
 }
 
 // RestartShard boots shard i back on its original address with a fresh
-// (cold) server, then warms it by pulling its owned clusters' checkpoint
-// sections from the surviving peers. The router re-admits it on the next
-// successful probe.
+// (cold) server and rejoins it to the gossip plane. Its membership manager's
+// first view assigns its identity and warms it by pulling its owned
+// clusters' checkpoint sections from the surviving peers, once. Returns
+// once the router's view holds the shard alive again.
 func (lc *LocalCluster) RestartShard(i int) (pulled int, err error) {
 	sh := lc.shards[i]
 	sh.mu.Lock()
@@ -540,33 +497,22 @@ func (lc *LocalCluster) RestartShard(i int) (pulled int, err error) {
 	if err := lc.bootShard(sh, sh.addr); err != nil {
 		return 0, err
 	}
-	// Identity comes from the full member list — ownership never depends on
-	// who happens to be up. Pulls from still-dead peers fail soft, and the
-	// paged anti-entropy pull streams back both primary and replica ranges.
-	self := Shard{ID: sh.id, Addr: sh.addr}
-	all := lc.allShards()
-	pulled, err = JoinWarm(lc.Server(i), self, all, lc.opts.VNodes, lc.opts.ReplicaGroups,
-		lc.opts.HandoffTimeout, lc.opts.Logf)
+	// Rejoin the gossip plane through any live peer: the join sync surfaces
+	// our obituary (if one converged while we were down), the rejoin bump
+	// refutes it at a higher incarnation, and the router re-admission wait
+	// below makes the ring state deterministic for callers that assert
+	// LiveShards right after this returns. Identity comes from the full
+	// member list — ownership never depends on who happens to be up — so
+	// pulls from still-dead peers fail soft, and the paged anti-entropy
+	// pull streams back both primary and replica ranges.
+	pulled, err = lc.startShardGossip(sh, lc.memberList(), lc.liveGossipAddrs(sh.id))
 	if err != nil {
 		return pulled, err
 	}
-	if err := EnableShardReplication(lc.Server(i), self, all, lc.opts.VNodes, lc.opts.ReplicaGroups, lc.opts.Logf); err != nil {
-		return pulled, err
-	}
-	if !lc.opts.Gossip.Disable {
-		// Rejoin the gossip plane through any live peer: the join sync
-		// surfaces our obituary (if one converged while we were down), the
-		// rejoin bump refutes it at a higher incarnation, and the router
-		// re-admission wait below makes the ring state deterministic for
-		// callers that assert LiveShards right after this returns.
-		if _, err := lc.startShardGossip(sh, lc.memberList(), lc.liveGossipAddrs(sh.id)); err != nil {
-			return pulled, err
-		}
-		sh.mu.Lock()
-		agent := sh.agent
-		sh.mu.Unlock()
-		lc.awaitRouterSeesAlive(sh.id, agent.Incarnation(), 5*time.Second)
-	}
+	sh.mu.Lock()
+	agent := sh.agent
+	sh.mu.Unlock()
+	lc.awaitRouterSeesAlive(sh.id, agent.Incarnation(), 5*time.Second)
 	lc.opts.Logf("cluster: shard %s restarted warm (%d policies pulled)\n", sh.id, pulled)
 	return pulled, nil
 }
@@ -578,9 +524,6 @@ func (lc *LocalCluster) RestartShard(i int) (pulled int, err error) {
 // (router included) re-shapes around it as the join disseminates. Returns
 // the new shard's index and how many policies its join pull installed.
 func (lc *LocalCluster) AddShard() (int, int, error) {
-	if lc.opts.Gossip.Disable {
-		return 0, 0, fmt.Errorf("cluster: AddShard needs the gossip plane")
-	}
 	lc.mu.Lock()
 	i := len(lc.shards)
 	lc.mu.Unlock()
@@ -609,7 +552,7 @@ func (lc *LocalCluster) AddShard() (int, int, error) {
 	return i, pulled, nil
 }
 
-// ShardAgent is shard i's gossip agent, or nil while killed/disabled.
+// ShardAgent is shard i's gossip agent, or nil while killed.
 func (lc *LocalCluster) ShardAgent(i int) *Agent {
 	sh := lc.shards[i]
 	sh.mu.Lock()
@@ -617,7 +560,7 @@ func (lc *LocalCluster) ShardAgent(i int) *Agent {
 	return sh.agent
 }
 
-// ShardManager is shard i's membership manager, or nil while killed/disabled.
+// ShardManager is shard i's membership manager, or nil while killed.
 func (lc *LocalCluster) ShardManager(i int) *MembershipManager {
 	sh := lc.shards[i]
 	sh.mu.Lock()
@@ -625,7 +568,7 @@ func (lc *LocalCluster) ShardManager(i int) *MembershipManager {
 	return sh.manager
 }
 
-// RouterAgent is the routing tier's gossip agent (nil when disabled).
+// RouterAgent is the routing tier's gossip agent.
 func (lc *LocalCluster) RouterAgent() *Agent { return lc.routerAgent }
 
 // LiveAgents snapshots every running gossip agent: live shards plus the
@@ -642,10 +585,7 @@ func (lc *LocalCluster) LiveAgents() []*Agent {
 		}
 		sh.mu.Unlock()
 	}
-	if lc.routerAgent != nil {
-		out = append(out, lc.routerAgent)
-	}
-	return out
+	return append(out, lc.routerAgent)
 }
 
 // AwaitConverged polls until every live agent's view satisfies cond (nil

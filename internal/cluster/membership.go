@@ -14,13 +14,14 @@ import (
 
 // MembershipManager keeps one shard's serve-side identity in lockstep with
 // the gossip plane's converged view: whenever the effective member set
-// changes (a join, a confirmed death, a refuted obituary) it re-runs
-// AssignIdentity over the new full ring, re-targets the replication
-// sender's peer resolution, and pulls warm state for any cluster ranges
-// the shard just gained — the dynamic-membership equivalent of JoinWarm.
-// This is what makes `-join host:port` a complete join: no other member
-// needs a flag change for ownership, replication, and warm handoff to
-// re-shape around the newcomer.
+// changes (the first view, a join, a confirmed death, a refuted obituary)
+// it recomputes the shard's primary and replica ranges over the new full
+// ring, swaps the snapshot the replication sender resolves peers from, and
+// pulls warm state for any cluster ranges the shard just gained. It is the
+// only code that assigns a shard's identity, replication peers and warm
+// pulls, so `-join host:port` is a complete join: no other member needs a
+// flag change for ownership, replication, and warm handoff to re-shape
+// around the newcomer.
 type MembershipManager struct {
 	s         *serve.Server
 	agent     *Agent
@@ -86,11 +87,10 @@ func (m *MembershipManager) Pulls() int64 { return m.pulls.Load() }
 
 // ManageMembership wires a shard's server to its gossip agent and applies
 // the current view synchronously (so the caller returns with identity
-// assigned and, on a fresh join, warm state pulled — the returned count).
-// It then follows every view change until ctx ends. Replication (when
-// replicas >= 2) is enabled against the manager's dynamic peer resolution;
-// if the server already replicates from a static bootstrap list, the
-// sender is re-targeted in place.
+// assigned and warm state pulled — the returned count). It then follows
+// every view change until ctx ends. Replication (when replicas >= 2) is
+// enabled against the manager's PeersFor, which reads the newest member
+// snapshot on every push.
 func ManageMembership(ctx context.Context, s *serve.Server, agent *Agent, self Shard, vnodes, replicas, pageLimit int, timeout time.Duration, logf func(string, ...any)) (*MembershipManager, int, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -113,10 +113,7 @@ func ManageMembership(ctx context.Context, s *serve.Server, agent *Agent, self S
 	}
 	if replicas >= 2 {
 		if err := s.EnableReplication(serve.ReplicationConfig{PeersFor: m.PeersFor, Logf: logf}); err != nil {
-			// Already enabled from a static bootstrap list: re-target it.
-			if err2 := s.SetReplicationPeers(m.PeersFor); err2 != nil {
-				return nil, 0, fmt.Errorf("cluster: membership replication: %v (and %v)", err, err2)
-			}
+			return nil, 0, fmt.Errorf("cluster: membership replication: %w", err)
 		}
 	}
 	s.SetMembership(agent.MembershipStats)
@@ -201,11 +198,18 @@ func (m *MembershipManager) apply(v View) int {
 	}
 	m.snap.Store(&memberSnap{ring: ring, addrs: addrs, selfID: m.self.ID, replicas: m.replicas})
 
-	primary, replica, err := AssignIdentity(m.s, m.self, members, m.vnodes, m.replicas)
-	if err != nil {
-		m.logf("cluster: membership: assign identity: %v", err)
-		return 0
-	}
+	// Ownership is a property of the full member set, not of any router's
+	// live view: with replicas >= 2 every cluster key gets that many
+	// distinct owners, the first primary, the rest successor replicas.
+	primary, replica := ring.ReplicatedClusters(m.self.ID, m.s.Store().Len(), m.replicas)
+	m.s.SetClusterIdentity(serve.ClusterIdentity{
+		NodeID:          m.self.ID,
+		RingPositions:   ring.VNodes(),
+		OwnedClusters:   primary,
+		OwnedFraction:   ring.OwnedFraction(m.self.ID),
+		ReplicaGroups:   m.replicas,
+		ReplicaClusters: replica,
+	})
 	owned := make(map[int]bool, len(primary)+len(replica))
 	var gainedP, gainedR []int
 	for _, k := range primary {

@@ -222,13 +222,14 @@ func (r *Ring) WithoutNode(node string) (*Ring, error) {
 // OwnedFraction is the share of the hash space a node owns — the expected
 // fraction of a large uniform key population routed to it.
 func (r *Ring) OwnedFraction(node string) float64 {
-	if len(r.points) == 0 {
-		return 0
-	}
-	if len(r.points) == 1 {
-		if r.points[0].node == node {
+	if len(r.nodes) == 1 {
+		// A lone member's arcs sum to 2^64, which wraps to 0.
+		if r.nodes[0] == node {
 			return 1
 		}
+		return 0
+	}
+	if len(r.points) == 0 {
 		return 0
 	}
 	var owned uint64

@@ -140,6 +140,14 @@ func TestRingBalanceAndOwnedFraction(t *testing.T) {
 	if f := r.OwnedFraction("absent"); f != 0 {
 		t.Fatalf("absent node owns %v", f)
 	}
+	// A fleet's first shard is a lone member: it owns the whole space.
+	lone, err := NewRing(64, []string{"s0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := lone.OwnedFraction("s0"); f != 1 {
+		t.Fatalf("lone member owns %v, want 1", f)
+	}
 }
 
 // TestOwnedClustersMatchesOwner: the enumeration and the resolver must
@@ -403,21 +411,5 @@ func TestShardMapValidate(t *testing.T) {
 	m := valid()
 	if err := m.Validate(); err != nil {
 		t.Fatalf("valid map rejected: %v", err)
-	}
-}
-
-// TestParseShards covers the flag form.
-func TestParseShards(t *testing.T) {
-	got, err := ParseShards("s0=127.0.0.1:8080, s1=127.0.0.1:8081")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].ID != "s0" || got[1].Addr != "127.0.0.1:8081" {
-		t.Fatalf("parsed %+v", got)
-	}
-	for _, bad := range []string{"", "justhost:1", "=addr", "id="} {
-		if _, err := ParseShards(bad); err == nil {
-			t.Errorf("ParseShards(%q) accepted", bad)
-		}
 	}
 }

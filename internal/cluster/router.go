@@ -28,40 +28,6 @@ type Shard struct {
 	Addr string
 }
 
-// ParseShards parses the "-shards id=host:port,id=host:port" flag form.
-// Duplicate ids and duplicate addresses are both rejected: two ring
-// identities over one backend would silently skew ownership (the ring
-// hands ~2/N of the keyspace to one process while the stats and replica
-// placement believe they are distinct nodes).
-func ParseShards(spec string) ([]Shard, error) {
-	var out []Shard
-	seenID := make(map[string]bool)
-	seenAddr := make(map[string]string)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("cluster: bad shard %q (want id=host:port)", part)
-		}
-		if seenID[id] {
-			return nil, fmt.Errorf("cluster: duplicate shard id %q", id)
-		}
-		if prev, dup := seenAddr[addr]; dup {
-			return nil, fmt.Errorf("cluster: duplicate shard address %q (shards %q and %q)", addr, prev, id)
-		}
-		seenID[id] = true
-		seenAddr[addr] = id
-		out = append(out, Shard{ID: id, Addr: addr})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: no shards in %q", spec)
-	}
-	return out, nil
-}
-
 // ParseSeeds parses a "-join" seed list ("host:port,host:port,..."): bare
 // addresses, no ids — a joiner only needs somewhere to dial, identities
 // come back over the wire. Rejects duplicates.
@@ -88,6 +54,19 @@ func ParseSeeds(spec string) ([]string, error) {
 	return out, nil
 }
 
+// AdvertiseAddr resolves the address fleet members dial a node back at: an
+// explicit advertise address wins, else the listen address when it names a
+// host. A bare ":port" names none, so it is an error.
+func AdvertiseAddr(advertise, listen string) (string, error) {
+	if advertise != "" {
+		return advertise, nil
+	}
+	if host, _, err := net.SplitHostPort(listen); err == nil && host != "" {
+		return listen, nil
+	}
+	return "", fmt.Errorf("cluster: -advertise required: listen address %q names no host peers can dial", listen)
+}
+
 // RouterConfig tunes the routing tier.
 type RouterConfig struct {
 	// VNodes is the per-shard virtual-node count (default 64).
@@ -109,11 +88,6 @@ type RouterConfig struct {
 	// MaxBodyBytes bounds proxied request bodies (default 8 MiB, matching
 	// the serve front-end).
 	MaxBodyBytes int64
-	// ReplicaGroups is the deployment's owner count per cluster range (R),
-	// surfaced in stats. Informational only: the ring's successor order
-	// already makes a primary's ejection land its ranges on the replica, so
-	// routing needs no R-awareness (default DefaultReplicaGroups).
-	ReplicaGroups int
 	// ProbeJitterSeed seeds the per-shard probe phase offsets (default 1).
 	// Each shard's liveness probe fires at a deterministic offset within
 	// the ProbeEvery window instead of every probe firing in lockstep, so
@@ -146,9 +120,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.ReplicaGroups < 1 {
-		c.ReplicaGroups = DefaultReplicaGroups
 	}
 	if c.ProbeJitterSeed == 0 {
 		c.ProbeJitterSeed = 1
@@ -252,8 +223,8 @@ type Router struct {
 	order  []string // stable iteration order
 
 	// membership is the gossip agent whose converged view this router
-	// subscribes to (nil when running on a static shard list alone). Set
-	// via AttachMembership before serving.
+	// subscribes to (nil until AttachMembership, which runs before
+	// serving).
 	membership      *Agent
 	membershipEpoch atomic.Uint64
 	gossipJoins     atomic.Int64 // members learned from gossip, not flags
@@ -754,7 +725,8 @@ type ShardCounters struct {
 // RouterStats is the router's /v1/stats payload: fleet-wide counters plus
 // per-shard identity and outcomes. MembershipEpoch and Membership appear
 // when the router gossips (AttachMembership); GossipJoins counts members
-// the router learned from the membership plane rather than its flags.
+// the router learned from the membership plane rather than from NewRouter's
+// shard list.
 type RouterStats struct {
 	UptimeSeconds   float64                `json:"uptime_s"`
 	Requests        int64                  `json:"requests"`
@@ -765,7 +737,6 @@ type RouterStats struct {
 	NoShard503s     int64                  `json:"no_shard_503s"`
 	LiveShards      int                    `json:"live_shards"`
 	VNodes          int                    `json:"vnodes"`
-	ReplicaGroups   int                    `json:"replica_groups"`
 	MembershipEpoch uint64                 `json:"membership_epoch,omitempty"`
 	GossipJoins     int64                  `json:"gossip_joins,omitempty"`
 	Membership      *serve.MembershipStats `json:"membership,omitempty"`
@@ -785,7 +756,6 @@ func (r *Router) Stats() RouterStats {
 		NoShard503s:   r.noShard.Load(),
 		LiveShards:    r.ring.Load().Len(),
 		VNodes:        r.cfg.VNodes,
-		ReplicaGroups: r.cfg.ReplicaGroups,
 	}
 	if r.membership != nil {
 		st.MembershipEpoch = r.membershipEpoch.Load()

@@ -81,6 +81,34 @@ func DefaultScenarioConfig(seed int64) ScenarioConfig {
 	}
 }
 
+// ScaledScenarioConfig maps a -scale preset to a scenario configuration:
+// "fast" is a small CI-sized world, "default" is DefaultScenarioConfig and
+// "full" a four-year hourly trace. Every command that builds a world from
+// -scale uses it, so a router and its shards built from one seed and
+// scale agree on the store.
+func ScaledScenarioConfig(seed int64, scale string) (ScenarioConfig, error) {
+	cfg := DefaultScenarioConfig(seed)
+	switch scale {
+	case "fast":
+		cfg.Years = 1
+		cfg.Tasks = 24
+		cfg.HistoryContexts = 20
+		cfg.EvalContexts = 4
+		cfg.Workers = 5
+		cfg.CRLEpisodes = 10
+	case "default":
+	case "full":
+		cfg.Years = 4
+		cfg.StepHours = 1
+		cfg.HistoryContexts = 120
+		cfg.EvalContexts = 24
+		cfg.CRLEpisodes = 150
+	default:
+		return cfg, fmt.Errorf("unknown scale %q (fast, default, full)", scale)
+	}
+	return cfg, nil
+}
+
 // Scenario is the experimental world shared by the figure harnesses: the
 // trace, the MTL engine and the epochs' true importance, the environment
 // store, the local process and the testbed, all built by NewScenario. The

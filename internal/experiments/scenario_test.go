@@ -22,6 +22,19 @@ func smallWorld() ScenarioConfig {
 	return cfg
 }
 
+// TestScenarioConfigScales: every -scale preset maps to a configuration and
+// an unknown one is refused.
+func TestScenarioConfigScales(t *testing.T) {
+	for _, scale := range []string{"fast", "default", "full"} {
+		if _, err := ScaledScenarioConfig(1, scale); err != nil {
+			t.Fatalf("scale %s: %v", scale, err)
+		}
+	}
+	if _, err := ScaledScenarioConfig(1, "huge"); err == nil {
+		t.Fatal("unknown scale accepted")
+	}
+}
+
 // TestLazyCRLTrainsOnceAndAsEagerly: concurrent first readers of a fresh
 // scenario's CRL all get one trained model, and its snapshot is byte for
 // byte that of a CRL trained here, eagerly, from the configuration the

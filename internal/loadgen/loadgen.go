@@ -135,31 +135,6 @@ func ParseLevels(s string) ([]int, error) {
 	return out, nil
 }
 
-// ScenarioConfig maps a -scale preset to a scenario configuration, mirroring
-// dcta-bench's figure presets.
-func ScenarioConfig(seed int64, scale string) (dcta.ScenarioConfig, error) {
-	cfg := dcta.DefaultScenarioConfig(seed)
-	switch scale {
-	case "fast":
-		cfg.Years = 1
-		cfg.Tasks = 24
-		cfg.HistoryContexts = 20
-		cfg.EvalContexts = 4
-		cfg.Workers = 5
-		cfg.CRLEpisodes = 10
-	case "default":
-	case "full":
-		cfg.Years = 4
-		cfg.StepHours = 1
-		cfg.HistoryContexts = 120
-		cfg.EvalContexts = 24
-		cfg.CRLEpisodes = 150
-	default:
-		return cfg, fmt.Errorf("unknown scale %q (fast, default, full)", scale)
-	}
-	return cfg, nil
-}
-
 // Workload is the precomputed request population: one entry per evaluation
 // epoch, replayed round-robin by the closed-loop workers. Allocate requests
 // are preassembled into complete HTTP frames so the hot loop never touches
@@ -258,7 +233,7 @@ func Run(opts Options) (*Result, error) {
 	if opts.Requests < 1 {
 		return nil, fmt.Errorf("requests per level must be positive")
 	}
-	scnCfg, err := ScenarioConfig(opts.Seed, opts.Scale)
+	scnCfg, err := dcta.ScaledScenarioConfig(opts.Seed, opts.Scale)
 	if err != nil {
 		return nil, err
 	}

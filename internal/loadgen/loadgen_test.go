@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro"
 	"repro/internal/serve"
 )
 
@@ -25,17 +26,6 @@ func TestParseLevels(t *testing.T) {
 		if _, err := ParseLevels(bad); err == nil {
 			t.Fatalf("ParseLevels(%q) accepted", bad)
 		}
-	}
-}
-
-func TestScenarioConfigScales(t *testing.T) {
-	for _, scale := range []string{"fast", "default", "full"} {
-		if _, err := ScenarioConfig(1, scale); err != nil {
-			t.Fatalf("scale %s: %v", scale, err)
-		}
-	}
-	if _, err := ScenarioConfig(1, "huge"); err == nil {
-		t.Fatal("unknown scale accepted")
 	}
 }
 
@@ -227,7 +217,7 @@ func TestBaselineOptionsShape(t *testing.T) {
 	if o.Seed != 7 || o.Scale != "fast" || len(o.Levels) == 0 || o.Requests < 1 {
 		t.Fatalf("degenerate baseline options: %+v", o)
 	}
-	if _, err := ScenarioConfig(o.Seed, o.Scale); err != nil {
+	if _, err := dcta.ScaledScenarioConfig(o.Seed, o.Scale); err != nil {
 		t.Fatal(err)
 	}
 }

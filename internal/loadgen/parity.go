@@ -25,7 +25,7 @@ type ParityResult struct {
 // captured importance. The allocation requests force the CRL allocator so
 // the comparison exercises the trained DQNs rather than the local process.
 func ValueParity(seed int64, scale string, neighborhood int) (ParityResult, error) {
-	scnCfg, err := ScenarioConfig(seed, scale)
+	scnCfg, err := dcta.ScaledScenarioConfig(seed, scale)
 	if err != nil {
 		return ParityResult{}, err
 	}

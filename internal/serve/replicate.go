@@ -47,6 +47,8 @@ type ReplicationConfig struct {
 	// PeersFor returns the replica peers' addresses for a cluster key —
 	// typically the ring's successor owners minus this node. Empty means the
 	// cluster has no replica (single-shard fleet) and the job is a no-op.
+	// It runs on every push, so a resolver that reads a swapped member
+	// snapshot re-targets pushes as membership moves.
 	PeersFor func(cluster int) []string
 	// QueueLen bounds pending replication jobs (default 256). Overflow drops
 	// the job (the training stays unreplicated) — never blocks.
@@ -71,11 +73,6 @@ type ReplicationConfig struct {
 type replicator struct {
 	s   *Server
 	cfg ReplicationConfig
-
-	// peersFor is the live peer-resolution function. It starts as
-	// cfg.PeersFor and is swapped by SetReplicationPeers when the gossip
-	// membership plane moves ownership.
-	peersFor atomic.Pointer[func(cluster int) []string]
 
 	jobs chan int
 	stop chan struct{}
@@ -141,26 +138,9 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	r.peersFor.Store(&cfg.PeersFor)
 	s.repl = r
 	s.cache.onReplicate = r.enqueue
 	go r.run()
-	return nil
-}
-
-// SetReplicationPeers swaps the replication sender's peer-resolution
-// function in place. The gossip membership plane calls this when the
-// member set changes, so pushes re-target the new owners without
-// restarting the sender or losing queued jobs. Returns an error if
-// replication was never enabled (single-owner deployments have no sender).
-func (s *Server) SetReplicationPeers(peersFor func(cluster int) []string) error {
-	if peersFor == nil {
-		return fmt.Errorf("serve: replication needs PeersFor")
-	}
-	if s.repl == nil {
-		return fmt.Errorf("serve: replication not enabled")
-	}
-	s.repl.peersFor.Store(&peersFor)
 	return nil
 }
 
@@ -194,7 +174,7 @@ func (r *replicator) run() {
 // time, so a queue of stale jobs for a retrained cluster ships the newest
 // version (and the receiver's version gate makes the repeats no-ops).
 func (r *replicator) push(cluster int) {
-	peers := (*r.peersFor.Load())(cluster)
+	peers := r.cfg.PeersFor(cluster)
 	if len(peers) == 0 {
 		return
 	}
