@@ -157,24 +157,19 @@ func TestChaosHangCorruptCrashRejoin(t *testing.T) {
 
 	ctrl := edgenet.NewController()
 	ctrl.Tick = 5 * time.Millisecond
-	ctrl.LivenessMisses = 5               // hang declared dead after ~100ms of silence
+	ctrl.LivenessMisses = 5                 // hang declared dead after ~100ms of silence
 	ctrl.HedgeMinDeadline = 2 * time.Second // hangs recover via liveness here, not hedging
 	ctrl.RejoinListener = rejoinLn
 
 	p, res := chaosPlan(12, 4)
 	addrs := []string{hangP.Addr(), corruptP.Addr(), crashP.Addr(), healthyW.Addr()}
-	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 0.8)
+	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Coverage 1.0: every task, each counted once, so Covered is the whole.
 	assertUniqueCompletions(t, report, p, 12)
-	if report.DecisionReadyAt <= 0 {
-		t.Fatal("decision never became ready")
-	}
-	if target := 0.8 * p.TotalImportance(); report.Covered < target {
-		t.Fatalf("covered %v below target %v", report.Covered, target)
-	}
 
 	// The report's failure counters must match the injected fault ledger.
 	if got := hangP.Counts(); got.Hung != 1 {
@@ -242,7 +237,7 @@ func TestHedgeStragglerFirstDoneWins(t *testing.T) {
 	p, res := chaosPlan(4, 3) // tasks 0,3 -> straggler, task 1 -> healthy, task 2 -> slow
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, []string{delayP.Addr(), healthyW.Addr(), slowW.Addr()}, p, res, 0.8)
+	report, err := ctrl.RunFaultTolerant(ctx, []string{delayP.Addr(), healthyW.Addr(), slowW.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +278,7 @@ func TestCorruptQuarantine(t *testing.T) {
 	p, res := chaosPlan(4, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, []string{corruptP.Addr(), healthyW.Addr()}, p, res, 0.8)
+	report, err := ctrl.RunFaultTolerant(ctx, []string{corruptP.Addr(), healthyW.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +341,7 @@ func TestRejoinCompletesRun(t *testing.T) {
 	ctrl.RejoinListener = rejoinLn
 
 	p, res := chaosPlan(4, 1)
-	report, err := ctrl.RunFaultTolerant(ctx, []string{dropP.Addr()}, p, res, 0.8)
+	report, err := ctrl.RunFaultTolerant(ctx, []string{dropP.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,16 @@ type Completion struct {
 type Report struct {
 	// DecisionReadyAt is the instant the cumulative completed importance
 	// reached the coverage target (the live PT analog); zero if the target
-	// was never reached.
+	// was never reached. The run ends at this instant.
 	DecisionReadyAt time.Duration
 	// Covered is the importance completed by DecisionReadyAt (or by the end
 	// of the run when the target was unreachable). Each task counts once no
 	// matter how many workers completed it.
 	Covered float64
-	// Completions lists every first task completion in arrival order;
-	// duplicate completions (hedges, retried frames) are deduplicated and
-	// counted in DuplicateDone instead.
+	// Completions lists every first task completion in arrival order, up to
+	// and including the one at DecisionReadyAt: tasks still executing then
+	// are abandoned, not waited for. Duplicate completions (hedges, retried
+	// frames) are deduplicated and counted in DuplicateDone instead.
 	Completions []Completion
 	// Workers maps dispatch-pool slot to the announced worker ID. Slots
 	// beyond the initial address list belong to workers admitted mid-run
@@ -182,25 +183,111 @@ func planPriority(res *alloc.Result) func(int) float64 {
 	}
 }
 
-// Run connects to the workers (addrs[i] serves processor i of the problem),
-// streams the allocation's tasks in priority order, and returns when the
-// coverage target is met and all assigned tasks have completed, the context
-// is cancelled, or a connection fails. Run is the strict path: any worker
-// failure or corrupt frame fails the run (RunFaultTolerant survives them).
-func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
+// prepare validates a run's inputs, normalizes the coverage target and
+// splits the plan into per-worker queues. Shared by Run and RunFaultTolerant.
+func prepare(addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (queues [][]int, assigned int, target float64, err error) {
 	if len(addrs) == 0 {
-		return nil, ErrNoWorkers
+		return nil, 0, 0, ErrNoWorkers
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("edgenet: %w", err)
+		return nil, 0, 0, fmt.Errorf("edgenet: %w", err)
 	}
 	if res == nil || len(res.Allocation) != len(p.Tasks) {
-		return nil, fmt.Errorf("edgenet: allocation/task mismatch: %w", ErrPlanMismatch)
+		return nil, 0, 0, fmt.Errorf("edgenet: allocation/task mismatch: %w", ErrPlanMismatch)
 	}
 	if coverageTarget <= 0 || coverageTarget > 1 {
 		coverageTarget = 0.8
 	}
-	// Connect and collect hellos.
+	queues, assigned, err = planQueues(p, res, len(addrs))
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return queues, assigned, coverageTarget * p.TotalImportance(), nil
+}
+
+// greeting is one worker's outcome of greet: its connection and hello, or
+// the error that stopped it.
+type greeting struct {
+	conn  net.Conn
+	hello *Envelope
+	err   error
+}
+
+// greet dials every address and reads its hello, all workers at once. The
+// dial and the hello are each bounded by DialTimeout, and a cancelled ctx
+// stops the dial. Slot i of the result belongs to addrs[i]. Shared by Run
+// and RunFaultTolerant.
+func (c *Controller) greet(ctx context.Context, addrs []string) []greeting {
+	out := make([]greeting, len(addrs))
+	dialer := net.Dialer{Timeout: c.DialTimeout}
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := dialer.DialContext(ctx, "tcp", addr)
+			if err != nil {
+				out[i].err = fmt.Errorf("edgenet dial worker %d (%s): %w", i, addr, err)
+				return
+			}
+			hello, err := readHello(conn, c.DialTimeout)
+			if err != nil {
+				conn.Close()
+				out[i].err = fmt.Errorf("edgenet hello from worker %d: %w", i, err)
+				return
+			}
+			out[i] = greeting{conn: conn, hello: hello}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// readHello reads the worker's greeting, bounded by a read deadline so a
+// connected-but-mute peer cannot stall admission.
+func readHello(conn net.Conn, timeout time.Duration) (*Envelope, error) {
+	if timeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(timeout)) //nolint:errcheck
+		defer conn.SetReadDeadline(time.Time{})       //nolint:errcheck
+	}
+	hello, err := ReadFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	if hello.Type != MsgHello {
+		return nil, fmt.Errorf("sent %q first: %w", hello.Type, ErrBadMessage)
+	}
+	return hello, nil
+}
+
+// record adds a first completion to the report and reports whether it met
+// the coverage target. It is the termination rule Run and RunFaultTolerant
+// share: each returns at the first completion for which record is true, or
+// once every assigned task has completed, whichever comes first.
+func (r *Report) record(comp Completion, target float64) bool {
+	r.Completions = append(r.Completions, comp)
+	r.Covered += comp.Importance
+	if target > 0 && r.Covered >= target {
+		r.DecisionReadyAt = comp.At
+		return true
+	}
+	return false
+}
+
+// Run connects to the workers (addrs[i] serves processor i of the problem),
+// greeting all of them at once, and streams the allocation's tasks in
+// priority order. It returns at the first instant the completed tasks
+// cover the coverage target, or when every assigned task has completed,
+// whichever comes first; the context being cancelled or a connection
+// failing ends it with an error. Either way the connections are closed, so
+// workers stop the tasks still executing. A caller that needs every task
+// run passes coverage 1.0. Run is the strict path: any worker failure or
+// corrupt frame fails the run (RunFaultTolerant survives them).
+func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
+	queues, assigned, target, err := prepare(addrs, p, res, coverageTarget)
+	if err != nil {
+		return nil, err
+	}
 	conns := make([]net.Conn, len(addrs))
 	defer func() {
 		for _, conn := range conns {
@@ -210,25 +297,19 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 		}
 	}()
 	report := &Report{Workers: make(map[int]int, len(addrs))}
-	dialer := net.Dialer{Timeout: c.DialTimeout}
-	for i, addr := range addrs {
-		conn, err := dialer.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("edgenet dial worker %d (%s): %w", i, addr, err)
+	var greetErr error
+	for i, g := range c.greet(ctx, addrs) {
+		if g.err != nil {
+			if greetErr == nil {
+				greetErr = g.err
+			}
+			continue
 		}
-		conns[i] = conn
-		hello, err := ReadFrame(conn)
-		if err != nil {
-			return nil, fmt.Errorf("edgenet hello from worker %d: %w", i, err)
-		}
-		if hello.Type != MsgHello {
-			return nil, fmt.Errorf("worker %d sent %q first: %w", i, hello.Type, ErrBadMessage)
-		}
-		report.Workers[i] = hello.WorkerID
+		conns[i] = g.conn
+		report.Workers[i] = g.hello.WorkerID
 	}
-	queues, assigned, err := planQueues(p, res, len(addrs))
-	if err != nil {
-		return nil, err
+	if greetErr != nil {
+		return nil, greetErr
 	}
 	start := time.Now()
 	events := make(chan Completion, 1)
@@ -236,16 +317,15 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	var wg sync.WaitGroup
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Unblock in-flight reads when the run is cancelled: closing the
-	// connections is the only way to interrupt a blocked ReadFrame.
+	// Unblock in-flight reads when the run ends: closing the connections
+	// is the only way to interrupt a blocked ReadFrame, and it is also how
+	// the workers learn to drop their tasks.
 	watcherDone := make(chan struct{})
 	go func() {
 		defer close(watcherDone)
 		<-runCtx.Done()
 		for _, conn := range conns {
-			if conn != nil {
-				conn.Close()
-			}
+			conn.Close()
 		}
 	}()
 	defer func() { <-watcherDone }()
@@ -264,36 +344,29 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 			}
 		}(conns[proc], q)
 	}
-	// Close the events channel once every worker goroutine is done.
 	drained := make(chan struct{})
 	go func() {
 		wg.Wait()
 		close(drained)
 	}()
-	target := coverageTarget * p.TotalImportance()
-	received := 0
-	for received < assigned {
+	// Tear down on every exit: cancel, then wait for the driveWorker goroutines.
+	defer func() {
+		cancel()
+		<-drained
+	}()
+	for received := 0; received < assigned; received++ {
 		select {
 		case comp := <-events:
-			received++
-			report.Completions = append(report.Completions, comp)
-			report.Covered += comp.Importance
-			if report.DecisionReadyAt == 0 && target > 0 && report.Covered >= target {
-				report.DecisionReadyAt = comp.At
+			if report.record(comp, target) {
+				return report, nil
 			}
 		case err := <-errs:
-			cancel()
-			<-drained
 			return nil, err
 		case <-ctx.Done():
-			cancel()
-			<-drained
 			return nil, fmt.Errorf("edgenet run: %w", ctx.Err())
 		}
 	}
-	cancel()
-	<-drained
-	if report.DecisionReadyAt == 0 && target <= 0 {
+	if target <= 0 {
 		report.DecisionReadyAt = time.Since(start)
 	}
 	return report, nil

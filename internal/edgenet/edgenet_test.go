@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -122,7 +123,43 @@ func testPlan(n, m int) (*core.Problem, *alloc.Result) {
 	return p, &alloc.Result{Allocation: a, Priority: prio}
 }
 
+// TestControllerRunsPlan runs the whole plan: coverage 1.0 asks for every
+// task, so each must complete exactly once.
 func TestControllerRunsPlan(t *testing.T) {
+	_, addrs := startWorkers(t, 3)
+	p, res := testPlan(9, 3)
+	ctrl := NewController()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	report, err := ctrl.Run(ctx, addrs, p, res, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Completions) != 9 {
+		t.Fatalf("completions = %d, want 9", len(report.Completions))
+	}
+	seen := make(map[int]bool)
+	for _, comp := range report.Completions {
+		if seen[comp.Task] {
+			t.Fatalf("task %d completed twice", comp.Task)
+		}
+		seen[comp.Task] = true
+	}
+	if total := p.TotalImportance(); math.Abs(report.Covered-total) > 1e-9 {
+		t.Fatalf("covered %v, want the whole %v", report.Covered, total)
+	}
+	// Every processor maps to an announced worker ID.
+	for i := 0; i < 3; i++ {
+		if report.Workers[i] != i+1 {
+			t.Fatalf("worker map = %v", report.Workers)
+		}
+	}
+}
+
+// TestRunEndsAtDecision pins the termination rule: at coverage 0.8 Run
+// returns with the completion that met the target, so its last completion
+// is at DecisionReadyAt and the tasks behind it are abandoned.
+func TestRunEndsAtDecision(t *testing.T) {
 	_, addrs := startWorkers(t, 3)
 	p, res := testPlan(9, 3)
 	ctrl := NewController()
@@ -132,26 +169,20 @@ func TestControllerRunsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Completions) != 9 {
-		t.Fatalf("completions = %d, want 9", len(report.Completions))
-	}
 	if report.DecisionReadyAt <= 0 {
 		t.Fatal("decision never became ready")
 	}
-	if report.Covered < 0.8*p.TotalImportance() {
-		t.Fatalf("covered %v below target", report.Covered)
+	if target := 0.8 * p.TotalImportance(); report.Covered < target {
+		t.Fatalf("covered %v below target %v", report.Covered, target)
 	}
-	// Every processor maps to an announced worker ID.
-	for i := 0; i < 3; i++ {
-		if report.Workers[i] != i+1 {
-			t.Fatalf("worker map = %v", report.Workers)
-		}
+	last := report.Completions[len(report.Completions)-1]
+	if last.At != report.DecisionReadyAt {
+		t.Fatalf("last completion at %v, decision at %v", last.At, report.DecisionReadyAt)
 	}
-	// Priority order per worker: the two important tasks complete first on
-	// their nodes, so the decision is ready before all completions.
-	last := report.Completions[len(report.Completions)-1].At
-	if report.DecisionReadyAt > last {
-		t.Fatalf("decision after last completion: %v vs %v", report.DecisionReadyAt, last)
+	// The two important tasks head their workers' queues and cover the
+	// target between them: nothing else needs to run.
+	if len(report.Completions) >= 9 {
+		t.Fatalf("completions = %d: Run waited past the decision", len(report.Completions))
 	}
 }
 
@@ -253,5 +284,143 @@ func TestWorkerRejectsProtocolViolation(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := ReadFrame(conn); err == nil {
 		t.Fatal("worker kept talking after protocol violation")
+	}
+}
+
+// TestRunBoundsMuteGreeting: a peer that accepts the connection but never
+// says hello must fail Run within about DialTimeout, even under a context
+// with no deadline.
+func TestRunBoundsMuteGreeting(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { conn.Close() }) // mute: hold it open, never write
+		}
+	}()
+	_, addrs := startWorkers(t, 1)
+	p, res := testPlan(4, 2)
+	ctrl := NewController()
+	ctrl.DialTimeout = 200 * time.Millisecond
+	start := time.Now()
+	if _, err := ctrl.Run(context.Background(), []string{addrs[0], l.Addr().String()}, p, res, 0.8); err == nil {
+		t.Fatal("Run succeeded against a mute worker")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("mute greeting stalled Run for %v", elapsed)
+	}
+}
+
+// taskScale is the TimeScale at which a 1000-bit task takes d on a
+// RaspberryPiB worker.
+func taskScale(d time.Duration) float64 {
+	return d.Seconds() / (1000 * edgesim.RaspberryPiB.SecPerBit())
+}
+
+// dialWorker starts one worker and opens a raw controller connection to
+// it, past the hello.
+func dialWorker(t *testing.T, w *Worker) net.Conn {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Serve(l); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	conn, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := readHello(conn, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+func (w *Worker) liveConns() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.conns)
+}
+
+// TestWorkerDropsTaskOnHangup: when the controller hangs up mid-task the
+// worker stops the task at once, so Close returns well before the task's
+// full time.
+func TestWorkerDropsTaskOnHangup(t *testing.T) {
+	const taskTime = 3 * time.Second
+	w := &Worker{ID: 1, Type: edgesim.RaspberryPiB, TimeScale: taskScale(taskTime)}
+	conn := dialWorker(t, w)
+	if err := WriteFrame(conn, &Envelope{Type: MsgAssign, TaskID: 0, InputBits: 1000, Importance: 1}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the task start
+	start := time.Now()
+	conn.Close()
+	for w.liveConns() > 0 {
+		if time.Since(start) > taskTime/3 {
+			t.Fatal("worker kept executing after the controller hung up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > taskTime/3 {
+		t.Fatalf("Close took %v of a %v task", elapsed, taskTime)
+	}
+}
+
+// TestWorkerShutdownStopsTask: MsgShutdown mid-task drops the task and the
+// connection without a completion.
+func TestWorkerShutdownStopsTask(t *testing.T) {
+	const taskTime = 3 * time.Second
+	w := &Worker{ID: 1, Type: edgesim.RaspberryPiB, TimeScale: taskScale(taskTime)}
+	conn := dialWorker(t, w)
+	if err := WriteFrame(conn, &Envelope{Type: MsgAssign, TaskID: 0, InputBits: 1000, Importance: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, &Envelope{Type: MsgShutdown}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(time.Now().Add(taskTime / 3))
+	env, err := ReadFrame(conn)
+	if err == nil {
+		t.Fatalf("worker sent %q after shutdown", env.Type)
+	}
+	if elapsed := time.Since(start); elapsed >= taskTime/3 {
+		t.Fatalf("connection still open %v after shutdown", elapsed)
+	}
+}
+
+// TestWorkerQueuesMidTaskAssign: an assign that arrives while a task
+// executes runs after it, in order.
+func TestWorkerQueuesMidTaskAssign(t *testing.T) {
+	w := &Worker{ID: 1, Type: edgesim.RaspberryPiB, TimeScale: taskScale(50 * time.Millisecond)}
+	conn := dialWorker(t, w)
+	for j := 0; j < 2; j++ {
+		if err := WriteFrame(conn, &Envelope{Type: MsgAssign, TaskID: j, InputBits: 1000, Importance: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for j := 0; j < 2; j++ {
+		env, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Type != MsgDone || env.TaskID != j {
+			t.Fatalf("frame %d = %q/%d, want done/%d", j, env.Type, env.TaskID, j)
+		}
 	}
 }

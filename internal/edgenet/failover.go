@@ -79,6 +79,7 @@ type ftRun struct {
 	done    int
 	total   int
 	target  float64
+	ready   bool // the coverage target was met: the run is over
 }
 
 // RunFaultTolerant executes the plan like Run, but on a failure-detecting
@@ -99,22 +100,12 @@ type ftRun struct {
 //   - rejoin: when Controller.RejoinListener is set, a recovered worker
 //     can dial back mid-run and is re-admitted into the dispatch pool.
 //
-// The run fails only when every worker is gone with work outstanding (and
-// no rejoin listener could replenish the pool), or the context expires.
+// It ends by Run's rule: at the first completion that meets the coverage
+// target, or once every assigned task has completed. The run fails only
+// when every worker is gone with work outstanding (and no rejoin listener
+// could replenish the pool), or the context expires.
 func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
-	if len(addrs) == 0 {
-		return nil, ErrNoWorkers
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("edgenet: %w", err)
-	}
-	if res == nil || len(res.Allocation) != len(p.Tasks) {
-		return nil, fmt.Errorf("edgenet: allocation/task mismatch: %w", ErrPlanMismatch)
-	}
-	if coverageTarget <= 0 || coverageTarget > 1 {
-		coverageTarget = 0.8
-	}
-	queues, assigned, err := planQueues(p, res, len(addrs))
+	queues, assigned, target, err := prepare(addrs, p, res, coverageTarget)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +129,7 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 		tasks:  make([]ftTask, len(p.Tasks)),
 		slots:  len(addrs),
 		total:  assigned,
-		target: coverageTarget * p.TotalImportance(),
+		target: target,
 	}
 	for j, proc := range res.Allocation {
 		if proc != core.Unassigned {
@@ -154,22 +145,14 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 		}
 	}()
 
-	// Dial the initial pool. A worker that cannot be dialed or greeted
+	// Greet the initial pool. A worker that cannot be dialed or greeted
 	// counts as failed at t=0: its queue lands in the backlog.
-	dialer := net.Dialer{Timeout: c.DialTimeout}
-	for i, addr := range addrs {
-		conn, err := dialer.DialContext(runCtx, "tcp", addr)
-		if err != nil {
+	for i, g := range c.greet(runCtx, addrs) {
+		if g.err != nil {
 			r.backlogTasks(queues[i])
 			continue
 		}
-		hello, err := readHello(conn, c.DialTimeout)
-		if err != nil {
-			conn.Close()
-			r.backlogTasks(queues[i])
-			continue
-		}
-		w := ftWorkerFromHello(conn, hello, len(p.Tasks))
+		w := ftWorkerFromHello(g.conn, g.hello, len(p.Tasks))
 		w.slot = i
 		w.queue = queues[i]
 		r.admit(w)
@@ -216,7 +199,7 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 	}
 	ticker := time.NewTicker(c.tick())
 	defer ticker.Stop()
-	for r.done < r.total {
+	for !r.over() {
 		select {
 		case ev := <-r.events:
 			r.handle(ev)
@@ -225,39 +208,18 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 		case <-ctx.Done():
 			return nil, fmt.Errorf("edgenet run: %w", ctx.Err())
 		}
-		if r.live == 0 && c.RejoinListener == nil && r.done < r.total {
+		if !r.over() && r.live == 0 && c.RejoinListener == nil {
 			return nil, fmt.Errorf("%d tasks stranded: %w", r.total-r.done, ErrAllWorkersDown)
 		}
 	}
-	// All work done: a best-effort goodbye, then the deferred cleanup
-	// closes the connections.
-	for _, w := range r.workers {
-		if w.alive {
-			select {
-			case w.out <- &Envelope{Type: MsgShutdown}:
-			default:
-			}
-		}
-	}
+	// The deferred cleanup tears the run down as a cancelled context does:
+	// closing the connections stops the workers' tasks still executing.
 	return r.report, nil
 }
 
-// readHello reads the worker's greeting, bounded by a read deadline so a
-// connected-but-mute peer cannot stall admission.
-func readHello(conn net.Conn, timeout time.Duration) (*Envelope, error) {
-	if timeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(timeout)) //nolint:errcheck
-		defer conn.SetReadDeadline(time.Time{})       //nolint:errcheck
-	}
-	hello, err := ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if hello.Type != MsgHello {
-		return nil, fmt.Errorf("sent %q first: %w", hello.Type, ErrBadMessage)
-	}
-	return hello, nil
-}
+// over applies the termination rule Run shares: the coverage target was
+// met, or every assigned task has completed.
+func (r *ftRun) over() bool { return r.ready || r.done >= r.total }
 
 func ftWorkerFromHello(conn net.Conn, hello *Envelope, tasks int) *ftWorker {
 	return &ftWorker{
@@ -404,19 +366,16 @@ func (r *ftRun) handleDone(w *ftWorker, env *Envelope) {
 	} else {
 		st.done = true
 		r.done++
-		comp := Completion{
+		r.ready = r.report.record(Completion{
 			Task:       j,
 			WorkerID:   w.id,
 			Importance: r.p.Tasks[j].Importance,
 			At:         time.Since(r.start),
-		}
-		r.report.Completions = append(r.report.Completions, comp)
-		r.report.Covered += comp.Importance
-		if r.report.DecisionReadyAt == 0 && r.target > 0 && r.report.Covered >= r.target {
-			r.report.DecisionReadyAt = comp.At
-		}
+		}, r.target)
 	}
-	r.dispatch(w)
+	if !r.ready {
+		r.dispatch(w)
+	}
 }
 
 func (r *ftRun) handleCorrupt(w *ftWorker) {

@@ -3,6 +3,7 @@ package edgenet
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -61,15 +62,15 @@ func TestRunFaultTolerantSurvivesCrash(t *testing.T) {
 	ctrl := NewController()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 0.8)
+	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Completions) != 9 {
 		t.Fatalf("completions = %d, want 9 (crashed worker's tasks re-run)", len(report.Completions))
 	}
-	if report.Covered < 0.8*p.TotalImportance() {
-		t.Fatalf("coverage %v below target", report.Covered)
+	if total := p.TotalImportance(); math.Abs(report.Covered-total) > 1e-9 {
+		t.Fatalf("covered %v, want the whole %v", report.Covered, total)
 	}
 	// Exactly one task ran on the flaky worker before the crash.
 	flakyDone := 0
@@ -93,7 +94,7 @@ func TestRunFaultTolerantDeadOnArrival(t *testing.T) {
 	ctrl.DialTimeout = 300 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 0.8)
+	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

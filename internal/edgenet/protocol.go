@@ -82,8 +82,9 @@ const (
 	// MsgHeartbeat is the worker's periodic liveness beacon, worker →
 	// controller, interleaved with completions on the same stream.
 	MsgHeartbeat MsgType = "beat"
-	// MsgShutdown asks the worker to finish its queue and exit the
-	// connection, controller → worker.
+	// MsgShutdown asks the worker to drop the connection, controller →
+	// worker: a task still executing stops unfinished and queued assigns
+	// are discarded, as when the controller hangs up.
 	MsgShutdown MsgType = "shutdown"
 )
 

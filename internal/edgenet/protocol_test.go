@@ -146,7 +146,7 @@ func TestHeartbeatsInterleaveStrictRun(t *testing.T) {
 	ctrl := NewController()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	report, err := ctrl.Run(ctx, []string{w.Addr()}, p, res, 0.8)
+	report, err := ctrl.Run(ctx, []string{w.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestLegacyWorkerCompat(t *testing.T) {
 	ctrl := NewController()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	report, err := ctrl.Run(ctx, []string{l.Addr().String()}, p, res, 0.8)
+	report, err := ctrl.Run(ctx, []string{l.Addr().String()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

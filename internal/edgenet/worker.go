@@ -19,9 +19,10 @@ type Worker struct {
 	ID int
 	// Type sets the per-bit computation time (edgesim constants).
 	Type edgesim.NodeType
-	// TimeScale scales simulated execution: a task busy-waits
+	// TimeScale scales simulated execution: a task sleeps
 	// InputBits × SecPerBit × TimeScale of wall-clock time. 0 runs
-	// instantly (tests); 1 is real-time.
+	// instantly (tests); 1 is real-time. Sleeps have a floor of about
+	// 1 ms (see execute), which stretches tasks shorter than that.
 	TimeScale float64
 	// HeartbeatEvery is the cadence of MsgHeartbeat liveness beacons sent
 	// on every controller connection (from a goroutine concurrent with
@@ -160,52 +161,93 @@ func (w *Worker) handle(conn net.Conn) {
 			}
 		}()
 	}
-	for {
-		env, err := ReadFrame(conn)
-		if err != nil {
-			if StreamAligned(err) {
-				// A frame corrupted in flight: whatever it carried is
-				// lost, but the stream is intact. The controller's
-				// deadline/hedging machinery recovers the lost work;
-				// dropping the connection here would turn one flipped
-				// bit into a dead worker.
-				continue
-			}
-			return // EOF, broken pipe, or framing lost
-		}
-		switch env.Type {
-		case MsgAssign:
-			start := time.Now()
-			w.execute(env.InputBits)
-			done := &Envelope{
-				Type:          MsgDone,
-				WorkerID:      w.ID,
-				TaskID:        env.TaskID,
-				Importance:    env.Importance,
-				ElapsedMicros: time.Since(start).Microseconds(),
-			}
-			wm.Lock()
-			err := WriteFrame(conn, done)
-			wm.Unlock()
+	// The reader runs beside the executing task, so a hangup or
+	// MsgShutdown stops the task mid-execution: an abandoned task never
+	// runs alongside the controller's next plan. Assigns that arrive
+	// mid-task queue behind it and run in order; the buffer holds them so
+	// the reader stays free to see a hangup. Controllers keep at most one
+	// task in flight plus an occasional re-send, so 16 never fills.
+	assigns := make(chan *Envelope, 16)
+	hangup, quit := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(quit)
+		conn.Close() // unblocks the reader if the executor quit first
+		<-hangup
+	}()
+	go func() {
+		defer close(hangup)
+		for {
+			env, err := ReadFrame(conn)
 			if err != nil {
+				if StreamAligned(err) {
+					// A frame corrupted in flight: whatever it carried is
+					// lost, but the stream is intact. The controller's
+					// deadline/hedging machinery recovers the lost work;
+					// dropping the connection here would turn one flipped
+					// bit into a dead worker.
+					continue
+				}
+				return // EOF, broken pipe, or framing lost
+			}
+			if env.Type != MsgAssign {
+				return // MsgShutdown, or a protocol violation: drop the connection
+			}
+			select {
+			case assigns <- env:
+			case <-quit:
 				return
 			}
-		case MsgShutdown:
+		}
+	}()
+	for {
+		var env *Envelope
+		select {
+		case env = <-assigns:
+		case <-hangup:
 			return
-		default:
-			return // protocol violation: drop the connection
+		}
+		start := time.Now()
+		if !w.execute(env.InputBits, hangup) {
+			return
+		}
+		done := &Envelope{
+			Type:          MsgDone,
+			WorkerID:      w.ID,
+			TaskID:        env.TaskID,
+			Importance:    env.Importance,
+			ElapsedMicros: time.Since(start).Microseconds(),
+		}
+		wm.Lock()
+		err := WriteFrame(conn, done)
+		wm.Unlock()
+		if err != nil {
+			return
 		}
 	}
 }
 
-// execute simulates the task's computation.
-func (w *Worker) execute(inputBits float64) {
+// execute simulates the task's computation by sleeping its duration. It
+// reports false when abort closes first: the task is dropped unfinished.
+//
+// Go rounds a sub-millisecond sleep up to about 1 ms in an otherwise idle
+// process (go1.24 on a 2-CPU Intel Xeon host, mean of 50 sleeps: 50 µs →
+// 0.99 ms, 150 µs → 1.11 ms, 500 µs → 1.09 ms, 2.9 ms → 3.21 ms), so at
+// small TimeScales short tasks take longer than their simulated time.
+func (w *Worker) execute(inputBits float64, abort <-chan struct{}) bool {
 	if w.TimeScale <= 0 {
-		return
+		return true
 	}
 	d := time.Duration(inputBits * w.Type.SecPerBit() * w.TimeScale * float64(time.Second))
-	if d > 0 {
-		time.Sleep(d)
+	if d <= 0 {
+		return true
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-abort:
+		return false
 	}
 }
 

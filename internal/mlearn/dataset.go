@@ -21,6 +21,9 @@ var (
 	ErrNotFitted = errors.New("mlearn: model not fitted")
 	// ErrBadShape is returned when sample dimensions are inconsistent.
 	ErrBadShape = errors.New("mlearn: inconsistent dataset shape")
+	// ErrDiverged is returned when training drove a parameter to NaN or
+	// ±Inf; the model is left unfitted.
+	ErrDiverged = errors.New("mlearn: training diverged")
 )
 
 // Dataset is a supervised dataset: one feature row per target value.

@@ -41,7 +41,9 @@ func NewSVM() *SVM {
 	return &SVM{C: 10.0, Epochs: 60, LearningRate: 0.05, Decay: 1e-3, Seed: 1}
 }
 
-// Fit trains the SVM on d. Targets must be −1 or +1.
+// Fit trains the SVM on d. Targets must be −1 or +1. A fit that drives any
+// weight or the intercept to NaN or ±Inf returns ErrDiverged and leaves the
+// SVM unfitted, so a diverged model is never scored with.
 func (s *SVM) Fit(d *Dataset) error {
 	if d == nil || d.Len() == 0 {
 		return ErrEmptyDataset
@@ -79,8 +81,22 @@ func (s *SVM) Fit(d *Dataset) error {
 			}
 		}
 	}
+	if !finite(s.intercept) || !finite(s.weights...) {
+		s.weights, s.intercept, s.fitted = nil, 0, false
+		return fmt.Errorf("svm fit: %w", ErrDiverged)
+	}
 	s.fitted = true
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Score returns the signed margin wᵀx + b.

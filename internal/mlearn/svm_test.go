@@ -155,3 +155,25 @@ func TestSVMLossDecreasesWithTraining(t *testing.T) {
 		t.Fatal("loss is NaN")
 	}
 }
+
+// TestSVMDivergedFitIsRejected: a step far too large on large-magnitude
+// features overflows the weights; Fit must report it and leave the SVM
+// unfitted rather than publish NaN or ±Inf weights.
+func TestSVMDivergedFitIsRejected(t *testing.T) {
+	d, err := NewDataset([][]float64{{1e150, -1e150}, {-1e150, 1e150}}, []float64{1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svm := &SVM{C: 1e10, Epochs: 50, LearningRate: 1e3, Seed: 1}
+	if err := svm.Fit(d); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("Fit err = %v, want ErrDiverged", err)
+	}
+	if _, err := svm.Score([]float64{1, 1}); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("Score after a diverged fit: err = %v, want ErrNotFitted", err)
+	}
+	// Tame data at the default step fits.
+	d, _ = NewDataset([][]float64{{1, -1}, {-1, 1}}, []float64{1, -1})
+	if err := NewSVM().Fit(d); err != nil {
+		t.Fatalf("sane fit: %v", err)
+	}
+}
