@@ -711,8 +711,7 @@ func BenchmarkMTLModeComparison(b *testing.B) {
 
 // benchServeServer builds a small two-cluster allocation server (the same
 // shape as internal/serve's acceptance fixtures) and warms both policies, so
-// the benchmarks below measure only the steady-state warm path the tail gate
-// protects.
+// the benchmarks below measure only the steady-state warm path.
 func benchServeServer(b *testing.B) *serve.Server {
 	b.Helper()
 	tmpl := &core.Problem{TimeLimit: 2}

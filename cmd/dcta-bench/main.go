@@ -19,38 +19,11 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 2,3,45,9,10,11,mismatch,table1,models,modes,mtl,scaling,robustness,all")
-		seed      = flag.Int64("seed", 1, "experiment seed")
-		scale     = flag.String("scale", "default", "scenario scale: fast, default, full")
-		benchJSON = flag.String("bench-json", "", "run the key microbenchmarks and write their metrics to this JSON file instead of printing figures")
-		baseline  = flag.String("serve-baseline", "", "run the tail-latency gate: replay the canonical serving sweep and compare against this committed BENCH_PR*.json")
-		gateSlack = flag.Float64("gate-slack", -1, "gate tolerance as a fraction (default 0.25; DCTA_BENCH_GATE_SLACK overrides the default on noisy runners)")
-		gateJSON  = flag.String("gate-json", "", "also write the gate sweep's fresh report to this file")
-		clusterBL = flag.String("cluster-baseline", "", "run the scale-out gate: replay the canonical 3-shard router sweep and compare against this committed cluster BENCH_PR*.json")
-		singleBL  = flag.String("single-baseline", "BENCH_PR7.json", "single-node baseline the scale-out gate measures its throughput bar against")
+		fig   = flag.String("fig", "all", "figure to regenerate: 2,3,45,9,10,11,mismatch,table1,models,modes,mtl,scaling,robustness,all")
+		seed  = flag.Int64("seed", 1, "experiment seed")
+		scale = flag.String("scale", "default", "scenario scale: fast, default, full")
 	)
 	flag.Parse()
-	if *clusterBL != "" {
-		if err := runClusterGate(*clusterBL, *singleBL, *seed, *gateSlack, *gateJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "dcta-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *baseline != "" {
-		if err := runGate(*baseline, *seed, *gateSlack, *gateJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "dcta-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "dcta-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*fig, *seed, *scale); err != nil {
 		fmt.Fprintln(os.Stderr, "dcta-bench:", err)
 		os.Exit(1)

@@ -1,6 +1,7 @@
 // Command dcta-server runs the online allocation service: an HTTP/JSON
 // front-end over the per-cluster policy cache in internal/serve, deployed on
-// the same experimental world as dcta-bench.
+// the experimental world dcta.ScaledScenarioConfig builds for -scale (the
+// world dcta-bench prints figures from).
 //
 //	dcta-server -addr :8080 -scale fast
 //	dcta-server -checkpoint policies.ckpt      # warm-start across restarts
@@ -165,7 +166,7 @@ func startGossip(ctx context.Context, s *serve.Server, addr string, j joinOption
 		httpOpts.ExtraRoutes = map[string]http.HandlerFunc{}
 	}
 	httpOpts.ExtraRoutes[cluster.GossipPath] = agent.Handler()
-	_, pulled, err := cluster.ManageMembership(ctx, s, agent,
+	pulled, err := cluster.ManageMembership(ctx, s, agent,
 		cluster.Shard{ID: j.NodeID, Addr: adv}, j.VNodes, j.Replicas, 0, j.Timeout, log.Printf)
 	if err != nil {
 		return fmt.Errorf("gossip: %w", err)

@@ -447,3 +447,51 @@ func TestGossipStatsSurfaced(t *testing.T) {
 		t.Fatalf("shard gossip endpoint answered %d to junk, want 400", code)
 	}
 }
+
+// TestClusterChaosKillConverges bounds the membership plane's failure
+// detection end to end: kill one shard of a converged 3-shard fleet cold
+// (its agent stops gossiping, so the survivors must detect the death, not
+// be told), and every surviving view must agree on its obituary within 5 s;
+// restart it, and every view must agree it is alive again. The fleet-wide
+// protocol counters must show the path taken: a suspicion, a confirmed
+// death and the restarted shard's refutation.
+func TestClusterChaosKillConverges(t *testing.T) {
+	const deadBar = 5 * time.Second
+	lc := startGossipCluster(t, 3, LocalGossipOptions{})
+	if _, ok := lc.AwaitConverged(10*time.Second, func(v View) bool {
+		return len(v.Alive("")) == 4 // 3 shards + router
+	}); !ok {
+		t.Fatal("fleet never converged on the full member table")
+	}
+	victim := lc.Shards() - 1
+	id := lc.ShardID(victim)
+	if err := lc.KillShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	killDt, ok := lc.AwaitConverged(3*deadBar, func(v View) bool {
+		m, found := v.Find(id)
+		return found && m.State == StateDead
+	})
+	if !ok {
+		t.Fatalf("views did not converge on %s dead within %v", id, 3*deadBar)
+	}
+	if killDt > deadBar {
+		t.Fatalf("kill→dead converged in %v, want ≤ %v", killDt, deadBar)
+	}
+	if _, err := lc.RestartShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	rejoinDt, ok := lc.AwaitConverged(3*deadBar, func(v View) bool {
+		m, found := v.Find(id)
+		return found && m.State == StateAlive
+	})
+	if !ok {
+		t.Fatalf("views did not converge on %s alive within %v of its restart", id, 3*deadBar)
+	}
+	suspects, refutations, dead := fleetCounters(lc)
+	t.Logf("%s dead-converged in %v, alive-converged after restart in %v (%d suspects, %d refutations, %d dead-confirms fleet-wide)",
+		id, killDt.Round(time.Millisecond), rejoinDt.Round(time.Millisecond), suspects, refutations, dead)
+	if suspects < 1 || dead < 1 || refutations < 1 {
+		t.Fatalf("fleet counters: %d suspects, %d dead-confirms, %d refutations, want each ≥ 1", suspects, dead, refutations)
+	}
+}

@@ -107,15 +107,14 @@ type localShard struct {
 	id   string
 	addr string // concrete listen address, stable across restarts
 
-	mu      sync.Mutex
-	srv     *serve.Server
-	cancel  context.CancelFunc
-	done    chan error
-	agent   *Agent
-	manager *MembershipManager
-	// gossipStop tears down the shard's agent and manager; killed shards
-	// must stop gossiping (a dead process can't defend itself — that's the
-	// point of the protocol).
+	mu     sync.Mutex
+	srv    *serve.Server
+	cancel context.CancelFunc
+	done   chan error
+	agent  *Agent
+	// gossipStop tears down the shard's agent and membership manager;
+	// killed shards must stop gossiping (a dead process can't defend
+	// itself — that's the point of the protocol).
 	gossipStop context.CancelFunc
 }
 
@@ -136,8 +135,8 @@ func (sh *localShard) gossipHandler(w http.ResponseWriter, r *http.Request) {
 // LocalCluster is an in-process N-shard + router topology over one shared
 // scenario world: every shard serves the same template/store/local model
 // (exactly as N processes booted from the same scenario seed would), the
-// router fronts them on a loopback port. It backs the cluster tests,
-// dcta-load's router mode and the CI scale-out gate.
+// router fronts them on a loopback port. It backs the cluster tests and the
+// benchmark's router_mixed workload.
 type LocalCluster struct {
 	opts     LocalOptions
 	template *core.Problem
@@ -368,14 +367,14 @@ func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddr
 		return 0, fmt.Errorf("cluster: gossip: %s not serving", sh.id)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	mgr, pulled, err := ManageMembership(ctx, srv, agent, Shard{ID: sh.id, Addr: sh.addr},
+	pulled, err := ManageMembership(ctx, srv, agent, Shard{ID: sh.id, Addr: sh.addr},
 		lc.opts.VNodes, lc.opts.ReplicaGroups, 0, lc.opts.HandoffTimeout, lc.opts.Logf)
 	if err != nil {
 		cancel()
 		return 0, err
 	}
 	sh.mu.Lock()
-	sh.agent, sh.manager, sh.gossipStop = agent, mgr, cancel
+	sh.agent, sh.gossipStop = agent, cancel
 	sh.mu.Unlock()
 	go agent.Run(ctx)
 	return pulled, nil
@@ -433,8 +432,8 @@ func (lc *LocalCluster) ReplicaGroups() int { return lc.opts.ReplicaGroups }
 
 // AwaitReplication polls until every live shard's replication queue has
 // drained (all enqueued snapshots pushed or dropped) or the timeout passes.
-// Chaos tests and the loadgen failover probe call this before killing a
-// primary, so "the replica holds the policy" is a fact, not a race.
+// Chaos tests call this before killing a primary, so "the replica holds
+// the policy" is a fact, not a race.
 func (lc *LocalCluster) AwaitReplication(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -465,7 +464,7 @@ func (lc *LocalCluster) KillShard(i int) error {
 	cancel, done := sh.cancel, sh.done
 	gstop := sh.gossipStop
 	sh.srv, sh.cancel, sh.done = nil, nil, nil
-	sh.agent, sh.manager, sh.gossipStop = nil, nil, nil
+	sh.agent, sh.gossipStop = nil, nil
 	sh.mu.Unlock()
 	if cancel == nil {
 		return fmt.Errorf("cluster: shard %d already down", i)
@@ -560,14 +559,6 @@ func (lc *LocalCluster) ShardAgent(i int) *Agent {
 	return sh.agent
 }
 
-// ShardManager is shard i's membership manager, or nil while killed.
-func (lc *LocalCluster) ShardManager(i int) *MembershipManager {
-	sh := lc.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.manager
-}
-
 // RouterAgent is the routing tier's gossip agent.
 func (lc *LocalCluster) RouterAgent() *Agent { return lc.routerAgent }
 
@@ -630,7 +621,7 @@ func (lc *LocalCluster) Close() {
 			cancel, done := sh.cancel, sh.done
 			gstop := sh.gossipStop
 			sh.srv, sh.cancel, sh.done = nil, nil, nil
-			sh.agent, sh.manager, sh.gossipStop = nil, nil, nil
+			sh.agent, sh.gossipStop = nil, nil
 			sh.mu.Unlock()
 			if gstop != nil {
 				gstop()

@@ -47,9 +47,6 @@ type MembershipManager struct {
 	// the single manager goroutine).
 	lastFP    string
 	ownedPrev map[int]bool
-
-	applies atomic.Int64 // view applications that reshaped identity
-	pulls   atomic.Int64 // policies pulled across all reshapes
 }
 
 type memberSnap struct {
@@ -79,19 +76,13 @@ func (m *MembershipManager) PeersFor(cluster int) []string {
 	return out
 }
 
-// Applies counts the view changes that reshaped this shard's identity.
-func (m *MembershipManager) Applies() int64 { return m.applies.Load() }
-
-// Pulls counts the policies warm-pulled across all reshapes.
-func (m *MembershipManager) Pulls() int64 { return m.pulls.Load() }
-
 // ManageMembership wires a shard's server to its gossip agent and applies
 // the current view synchronously (so the caller returns with identity
 // assigned and warm state pulled — the returned count). It then follows
 // every view change until ctx ends. Replication (when replicas >= 2) is
 // enabled against the manager's PeersFor, which reads the newest member
 // snapshot on every push.
-func ManageMembership(ctx context.Context, s *serve.Server, agent *Agent, self Shard, vnodes, replicas, pageLimit int, timeout time.Duration, logf func(string, ...any)) (*MembershipManager, int, error) {
+func ManageMembership(ctx context.Context, s *serve.Server, agent *Agent, self Shard, vnodes, replicas, pageLimit int, timeout time.Duration, logf func(string, ...any)) (int, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -113,14 +104,14 @@ func ManageMembership(ctx context.Context, s *serve.Server, agent *Agent, self S
 	}
 	if replicas >= 2 {
 		if err := s.EnableReplication(serve.ReplicationConfig{PeersFor: m.PeersFor, Logf: logf}); err != nil {
-			return nil, 0, fmt.Errorf("cluster: membership replication: %w", err)
+			return 0, fmt.Errorf("cluster: membership replication: %w", err)
 		}
 	}
 	s.SetMembership(agent.MembershipStats)
 	pulled := m.apply(agent.View())
 	go m.run(ctx)
 	agent.Subscribe(m.offer)
-	return m, pulled, nil
+	return pulled, nil
 }
 
 // offer is the agent's view-change callback: record the newest view and
@@ -226,7 +217,6 @@ func (m *MembershipManager) apply(v View) int {
 	}
 	m.ownedPrev = owned
 	m.lastFP = fp.String()
-	m.applies.Add(1)
 
 	pulled := 0
 	if len(gainedP)+len(gainedR) > 0 {
@@ -237,7 +227,6 @@ func (m *MembershipManager) apply(v View) int {
 			}
 		}
 		pulled = PullWarmState(m.s, peers, gainedP, gainedR, m.pageLimit, m.timeout, m.logf)
-		m.pulls.Add(int64(pulled))
 	}
 	m.logf("cluster: membership: %s reshaped over %d members (epoch %d): %d primary, %d replica, %d gained ranges, %d pulled",
 		m.self.ID, len(members), v.Epoch, len(primary), len(replica), len(gainedP)+len(gainedR), pulled)

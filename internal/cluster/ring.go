@@ -19,7 +19,7 @@
 //   - handoff.go  — shard-scoped checkpoint pull: ownership enumeration
 //     and the peer-to-peer warm-boot client
 //   - local.go    — an in-process N-shard + router topology used by the
-//     tests, dcta-load's router mode and the CI scale-out gate
+//     tests and the benchmark's router_mixed workload
 package cluster
 
 import (
@@ -256,9 +256,8 @@ func (r *Ring) OwnedClusters(node string, total int) []int {
 
 // ShardMap is the cluster tier's wire-level self-description: the ring
 // parameters plus per-shard identity and liveness. The router serves it at
-// GET /v1/cluster; dcta-load's router mode reads it for per-shard
-// reporting, and any client can rebuild the exact routing ring from it
-// (Ring() below). Version guards the format.
+// GET /v1/cluster, and any client can rebuild the exact routing ring from
+// it (Ring() below). Version guards the format.
 type ShardMap struct {
 	Version int         `json:"version"`
 	VNodes  int         `json:"vnodes"`

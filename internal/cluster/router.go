@@ -580,8 +580,8 @@ func (r *Router) shardFor(key int) *shardState {
 	return ss
 }
 
-// Response-classification needles, mirroring loadgen's: the router counts
-// per-shard outcomes by scanning the proxied body rather than decoding it.
+// Response-classification needles: the router counts per-shard outcomes by
+// scanning the proxied body rather than decoding it.
 var (
 	routerNeedleDegraded = []byte(`"mode":"` + serve.ModeDegraded + `"`)
 	routerNeedleHit      = []byte(`"cache":"` + serve.CacheHit + `"`)
@@ -589,6 +589,15 @@ var (
 	routerNeedleSpec     = []byte(`"cache":"` + serve.CacheSpeculative + `"`)
 	routerNeedleReplica  = []byte(`"cache":"` + serve.CacheReplica + `"`)
 )
+
+// classifyAnswer reads a 2xx answer's outcome off its bytes: hit when a
+// resident policy answered (hit, warm, speculative or replica), degraded
+// when the fallback did.
+func classifyAnswer(body []byte) (hit, degraded bool) {
+	hit = bytes.Contains(body, routerNeedleHit) || bytes.Contains(body, routerNeedleWarm) ||
+		bytes.Contains(body, routerNeedleSpec) || bytes.Contains(body, routerNeedleReplica)
+	return hit, bytes.Contains(body, routerNeedleDegraded)
+}
 
 // forward proxies one request body to the key's owner, retrying on the
 // next owner after ejecting a failed shard. It returns the upstream status
@@ -634,12 +643,12 @@ func (r *Router) forward(path string, ws *proxyWS, key int) (code int, body []by
 		if code >= 300 {
 			ss.nonOK.Add(1)
 		} else {
-			if bytes.Contains(respBody, routerNeedleDegraded) {
-				ss.degraded.Add(1)
-			}
-			if bytes.Contains(respBody, routerNeedleHit) || bytes.Contains(respBody, routerNeedleWarm) ||
-				bytes.Contains(respBody, routerNeedleSpec) || bytes.Contains(respBody, routerNeedleReplica) {
+			hit, degraded := classifyAnswer(respBody)
+			if hit {
 				ss.hits.Add(1)
+			}
+			if degraded {
+				ss.degraded.Add(1)
 			}
 		}
 		release = func() { ss.putConn(conn, r.cfg.ConnsPerShard) }

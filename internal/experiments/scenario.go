@@ -1,8 +1,8 @@
 // Package experiments contains one harness per table/figure of the paper's
 // evaluation (§II observations and §V experiments), built on the
 // green-building substrate, the MTL engine, the TATIM core, and the edge
-// simulator. Each harness returns plain series/rows that cmd/dcta-bench and
-// the top-level benchmarks render.
+// simulator. Each harness returns plain series/rows: cmd/dcta-bench prints
+// them as the paper's figures, and the top-level benchmarks time them.
 package experiments
 
 import (

@@ -1,28 +1,31 @@
 // Package rawhttp is a minimal, allocation-thrifty HTTP/1.1 client built
-// around preassembled request frames and persistent connections. It started
-// life inside internal/loadgen (whose closed loop must not measure its own
-// client overhead) and is factored out so the cluster router can reuse the
-// same machinery for its proxy hop: one Conn per pooled upstream link, one
-// buffered write per request, one reused buffer per response.
+// around preassembled request frames and persistent connections. The
+// cluster tier's peer links run on it: the router's proxy hop and health
+// prober, gossip exchanges, replication pushes and warm-handoff pulls. One
+// Conn per pooled link, one buffered write per request, one reused buffer
+// per response.
 package rawhttp
 
 import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"strconv"
 	"time"
 )
 
 // Conn is a single persistent HTTP/1.1 connection speaking just enough of
-// the protocol for the closed loop: it writes a preassembled request frame
-// (headers + JSON body, one syscall) and reads one response back into a
-// reused buffer. The stock net/http client costs tens of microseconds of
-// CPU per request — header maps, context plumbing, pooled-connection
-// bookkeeping — which on a small host is several times the server's entire
-// warm path, so the load generator would measure itself. Each closed-loop
-// worker owns one Conn, so there is no sharing and no locking.
+// the protocol for the cluster's peer links: it writes a preassembled
+// request frame (headers + JSON body, one syscall) and reads one response
+// back into a reused buffer. The stock net/http client costs tens of
+// microseconds of CPU per request — header maps, context plumbing,
+// pooled-connection bookkeeping — which on a small host is several times a
+// shard's entire warm path, so the router's hop would cost more than the
+// answer it relays. A Conn has one owner at a time (the router pools them
+// per shard), so there is no sharing and no locking.
 type Conn struct {
 	addr string
 	c    net.Conn
@@ -82,8 +85,8 @@ func BuildFrame(path string, body []byte) []byte {
 	return b.Bytes()
 }
 
-// AppendFrame is BuildFrame into a caller-reused buffer (for the feedback
-// path, whose body changes per response).
+// AppendFrame is BuildFrame into a caller-reused buffer (for the router's
+// proxy hop, whose body changes per request).
 func AppendFrame(dst []byte, path string, body []byte) []byte {
 	dst = dst[:0]
 	dst = append(dst, "POST "...)
@@ -176,7 +179,7 @@ func (c *Conn) readResponse() (int, []byte, error) {
 			if semi := bytes.IndexByte(sizeLine, ';'); semi >= 0 {
 				sizeLine = sizeLine[:semi]
 			}
-			n, err := strconv.ParseInt(string(bytes.TrimSpace(sizeLine)), 16, 32)
+			n, err := strconv.ParseInt(string(bytes.TrimSpace(sizeLine)), 16, strconv.IntSize)
 			if err != nil || n < 0 {
 				return 0, nil, fmt.Errorf("bad chunk size %q", sizeLine)
 			}
@@ -214,21 +217,25 @@ func (c *Conn) readResponse() (int, []byte, error) {
 	return code, c.body, nil
 }
 
-// readFull appends exactly n bytes from the connection onto c.body.
+// readFull appends exactly n bytes from the connection onto c.body. A
+// length is the peer's claim, so the buffer grows only as bytes arrive: a
+// peer that announces more than it sends costs what it sent and ends in the
+// connection's deadline or EOF error. When cap(c.body) already fits, the
+// reads land in place.
 func (c *Conn) readFull(n int) error {
 	have := len(c.body)
-	if cap(c.body) < have+n {
-		grown := make([]byte, have, have+n)
-		copy(grown, c.body)
-		c.body = grown
+	if n < 0 || n > math.MaxInt-have {
+		return fmt.Errorf("length %d overflows a %d-byte body", n, have)
 	}
-	c.body = c.body[:have+n]
-	for read := 0; read < n; {
-		m, err := c.br.Read(c.body[have+read : have+n])
+	for end := have + n; len(c.body) < end; {
+		if len(c.body) == cap(c.body) {
+			c.body = slices.Grow(c.body, max(1, min(end-len(c.body), c.br.Buffered())))
+		}
+		m, err := c.br.Read(c.body[len(c.body):min(end, cap(c.body))])
+		c.body = c.body[:len(c.body)+m]
 		if err != nil {
 			return err
 		}
-		read += m
 	}
 	return nil
 }

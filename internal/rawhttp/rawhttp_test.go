@@ -1,9 +1,11 @@
 package rawhttp
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -151,5 +153,61 @@ func TestAppendFrameMatchesBuildFrame(t *testing.T) {
 	appended := AppendFrame(make([]byte, 7), "/v1/feedback", body)
 	if !bytes.Equal(built, appended) {
 		t.Fatalf("frames differ:\n%q\n%q", built, appended)
+	}
+}
+
+// lyingPeer accepts one connection, reads the request head, writes head
+// (a response whose framing claims more than it carries) and hangs up.
+func lyingPeer(t *testing.T, head string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil || line == "\r\n" {
+				break
+			}
+		}
+		io.WriteString(c, head)
+	}()
+	return ln.Addr().String()
+}
+
+// TestConnOversizeLengths: a peer's Content-Length or chunk size is a claim,
+// not an allocation. A length that overflows, or one the peer never sends,
+// ends in an error, never a makeslice panic, and the body buffer grows only
+// with the bytes that actually arrived.
+func TestConnOversizeLengths(t *testing.T) {
+	for _, tc := range []struct{ name, head string }{
+		{"content-length max int", "HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\npartial"},
+		{"content-length unsent", "HTTP/1.1 200 OK\r\nContent-Length: 2147483647\r\n\r\npartial"},
+		{"chunk size max int", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n7fffffffffffffff\r\npartial"},
+		{"chunk size overflows the body", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n7fffffffffffffff\r\npartial"},
+		{"chunk size unsent", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n7fffffff\r\npartial"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := Dial(lyingPeer(t, tc.head))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			code, body, err := conn.Do(BuildGetFrame("/v1/stats"))
+			if err == nil {
+				t.Fatalf("lying peer answered %d with %d bytes, want an error", code, len(body))
+			}
+			if cap(conn.body) > 1<<16 {
+				t.Fatalf("body buffer grew to %d bytes for a %d-byte response", cap(conn.body), len(tc.head))
+			}
+		})
 	}
 }

@@ -87,18 +87,6 @@ func (s *Server) clusterNodeStats() *ClusterNodeStats {
 	}
 }
 
-// InstallFromCheckpoint restores policies from a peer's shard-scoped
-// checkpoint stream, counting each installed policy as a handoff pull.
-// Wire-wise it is LoadCheckpoint — the v2 per-section CRC framing is what
-// makes a partial peer transfer safe to apply.
-func (s *Server) InstallFromCheckpoint(r io.Reader) (int, error) {
-	n, err := s.LoadCheckpoint(r)
-	if n > 0 {
-		s.handoffPulls.Add(int64(n))
-	}
-	return n, err
-}
-
 // InstallFromPeerCheckpoint is the anti-entropy install path: a page of a
 // peer's checkpoint export applied through the versioned idempotence gate
 // (InstallReplicated), with role-aware provenance — clusters this node

@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 // allocate issues one CRL allocation for the given cluster signature.
@@ -333,5 +335,69 @@ func TestCheckpointSpeculativeProvenance(t *testing.T) {
 	}
 	if !e.trainedAt.Equal(promoteTime) {
 		t.Fatalf("promoted entry TrainedAt = %v, want promotion time %v", e.trainedAt, promoteTime)
+	}
+}
+
+// TestValueParityWithinFivePercent is the transfer-quality bar on the
+// collapsed cold start: across three seeded small worlds, the serving
+// defaults (neighbour warm-start + early stopping on a fraction of the
+// episode budget) must capture at least 95% of the importance a full-budget
+// scratch training captures on the same evaluation signatures. The requests
+// force the CRL arm so the comparison exercises the trained DQNs rather than
+// the local process.
+func TestValueParityWithinFivePercent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains full-budget scratch reference policies")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		scnCfg, err := dcta.ScaledScenarioConfig(seed, "fast")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scn, err := dcta.NewScenario(scnCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqs []AllocateRequest
+		for _, ep := range scn.Eval {
+			feats, err := scn.Extractor.Vectors(ep.FeatureCtx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, AllocateRequest{Signature: ep.Signature, Features: feats, Allocator: "crl"})
+		}
+		captured := func(collapsed bool) float64 {
+			cfg := DefaultConfig()
+			cfg.ClusterNeighborhood = 5
+			cfg.Seed = seed
+			cfg.CRL.Episodes = scnCfg.CRLEpisodes
+			cfg.Logf = func(string, ...any) {}
+			if !collapsed {
+				cfg.DisableWarmStart = true
+				cfg.CRL.StopWindow = -1 // burn the full budget: the reference
+			}
+			s, err := NewServer(scn.Template, scn.Store, scn.Local, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total float64
+			for _, req := range reqs {
+				resp, err := s.Allocate(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += resp.PredictedImportance
+			}
+			return total
+		}
+		scratch, fast := captured(false), captured(true)
+		ratio := 1.0
+		if scratch > 0 {
+			ratio = fast / scratch
+		}
+		t.Logf("seed %d: scratch %.4f, collapsed %.4f, ratio %.4f", seed, scratch, fast, ratio)
+		if ratio < 0.95 {
+			t.Fatalf("seed %d: value parity %.4f, want ≥ 0.95", seed, ratio)
+		}
 	}
 }

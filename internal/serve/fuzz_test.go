@@ -48,7 +48,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	}
 	f.Add(append([]byte(nil), good.Bytes()...))
 	// A shard-scoped export — the exact stream a joining cluster peer pulls
-	// and feeds through InstallFromCheckpoint (same loader underneath).
+	// and feeds through InstallFromPeerCheckpoint.
 	var scoped bytes.Buffer
 	if err := seedSrv.SaveCheckpointFor(&scoped, func(k int) bool { return k == 0 }); err != nil {
 		f.Fatal(err)

@@ -212,8 +212,7 @@ func (r *replicator) sendWithRetry(addr string, snapshot []byte) bool {
 }
 
 // settled reports whether every accepted job has been fully processed — the
-// quiescence check tests and the load generator poll before killing a
-// primary.
+// quiescence check tests poll before killing a primary.
 func (r *replicator) settled() bool {
 	return r.enqueued.Load() == r.jobsDone.Load()
 }

@@ -51,7 +51,7 @@ func mustMarshal(v any) []byte {
 
 // corpus is the seed corpus of the three body fuzz targets and the input of
 // the table-driven properties: the body shapes bench/gen.go and
-// loadgen.BuildWorkload emit, every tightening, malformed bodies around each
+// encoding/json emit, every tightening, malformed bodies around each
 // production of the grammar, and every edge literal of number_test.go.
 func corpus() [][]byte {
 	bodies := [][]byte{
@@ -60,8 +60,8 @@ func corpus() [][]byte {
 		paperAllocate(3, 2, 2),
 		[]byte(`{"signature":[0.25,-1.5e-05,3e+06],"allocator":"crl"}`),
 		[]byte(`{"signature":[0.5],"features":[[1,2],[3,4]],"allocation":[0,-1],"importance":[0.9,0.1],"seq":42}`),
-		// loadgen.BuildWorkload, the examples and the tests: json.Marshal of
-		// the request structs (a nil signature is "signature":null).
+		// The examples and the tests: json.Marshal of the request structs
+		// (a nil signature is "signature":null).
 		mustMarshal(AllocateRequest{Signature: []float64{0, 1e-7, 1e21, -0.0}, Features: [][]float64{{1}, {}}, Allocator: "dcta"}),
 		mustMarshal(FeedbackRequest{Features: [][]float64{{1, 2}}, Allocation: []int{3}, AddToStore: true, Seq: -7}),
 		append(mustMarshal(AllocateRequest{Signature: []float64{1}}), '\n'),
