@@ -5,14 +5,14 @@
 // sockets instead of the discrete-event simulator.
 //
 //	edge-demo -workers 5 -timescale 0.001
-//	edge-demo -fault-tolerant          # reassign tasks when workers die
 //	edge-demo -hang-worker 2           # worker 2's link freezes mid-run
 //	edge-demo -corrupt-rate 0.1        # 10% of completion frames corrupted
 //
-// The fault flags route the affected workers through an in-process
-// fault-injection proxy (internal/netfault) and force the fault-tolerant
-// controller, which detects the damage — missed heartbeats, checksum
-// failures — and completes the plan anyway, reporting its failure counters.
+// Workers beat every 50 ms, so the controller tells a hung worker from a
+// computing one. The fault flags route the affected workers through an
+// in-process fault-injection proxy (internal/netfault); the controller
+// detects the damage — missed heartbeats, checksum failures — and completes
+// the plan anyway. Every run reports the controller's failure counters.
 package main
 
 import (
@@ -38,21 +38,18 @@ func main() {
 		method    = flag.String("alloc", "DCTA", "allocator: RM, DML, CRL, DCTA")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		scale     = flag.String("scale", "default", "scenario scale: fast, default")
-		ft        = flag.Bool("fault-tolerant", false, "use the fault-tolerant controller (retries and reassigns on worker failure)")
-		ftAlias   = flag.Bool("faulttolerant", false, "alias for -fault-tolerant")
-		hang      = flag.Int("hang-worker", 0, "freeze this worker's link (1-based) on its first completion; implies -fault-tolerant")
-		corrupt   = flag.Float64("corrupt-rate", 0, "probability of corrupting each completion frame in flight; implies -fault-tolerant")
+		hang      = flag.Int("hang-worker", 0, "freeze this worker's link (1-based) on its first completion")
+		corrupt   = flag.Float64("corrupt-rate", 0, "probability of corrupting each completion frame in flight")
 	)
 	flag.Parse()
 	if err := run(os.Stdout, demoOptions{
-		Workers:       *workers,
-		TimeScale:     *timescale,
-		Method:        *method,
-		Seed:          *seed,
-		Scale:         *scale,
-		FaultTolerant: *ft || *ftAlias,
-		HangWorker:    *hang,
-		CorruptRate:   *corrupt,
+		Workers:     *workers,
+		TimeScale:   *timescale,
+		Method:      *method,
+		Seed:        *seed,
+		Scale:       *scale,
+		HangWorker:  *hang,
+		CorruptRate: *corrupt,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "edge-demo:", err)
 		os.Exit(1)
@@ -62,12 +59,11 @@ func main() {
 // demoOptions parameterizes one demo run (flag values; tests fill it
 // directly).
 type demoOptions struct {
-	Workers       int
-	TimeScale     float64
-	Method        string
-	Seed          int64
-	Scale         string
-	FaultTolerant bool
+	Workers   int
+	TimeScale float64
+	Method    string
+	Seed      int64
+	Scale     string
 	// HangWorker freezes the link of the given worker (1-based) on its
 	// first completion frame; 0 injects no hang.
 	HangWorker int
@@ -82,11 +78,6 @@ func run(out io.Writer, opt demoOptions) error {
 	}
 	if opt.CorruptRate < 0 || opt.CorruptRate > 1 {
 		return fmt.Errorf("-corrupt-rate %v out of range (0..1)", opt.CorruptRate)
-	}
-	injecting := opt.HangWorker > 0 || opt.CorruptRate > 0
-	if injecting && !opt.FaultTolerant {
-		fmt.Fprintln(out, "fault injection requested: forcing the fault-tolerant controller")
-		opt.FaultTolerant = true
 	}
 	fmt.Fprintf(out, "building scenario (%d workers)...\n", opt.Workers)
 	cfg := dcta.DefaultScenarioConfig(opt.Seed)
@@ -129,11 +120,11 @@ func run(out io.Writer, opt demoOptions) error {
 	}
 	addrs := make([]string, opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
-		w := &edgenet.Worker{ID: i + 1, Type: cycle[i%len(cycle)], TimeScale: opt.TimeScale}
-		if opt.FaultTolerant {
-			// Heartbeats let the controller tell a hung worker from a
-			// computing one.
-			w.HeartbeatEvery = 50 * time.Millisecond
+		w := &edgenet.Worker{
+			ID:             i + 1,
+			Type:           cycle[i%len(cycle)],
+			TimeScale:      opt.TimeScale,
+			HeartbeatEvery: 50 * time.Millisecond,
 		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -157,21 +148,12 @@ func run(out io.Writer, opt demoOptions) error {
 		fmt.Fprintf(out, "worker %d (%s) listening on %s%s\n", w.ID, w.Type, addrs[i], note)
 	}
 
-	mode := "plain"
-	if opt.FaultTolerant {
-		mode = "fault-tolerant"
-	}
-	fmt.Fprintf(out, "\nstreaming the %s plan over TCP (%s controller)...\n", opt.Method, mode)
+	fmt.Fprintf(out, "\nstreaming the %s plan over TCP...\n", opt.Method)
 	ctrl := edgenet.NewController()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	start := time.Now()
-	var report *edgenet.Report
-	if opt.FaultTolerant {
-		report, err = ctrl.RunFaultTolerant(ctx, addrs, req.Problem, res, s.Config.CoverageTarget)
-	} else {
-		report, err = ctrl.Run(ctx, addrs, req.Problem, res, s.Config.CoverageTarget)
-	}
+	report, err := ctrl.Run(ctx, addrs, req.Problem, res, s.Config.CoverageTarget)
 	if err != nil {
 		return fmt.Errorf("controller run: %w", err)
 	}
@@ -189,11 +171,9 @@ func run(out io.Writer, opt demoOptions) error {
 	if len(report.Completions) > 5 {
 		fmt.Fprintf(out, "  … %d more\n", len(report.Completions)-5)
 	}
-	if opt.FaultTolerant {
-		fmt.Fprintf(out, "robustness: %d heartbeat misses, %d dead workers, %d hedges, %d retries, %d corrupt frames, %d duplicate completions, %d rejoins\n",
-			report.HeartbeatMisses, report.DeadWorkers, report.Hedges,
-			report.Retries, report.CorruptFrames, report.DuplicateDone, report.Rejoins)
-	}
+	fmt.Fprintf(out, "robustness: %d heartbeat misses, %d dead workers, %d hedges, %d retries, %d corrupt frames, %d duplicate completions, %d rejoins\n",
+		report.HeartbeatMisses, report.DeadWorkers, report.Hedges,
+		report.Retries, report.CorruptFrames, report.DuplicateDone, report.Rejoins)
 	return nil
 }
 

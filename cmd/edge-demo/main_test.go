@@ -7,23 +7,22 @@ import (
 )
 
 // TestFaultTolerantDemoSmoke runs the full demo end to end — real loopback
-// workers, real TCP — with the fault-tolerant controller behind the
-// -fault-tolerant flag. The name matches the CI chaos regex
-// ('Chaos|FaultTolerant') so this runs under -race there.
+// workers, real TCP, heartbeats on — over clean links: the failure detector
+// must finish the plan without declaring a healthy worker dead. The name
+// matches the CI chaos regex so this runs under -race there.
 func TestFaultTolerantDemoSmoke(t *testing.T) {
 	var out bytes.Buffer
 	err := run(&out, demoOptions{
-		Workers:       3,
-		TimeScale:     0.0005,
-		Method:        "DCTA",
-		Seed:          1,
-		Scale:         "fast",
-		FaultTolerant: true,
+		Workers:   3,
+		TimeScale: 0.0005,
+		Method:    "DCTA",
+		Seed:      1,
+		Scale:     "fast",
 	})
 	if err != nil {
-		t.Fatalf("fault-tolerant demo failed: %v\n%s", err, out.String())
+		t.Fatalf("demo failed: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"fault-tolerant controller", "decision ready at"} {
+	for _, want := range []string{"decision ready at", "robustness:", " 0 dead workers"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -32,10 +31,9 @@ func TestFaultTolerantDemoSmoke(t *testing.T) {
 
 // TestChaosDemoSmoke drives the demo's fault-injection flags: one worker's
 // link freezes mid-run and completion frames are randomly corrupted, both
-// behind the netfault proxy. The run must still finish (the flags force the
-// fault-tolerant controller) and print the robustness counters. The name
-// matches the CI chaos regex ('Chaos|FaultTolerant') so this runs under
-// -race there.
+// behind the netfault proxy. The run must still finish and print the
+// robustness counters. The name matches the CI chaos regex so this runs
+// under -race there.
 func TestChaosDemoSmoke(t *testing.T) {
 	var out bytes.Buffer
 	err := run(&out, demoOptions{
@@ -51,7 +49,6 @@ func TestChaosDemoSmoke(t *testing.T) {
 		t.Fatalf("chaos demo failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{
-		"forcing the fault-tolerant controller",
 		"[faulty link]",
 		"decision ready at",
 		"robustness:",

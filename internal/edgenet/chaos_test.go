@@ -163,7 +163,7 @@ func TestChaosHangCorruptCrashRejoin(t *testing.T) {
 
 	p, res := chaosPlan(12, 4)
 	addrs := []string{hangP.Addr(), corruptP.Addr(), crashP.Addr(), healthyW.Addr()}
-	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 1.0)
+	report, err := ctrl.Run(ctx, addrs, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestHedgeStragglerFirstDoneWins(t *testing.T) {
 	p, res := chaosPlan(4, 3) // tasks 0,3 -> straggler, task 1 -> healthy, task 2 -> slow
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, []string{delayP.Addr(), healthyW.Addr(), slowW.Addr()}, p, res, 1.0)
+	report, err := ctrl.Run(ctx, []string{delayP.Addr(), healthyW.Addr(), slowW.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCorruptQuarantine(t *testing.T) {
 	p, res := chaosPlan(4, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, []string{corruptP.Addr(), healthyW.Addr()}, p, res, 1.0)
+	report, err := ctrl.Run(ctx, []string{corruptP.Addr(), healthyW.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRejoinCompletesRun(t *testing.T) {
 	ctrl.RejoinListener = rejoinLn
 
 	p, res := chaosPlan(4, 1)
-	report, err := ctrl.RunFaultTolerant(ctx, []string{dropP.Addr()}, p, res, 1.0)
+	report, err := ctrl.Run(ctx, []string{dropP.Addr()}, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,8 @@ type Completion struct {
 	Task       int
 	WorkerID   int
 	Importance float64
-	// At is the wall-clock completion instant relative to Run start.
+	// At is the wall-clock completion instant relative to the start of
+	// dispatch, once Run has greeted the workers.
 	At time.Duration
 }
 
@@ -51,8 +52,7 @@ type Report struct {
 	// through the rejoin listener.
 	Workers map[int]int
 
-	// Robustness counters (populated by RunFaultTolerant; all zero for the
-	// strict Run path).
+	// Robustness counters.
 
 	// HeartbeatMisses is the total number of heartbeat windows that passed
 	// without a beat, summed over all heartbeat-announcing workers.
@@ -79,8 +79,7 @@ type Report struct {
 
 // Controller executes allocation plans on live workers over TCP.
 //
-// The zero value works; the knobs below tune the fault-tolerant path's
-// failure detector (RunFaultTolerant). The strict Run path ignores them.
+// The zero value works; the knobs below tune Run's failure detector.
 type Controller struct {
 	// DialTimeout bounds each worker connection attempt.
 	DialTimeout time.Duration
@@ -103,9 +102,9 @@ type Controller struct {
 	// Tick is the failure-detector scan interval (default 10ms).
 	Tick time.Duration
 	// RejoinListener, when non-nil, lets recovered workers dial back in
-	// mid-run: RunFaultTolerant accepts connections on it, reads the
-	// hello, and admits the worker into the dispatch pool. The listener
-	// is closed when the run ends.
+	// mid-run: Run accepts connections on it, reads the hello, and admits
+	// the worker into the dispatch pool. The listener is closed when the
+	// run ends.
 	RejoinListener net.Listener
 }
 
@@ -148,7 +147,7 @@ func (c *Controller) tick() time.Duration {
 }
 
 // planQueues validates the plan against the worker count and splits it into
-// per-worker queues in priority order. Shared by Run and RunFaultTolerant.
+// per-worker queues in priority order.
 func planQueues(p *core.Problem, res *alloc.Result, workers int) (queues [][]int, assigned int, err error) {
 	queues = make([][]int, workers)
 	for j, proc := range res.Allocation {
@@ -184,7 +183,8 @@ func planPriority(res *alloc.Result) func(int) float64 {
 }
 
 // prepare validates a run's inputs, normalizes the coverage target and
-// splits the plan into per-worker queues. Shared by Run and RunFaultTolerant.
+// splits the plan into per-worker queues. A target outside (0, 1], NaN
+// included, means the paper's 0.8.
 func prepare(addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (queues [][]int, assigned int, target float64, err error) {
 	if len(addrs) == 0 {
 		return nil, 0, 0, ErrNoWorkers
@@ -195,7 +195,7 @@ func prepare(addrs []string, p *core.Problem, res *alloc.Result, coverageTarget 
 	if res == nil || len(res.Allocation) != len(p.Tasks) {
 		return nil, 0, 0, fmt.Errorf("edgenet: allocation/task mismatch: %w", ErrPlanMismatch)
 	}
-	if coverageTarget <= 0 || coverageTarget > 1 {
+	if !(coverageTarget > 0 && coverageTarget <= 1) {
 		coverageTarget = 0.8
 	}
 	queues, assigned, err = planQueues(p, res, len(addrs))
@@ -215,8 +215,7 @@ type greeting struct {
 
 // greet dials every address and reads its hello, all workers at once. The
 // dial and the hello are each bounded by DialTimeout, and a cancelled ctx
-// stops the dial. Slot i of the result belongs to addrs[i]. Shared by Run
-// and RunFaultTolerant.
+// stops the dial. Slot i of the result belongs to addrs[i].
 func (c *Controller) greet(ctx context.Context, addrs []string) []greeting {
 	out := make([]greeting, len(addrs))
 	dialer := net.Dialer{Timeout: c.DialTimeout}
@@ -261,9 +260,8 @@ func readHello(conn net.Conn, timeout time.Duration) (*Envelope, error) {
 }
 
 // record adds a first completion to the report and reports whether it met
-// the coverage target. It is the termination rule Run and RunFaultTolerant
-// share: each returns at the first completion for which record is true, or
-// once every assigned task has completed, whichever comes first.
+// the coverage target: Run returns at the first completion for which record
+// is true, or once every assigned task has completed, whichever comes first.
 func (r *Report) record(comp Completion, target float64) bool {
 	r.Completions = append(r.Completions, comp)
 	r.Covered += comp.Importance
@@ -272,151 +270,4 @@ func (r *Report) record(comp Completion, target float64) bool {
 		return true
 	}
 	return false
-}
-
-// Run connects to the workers (addrs[i] serves processor i of the problem),
-// greeting all of them at once, and streams the allocation's tasks in
-// priority order. It returns at the first instant the completed tasks
-// cover the coverage target, or when every assigned task has completed,
-// whichever comes first; the context being cancelled or a connection
-// failing ends it with an error. Either way the connections are closed, so
-// workers stop the tasks still executing. A caller that needs every task
-// run passes coverage 1.0. Run is the strict path: any worker failure or
-// corrupt frame fails the run (RunFaultTolerant survives them).
-func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
-	queues, assigned, target, err := prepare(addrs, p, res, coverageTarget)
-	if err != nil {
-		return nil, err
-	}
-	conns := make([]net.Conn, len(addrs))
-	defer func() {
-		for _, conn := range conns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}()
-	report := &Report{Workers: make(map[int]int, len(addrs))}
-	var greetErr error
-	for i, g := range c.greet(ctx, addrs) {
-		if g.err != nil {
-			if greetErr == nil {
-				greetErr = g.err
-			}
-			continue
-		}
-		conns[i] = g.conn
-		report.Workers[i] = g.hello.WorkerID
-	}
-	if greetErr != nil {
-		return nil, greetErr
-	}
-	start := time.Now()
-	events := make(chan Completion, 1)
-	errs := make(chan error, 1)
-	var wg sync.WaitGroup
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Unblock in-flight reads when the run ends: closing the connections
-	// is the only way to interrupt a blocked ReadFrame, and it is also how
-	// the workers learn to drop their tasks.
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		<-runCtx.Done()
-		for _, conn := range conns {
-			conn.Close()
-		}
-	}()
-	defer func() { <-watcherDone }()
-	for proc, q := range queues {
-		if len(q) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(conn net.Conn, tasks []int) {
-			defer wg.Done()
-			if err := c.driveWorker(runCtx, conn, p, tasks, start, events); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}(conns[proc], q)
-	}
-	drained := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(drained)
-	}()
-	// Tear down on every exit: cancel, then wait for the driveWorker goroutines.
-	defer func() {
-		cancel()
-		<-drained
-	}()
-	for received := 0; received < assigned; received++ {
-		select {
-		case comp := <-events:
-			if report.record(comp, target) {
-				return report, nil
-			}
-		case err := <-errs:
-			return nil, err
-		case <-ctx.Done():
-			return nil, fmt.Errorf("edgenet run: %w", ctx.Err())
-		}
-	}
-	if target <= 0 {
-		report.DecisionReadyAt = time.Since(start)
-	}
-	return report, nil
-}
-
-// driveWorker streams one worker's queue and forwards completions.
-// Heartbeat frames interleaved by v2 workers are skipped; anything else
-// unexpected is a protocol error (the strict path does not recover).
-func (c *Controller) driveWorker(ctx context.Context, conn net.Conn, p *core.Problem, tasks []int, start time.Time, events chan<- Completion) error {
-	defer WriteFrame(conn, &Envelope{Type: MsgShutdown}) //nolint:errcheck // best-effort goodbye
-	for _, j := range tasks {
-		if err := ctx.Err(); err != nil {
-			return nil // cancelled: stop quietly
-		}
-		t := p.Tasks[j]
-		assign := &Envelope{
-			Type:       MsgAssign,
-			TaskID:     j,
-			InputBits:  t.InputBits,
-			Importance: t.Importance,
-		}
-		if err := WriteFrame(conn, assign); err != nil {
-			return fmt.Errorf("edgenet assign task %d: %w", j, err)
-		}
-		var done *Envelope
-		for {
-			env, err := ReadFrame(conn)
-			if err != nil {
-				return fmt.Errorf("edgenet await task %d: %w", j, err)
-			}
-			if env.Type == MsgHeartbeat {
-				continue
-			}
-			done = env
-			break
-		}
-		if done.Type != MsgDone || done.TaskID != j {
-			return fmt.Errorf("task %d got %q/%d: %w", j, done.Type, done.TaskID, ErrBadMessage)
-		}
-		comp := Completion{
-			Task:       j,
-			WorkerID:   done.WorkerID,
-			Importance: t.Importance,
-			At:         time.Since(start),
-		}
-		select {
-		case events <- comp:
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	return nil
 }

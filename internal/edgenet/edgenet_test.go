@@ -3,7 +3,9 @@ package edgenet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"net"
 	"strings"
@@ -30,38 +32,47 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// rawFrame builds a frame header claiming n payload bytes, followed by
+// payload, with payload's own CRC.
+func rawFrame(n uint32, payload []byte) []byte {
+	head := make([]byte, frameHeader)
+	head[0], head[1], head[2] = frameMagic0, frameMagic1, frameVersion
+	binary.BigEndian.PutUint32(head[3:7], n)
+	binary.BigEndian.PutUint32(head[7:11], crc32.Checksum(payload, frameCRC))
+	return append(head, payload...)
+}
+
 func TestReadFrameErrors(t *testing.T) {
 	// Oversized length prefix.
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(rawFrame(MaxFrameBytes+1, nil))); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize err = %v", err)
 	}
 	// Truncated payload.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("truncated frame accepted")
+	if _, err := ReadFrame(bytes.NewReader(rawFrame(10, []byte("x")))); err == nil || StreamAligned(err) {
+		t.Fatalf("truncated frame err = %v, want framing lost", err)
+	}
+	// Truncated header.
+	if _, err := ReadFrame(bytes.NewReader(rawFrame(2, []byte("{}"))[:5])); err == nil || StreamAligned(err) {
+		t.Fatalf("truncated header err = %v, want framing lost", err)
+	}
+	// Bad magic: framing is lost, not one frame.
+	badMagic := rawFrame(2, []byte("{}"))
+	badMagic[1] = 'x'
+	if _, err := ReadFrame(bytes.NewReader(badMagic)); err == nil || StreamAligned(err) {
+		t.Fatalf("bad magic err = %v, want framing lost", err)
 	}
 	// Bad JSON.
-	buf.Reset()
 	payload := []byte("not json")
-	buf.Write([]byte{0, 0, 0, byte(len(payload))})
-	buf.Write(payload)
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("bad json accepted")
+	if _, err := ReadFrame(bytes.NewReader(rawFrame(uint32(len(payload)), payload))); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("bad json err = %v", err)
 	}
 	// Missing type.
-	buf.Reset()
 	payload = []byte("{}")
-	buf.Write([]byte{0, 0, 0, byte(len(payload))})
-	buf.Write(payload)
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrBadMessage) {
+	if _, err := ReadFrame(bytes.NewReader(rawFrame(uint32(len(payload)), payload))); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("typeless err = %v", err)
 	}
 	// EOF propagates for clean shutdown detection.
-	buf.Reset()
-	if _, err := ReadFrame(&buf); !errors.Is(err, errEOF()) {
+	if _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, errEOF()) {
 		t.Fatalf("eof err = %v", err)
 	}
 }
@@ -186,6 +197,104 @@ func TestRunEndsAtDecision(t *testing.T) {
 	}
 }
 
+// TestRunKeepsPlacement pins that Run executes the plan's placement: a
+// worker that drains its own queue early stays idle rather than taking a
+// slower peer's planned tasks.
+func TestRunKeepsPlacement(t *testing.T) {
+	fast := &Worker{ID: 1, Type: edgesim.RaspberryPiB, TimeScale: taskScale(time.Millisecond)}
+	slow := &Worker{ID: 2, Type: edgesim.RaspberryPiB, TimeScale: taskScale(15 * time.Millisecond)}
+	var addrs []string
+	for _, w := range []*Worker{fast, slow} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Serve(l); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		addrs = append(addrs, w.Addr())
+	}
+	p, res := testPlan(8, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	report, err := NewController().Run(ctx, addrs, p, res, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Completions) != 8 {
+		t.Fatalf("completions = %d, want 8", len(report.Completions))
+	}
+	for _, comp := range report.Completions {
+		if want := report.Workers[res.Allocation[comp.Task]]; comp.WorkerID != want {
+			t.Fatalf("task %d ran on worker %d, planned on worker %d", comp.Task, comp.WorkerID, want)
+		}
+	}
+	if report.Hedges != 0 || report.DuplicateDone != 0 {
+		t.Fatalf("hedges = %d, duplicates = %d, want 0/0", report.Hedges, report.DuplicateDone)
+	}
+}
+
+// TestRunZeroTargetReady: a plan without importance has a zero coverage
+// target, which is met once every assigned task has completed — also when
+// no task is assigned at all.
+func TestRunZeroTargetReady(t *testing.T) {
+	_, addrs := startWorkers(t, 2)
+	for _, tc := range []struct {
+		name   string
+		assign bool
+	}{{"all assigned", true}, {"none assigned", false}} {
+		p, res := testPlan(4, 2)
+		for j := range p.Tasks {
+			p.Tasks[j].Importance = 0
+			if !tc.assign {
+				res.Allocation[j] = core.Unassigned
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		report, err := NewController().Run(ctx, addrs, p, res, 0.8)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := 0
+		if tc.assign {
+			want = 4
+		}
+		if len(report.Completions) != want {
+			t.Fatalf("%s: completions = %d, want %d", tc.name, len(report.Completions), want)
+		}
+		if report.DecisionReadyAt <= 0 {
+			t.Fatalf("%s: DecisionReadyAt = %v, want > 0", tc.name, report.DecisionReadyAt)
+		}
+		if want > 0 && report.DecisionReadyAt < report.Completions[want-1].At {
+			t.Fatalf("%s: ready at %v, before the last completion at %v",
+				tc.name, report.DecisionReadyAt, report.Completions[want-1].At)
+		}
+	}
+}
+
+// TestPrepareCoverageTarget: a coverage target outside (0, 1], NaN and the
+// infinities included, means the paper's 0.8.
+func TestPrepareCoverageTarget(t *testing.T) {
+	p, res := testPlan(4, 2)
+	total := p.TotalImportance()
+	for _, tc := range []struct {
+		in, want float64
+	}{
+		{math.NaN(), 0.8}, {math.Inf(1), 0.8}, {math.Inf(-1), 0.8},
+		{0, 0.8}, {-1, 0.8}, {1.5, 0.8}, {1, 1}, {0.5, 0.5},
+	} {
+		_, _, target, err := prepare([]string{"a", "b"}, p, res, tc.in)
+		if err != nil {
+			t.Fatalf("prepare(%v): %v", tc.in, err)
+		}
+		if !(math.Abs(target-tc.want*total) <= 1e-12) { // NaN fails too
+			t.Fatalf("prepare(%v) target = %v, want %v", tc.in, target, tc.want*total)
+		}
+	}
+}
+
 func TestControllerValidation(t *testing.T) {
 	ctrl := NewController()
 	ctx := context.Background()
@@ -202,11 +311,12 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := ctrl.Run(ctx, addrs, p, badProc, 0.8); !errors.Is(err, ErrPlanMismatch) {
 		t.Fatalf("bad processor err = %v", err)
 	}
-	// Dead address.
+	// A dead address leaves no worker to run the plan.
 	deadCtrl := NewController()
 	deadCtrl.DialTimeout = 200 * time.Millisecond
-	if _, err := deadCtrl.Run(ctx, []string{"127.0.0.1:1"}, p, res, 0.8); err == nil {
-		t.Fatal("dial to dead address succeeded")
+	p1, res1 := testPlan(4, 1)
+	if _, err := deadCtrl.Run(ctx, []string{"127.0.0.1:1"}, p1, res1, 0.8); !errors.Is(err, ErrAllWorkersDown) {
+		t.Fatalf("dead address err = %v, want ErrAllWorkersDown", err)
 	}
 }
 
@@ -232,8 +342,8 @@ func TestControllerContextCancel(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	_, err = ctrl.Run(ctx, []string{w.Addr()}, p, res, 0.8)
-	if err == nil {
-		t.Fatal("cancelled run succeeded")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled run err = %v, want the context's", err)
 	}
 	if elapsed := time.Since(start); elapsed > 1*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
@@ -288,8 +398,8 @@ func TestWorkerRejectsProtocolViolation(t *testing.T) {
 }
 
 // TestRunBoundsMuteGreeting: a peer that accepts the connection but never
-// says hello must fail Run within about DialTimeout, even under a context
-// with no deadline.
+// says hello is dead from the start, within about DialTimeout even under a
+// context with no deadline; its tasks run on the live worker.
 func TestRunBoundsMuteGreeting(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -310,11 +420,23 @@ func TestRunBoundsMuteGreeting(t *testing.T) {
 	ctrl := NewController()
 	ctrl.DialTimeout = 200 * time.Millisecond
 	start := time.Now()
-	if _, err := ctrl.Run(context.Background(), []string{addrs[0], l.Addr().String()}, p, res, 0.8); err == nil {
-		t.Fatal("Run succeeded against a mute worker")
+	report, err := ctrl.Run(context.Background(), []string{addrs[0], l.Addr().String()}, p, res, 1.0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("mute greeting stalled Run for %v", elapsed)
+	}
+	if len(report.Completions) != 4 {
+		t.Fatalf("completions = %d, want 4", len(report.Completions))
+	}
+	for _, comp := range report.Completions {
+		if comp.WorkerID != 1 {
+			t.Fatalf("task %d completed on worker %d, want the live worker 1", comp.Task, comp.WorkerID)
+		}
+	}
+	if _, ok := report.Workers[1]; ok {
+		t.Fatalf("mute worker admitted: %v", report.Workers)
 	}
 }
 
@@ -380,8 +502,8 @@ func TestWorkerDropsTaskOnHangup(t *testing.T) {
 	}
 }
 
-// TestWorkerShutdownStopsTask: MsgShutdown mid-task drops the task and the
-// connection without a completion.
+// TestWorkerShutdownStopsTask: a frame other than an assign mid-task shuts
+// the connection down and drops the task without a completion.
 func TestWorkerShutdownStopsTask(t *testing.T) {
 	const taskTime = 3 * time.Second
 	w := &Worker{ID: 1, Type: edgesim.RaspberryPiB, TimeScale: taskScale(taskTime)}
@@ -389,17 +511,17 @@ func TestWorkerShutdownStopsTask(t *testing.T) {
 	if err := WriteFrame(conn, &Envelope{Type: MsgAssign, TaskID: 0, InputBits: 1000, Importance: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, &Envelope{Type: MsgShutdown}); err != nil {
+	if err := WriteFrame(conn, &Envelope{Type: MsgHeartbeat}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	conn.SetReadDeadline(time.Now().Add(taskTime / 3))
 	env, err := ReadFrame(conn)
 	if err == nil {
-		t.Fatalf("worker sent %q after shutdown", env.Type)
+		t.Fatalf("worker sent %q after a non-assign frame", env.Type)
 	}
 	if elapsed := time.Since(start); elapsed >= taskTime/3 {
-		t.Fatalf("connection still open %v after shutdown", elapsed)
+		t.Fatalf("connection still open %v after a non-assign frame", elapsed)
 	}
 }
 

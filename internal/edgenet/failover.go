@@ -60,14 +60,14 @@ type ftTask struct {
 	deadline time.Time // hedge eligibility instant for the newest copy
 }
 
-// ftRun is the state of one fault-tolerant execution; everything in it is
-// owned by the event loop goroutine.
+// ftRun is the state of one Run; everything in it is owned by the event
+// loop goroutine.
 type ftRun struct {
 	c       *Controller
 	p       *core.Problem
 	prio    func(int) float64
 	report  *Report
-	start   time.Time
+	start   time.Time // dispatch start, once the initial pool is greeted
 	runCtx  context.Context
 	events  chan ftEvent
 	wg      *sync.WaitGroup
@@ -82,29 +82,42 @@ type ftRun struct {
 	ready   bool // the coverage target was met: the run is over
 }
 
-// RunFaultTolerant executes the plan like Run, but on a failure-detecting
-// execution plane built for networks where nodes stall and links corrupt
-// bytes rather than cleanly disconnecting:
+// Run connects to the workers (addrs[i] serves processor i of the problem),
+// greeting all of them at once, and streams the allocation's tasks in
+// priority order, one task in flight per worker. Each worker runs the tasks
+// the plan placed on it; another worker takes a task only when it is
+// orphaned. Run returns at the first completion that covers the coverage
+// target, or once every assigned task has completed, whichever comes first;
+// a zero target (a plan without importance) is met at that last
+// completion. Either way the connections are closed, so workers stop the
+// tasks still executing. A caller that needs every task run passes coverage
+// 1.0.
 //
+// Workers fail the way nodes of a WiFi testbed do — they stall, crash or
+// corrupt bytes rather than cleanly disconnecting — and none of that fails
+// the run:
+//
+//   - a worker that cannot be dialed, or sends no hello within DialTimeout,
+//     is dead from the start: its tasks are orphaned.
 //   - liveness: workers announce a heartbeat cadence in their hello; a
 //     worker missing LivenessMisses consecutive windows is declared dead
-//     and its work re-dispatched — a hung-but-connected node no longer
+//     and its tasks are orphaned — a hung-but-connected node no longer
 //     blocks the run until the caller's context expires.
 //   - hedging: every dispatched task carries a completion deadline derived
-//     from InputBits × SecPerBit × TimeScale; a straggling task is
-//     speculatively re-sent to an idle healthy worker, first completion
-//     wins, and duplicate completions are deduplicated.
+//     from InputBits × SecPerBit × TimeScale; a task still running past it
+//     is speculatively re-sent to an idle worker, first completion wins,
+//     and duplicate completions are deduplicated.
 //   - integrity: a frame failing its CRC (or message validation) is
 //     counted and the in-flight assignment re-sent; a connection exceeding
 //     MaxCorruptFrames is quarantined like a dead worker.
 //   - rejoin: when Controller.RejoinListener is set, a recovered worker
-//     can dial back mid-run and is re-admitted into the dispatch pool.
+//     can dial back mid-run and is re-admitted; it takes orphaned tasks.
 //
-// It ends by Run's rule: at the first completion that meets the coverage
-// target, or once every assigned task has completed. The run fails only
-// when every worker is gone with work outstanding (and no rejoin listener
-// could replenish the pool), or the context expires.
-func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
+// Orphaned tasks go to idle live workers in priority order. Besides a
+// malformed plan, Run fails only with ErrAllWorkersDown, when no worker is
+// left with work outstanding (and no rejoin listener could replenish the
+// pool), or when ctx ends.
+func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
 	queues, assigned, target, err := prepare(addrs, p, res, coverageTarget)
 	if err != nil {
 		return nil, err
@@ -122,7 +135,6 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 		p:      p,
 		prio:   planPriority(res),
 		report: &Report{Workers: make(map[int]int, len(addrs))},
-		start:  time.Now(),
 		runCtx: runCtx,
 		events: make(chan ftEvent, 128),
 		wg:     &wg,
@@ -157,6 +169,9 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 		w.queue = queues[i]
 		r.admit(w)
 	}
+	// Completion instants count from here: the greeting is connection
+	// set-up, not execution.
+	r.start = time.Now()
 	if r.live == 0 && c.RejoinListener == nil && r.total > 0 {
 		return nil, fmt.Errorf("%d tasks stranded: %w", r.total, ErrAllWorkersDown)
 	}
@@ -212,13 +227,16 @@ func (c *Controller) RunFaultTolerant(ctx context.Context, addrs []string, p *co
 			return nil, fmt.Errorf("%d tasks stranded: %w", r.total-r.done, ErrAllWorkersDown)
 		}
 	}
+	if r.target <= 0 {
+		r.report.DecisionReadyAt = time.Since(r.start)
+	}
 	// The deferred cleanup tears the run down as a cancelled context does:
 	// closing the connections stops the workers' tasks still executing.
 	return r.report, nil
 }
 
-// over applies the termination rule Run shares: the coverage target was
-// met, or every assigned task has completed.
+// over is Run's termination rule: the coverage target was met, or every
+// assigned task has completed.
 func (r *ftRun) over() bool { return r.ready || r.done >= r.total }
 
 func ftWorkerFromHello(conn net.Conn, hello *Envelope, tasks int) *ftWorker {
@@ -465,8 +483,8 @@ func (r *ftRun) idleWorker() *ftWorker {
 }
 
 // dispatch hands an idle worker its next task: the higher-priority of its
-// own planned queue and the orphan backlog, stealing from the most loaded
-// peer when both are empty (work conservation for rejoined workers).
+// own planned queue and the orphan backlog. A worker never takes a task
+// another live worker still holds in its queue: placement is the plan's.
 func (r *ftRun) dispatch(w *ftWorker) {
 	if !w.alive || w.busy >= 0 {
 		return
@@ -491,22 +509,7 @@ func (r *ftRun) nextTask(w *ftWorker) int {
 		r.backlog = r.backlog[1:]
 		return j
 	}
-	// Steal the tail half of the longest peer queue.
-	var victim *ftWorker
-	for _, v := range r.workers {
-		if v.alive && v != w && len(v.queue) > 1 && (victim == nil || len(v.queue) > len(victim.queue)) {
-			victim = v
-		}
-	}
-	if victim == nil {
-		return -1
-	}
-	cut := len(victim.queue) - len(victim.queue)/2
-	w.queue = append(w.queue, victim.queue[cut:]...)
-	victim.queue = victim.queue[:cut]
-	j := w.queue[0]
-	w.queue = w.queue[1:]
-	return j
+	return -1
 }
 
 func trimDone(q []int, tasks []ftTask) []int {

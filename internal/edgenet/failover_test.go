@@ -34,17 +34,15 @@ func flakyWorker(t *testing.T, id, serve int) string {
 					if err != nil {
 						return
 					}
-					switch env.Type {
-					case MsgAssign:
-						if err := WriteFrame(conn, &Envelope{
-							Type: MsgDone, WorkerID: id, TaskID: env.TaskID,
-						}); err != nil {
-							return
-						}
-						done++
-					case MsgShutdown:
+					if env.Type != MsgAssign {
+						continue
+					}
+					if err := WriteFrame(conn, &Envelope{
+						Type: MsgDone, WorkerID: id, TaskID: env.TaskID,
+					}); err != nil {
 						return
 					}
+					done++
 				}
 				// Crash: drop the connection without a goodbye.
 			}()
@@ -62,7 +60,7 @@ func TestRunFaultTolerantSurvivesCrash(t *testing.T) {
 	ctrl := NewController()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 1.0)
+	report, err := ctrl.Run(ctx, addrs, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestRunFaultTolerantDeadOnArrival(t *testing.T) {
 	ctrl.DialTimeout = 300 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	report, err := ctrl.RunFaultTolerant(ctx, addrs, p, res, 1.0)
+	report, err := ctrl.Run(ctx, addrs, p, res, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestRunFaultTolerantAllDown(t *testing.T) {
 	ctrl.DialTimeout = 200 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := ctrl.RunFaultTolerant(ctx, []string{"127.0.0.1:1", "127.0.0.1:1"}, p, res, 0.8)
+	_, err := ctrl.Run(ctx, []string{"127.0.0.1:1", "127.0.0.1:1"}, p, res, 0.8)
 	if !errors.Is(err, ErrAllWorkersDown) {
 		t.Fatalf("all-down err = %v", err)
 	}
@@ -124,13 +122,13 @@ func TestRunFaultTolerantValidation(t *testing.T) {
 	ctrl := NewController()
 	ctx := context.Background()
 	p, res := testPlan(4, 2)
-	if _, err := ctrl.RunFaultTolerant(ctx, nil, p, res, 0.8); !errors.Is(err, ErrNoWorkers) {
+	if _, err := ctrl.Run(ctx, nil, p, res, 0.8); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("no workers err = %v", err)
 	}
 	_, addrs := startWorkers(t, 2)
 	bad := *res
 	bad.Allocation = bad.Allocation[:1]
-	if _, err := ctrl.RunFaultTolerant(ctx, addrs, p, &bad, 0.8); !errors.Is(err, ErrPlanMismatch) {
+	if _, err := ctrl.Run(ctx, addrs, p, &bad, 0.8); !errors.Is(err, ErrPlanMismatch) {
 		t.Fatalf("short plan err = %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package edgenet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -12,7 +11,8 @@ import (
 // (checksum, validation) means the whole frame was consumed and the stream
 // is still readable.
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed corpus: valid v2 and v1 frames, plus the classic corruptions.
+	// Seed corpus: valid frames in both directions, plus the classic
+	// corruptions.
 	var buf bytes.Buffer
 	WriteFrame(&buf, &Envelope{Type: MsgAssign, TaskID: 3, InputBits: 1000, Importance: 0.5}) //nolint:errcheck
 	f.Add(append([]byte(nil), buf.Bytes()...))
@@ -20,13 +20,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	flipped[len(flipped)-2] ^= 0xFF // stale CRC
 	f.Add(flipped)
 	buf.Reset()
-	WriteFrameLegacy(&buf, &Envelope{Type: MsgDone, TaskID: 1, WorkerID: 7}) //nolint:errcheck
+	WriteFrame(&buf, &Envelope{Type: MsgDone, TaskID: 1, WorkerID: 7}) //nolint:errcheck
 	f.Add(append([]byte(nil), buf.Bytes()...))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                        // oversized v1 length
-	f.Add([]byte{frameMagic0, frameMagic1, 9, 0, 0, 0, 0})       // future version
-	f.Add([]byte{frameMagic0, 'x', frameVersion, 0, 0, 0, 0})    // bad magic
-	f.Add([]byte{0, 0, 0, 2, '{', '}'})                          // typeless v1
-	f.Add([]byte{frameMagic0, frameMagic1, frameVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // oversized v2
+	f.Add(append([]byte(nil), buf.Bytes()[:frameHeader-2]...)) // truncated header
+	f.Add([]byte{frameMagic0, frameMagic1, 9, 0, 0, 0, 0})     // future version
+	f.Add([]byte{frameMagic0, 'x', frameVersion, 0, 0, 0, 0})  // bad magic
+	f.Add(rawFrame(2, []byte("{}")))                           // typeless
+	f.Add(rawFrame(0xFFFFFFFF, nil))                           // oversized
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -72,20 +72,18 @@ func FuzzDecodeRawFrame(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, &Envelope{Type: MsgHello, WorkerID: 2, SecPerBit: 1e-7}) //nolint:errcheck
 	f.Add(append([]byte(nil), buf.Bytes()...))
-	head := make([]byte, 4)
-	binary.BigEndian.PutUint32(head, 5)
-	f.Add(append(head, 'h', 'e', 'l', 'l', 'o'))
+	f.Add(rawFrame(5, []byte("hello")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		frame, off, err := ReadRawFrame(r)
+		frame, err := ReadRawFrame(r)
 		if err != nil {
 			return
 		}
-		if off != v1Header && off != v2Header {
-			t.Fatalf("payload offset %d is neither v1 nor v2", off)
+		if len(frame) < frameHeader || frame[0] != frameMagic0 || frame[1] != frameMagic1 || frame[2] != frameVersion {
+			t.Fatalf("frame %x does not open with the header", frame)
 		}
-		if len(frame) > MaxFrameBytes+v2Header {
+		if len(frame) > MaxFrameBytes+frameHeader {
 			t.Fatalf("frame of %d bytes exceeds the bound", len(frame))
 		}
 		if consumed := len(data) - r.Len(); consumed != len(frame) {

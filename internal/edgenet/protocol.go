@@ -5,17 +5,15 @@
 // same PT semantics as internal/edgesim, but over real sockets with real
 // goroutines, timeouts and graceful shutdown.
 //
-// The wire format is versioned. Frame v2 (the default since PR 5) is
+// Every frame is
 //
 //	0xED 'g' 0x02 | uint32 payload length | uint32 CRC32-C | JSON payload
 //
 // (all integers big-endian). The CRC covers the payload, so a flipped bit
 // anywhere in the JSON is detected by the receiver without losing stream
 // alignment — the frame is consumed, reported as ErrChecksum, and the next
-// frame reads cleanly. The legacy v1 format was a bare
-// uint32-length-prefixed JSON payload; since MaxFrameBytes is 1 MiB a valid
-// v1 frame always starts with a 0x00 byte, so ReadFrame sniffs the first
-// byte and accepts both formats transparently.
+// frame reads cleanly. A header that does not open with the magic and
+// version loses framing: the receiver drops the connection.
 //
 // Workers simulate task execution by sleeping InputBits × SecPerBit ×
 // TimeScale, so a demo runs in milliseconds while preserving the relative
@@ -40,7 +38,7 @@ var (
 	// ErrBadMessage is returned for messages that fail validation. The
 	// offending frame was fully consumed: the stream stays aligned.
 	ErrBadMessage = errors.New("edgenet: invalid message")
-	// ErrChecksum is returned when a v2 frame's payload fails its CRC —
+	// ErrChecksum is returned when a frame's payload fails its CRC —
 	// the bytes were corrupted in flight. The frame was fully consumed:
 	// the stream stays aligned and the next ReadFrame is safe.
 	ErrChecksum = errors.New("edgenet: frame checksum mismatch")
@@ -53,15 +51,13 @@ var (
 // MaxFrameBytes bounds a single protocol frame.
 const MaxFrameBytes = 1 << 20
 
-// Frame v2 constants.
+// Frame constants.
 const (
-	frameMagic0  = 0xED // never a valid v1 length high byte (v1 ≤ 1 MiB)
+	frameMagic0  = 0xED
 	frameMagic1  = 'g'
 	frameVersion = 2
-	// v2Header is magic(2) + version(1) + length(4) + crc(4).
-	v2Header = 11
-	// v1Header is the bare big-endian length prefix.
-	v1Header = 4
+	// frameHeader is magic(2) + version(1) + length(4) + crc(4).
+	frameHeader = 11
 )
 
 // frameCRC is CRC32-Castagnoli, hardware-accelerated on amd64/arm64.
@@ -82,10 +78,6 @@ const (
 	// MsgHeartbeat is the worker's periodic liveness beacon, worker →
 	// controller, interleaved with completions on the same stream.
 	MsgHeartbeat MsgType = "beat"
-	// MsgShutdown asks the worker to drop the connection, controller →
-	// worker: a task still executing stops unfinished and queued assigns
-	// are discarded, as when the controller hangs up.
-	MsgShutdown MsgType = "shutdown"
 )
 
 // Envelope is the wire representation of every message.
@@ -99,7 +91,7 @@ type Envelope struct {
 	// lets the controller derive per-task completion deadlines.
 	TimeScale float64 `json:"timeScale,omitempty"`
 	// HeartbeatSec announces the worker's heartbeat cadence in seconds;
-	// 0 means the worker sends no heartbeats (legacy workers).
+	// 0 means the worker sends no heartbeats.
 	HeartbeatSec float64 `json:"heartbeatSec,omitempty"`
 	// Assign/Done fields.
 	TaskID     int     `json:"taskId,omitempty"`
@@ -133,7 +125,7 @@ func (env *Envelope) Validate() error {
 	return nil
 }
 
-// WriteFrame serializes one envelope as a v2 checksummed frame.
+// WriteFrame serializes one envelope as a checksummed frame.
 func WriteFrame(w io.Writer, env *Envelope) error {
 	if err := env.Validate(); err != nil {
 		return fmt.Errorf("edgenet write: %w", err)
@@ -145,11 +137,11 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("%d bytes: %w", len(payload), ErrFrameTooLarge)
 	}
-	frame := make([]byte, v2Header+len(payload))
+	frame := make([]byte, frameHeader+len(payload))
 	frame[0], frame[1], frame[2] = frameMagic0, frameMagic1, frameVersion
 	binary.BigEndian.PutUint32(frame[3:7], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[7:11], crc32.Checksum(payload, frameCRC))
-	copy(frame[v2Header:], payload)
+	copy(frame[frameHeader:], payload)
 	// One Write keeps header+payload in a single TCP segment when possible.
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("edgenet write frame: %w", err)
@@ -157,78 +149,37 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 	return nil
 }
 
-// WriteFrameLegacy serializes one envelope in the v1 bare-length format.
-// It exists for compatibility tests and for talking to pre-v2 nodes.
-func WriteFrameLegacy(w io.Writer, env *Envelope) error {
-	if err := env.Validate(); err != nil {
-		return fmt.Errorf("edgenet write: %w", err)
-	}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("edgenet marshal: %w", err)
-	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("%d bytes: %w", len(payload), ErrFrameTooLarge)
-	}
-	frame := make([]byte, v1Header+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[v1Header:], payload)
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("edgenet write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadRawFrame reads one whole frame — v2 or legacy v1, sniffed from the
-// first byte — returning its raw wire bytes and the offset where the JSON
-// payload starts. It performs no checksum or content validation; the
-// fault-injection proxy uses it to relay (and corrupt) frames byte-exactly.
-func ReadRawFrame(r io.Reader) (frame []byte, payloadOff int, err error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return nil, 0, err // io.EOF propagates unchanged for clean shutdown
-	}
-	if first[0] == frameMagic0 {
-		head := make([]byte, v2Header)
-		head[0] = first[0]
-		if _, err := io.ReadFull(r, head[1:]); err != nil {
-			return nil, 0, fmt.Errorf("edgenet read v2 header: %w", err)
+// ReadRawFrame reads one whole frame and returns its raw wire bytes, header
+// included. It checks the magic, version and length bound but neither the
+// checksum nor the content; the fault-injection proxy uses it to relay (and
+// corrupt) frames byte-exactly.
+func ReadRawFrame(r io.Reader) ([]byte, error) {
+	head := make([]byte, frameHeader)
+	if _, err := io.ReadFull(r, head); err != nil {
+		if err == io.EOF {
+			return nil, err // a clean hangup between frames
 		}
-		if head[1] != frameMagic1 {
-			return nil, 0, fmt.Errorf("bad magic 0x%02x%02x: %w", head[0], head[1], ErrBadMessage)
-		}
-		if head[2] != frameVersion {
-			return nil, 0, fmt.Errorf("edgenet: unsupported frame version %d", head[2])
-		}
-		n := binary.BigEndian.Uint32(head[3:7])
-		if n > MaxFrameBytes {
-			return nil, 0, fmt.Errorf("%d bytes: %w", n, ErrFrameTooLarge)
-		}
-		frame = make([]byte, v2Header+int(n))
-		copy(frame, head)
-		if _, err := io.ReadFull(r, frame[v2Header:]); err != nil {
-			return nil, 0, fmt.Errorf("edgenet read payload: %w", err)
-		}
-		return frame, v2Header, nil
+		return nil, fmt.Errorf("edgenet read header: %w", err)
 	}
-	// Legacy v1: the byte we sniffed is the length's high byte.
-	var rest [3]byte
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
-		return nil, 0, fmt.Errorf("edgenet read header: %w", err)
+	if head[0] != frameMagic0 || head[1] != frameMagic1 {
+		return nil, fmt.Errorf("edgenet: bad frame magic 0x%02x%02x", head[0], head[1])
 	}
-	n := uint32(first[0])<<24 | uint32(rest[0])<<16 | uint32(rest[1])<<8 | uint32(rest[2])
+	if head[2] != frameVersion {
+		return nil, fmt.Errorf("edgenet: unsupported frame version %d", head[2])
+	}
+	n := binary.BigEndian.Uint32(head[3:7])
 	if n > MaxFrameBytes {
-		return nil, 0, fmt.Errorf("%d bytes: %w", n, ErrFrameTooLarge)
+		return nil, fmt.Errorf("%d bytes: %w", n, ErrFrameTooLarge)
 	}
-	frame = make([]byte, v1Header+int(n))
-	binary.BigEndian.PutUint32(frame[:4], n)
-	if _, err := io.ReadFull(r, frame[v1Header:]); err != nil {
-		return nil, 0, fmt.Errorf("edgenet read payload: %w", err)
+	frame := make([]byte, frameHeader+int(n))
+	copy(frame, head)
+	if _, err := io.ReadFull(r, frame[frameHeader:]); err != nil {
+		return nil, fmt.Errorf("edgenet read payload: %w", err)
 	}
-	return frame, v1Header, nil
+	return frame, nil
 }
 
-// ReadFrame reads one frame (either format) and decodes its envelope.
+// ReadFrame reads one frame and decodes its envelope.
 //
 // Error contract for failure handling upstream: ErrChecksum and
 // ErrBadMessage mean the offending frame was fully consumed and the stream
@@ -236,21 +187,19 @@ func ReadRawFrame(r io.Reader) (frame []byte, payloadOff int, err error) {
 // Every other error means framing itself is lost and the connection must be
 // dropped. StreamAligned reports which side of the contract an error is on.
 func ReadFrame(r io.Reader) (*Envelope, error) {
-	frame, off, err := ReadRawFrame(r)
+	frame, err := ReadRawFrame(r)
 	if err != nil {
 		return nil, err
 	}
-	payload := frame[off:]
-	if off == v2Header {
-		want := binary.BigEndian.Uint32(frame[7:11])
-		if got := crc32.Checksum(payload, frameCRC); got != want {
-			return nil, fmt.Errorf("crc 0x%08x, want 0x%08x: %w", got, want, ErrChecksum)
-		}
+	payload := frame[frameHeader:]
+	want := binary.BigEndian.Uint32(frame[7:11])
+	if got := crc32.Checksum(payload, frameCRC); got != want {
+		return nil, fmt.Errorf("crc 0x%08x, want 0x%08x: %w", got, want, ErrChecksum)
 	}
 	var env Envelope
 	if err := json.Unmarshal(payload, &env); err != nil {
-		// The frame was fully consumed (length prefix was plausible), so
-		// the stream stays aligned whichever format it was.
+		// The frame was fully consumed (its length prefix was plausible),
+		// so the stream stays aligned.
 		return nil, fmt.Errorf("edgenet unmarshal: %v: %w", err, ErrBadMessage)
 	}
 	if err := env.Validate(); err != nil {

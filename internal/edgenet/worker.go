@@ -27,8 +27,8 @@ type Worker struct {
 	// HeartbeatEvery is the cadence of MsgHeartbeat liveness beacons sent
 	// on every controller connection (from a goroutine concurrent with
 	// task execution, so a busy worker still beats). 0 disables
-	// heartbeats — the legacy behaviour; the controller then cannot
-	// distinguish this worker hanging from it computing.
+	// heartbeats; the controller then cannot distinguish this worker
+	// hanging from it computing, and only hedging recovers its tasks.
 	HeartbeatEvery time.Duration
 
 	mu       sync.Mutex
@@ -56,7 +56,7 @@ func (w *Worker) Serve(l net.Listener) error {
 
 // Rejoin dials a controller's rejoin listener and serves the protocol on
 // the outbound connection — how a recovered node re-enters a running
-// fault-tolerant dispatch pool. It returns once the connection is
+// dispatch pool. It returns once the connection is
 // established; the protocol runs in the background until the controller
 // hangs up or the worker is closed.
 func (w *Worker) Rejoin(ctx context.Context, controllerAddr string) error {
@@ -161,9 +161,9 @@ func (w *Worker) handle(conn net.Conn) {
 			}
 		}()
 	}
-	// The reader runs beside the executing task, so a hangup or
-	// MsgShutdown stops the task mid-execution: an abandoned task never
-	// runs alongside the controller's next plan. Assigns that arrive
+	// The reader runs beside the executing task, so a hangup or any frame
+	// other than an assign stops the task mid-execution: an abandoned task
+	// never runs alongside the controller's next plan. Assigns that arrive
 	// mid-task queue behind it and run in order; the buffer holds them so
 	// the reader stays free to see a hangup. Controllers keep at most one
 	// task in flight plus an occasional re-send, so 16 never fills.
@@ -190,7 +190,7 @@ func (w *Worker) handle(conn net.Conn) {
 				return // EOF, broken pipe, or framing lost
 			}
 			if env.Type != MsgAssign {
-				return // MsgShutdown, or a protocol violation: drop the connection
+				return // a protocol violation: drop the connection
 			}
 			select {
 			case assigns <- env:

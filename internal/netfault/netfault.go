@@ -15,7 +15,7 @@
 package netfault
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -44,8 +44,9 @@ const (
 )
 
 // Decider picks the action for the i-th worker→controller frame (0-based).
-// env is the frame's decoded envelope, nil when the payload does not
-// decode. Deciders run on the proxy's relay goroutine, one frame at a time.
+// env is the frame's decoded envelope, nil when the frame does not decode
+// (a bad checksum or payload). Deciders run on the proxy's relay
+// goroutine, one frame at a time.
 type Decider func(i int, env *edgenet.Envelope) Action
 
 // Counts is the fault ledger: exactly what the proxy did to the stream.
@@ -199,13 +200,13 @@ func (p *Proxy) relay(ctrl net.Conn) {
 
 	// Downstream worker→controller: frame-aware fault injection.
 	for i := 0; ; i++ {
-		frame, off, err := edgenet.ReadRawFrame(worker)
+		frame, err := edgenet.ReadRawFrame(worker)
 		if err != nil {
 			return
 		}
 		action := Pass
 		if p.decide != nil {
-			action = p.decide(i, decodeEnvelope(frame[off:]))
+			action = p.decide(i, decodeEnvelope(frame))
 		}
 		switch action {
 		case Delay:
@@ -217,11 +218,11 @@ func (p *Proxy) relay(ctrl net.Conn) {
 				return
 			}
 		case Corrupt:
-			// Flip one payload byte; the v2 header keeps its now-stale
-			// CRC, so the receiver detects the damage and stays aligned.
-			if len(frame) > off {
-				frame[off+(len(frame)-off)/2] ^= 0xFF
-			}
+			// Flip the frame's last byte, which is the payload's (or, for
+			// an empty payload, the CRC's): the length stays intact and
+			// the CRC stale, so the receiver detects the damage and stays
+			// aligned.
+			frame[len(frame)-1] ^= 0xFF
 			p.corrupted.Add(1)
 		case Hang:
 			p.hung.Add(1)
@@ -253,10 +254,10 @@ func (p *Proxy) event(a Action) {
 	}
 }
 
-func decodeEnvelope(payload []byte) *edgenet.Envelope {
-	var env edgenet.Envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+func decodeEnvelope(frame []byte) *edgenet.Envelope {
+	env, err := edgenet.ReadFrame(bytes.NewReader(frame))
+	if err != nil {
 		return nil
 	}
-	return &env
+	return env
 }

@@ -20,9 +20,7 @@ import (
 // snapshot, not the whole restore.
 const checkpointVersion = 2
 
-// checkpointMagic opens every v2 checkpoint. Version 1 files were bare JSON
-// (which can never start with these bytes), so LoadCheckpoint sniffs the
-// magic to stay compatible with old checkpoints.
+// checkpointMagic opens every checkpoint; a stream without it is refused.
 var checkpointMagic = []byte("DCTACKP\x02")
 
 // checkpointCRC is CRC32-Castagnoli, hardware-accelerated on amd64/arm64.
@@ -45,7 +43,6 @@ const maxSectionBytes = 64 << 20
 //	magic | section(header) | section(entry 0) | section(entry 1) | ...
 //
 // where each section is [4-byte BE payload length][4-byte BE CRC32-C][JSON].
-// v1 files were one bare JSON checkpoint object and still load.
 type checkpoint struct {
 	Version int               `json:"version"`
 	SavedAt time.Time         `json:"saved_at"`
@@ -211,24 +208,18 @@ func (s *Server) writeEntrySection(w io.Writer, e *policyEntry) error {
 // magic/header or a truncated frame stream — aborts the restore, and even
 // then the entries already installed stay.
 func (s *Server) LoadCheckpoint(r io.Reader) (int, error) {
-	return s.loadCheckpointStream(r, true, s.restoreEntry)
+	return s.loadCheckpointStream(r, s.restoreEntry)
 }
 
 // loadCheckpointStream walks a checkpoint stream and calls apply per
-// undamaged entry section, counting the entries apply accepted. allowV1
-// enables the bare-JSON fallback (file restores keep it; peer streams are
-// always v2). Damage containment is apply-independent: readSection framing
-// and per-section CRC decide what apply ever sees.
-func (s *Server) loadCheckpointStream(r io.Reader, allowV1 bool, apply func(checkpointEntry) bool) (int, error) {
+// undamaged entry section, counting the entries apply accepted. Damage
+// containment is apply-independent: readSection framing and per-section CRC
+// decide what apply ever sees.
+func (s *Server) loadCheckpointStream(r io.Reader, apply func(checkpointEntry) bool) (int, error) {
 	magic := make([]byte, len(checkpointMagic))
 	n, _ := io.ReadFull(r, magic)
 	if !bytes.Equal(magic[:n], checkpointMagic) {
-		if !allowV1 {
-			return 0, fmt.Errorf("serve: checkpoint decode: bad magic")
-		}
-		// Not a v2 stream: replay the sniffed bytes and try the v1 bare-JSON
-		// format.
-		return s.loadCheckpointV1(io.MultiReader(bytes.NewReader(magic[:n]), r), apply)
+		return 0, fmt.Errorf("serve: checkpoint decode: bad magic")
 	}
 
 	restored := 0
@@ -272,26 +263,6 @@ func (s *Server) loadCheckpointStream(r io.Reader, allowV1 bool, apply func(chec
 			continue
 		}
 		if apply(entry) {
-			restored++
-		}
-	}
-	return restored, nil
-}
-
-// loadCheckpointV1 decodes the original bare-JSON format. Per-entry damage
-// is skipped just like v2, but there is no per-entry CRC: a corrupt v1 file
-// usually fails the whole JSON decode.
-func (s *Server) loadCheckpointV1(r io.Reader, apply func(checkpointEntry) bool) (int, error) {
-	var ck checkpoint
-	if err := json.NewDecoder(r).Decode(&ck); err != nil {
-		return 0, fmt.Errorf("serve: checkpoint decode: %w", err)
-	}
-	if ck.Version != 1 {
-		return 0, fmt.Errorf("serve: checkpoint version %d, want %d", ck.Version, checkpointVersion)
-	}
-	restored := 0
-	for _, e := range ck.Entries {
-		if apply(e) {
 			restored++
 		}
 	}

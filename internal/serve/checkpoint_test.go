@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,72 +260,34 @@ func TestCheckpointRejectsCorruptInput(t *testing.T) {
 
 // TestCheckpointSkipsOutOfRangeClusters covers a checkpoint that outlived
 // its store: entries keyed past the store length are skipped, not fatal.
-// The checkpoint is rewritten through the v1 bare-JSON format, which also
-// pins backward compatibility with pre-CRC checkpoints.
 func TestCheckpointSkipsOutOfRangeClusters(t *testing.T) {
 	ctx := context.Background()
 	s := newTestServer(t, fastConfig())
 	if _, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}}); err != nil {
 		t.Fatal(err)
 	}
-	ck := checkpoint{Version: 1}
+	var data bytes.Buffer
+	data.Write(checkpointMagic)
+	if err := writeSection(&data, checkpoint{Version: checkpointVersion}); err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range s.cache.snapshot() {
 		policy, err := e.crl.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck.Entries = append(ck.Entries, checkpointEntry{
+		if err := writeSection(&data, checkpointEntry{
 			Cluster: 7, TrainedAt: e.trainedAt, Importance: e.imp, Policy: policy,
-		})
-	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2 := newTestServer(t, fastConfig())
-	restored, err := s2.LoadCheckpoint(bytes.NewReader(data))
+	restored, err := s2.LoadCheckpoint(&data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored != 0 {
 		t.Fatalf("restored %d out-of-range entries, want 0", restored)
-	}
-}
-
-// TestCheckpointV1Compat proves a pre-CRC (v1) checkpoint still restores.
-func TestCheckpointV1Compat(t *testing.T) {
-	ctx := context.Background()
-	s := newTestServer(t, fastConfig())
-	if _, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0.05}}); err != nil {
-		t.Fatal(err)
-	}
-	ck := checkpoint{Version: 1, SavedAt: s.cfg.Now()}
-	for _, e := range s.cache.snapshot() {
-		policy, err := e.crl.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.Entries = append(ck.Entries, checkpointEntry{
-			Cluster: e.key, TrainedAt: e.trainedAt, Importance: e.imp, Policy: policy,
-		})
-	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestServer(t, fastConfig())
-	restored, err := s2.LoadCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 1 {
-		t.Fatalf("restored %d v1 entries, want 1", restored)
-	}
-	resp, err := s2.Allocate(ctx, AllocateRequest{Signature: []float64{0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cache != CacheWarm {
-		t.Fatalf("cache = %q, want warm after v1 restore", resp.Cache)
 	}
 }

@@ -37,7 +37,8 @@ func fuzzServer(tb testing.TB) *Server {
 // some entries, skips them, or fails cleanly.
 func FuzzLoadCheckpoint(f *testing.F) {
 	// Seed corpus: a real warm checkpoint, a bit-flipped one, a truncated
-	// one, a legacy v1 file, and assorted structural garbage.
+	// one, a bare-JSON file of the retired first format (refused), and
+	// assorted structural garbage.
 	seedSrv := fuzzServer(f)
 	if _, err := seedSrv.Allocate(context.Background(), AllocateRequest{Signature: []float64{0}}); err != nil {
 		f.Fatal(err)
@@ -69,6 +70,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		restored, err := s.LoadCheckpoint(bytes.NewReader(data))
 		if restored < 0 {
 			t.Fatalf("restored %d entries", restored)
+		}
+		if !bytes.HasPrefix(data, checkpointMagic) &&
+			(err == nil || restored != 0 || s.Stats().CheckpointSkips != 0) {
+			t.Fatalf("stream without the magic: restored %d, skips %d, err %v; want a clean refusal",
+				restored, s.Stats().CheckpointSkips, err)
 		}
 		if err != nil && restored == 0 && s.Stats().CheckpointSkips == 0 {
 			// Clean failure: nothing half-installed, nothing skipped —

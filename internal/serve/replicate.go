@@ -341,11 +341,9 @@ type InstallResult struct {
 // versioned idempotence gate. primary, when non-nil, decides the installed
 // provenance per cluster: primary-owned clusters install as warm
 // (checkpoint) entries, everything else as replica-held copies (TTL-exempt).
-// Unlike LoadCheckpoint this never accepts the v1 bare-JSON format — peers
-// always speak v2.
 func (s *Server) InstallReplicated(r io.Reader, primary func(cluster int) bool) (InstallResult, error) {
 	res := InstallResult{MaxCluster: -1}
-	_, err := s.loadCheckpointStream(r, false, func(e checkpointEntry) bool {
+	_, err := s.loadCheckpointStream(r, func(e checkpointEntry) bool {
 		res.Sections++
 		if e.Cluster > res.MaxCluster {
 			res.MaxCluster = e.Cluster

@@ -13,6 +13,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/mathx"
+	"repro/internal/mlearn"
 	"repro/internal/rl"
 	"repro/internal/wire"
 )
@@ -355,12 +356,17 @@ func finiteVec(name string, v []float64) error {
 	return nil
 }
 
-// finiteMat rejects NaN/±Inf matrix entries at the request trust boundary.
-func finiteMat(name string, m [][]float64) error {
+// checkFeatures rejects a features matrix at the request trust boundary
+// whose rows differ in length or hold NaN/±Inf.
+func checkFeatures(m [][]float64) error {
 	for i, row := range m {
+		if len(row) != len(m[0]) {
+			return fmt.Errorf("%w: features[%d] has %d entries, features[0] %d",
+				ErrBadRequest, i, len(row), len(m[0]))
+		}
 		for k, x := range row {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("%w: %s[%d][%d] = %v: %w", ErrBadRequest, name, i, k, x, ErrNonFinite)
+				return fmt.Errorf("%w: features[%d][%d] = %v: %w", ErrBadRequest, i, k, x, ErrNonFinite)
 			}
 		}
 	}
@@ -453,7 +459,7 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 	if err := finiteVec("signature", req.Signature); err != nil {
 		return err
 	}
-	if err := finiteMat("features", req.Features); err != nil {
+	if err := checkFeatures(req.Features); err != nil {
 		return err
 	}
 	switch req.Allocator {
@@ -491,6 +497,9 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 	}
 	if useDCTA {
 		err = s.dctaAllocateInto(req, cluster, local, start, ws)
+		if errors.Is(err, ErrBadRequest) {
+			return err
+		}
 	} else {
 		entry, outcome, gerr := s.cache.get(ctx, cluster)
 		if gerr != nil {
@@ -526,6 +535,10 @@ func (s *Server) dctaAllocateInto(req AllocateRequest, cluster int, local *alloc
 	}
 	ws.combined, ws.featBuf, err = alloc.CombineScoresInto(
 		local, ws.env.Importance, req.Features, s.cfg.W1, s.cfg.W2, ws.combined, ws.featBuf)
+	if errors.Is(err, mlearn.ErrBadShape) {
+		// The rows are not as wide as the rows the model was fitted on.
+		return fmt.Errorf("%w: features: %v", ErrBadRequest, err)
+	}
 	if err != nil {
 		return fmt.Errorf("serve: dcta: %w", err)
 	}
@@ -648,16 +661,29 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 	if err := finiteVec("signature", req.Signature); err != nil {
 		return nil, err
 	}
-	if err := finiteMat("features", req.Features); err != nil {
+	if err := checkFeatures(req.Features); err != nil {
 		return nil, err
 	}
 	if err := finiteVec("importance", req.Importance); err != nil {
 		return nil, err
 	}
+	// Every sample must be as wide as the served model's rows, or, before
+	// any fit, as the window's, or the next refit fails on the mixed window.
+	width := len(req.Features[0])
+	if local := s.localModel(); local != nil && local.Fitted() {
+		if _, _, err := local.ScoreInto(req.Features[0], nil); errors.Is(err, mlearn.ErrBadShape) {
+			return nil, fmt.Errorf("%w: features: %v", ErrBadRequest, err)
+		}
+	}
 	samples := alloc.SamplesFromDecision(req.Features, core.Allocation(req.Allocation))
 	resp := &FeedbackResponse{Samples: len(samples)}
 
 	s.fbMu.Lock()
+	if w := s.window.width(); w > 0 && w != width {
+		s.fbMu.Unlock()
+		return nil, fmt.Errorf("%w: features have %d entries, the feedback window %d",
+			ErrBadRequest, width, w)
+	}
 	if req.Seq != 0 {
 		if s.fbSeen[req.Seq] {
 			window := s.window.len()
@@ -755,6 +781,14 @@ type sampleRing struct {
 }
 
 func (r *sampleRing) len() int { return len(r.buf) }
+
+// width is the length of every sample's features, 0 while the ring is empty.
+func (r *sampleRing) width() int {
+	if len(r.buf) == 0 {
+		return 0
+	}
+	return len(r.buf[0].Features)
+}
 
 func (r *sampleRing) push(samples []alloc.LocalSample) {
 	for _, smp := range samples {
