@@ -386,11 +386,10 @@ func BenchmarkTrainBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCRLTrain measures one served training — serve.trainClusterMode's
-// recipe, see training_test.go — with its allocations: the small world's
-// warm-started fine-tune (what a cold_churn miss waits for) and the paper
-// world's, and the paper world's training from scratch (what a prewarm sweep
-// pays per cluster).
+// BenchmarkCRLTrain measures one per-cluster training — the recipe of
+// training_test.go — with its allocations: the small world's warm-started
+// fine-tune and the paper world's, and the paper world's training from
+// scratch.
 func BenchmarkCRLTrain(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -404,12 +403,12 @@ func BenchmarkCRLTrain(b *testing.B) {
 		w := newTrainWorld(b, bc.scn)
 		var donor *core.CRL
 		if bc.warm {
-			donor = w.train(b, 0, nil, nil)
+			donor = w.train(b, 0, nil)
 		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w.train(b, 1, donor, nil)
+				w.train(b, 1, donor)
 			}
 		})
 	}
@@ -568,7 +567,7 @@ func BenchmarkWireDecodeFeedback(b *testing.B) {
 // BenchmarkWireEncodeAllocateResponse measures the shard's answer encode for
 // a 50-task allocation.
 func BenchmarkWireEncodeAllocateResponse(b *testing.B) {
-	resp := wire.AllocateResponse{Allocation: make([]int, 50), Cluster: 41, Cache: serve.CacheHit,
+	resp := wire.AllocateResponse{Allocation: make([]int, 50), Cluster: 41, Cache: serve.CacheBypass,
 		Allocator: "DCTA", Mode: serve.ModeNormal, PredictedImportance: 3.0517578125, LatencyNanos: 6021}
 	for j := range resp.Allocation {
 		resp.Allocation[j] = j%10 - 1
@@ -710,8 +709,8 @@ func BenchmarkMTLModeComparison(b *testing.B) {
 // --- serving warm path ----------------------------------------------------
 
 // benchServeServer builds a small two-cluster allocation server (the same
-// shape as internal/serve's acceptance fixtures) and warms both policies, so
-// the benchmarks below measure only the steady-state warm path.
+// shape as internal/serve's acceptance fixtures) and answers both clusters a
+// few times, so the benchmarks below measure only the steady-state path.
 func benchServeServer(b *testing.B) *serve.Server {
 	b.Helper()
 	tmpl := &core.Problem{TimeLimit: 2}
@@ -768,9 +767,9 @@ func benchServeServer(b *testing.B) *serve.Server {
 	return s
 }
 
-// BenchmarkServeWarmAllocate measures one warm (cache-hit) allocate through
-// the exported API — the per-request cost the BENCH_PR*.json warm p50 is
-// built from, minus HTTP/JSON.
+// BenchmarkServeWarmAllocate measures one warm allocate on the crl arm
+// through the exported API — the per-request cost the BENCH_PR*.json warm
+// p50 is built from, minus HTTP/JSON.
 func BenchmarkServeWarmAllocate(b *testing.B) {
 	s := benchServeServer(b)
 	ctx := context.Background()
@@ -789,8 +788,8 @@ func BenchmarkServeWarmAllocate(b *testing.B) {
 }
 
 // BenchmarkServeWarmAllocateParallel drives the same warm path from many
-// goroutines across both clusters, every request for a cluster rolling its
-// one resident policy at once: one goroutine per GOMAXPROCS ("procs") and 64
+// goroutines across both clusters, every request for a cluster reading its
+// one shared sub-store at once: one goroutine per GOMAXPROCS ("procs") and 64
 // clients ("c64", the load ROADMAP item 6 judges the warm path's tail at).
 // Beside ns/op and allocs/op it reports p99_ns, the 99th percentile of one
 // Allocate call's latency.
@@ -831,88 +830,6 @@ func BenchmarkServeWarmAllocateParallel(b *testing.B) {
 			b.ReportMetric(float64(lat[(len(lat)-1)*99/100]), "p99_ns")
 		})
 	}
-}
-
-// BenchmarkServeWarmDuringColdBurst measures what a warm answer pays while
-// a cold burst holds the training gate: on the small world with a cache of 8
-// (cold_churn's shape), GOMAXPROCS goroutines draw clusters uniformly, most of
-// which miss and train, while one goroutine times b.N answers on a resident
-// cluster. Warm requests arrive on a 500 µs ticker, as a network poller
-// wakes them: a goroutine that never blocks would keep a P to itself and
-// never wait behind a training. Only cache:"hit" answers are timed (a cold
-// draw can evict the resident cluster's shard, and the retraining answer is
-// not a warm one). It reports warm_p50_ns, warm_p99_ns, their sample count
-// warm_hits and cold_trainings_per_s; set -benchtime to a count (e.g.
-// 2000x) for a stable p99.
-func BenchmarkServeWarmDuringColdBurst(b *testing.B) {
-	scn := smallScenario(b)
-	cfg := serve.DefaultConfig()
-	cfg.CRL.Episodes = scn.Config.CRLEpisodes
-	cfg.CacheCapacity = 8
-	cfg.Logf = func(string, ...any) {}
-	s, err := serve.NewServer(scn.Template, scn.Store, scn.Local, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	envs := scn.Store.All()
-	const resident = 0
-	warm := serve.AllocateRequest{Signature: envs[resident].Signature, Allocator: "crl"}
-	if _, err := s.Allocate(ctx, warm); err != nil {
-		b.Fatal(err)
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	defer func() {
-		stop.Store(true)
-		wg.Wait()
-	}()
-	procs := runtime.GOMAXPROCS(0)
-	for g := 0; g < procs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := mathx.NewRand(int64(g) + 1)
-			for !stop.Load() {
-				c := 1 + rng.Intn(len(envs)-1) // any cluster but the resident one
-				req := serve.AllocateRequest{Signature: envs[c].Signature, Allocator: "crl"}
-				if _, err := s.Allocate(ctx, req); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	lat := make([]int64, 0, b.N)
-	tick := time.NewTicker(500 * time.Microsecond)
-	defer tick.Stop()
-	trainedBefore := s.Stats().Cache.Trainings
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		<-tick.C
-		t0 := time.Now()
-		resp, err := s.Allocate(ctx, warm)
-		d := time.Since(t0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.Cache == serve.CacheHit {
-			lat = append(lat, int64(d))
-		}
-	}
-	elapsed := time.Since(start)
-	trained := s.Stats().Cache.Trainings - trainedBefore
-	b.StopTimer()
-	b.ReportMetric(float64(len(lat)), "warm_hits")
-	b.ReportMetric(float64(trained)/elapsed.Seconds(), "cold_trainings_per_s")
-	if len(lat) == 0 {
-		return // a probe run of a few answers can meet only the resident's retraining
-	}
-	slices.Sort(lat)
-	b.ReportMetric(float64(lat[(len(lat)-1)/2]), "warm_p50_ns")
-	b.ReportMetric(float64(lat[(len(lat)-1)*99/100]), "warm_p99_ns")
 }
 
 // BenchmarkSolverScaling times the Theorem-1 solvers across problem sizes.

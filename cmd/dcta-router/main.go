@@ -1,6 +1,6 @@
 // Command dcta-router is the cluster front-end for a fleet of dcta-server
 // shards: it resolves each request's sensing signature to its cluster key
-// (the same nearest-neighbour index the servers cache policies under),
+// (the nearest stored environment's index, which the servers answer for),
 // looks the key up on a consistent-hash ring over the shard fleet, and
 // proxies the request to the owning shard over persistent connections.
 //
@@ -12,9 +12,8 @@
 // keeps two local liveness inputs on its own router→shard links: it probes
 // every shard's /healthz, and a request that fails at the wire ejects its
 // shard at once. A shard that misses its liveness budget is ejected and
-// its ring ranges reassign to the survivors (requests for those ranges
-// degrade to the survivors' cold/degraded path — they never 5xx while any
-// shard lives). A shard that comes back is re-admitted on its next healthy
+// its ring ranges reassign to the survivors (requests for those ranges are
+// answered by a survivor — they never 5xx while any shard lives). A shard that comes back is re-admitted on its next healthy
 // probe and its ranges return.
 //
 // Endpoints: POST /v1/allocate and /v1/feedback (proxied), GET /v1/stats
@@ -45,7 +44,7 @@ func main() {
 		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the ring")
 		probeEvery = flag.Duration("probe-every", 250*time.Millisecond, "liveness probe cadence")
 		misses     = flag.Int("liveness-misses", 3, "consecutive failed probes before a shard is ejected")
-		proxyTO    = flag.Duration("proxy-timeout", 30*time.Second, "per-request proxy deadline (cold shards train)")
+		proxyTO    = flag.Duration("proxy-timeout", 30*time.Second, "per-request proxy deadline (a feedback that refits answers after the fit)")
 		joinSeeds  = flag.String("join", "", "gossip seed peers (host:port,...), required: the router learns the shard fleet from the membership plane")
 		advertise  = flag.String("advertise", "", "address fleet members dial this router's gossip endpoint at (default: -addr when it names a host)")
 		gossipTick = flag.Duration("gossip-interval", time.Second, "gossip protocol tick interval")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rl"
 	"repro/internal/serve"
 )
 
@@ -53,24 +52,43 @@ func testStore(t testing.TB) *core.EnvironmentStore {
 	return store
 }
 
-// fastServeConfig keeps per-cluster training to a few milliseconds.
+// fastServeConfig defines every request's environment as its cluster's
+// representative.
 func fastServeConfig() serve.Config {
 	cfg := serve.DefaultConfig()
 	cfg.ClusterNeighborhood = 1
 	cfg.Logf = func(string, ...any) {}
-	cfg.CRL = core.CRLConfig{
-		K:        1,
-		Episodes: 8,
-		Seed:     11,
-		DQN: rl.DQNConfig{
-			Hidden:      []int{16},
-			BatchSize:   8,
-			WarmupSteps: 16,
-			Epsilon:     rl.EpsilonSchedule{Start: 1, End: 0.1, DecaySteps: 60},
-			Seed:        12,
-		},
-	}
+	cfg.CRL = core.CRLConfig{K: 1}
 	return cfg
+}
+
+// answer decodes a 200 allocate answer and checks it was the normal one.
+func answer(t testing.TB, what string, code int, body []byte) serve.AllocateResponse {
+	t.Helper()
+	if code != http.StatusOK {
+		t.Fatalf("%s: %d %s", what, code, body)
+	}
+	var resp serve.AllocateResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if resp.Mode != serve.ModeNormal {
+		t.Fatalf("%s: answered %s (%s), want normal", what, resp.Mode, resp.DegradedReason)
+	}
+	return resp
+}
+
+// sameAllocation reports whether two answers ship the same plan.
+func sameAllocation(a, b serve.AllocateResponse) bool {
+	if len(a.Allocation) != len(b.Allocation) {
+		return false
+	}
+	for j := range a.Allocation {
+		if a.Allocation[j] != b.Allocation[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // startCluster boots an n-shard topology with deterministic membership: the
@@ -226,18 +244,17 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 	}
 }
 
-// TestClusterFailoverAndWarmRejoin is the availability core: kill a shard
-// mid-service, show its ranges fail over with zero non-200s, then restart
-// it and show it rejoins warm — pulling the failed-over policies back from
-// the survivors instead of retraining.
-func TestClusterFailoverAndWarmRejoin(t *testing.T) {
+// TestClusterFailoverAndRejoin is the availability core: kill a shard
+// mid-service, show its ranges fail over with zero non-200s and the same
+// normal answers every shard gives for the same store, then restart it and
+// show it rejoins and answers its ranges again.
+func TestClusterFailoverAndRejoin(t *testing.T) {
 	lc := startCluster(t, 3, nil)
 
-	// Warm every cluster once so each owner holds its ranges' policies.
+	before := make([]serve.AllocateResponse, clusterCount)
 	for k := 0; k < clusterCount; k++ {
-		if code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(k)); code != http.StatusOK {
-			t.Fatalf("warm cluster %d: %d %s", k, code, body)
-		}
+		code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(k))
+		before[k] = answer(t, fmt.Sprintf("cluster %d", k), code, body)
 	}
 
 	// Pick a victim that owns at least one cluster, and one cluster it owns.
@@ -257,11 +274,13 @@ func TestClusterFailoverAndWarmRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every cluster — including the victim's — must still answer 200. The
-	// first request into a dead range costs an ejection + retry.
+	// Every cluster — including the victim's — must still answer 200, as
+	// before the kill. The first request into a dead range costs an
+	// ejection + retry.
 	for k := 0; k < clusterCount; k++ {
-		if code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(k)); code != http.StatusOK {
-			t.Fatalf("failover cluster %d: %d %s", k, code, body)
+		code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(k))
+		if got := answer(t, fmt.Sprintf("failover cluster %d", k), code, body); !sameAllocation(got, before[k]) {
+			t.Fatalf("failover cluster %d: allocation %v, before the kill %v", k, got.Allocation, before[k].Allocation)
 		}
 	}
 	st := lc.Router().Stats()
@@ -272,14 +291,8 @@ func TestClusterFailoverAndWarmRejoin(t *testing.T) {
 		t.Fatalf("%d live shards after kill, want 2", st.LiveShards)
 	}
 
-	// Restart: the failed-over clusters were retrained by their interim
-	// owners, so the rejoiner must pull at least one policy warm.
-	pulled, err := lc.RestartShard(victim)
-	if err != nil {
+	if err := lc.RestartShard(victim); err != nil {
 		t.Fatal(err)
-	}
-	if pulled < 1 {
-		t.Fatalf("warm rejoin pulled %d policies, want ≥1", pulled)
 	}
 	lc.Router().ProbeOnce()
 	st = lc.Router().Stats()
@@ -287,62 +300,17 @@ func TestClusterFailoverAndWarmRejoin(t *testing.T) {
 		t.Fatalf("rejoin not observed: rejoins=%d live=%d", st.Rejoins, st.LiveShards)
 	}
 
-	// The victim's first routed request after rejoin must serve from the
-	// pulled policy — checkpoint-restored entries answer as "warm" — with
-	// no retraining on the rejoin path.
-	trainingsBefore := lc.Server(victim).Stats().Cache.Trainings
+	// The victim's range routes to it again, and its fresh server answers
+	// it normally from its first request.
 	code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(victimKey))
-	if code != http.StatusOK {
-		t.Fatalf("post-rejoin allocate: %d %s", code, body)
+	if got := answer(t, "post-rejoin allocate", code, body); !sameAllocation(got, before[victimKey]) {
+		t.Fatalf("post-rejoin allocation %v, before the kill %v", got.Allocation, before[victimKey].Allocation)
 	}
-	var resp serve.AllocateResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
+	if n := lc.Server(victim).Stats().Allocates; n != 1 {
+		t.Fatalf("the rejoined shard answered %d allocates, want its range's one", n)
 	}
-	if resp.Cache != serve.CacheWarm || resp.Mode != serve.ModeNormal {
-		t.Fatalf("post-rejoin answer cache=%q mode=%q, want a warm restored hit", resp.Cache, resp.Mode)
-	}
-	if after := lc.Server(victim).Stats().Cache.Trainings; after != trainingsBefore {
-		t.Fatalf("rejoined shard trained %d policies; the pull should have made that unnecessary", after-trainingsBefore)
-	}
-	// And the handoff shows up in its stats.
-	if st := lc.Server(victim).Stats(); st.Cluster == nil || st.Cluster.HandoffPulls < 1 {
-		t.Fatalf("rejoined shard reports no handoff pulls: %+v", st.Cluster)
-	}
-}
-
-// TestClusterRestartPullsOnce: a restarted shard is warmed by one pull, the
-// one its membership manager starts on its first view. Every owned policy
-// then crosses the wire once; a second pull would resend each section, and
-// the version gate would refuse every repeat as stale.
-func TestClusterRestartPullsOnce(t *testing.T) {
-	lc := startCluster(t, 3, nil)
-	for k := 0; k < clusterCount; k++ {
-		if code, body := post(t, lc.Addr(), "/v1/allocate", allocBody(k)); code != http.StatusOK {
-			t.Fatalf("warm cluster %d: %d %s", k, code, body)
-		}
-	}
-	if !lc.AwaitReplication(10 * time.Second) {
-		t.Fatal("replication queues did not drain")
-	}
-
-	const victim = 0
-	if err := lc.KillShard(victim); err != nil {
-		t.Fatal(err)
-	}
-	pulled, err := lc.RestartShard(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := lc.Server(victim).Stats().Cluster
-	if st == nil {
-		t.Fatal("restarted shard has no cluster identity")
-	}
-	if pulled < 1 || st.HandoffPulls != int64(pulled) {
-		t.Fatalf("restart pulled %d policies, stats count %d; want the same count, at least one", pulled, st.HandoffPulls)
-	}
-	if st.ReplicaStale != 0 {
-		t.Fatalf("restarted shard refused %d stale sections: its warm state was pulled more than once", st.ReplicaStale)
+	if id := lc.Server(victim).ClusterIdentity(); id == nil || id.NodeID != lc.ShardID(victim) {
+		t.Fatalf("rejoined shard's identity = %+v", id)
 	}
 }
 

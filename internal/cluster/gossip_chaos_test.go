@@ -257,7 +257,7 @@ func TestGossipChaosFlapMonotoneIncarnations(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		if _, err := lc.RestartShard(victim); err != nil {
+		if err := lc.RestartShard(victim); err != nil {
 			t.Fatalf("flap %d: restart: %v", flap, err)
 		}
 	}
@@ -335,7 +335,7 @@ func TestGossipChaosJoinDuringKillChurn(t *testing.T) {
 		}
 	}
 
-	drive("warm", clusterCount) // every range owned and trained
+	drive("warm", clusterCount) // every range answered once
 
 	const victim = 1
 	if err := lc.KillShard(victim); err != nil {
@@ -346,7 +346,7 @@ func TestGossipChaosJoinDuringKillChurn(t *testing.T) {
 	// Join a brand-new shard while the victim is still dead. No flag
 	// change anywhere: the newcomer dials a live peer, the router admits it
 	// from the converged view.
-	idx, _, err := lc.AddShard()
+	idx, err := lc.AddShard()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestGossipChaosJoinDuringKillChurn(t *testing.T) {
 	}
 	drive("post-join", 40)
 
-	if _, err := lc.RestartShard(victim); err != nil {
+	if err := lc.RestartShard(victim); err != nil {
 		t.Fatal(err)
 	}
 	drive("post-restart", 40)
@@ -478,7 +478,7 @@ func TestClusterChaosKillConverges(t *testing.T) {
 	if killDt > deadBar {
 		t.Fatalf("kill→dead converged in %v, want ≤ %v", killDt, deadBar)
 	}
-	if _, err := lc.RestartShard(victim); err != nil {
+	if err := lc.RestartShard(victim); err != nil {
 		t.Fatal(err)
 	}
 	rejoinDt, ok := lc.AwaitConverged(3*deadBar, func(v View) bool {

@@ -20,18 +20,12 @@ type LocalOptions struct {
 	Shards int
 	// VNodes is the per-shard virtual-node count (default DefaultVNodes).
 	VNodes int
-	// ReplicaGroups is the owner count per cluster range (R). Default 2:
-	// primary plus one successor replica, with async policy replication
-	// between them. 1 disables replication (single-owner, PR8 behavior).
-	ReplicaGroups int
 	// Serve configures every shard's server.
 	Serve serve.Config
 	// HTTP configures every shard's front-end.
 	HTTP serve.HTTPOptions
 	// Router configures the routing tier (VNodes is forced to match).
 	Router RouterConfig
-	// HandoffTimeout bounds a restarting shard's peer pulls.
-	HandoffTimeout time.Duration
 	// WrapShardAddr optionally interposes on the router→shard link: given a
 	// shard's id and real address it returns the address the router should
 	// dial (e.g. a netfault proxy) and a closer. Nil routes direct.
@@ -90,12 +84,6 @@ func (o LocalOptions) withDefaults() LocalOptions {
 	if o.VNodes < 1 {
 		o.VNodes = DefaultVNodes
 	}
-	if o.ReplicaGroups < 1 {
-		o.ReplicaGroups = DefaultReplicaGroups
-	}
-	if o.HandoffTimeout <= 0 {
-		o.HandoffTimeout = DefaultHandoffTimeout
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -112,7 +100,7 @@ type localShard struct {
 	cancel context.CancelFunc
 	done   chan error
 	agent  *Agent
-	// gossipStop tears down the shard's agent and membership manager;
+	// gossipStop tears down the shard's agent;
 	// killed shards must stop gossiping (a dead process can't defend
 	// itself — that's the point of the protocol).
 	gossipStop context.CancelFunc
@@ -159,8 +147,8 @@ type LocalCluster struct {
 // StartLocal boots the topology: every shard live and gossiping, the
 // router probing and gossiping. Every member's agent is seeded with the
 // same full member list, so all views agree at t=0; each shard's
-// membership manager assigns its identity and replication peers from that
-// view before StartLocal returns.
+// membership manager assigns its identity from that view before StartLocal
+// returns.
 func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *alloc.LocalModel, opts LocalOptions) (*LocalCluster, error) {
 	opts = opts.withDefaults()
 	lc := &LocalCluster{opts: opts, template: template, store: store, local: local}
@@ -175,12 +163,10 @@ func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *all
 	}
 	// Gossip plane: every shard's agent boots seeded with the full member
 	// list (the in-process equivalent of a join). Identities come from the
-	// full member ring, and replication flows shard↔shard over the real
-	// addresses — a fault wrapper on the router→shard link never cuts the
-	// replica channel.
+	// full member ring.
 	seed := lc.memberList()
 	for _, sh := range lc.shards {
-		if _, err := lc.startShardGossip(sh, seed, nil); err != nil {
+		if err := lc.startShardGossip(sh, seed, nil); err != nil {
 			lc.Close()
 			return nil, err
 		}
@@ -333,19 +319,18 @@ func (lc *LocalCluster) gossipConfig(selfID string) GossipConfig {
 }
 
 // startShardGossip boots sh's agent (joining via joinAddrs and/or seeded
-// with the topology's member list) and its membership manager. Returns how
-// many policies the manager's first view warm-pulled.
-func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddrs []string) (int, error) {
+// with the topology's member list) and its membership manager.
+func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddrs []string) error {
 	agent, err := NewAgent(Member{ID: sh.id, Addr: sh.addr, Role: RoleShard}, lc.gossipConfig(sh.id))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if len(joinAddrs) > 0 {
 		if err := agent.Join(joinAddrs); err != nil {
 			// Fail soft when we also have a seed list (anti-entropy will
 			// re-converge us); a flag-free join has nothing else to go on.
 			if len(seed) == 0 {
-				return 0, fmt.Errorf("cluster: gossip: %s join: %w", sh.id, err)
+				return fmt.Errorf("cluster: gossip: %s join: %w", sh.id, err)
 			}
 			lc.opts.Logf("cluster: gossip: %s join failed (%v), falling back to the seed list\n", sh.id, err)
 		}
@@ -364,20 +349,15 @@ func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddr
 	srv := sh.srv
 	sh.mu.Unlock()
 	if srv == nil {
-		return 0, fmt.Errorf("cluster: gossip: %s not serving", sh.id)
+		return fmt.Errorf("cluster: gossip: %s not serving", sh.id)
 	}
+	ManageMembership(srv, agent, Shard{ID: sh.id, Addr: sh.addr}, lc.opts.VNodes, lc.opts.Logf)
 	ctx, cancel := context.WithCancel(context.Background())
-	pulled, err := ManageMembership(ctx, srv, agent, Shard{ID: sh.id, Addr: sh.addr},
-		lc.opts.VNodes, lc.opts.ReplicaGroups, 0, lc.opts.HandoffTimeout, lc.opts.Logf)
-	if err != nil {
-		cancel()
-		return 0, err
-	}
 	sh.mu.Lock()
 	sh.agent, sh.gossipStop = agent, cancel
 	sh.mu.Unlock()
 	go agent.Run(ctx)
-	return pulled, nil
+	return nil
 }
 
 // awaitRouterSeesAlive blocks until the router's membership view holds id
@@ -427,33 +407,6 @@ func (lc *LocalCluster) Server(i int) *serve.Server {
 	return sh.srv
 }
 
-// ReplicaGroups is the deployment's owner count per cluster range.
-func (lc *LocalCluster) ReplicaGroups() int { return lc.opts.ReplicaGroups }
-
-// AwaitReplication polls until every live shard's replication queue has
-// drained (all enqueued snapshots pushed or dropped) or the timeout passes.
-// Chaos tests call this before killing a primary, so "the replica holds
-// the policy" is a fact, not a race.
-func (lc *LocalCluster) AwaitReplication(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		settled := true
-		for i := range lc.shards {
-			if srv := lc.Server(i); srv != nil && !srv.ReplicationSettled() {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // KillShard stops shard i's server (graceful drain, listener closed).
 // Requests owned by its ranges fail over to survivors on the router's next
 // ejection — by I/O error, drain 503, or missed probes, whichever fires
@@ -481,58 +434,51 @@ func (lc *LocalCluster) KillShard(i int) error {
 }
 
 // RestartShard boots shard i back on its original address with a fresh
-// (cold) server and rejoins it to the gossip plane. Its membership manager's
-// first view assigns its identity and warms it by pulling its owned
-// clusters' checkpoint sections from the surviving peers, once. Returns
-// once the router's view holds the shard alive again.
-func (lc *LocalCluster) RestartShard(i int) (pulled int, err error) {
+// server and rejoins it to the gossip plane; its membership manager's first
+// view assigns its identity. Returns once the router's view holds the shard
+// alive again.
+func (lc *LocalCluster) RestartShard(i int) error {
 	sh := lc.shards[i]
 	sh.mu.Lock()
 	down := sh.cancel == nil
 	sh.mu.Unlock()
 	if !down {
-		return 0, fmt.Errorf("cluster: shard %d still running", i)
+		return fmt.Errorf("cluster: shard %d still running", i)
 	}
 	if err := lc.bootShard(sh, sh.addr); err != nil {
-		return 0, err
+		return err
 	}
 	// Rejoin the gossip plane through any live peer: the join sync surfaces
 	// our obituary (if one converged while we were down), the rejoin bump
 	// refutes it at a higher incarnation, and the router re-admission wait
 	// below makes the ring state deterministic for callers that assert
 	// LiveShards right after this returns. Identity comes from the full
-	// member list — ownership never depends on who happens to be up — so
-	// pulls from still-dead peers fail soft, and the paged anti-entropy
-	// pull streams back both primary and replica ranges.
-	pulled, err = lc.startShardGossip(sh, lc.memberList(), lc.liveGossipAddrs(sh.id))
-	if err != nil {
-		return pulled, err
+	// member list: ownership never depends on who happens to be up.
+	if err := lc.startShardGossip(sh, lc.memberList(), lc.liveGossipAddrs(sh.id)); err != nil {
+		return err
 	}
 	sh.mu.Lock()
 	agent := sh.agent
 	sh.mu.Unlock()
 	lc.awaitRouterSeesAlive(sh.id, agent.Incarnation(), 5*time.Second)
-	lc.opts.Logf("cluster: shard %s restarted warm (%d policies pulled)\n", sh.id, pulled)
-	return pulled, nil
+	lc.opts.Logf("cluster: shard %s restarted\n", sh.id)
+	return nil
 }
 
 // AddShard boots a brand-new shard and joins it to the fleet through the
 // gossip plane alone — no flag change, no static list edit anywhere. The
 // newcomer dials one live peer, learns the full member table from the join
-// sync, warm-pulls the ranges it now owns, and the rest of the fleet
-// (router included) re-shapes around it as the join disseminates. Returns
-// the new shard's index and how many policies its join pull installed.
-func (lc *LocalCluster) AddShard() (int, int, error) {
+// sync, and the rest of the fleet (router included) re-shapes around it as
+// the join disseminates. Returns the new shard's index.
+func (lc *LocalCluster) AddShard() (int, error) {
 	lc.mu.Lock()
 	i := len(lc.shards)
 	lc.mu.Unlock()
 	sh := &localShard{id: "s" + strconv.Itoa(i)}
 	if err := lc.bootShard(sh, ""); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	joinAddrs := lc.liveGossipAddrs(sh.id)
-	pulled, err := lc.startShardGossip(sh, nil, joinAddrs)
-	if err != nil {
+	if err := lc.startShardGossip(sh, nil, lc.liveGossipAddrs(sh.id)); err != nil {
 		sh.mu.Lock()
 		cancel, done := sh.cancel, sh.done
 		sh.mu.Unlock()
@@ -540,15 +486,15 @@ func (lc *LocalCluster) AddShard() (int, int, error) {
 			cancel()
 			<-done
 		}
-		return 0, 0, err
+		return 0, err
 	}
 	lc.mu.Lock()
 	lc.shards = append(lc.shards, sh)
 	lc.wrapped = append(lc.wrapped, Shard{ID: sh.id, Addr: sh.addr})
 	lc.mu.Unlock()
 	lc.awaitRouterSeesAlive(sh.id, 0, 5*time.Second)
-	lc.opts.Logf("cluster: shard %s joined via gossip (%d policies pulled)\n", sh.id, pulled)
-	return i, pulled, nil
+	lc.opts.Logf("cluster: shard %s joined via gossip\n", sh.id)
+	return i, nil
 }
 
 // ShardAgent is shard i's gossip agent, or nil while killed.

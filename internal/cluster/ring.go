@@ -1,24 +1,21 @@
 // Package cluster is the horizontal-scaling tier over internal/serve: a
-// consistent-hash ring partitions policy-cache ownership across N
-// dcta-server replicas, a thin router resolves each request's cluster key
-// (EnvironmentStore.NearestIndex of its signature — the same key the
-// policy cache uses) to its owning shard and proxies the request over
-// persistent raw-HTTP connections, and a warm-handoff client lets a
-// joining shard pull the checkpoint sections for exactly its owned
-// clusters from the previous owners, so membership changes move policies,
-// not retraining budgets.
+// consistent-hash ring partitions the cluster keys across N dcta-server
+// replicas, and a thin router resolves each request's cluster key
+// (EnvironmentStore.NearestIndex of its signature) to its owning shard and
+// proxies the request over persistent raw-HTTP connections. Membership comes
+// from a SWIM gossip plane that every shard and the router run.
 //
 // The package splits into:
 //
-//   - ring.go     — the consistent-hash ring (virtual nodes, stable FNV-1a
-//     placement) and the shard-map wire format served at /v1/cluster
-//   - router.go   — the proxying front-end: membership with healthz
+//   - ring.go       — the consistent-hash ring (virtual nodes, stable
+//     FNV-1a placement) and the shard-map wire format served at /v1/cluster
+//   - router.go     — the proxying front-end: membership with healthz
 //     probing and liveness misses, failure-triggered ejection with
 //     retry-on-survivor (requests degrade to the new owner's path, never
 //     5xx), per-shard counters and the aggregate stats endpoint
-//   - handoff.go  — shard-scoped checkpoint pull: ownership enumeration
-//     and the peer-to-peer warm-boot client
-//   - local.go    — an in-process N-shard + router topology used by the
+//   - gossip.go     — the SWIM membership agent
+//   - membership.go — a shard's identity, kept in step with the gossip view
+//   - local.go      — an in-process N-shard + router topology used by the
 //     tests and the benchmark's router_mixed workload
 package cluster
 
@@ -136,63 +133,6 @@ func (r *Ring) Owner(key int) string {
 		i = 0 // wrap past the highest point
 	}
 	return r.points[i].node
-}
-
-// OwnersFor resolves a cluster key to its first n distinct owners in
-// successor order: the primary (identical to Owner) followed by the next
-// distinct nodes clockwise. The walk order gives the replica-group
-// failover property the router relies on: removing owners[0] from the
-// ring makes owners[1] the key's new primary, so an ejection needs no
-// routing change — the standard retry already lands on the replica.
-// Returns min(n, Len) owners; an empty ring owns nothing (nil).
-func (r *Ring) OwnersFor(key, n int) []string {
-	if len(r.points) == 0 || n < 1 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := keyHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if start == len(r.points) {
-		start = 0 // wrap past the highest point
-	}
-	owners := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(owners) < n; i++ {
-		node := r.points[(start+i)%len(r.points)].node
-		if seen[node] {
-			continue
-		}
-		seen[node] = true
-		owners = append(owners, node)
-	}
-	return owners
-}
-
-// ReplicatedClusters enumerates the cluster keys in [0, total) for which a
-// node is one of the first replicas distinct owners, split by role: primary
-// (owners[0]) versus replica (owners[1..replicas-1]). With replicas <= 1 it
-// degenerates to OwnedClusters and an empty replica set.
-func (r *Ring) ReplicatedClusters(node string, total, replicas int) (primary, replica []int) {
-	if replicas < 1 {
-		replicas = 1
-	}
-	for k := 0; k < total; k++ {
-		owners := r.OwnersFor(k, replicas)
-		for i, o := range owners {
-			if o != node {
-				continue
-			}
-			if i == 0 {
-				primary = append(primary, k)
-			} else {
-				replica = append(replica, k)
-			}
-			break
-		}
-	}
-	return primary, replica
 }
 
 // WithNode returns a new ring with the node added (no-op if present).

@@ -175,178 +175,6 @@ func TestOwnedClustersMatchesOwner(t *testing.T) {
 	}
 }
 
-// TestOwnersForProperties pins the replica-group contract: owners[0] is
-// Owner, owners are distinct, the count saturates at the member count, and
-// — the property warm failover rests on — removing the primary promotes
-// exactly owners[1] to primary for that key.
-func TestOwnersForProperties(t *testing.T) {
-	r, err := NewRing(64, []string{"s0", "s1", "s2", "s3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < testKeys; k++ {
-		owners := r.OwnersFor(k, 2)
-		if len(owners) != 2 {
-			t.Fatalf("key %d: %d owners on a 4-member ring, want 2", k, len(owners))
-		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("key %d: owners[0]=%q != Owner=%q", k, owners[0], r.Owner(k))
-		}
-		if owners[0] == owners[1] {
-			t.Fatalf("key %d: duplicate owner %q", k, owners[0])
-		}
-		// Failover promotion: without the primary, the replica is the owner.
-		smaller, err := r.WithoutNode(owners[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := smaller.Owner(k); got != owners[1] {
-			t.Fatalf("key %d: removing primary %q promotes %q, want replica %q",
-				k, owners[0], got, owners[1])
-		}
-	}
-	// Saturation: asking for more owners than members returns all members.
-	if got := r.OwnersFor(0, 99); len(got) != 4 {
-		t.Fatalf("OwnersFor(_, 99) returned %d owners on a 4-member ring", len(got))
-	}
-	if got := r.OwnersFor(0, 0); got != nil {
-		t.Fatalf("OwnersFor(_, 0) = %v, want nil", got)
-	}
-	empty := &Ring{}
-	if got := empty.OwnersFor(0, 2); got != nil {
-		t.Fatalf("empty ring OwnersFor = %v, want nil", got)
-	}
-}
-
-// TestOwnersForDegenerate (satellite): the replica-group resolver at the
-// edges ownership actually hits during failover — a single-member ring, and
-// replica demand exceeding the live member count — must saturate cleanly,
-// never pad, never duplicate.
-func TestOwnersForDegenerate(t *testing.T) {
-	single, err := NewRing(16, []string{"only"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 64; k++ {
-		owners := single.OwnersFor(k, 3)
-		if len(owners) != 1 || owners[0] != "only" {
-			t.Fatalf("key %d on a 1-member ring: owners=%v, want [only]", k, owners)
-		}
-		if single.Owner(k) != "only" {
-			t.Fatalf("key %d: Owner=%q on a 1-member ring", k, single.Owner(k))
-		}
-	}
-
-	// n greater than the live count: every member appears exactly once.
-	pair, err := NewRing(16, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 64; k++ {
-		owners := pair.OwnersFor(k, 5)
-		if len(owners) != 2 {
-			t.Fatalf("key %d: %d owners for n=5 on a 2-member ring, want 2", k, len(owners))
-		}
-		if owners[0] == owners[1] {
-			t.Fatalf("key %d: duplicate owner %q", k, owners[0])
-		}
-		if owners[0] != pair.Owner(k) {
-			t.Fatalf("key %d: owners[0]=%q != Owner=%q", k, owners[0], pair.Owner(k))
-		}
-	}
-
-	// Shrinking a 2-member ring to 1 collapses the owner list with it: the
-	// failover path where R=2 outlives the fleet that could satisfy it.
-	down, err := pair.WithoutNode("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 64; k++ {
-		if owners := down.OwnersFor(k, 2); len(owners) != 1 || owners[0] != "a" {
-			t.Fatalf("key %d after losing b: owners=%v, want [a]", k, owners)
-		}
-	}
-}
-
-// TestOwnersForBalance: replica placement must be roughly fair too — every
-// member should appear as *some* key's replica with a non-degenerate share,
-// and replica assignments must not move when an unrelated member joins
-// (minimal disruption extends to the whole owner list).
-func TestOwnersForBalance(t *testing.T) {
-	nodes := []string{"s0", "s1", "s2"}
-	r, err := NewRing(64, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicaCounts := map[string]int{}
-	for k := 0; k < testKeys; k++ {
-		replicaCounts[r.OwnersFor(k, 2)[1]]++
-	}
-	for _, n := range nodes {
-		share := float64(replicaCounts[n]) / testKeys
-		if share < 0.05 || share > 0.95 {
-			t.Fatalf("node %s holds replica share %.3f; degenerate placement", n, share)
-		}
-	}
-	// Minimal disruption for owner pairs: after a join, a key's owner pair
-	// may only change if the joiner entered it.
-	after, err := r.WithNode("s3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for k := 0; k < testKeys; k++ {
-		ob, oa := r.OwnersFor(k, 2), after.OwnersFor(k, 2)
-		if ob[0] == oa[0] && ob[1] == oa[1] {
-			continue
-		}
-		if oa[0] != "s3" && oa[1] != "s3" {
-			t.Fatalf("key %d: owner pair %v→%v changed without s3 entering it", k, ob, oa)
-		}
-		moved++
-	}
-	if moved == 0 || moved > testKeys {
-		t.Fatalf("join disrupted %d/%d owner pairs", moved, testKeys)
-	}
-}
-
-// TestReplicatedClustersMatchesOwnersFor: the role-split enumeration and the
-// resolver must agree exactly, and roles must partition.
-func TestReplicatedClustersMatchesOwnersFor(t *testing.T) {
-	r, err := NewRing(32, []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 257
-	covered := map[int]int{}
-	for _, n := range []string{"a", "b", "c"} {
-		primary, replica := r.ReplicatedClusters(n, total, 2)
-		for _, k := range primary {
-			if r.OwnersFor(k, 2)[0] != n {
-				t.Fatalf("%s listed as primary of %d but OwnersFor disagrees", n, k)
-			}
-			covered[k]++
-		}
-		for _, k := range replica {
-			if r.OwnersFor(k, 2)[1] != n {
-				t.Fatalf("%s listed as replica of %d but OwnersFor disagrees", n, k)
-			}
-			covered[k]++
-		}
-	}
-	for k := 0; k < total; k++ {
-		if covered[k] != 2 {
-			t.Fatalf("cluster %d covered by %d owners, want exactly 2", k, covered[k])
-		}
-	}
-	// replicas=1 degenerates to OwnedClusters.
-	p1, r1 := r.ReplicatedClusters("a", total, 1)
-	own := r.OwnedClusters("a", total)
-	if len(p1) != len(own) || len(r1) != 0 {
-		t.Fatalf("replicas=1: primary %d replica %d, want %d and 0", len(p1), len(r1), len(own))
-	}
-}
-
 // TestShardMapRoundtrip: serialize → parse → rebuild must reproduce the
 // exact routing ring over the live members.
 func TestShardMapRoundtrip(t *testing.T) {

@@ -80,7 +80,7 @@ type RouterConfig struct {
 	// ProbeTimeout bounds one healthz probe (default 1s).
 	ProbeTimeout time.Duration
 	// ProxyTimeout bounds one proxied request round trip (default 30s —
-	// a cold shard may train before answering).
+	// a feedback that refits the local model answers after the fit).
 	ProxyTimeout time.Duration
 	// ConnsPerShard bounds each shard's idle proxy-connection pool
 	// (default 64; excess connections are closed on release).
@@ -159,7 +159,6 @@ type shardState struct {
 	probeConn *rawhttp.Conn // guarded by probeMu
 
 	proxied  atomic.Int64 // requests this shard answered (any status)
-	hits     atomic.Int64 // answers served from a resident policy
 	degraded atomic.Int64 // answers from the shard's degraded path
 	nonOK    atomic.Int64 // non-2xx answers passed through
 	ioErrors atomic.Int64 // proxy round trips that failed at the wire
@@ -580,24 +579,9 @@ func (r *Router) shardFor(key int) *shardState {
 	return ss
 }
 
-// Response-classification needles: the router counts per-shard outcomes by
-// scanning the proxied body rather than decoding it.
-var (
-	routerNeedleDegraded = []byte(`"mode":"` + serve.ModeDegraded + `"`)
-	routerNeedleHit      = []byte(`"cache":"` + serve.CacheHit + `"`)
-	routerNeedleWarm     = []byte(`"cache":"` + serve.CacheWarm + `"`)
-	routerNeedleSpec     = []byte(`"cache":"` + serve.CacheSpeculative + `"`)
-	routerNeedleReplica  = []byte(`"cache":"` + serve.CacheReplica + `"`)
-)
-
-// classifyAnswer reads a 2xx answer's outcome off its bytes: hit when a
-// resident policy answered (hit, warm, speculative or replica), degraded
-// when the fallback did.
-func classifyAnswer(body []byte) (hit, degraded bool) {
-	hit = bytes.Contains(body, routerNeedleHit) || bytes.Contains(body, routerNeedleWarm) ||
-		bytes.Contains(body, routerNeedleSpec) || bytes.Contains(body, routerNeedleReplica)
-	return hit, bytes.Contains(body, routerNeedleDegraded)
-}
+// routerNeedleDegraded classifies a proxied 2xx answer as degraded by
+// scanning its bytes rather than decoding it.
+var routerNeedleDegraded = []byte(`"mode":"` + serve.ModeDegraded + `"`)
 
 // forward proxies one request body to the key's owner, retrying on the
 // next owner after ejecting a failed shard. It returns the upstream status
@@ -642,14 +626,8 @@ func (r *Router) forward(path string, ws *proxyWS, key int) (code int, body []by
 		ss.proxied.Add(1)
 		if code >= 300 {
 			ss.nonOK.Add(1)
-		} else {
-			hit, degraded := classifyAnswer(respBody)
-			if hit {
-				ss.hits.Add(1)
-			}
-			if degraded {
-				ss.degraded.Add(1)
-			}
+		} else if bytes.Contains(respBody, routerNeedleDegraded) {
+			ss.degraded.Add(1)
 		}
 		release = func() { ss.putConn(conn, r.cfg.ConnsPerShard) }
 		return code, respBody, release, true
@@ -725,7 +703,6 @@ func (r *Router) ShardMap() ShardMap {
 type ShardCounters struct {
 	ShardInfo
 	Proxied  int64 `json:"proxied"`
-	Hits     int64 `json:"hits"`
 	Degraded int64 `json:"degraded"`
 	NonOK    int64 `json:"non_2xx"`
 	IOErrors int64 `json:"io_errors"`
@@ -778,7 +755,6 @@ func (r *Router) Stats() RouterStats {
 		st.Shards = append(st.Shards, ShardCounters{
 			ShardInfo: info,
 			Proxied:   ss.proxied.Load(),
-			Hits:      ss.hits.Load(),
 			Degraded:  ss.degraded.Load(),
 			NonOK:     ss.nonOK.Load(),
 			IOErrors:  ss.ioErrors.Load(),

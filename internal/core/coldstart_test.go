@@ -89,28 +89,6 @@ func TestTrainEarlyStopDisabled(t *testing.T) {
 	}
 }
 
-// TestTrainInterrupt: the cooperative interrupt ends the run after the
-// current episode and reports StopInterrupted — the speculative pre-trainer's
-// yield contract.
-func TestTrainInterrupt(t *testing.T) {
-	crl := fastCRL(t, func(cfg *CRLConfig) {
-		cfg.Interrupt = func() bool { return true }
-	})
-	res, err := crl.Train()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StopReason != rl.StopInterrupted {
-		t.Fatalf("stop reason = %q, want interrupted", res.StopReason)
-	}
-	if res.Episodes != 1 {
-		t.Fatalf("always-true interrupt should leave exactly the first episode, got %d", res.Episodes)
-	}
-	if !crl.Trained() {
-		t.Fatal("an interrupted model is still trained (partially)")
-	}
-}
-
 // TestWarmStartFrom checks the transfer contract: an untrained donor is
 // refused, a trained donor's policy carries over exactly, and the provenance
 // survives snapshot round trips.

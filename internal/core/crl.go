@@ -38,11 +38,6 @@ type CRLConfig struct {
 	// before this many episodes (default 2·StopWindow). The budget still
 	// caps at Episodes.
 	MinEpisodes int
-	// Interrupt, when non-nil, is polled between episodes; returning true
-	// ends training after the current episode with rl.StopInterrupted. The
-	// serving layer's speculative pre-trainer uses this to yield to
-	// foreground demand training. Never serialized.
-	Interrupt func() bool `json:"-"`
 	// Seed drives the training-time environment sampling.
 	Seed int64
 }
@@ -162,10 +157,6 @@ func (c *CRL) Train() (*rl.TrainResult, error) {
 	cache := make([]*AllocEnv, len(envs))
 	agg := &rl.TrainResult{StopReason: rl.StopBudget, RewardsPerEp: make([]float64, 0, c.cfg.Episodes)}
 	for ep := 0; ep < c.cfg.Episodes; ep++ {
-		if c.cfg.Interrupt != nil && ep > 0 && c.cfg.Interrupt() {
-			agg.StopReason = rl.StopInterrupted
-			break
-		}
 		ei := rng.Intn(len(envs))
 		alloc := cache[ei]
 		if alloc == nil {

@@ -84,8 +84,8 @@ type Controller struct {
 	// DialTimeout bounds each worker connection attempt.
 	DialTimeout time.Duration
 	// LivenessMisses is K: a worker that announced a heartbeat cadence and
-	// then misses K consecutive windows is declared dead and its work
-	// re-dispatched (default 3).
+	// then misses K consecutive windows — each its cadence, but at least
+	// Tick — is declared dead and its work re-dispatched (default 3).
 	LivenessMisses int
 	// HedgeMinDeadline is the floor of a task's completion deadline; a
 	// task still incomplete past its deadline is speculatively re-sent to

@@ -50,6 +50,9 @@ type ftEvent struct {
 	w    *ftWorker
 	kind ftEventKind
 	env  *Envelope // evDone only
+	// at is when the reader goroutine read the frame: a sign of life dates
+	// from its arrival, not from when the event loop got to it.
+	at time.Time
 }
 
 // ftTask is the event loop's view of one planned task.
@@ -100,7 +103,9 @@ type ftRun struct {
 //   - a worker that cannot be dialed, or sends no hello within DialTimeout,
 //     is dead from the start: its tasks are orphaned.
 //   - liveness: workers announce a heartbeat cadence in their hello; a
-//     worker missing LivenessMisses consecutive windows is declared dead
+//     window is that cadence, but never shorter than Tick, the detector's
+//     own resolution. A worker missing LivenessMisses consecutive windows
+//     is declared dead
 //     and its tasks are orphaned — a hung-but-connected node no longer
 //     blocks the run until the caller's context expires.
 //   - hedging: every dispatched task carries a completion deadline derived
@@ -275,9 +280,10 @@ func (r *ftRun) admit(w *ftWorker) {
 func (r *ftRun) readLoop(w *ftWorker) {
 	for {
 		env, err := ReadFrame(w.conn)
+		at := time.Now()
 		if err != nil {
 			if StreamAligned(err) {
-				if !r.send(ftEvent{w: w, kind: evCorrupt}) {
+				if !r.send(ftEvent{w: w, kind: evCorrupt, at: at}) {
 					return
 				}
 				continue
@@ -287,18 +293,18 @@ func (r *ftRun) readLoop(w *ftWorker) {
 		}
 		switch env.Type {
 		case MsgDone:
-			if !r.send(ftEvent{w: w, kind: evDone, env: env}) {
+			if !r.send(ftEvent{w: w, kind: evDone, env: env, at: at}) {
 				return
 			}
 		case MsgHeartbeat:
-			if !r.send(ftEvent{w: w, kind: evBeat}) {
+			if !r.send(ftEvent{w: w, kind: evBeat, at: at}) {
 				return
 			}
 		default:
 			// A well-formed frame the worker should never send: treat it
 			// like line corruption so a confused peer gets quarantined
 			// rather than trusted.
-			if !r.send(ftEvent{w: w, kind: evCorrupt}) {
+			if !r.send(ftEvent{w: w, kind: evCorrupt, at: at}) {
 				return
 			}
 		}
@@ -338,16 +344,16 @@ func (r *ftRun) handle(ev ftEvent) {
 		r.dispatch(w)
 	case evBeat:
 		if w.alive {
-			r.noteAlive(w)
+			r.noteAlive(w, ev.at)
 		}
 	case evDone:
 		if w.alive {
-			r.noteAlive(w)
+			r.noteAlive(w, ev.at)
 			r.handleDone(w, ev.env)
 		}
 	case evCorrupt:
 		if w.alive {
-			r.noteAlive(w) // a corrupt frame is still a sign of life
+			r.noteAlive(w, ev.at) // a corrupt frame is still a sign of life
 			r.handleCorrupt(w)
 		}
 	case evGone:
@@ -361,8 +367,8 @@ func (r *ftRun) nextSlot() int {
 	return slot
 }
 
-func (r *ftRun) noteAlive(w *ftWorker) {
-	w.lastBeat = time.Now()
+func (r *ftRun) noteAlive(w *ftWorker, at time.Time) {
+	w.lastBeat = at
 	w.misses = 0
 }
 
@@ -463,7 +469,9 @@ func (r *ftRun) scan(now time.Time) {
 		if !w.alive || w.beatEvery <= 0 {
 			continue
 		}
-		if missed := int(now.Sub(w.lastBeat) / w.beatEvery); missed > w.misses {
+		// A cadence finer than the scan is judged at the scan's resolution.
+		window := max(w.beatEvery, r.c.tick())
+		if missed := int(now.Sub(w.lastBeat) / window); missed > w.misses {
 			r.report.HeartbeatMisses += missed - w.misses
 			w.misses = missed
 		}

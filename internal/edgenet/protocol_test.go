@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -119,9 +120,6 @@ func TestHeartbeatsInterleaveStrictRun(t *testing.T) {
 
 	p, res := testPlan(3, 1)
 	ctrl := NewController()
-	// Beats this dense jitter by more than three windows on a loaded host;
-	// 100 ms of silence is a hang, a late beat is not.
-	ctrl.LivenessMisses = 50
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	report, err := ctrl.Run(ctx, []string{w.Addr()}, p, res, 1.0)
@@ -134,5 +132,84 @@ func TestHeartbeatsInterleaveStrictRun(t *testing.T) {
 	if report.CorruptFrames != 0 || report.DeadWorkers != 0 || report.DuplicateDone != 0 {
 		t.Fatalf("beats miscounted: corrupt %d, dead %d, duplicates %d",
 			report.CorruptFrames, report.DeadWorkers, report.DuplicateDone)
+	}
+}
+
+// latePeer is a worker that announces a 2 ms heartbeat cadence but whose
+// beats leave its host every 8 ms, as a loaded host delivers a fine ticker:
+// in bursts, or late. It completes each assigned task 40 ms after the
+// assign arrives.
+func latePeer(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	t.Cleanup(func() {
+		close(stop)
+		l.Close()
+	})
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var wm sync.Mutex
+		write := func(env *Envelope) error {
+			wm.Lock()
+			defer wm.Unlock()
+			return WriteFrame(conn, env)
+		}
+		if write(&Envelope{Type: MsgHello, WorkerID: 1, NodeType: edgesim.RaspberryPiB.String(),
+			SecPerBit: edgesim.RaspberryPiB.SecPerBit(), TimeScale: taskScale(40 * time.Millisecond),
+			HeartbeatSec: 0.002}) != nil {
+			return
+		}
+		go func() {
+			ticker := time.NewTicker(8 * time.Millisecond)
+			defer ticker.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-ticker.C:
+					if write(&Envelope{Type: MsgHeartbeat, WorkerID: 1}) != nil {
+						return
+					}
+				}
+			}
+		}()
+		for {
+			env, err := ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			time.Sleep(40 * time.Millisecond)
+			if write(&Envelope{Type: MsgDone, WorkerID: 1, TaskID: env.TaskID, Importance: env.Importance}) != nil {
+				return
+			}
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestLivenessFloorFineCadence: a worker whose announced cadence (2 ms) is
+// finer than the controller's scan (Tick, 10 ms) is judged at the scan's
+// resolution. At the default K its beats, 8 ms apart, keep it alive through
+// a 120 ms run; judged by its own cadence, K windows of 2 ms would declare
+// it dead between two of them.
+func TestLivenessFloorFineCadence(t *testing.T) {
+	p, res := testPlan(3, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	report, err := NewController().Run(ctx, []string{latePeer(t)}, p, res, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Completions) != 3 || report.DeadWorkers != 0 {
+		t.Fatalf("%d completions, %d dead workers (%d missed windows); want 3 and 0",
+			len(report.Completions), report.DeadWorkers, report.HeartbeatMisses)
 	}
 }

@@ -141,8 +141,8 @@ func TestServingNeverTrainsScenarioCRL(t *testing.T) {
 			}
 		}
 	}
-	if st := srv.Stats(); st.Cache.Trainings == 0 || st.DCTABypass == 0 || st.Feedbacks == 0 {
-		t.Fatalf("stats %+v: a DCTA answer, a serving training and a feedback must each have happened", st)
+	if st := srv.Stats(); st.DCTABypass == 0 || st.Allocates == st.DCTABypass || st.Feedbacks == 0 {
+		t.Fatalf("stats %+v: a DCTA answer, a crl answer and a feedback must each have happened", st)
 	}
 	if s.crl.crl != nil {
 		t.Fatal("serving trained the scenario's offline CRL")

@@ -1,7 +1,7 @@
 // Package rawhttp is a minimal, allocation-thrifty HTTP/1.1 client built
 // around preassembled request frames and persistent connections. The
 // cluster tier's peer links run on it: the router's proxy hop and health
-// prober, gossip exchanges, replication pushes and warm-handoff pulls. One
+// prober and gossip exchanges. One
 // Conn per pooled link, one buffered write per request, one reused buffer
 // per response.
 package rawhttp
@@ -97,8 +97,8 @@ func AppendFrame(dst []byte, path string, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// BuildGetFrame preassembles one complete GET request (health probes,
-// stats and checkpoint pulls).
+// BuildGetFrame preassembles one complete GET request (health probes and
+// stats).
 func BuildGetFrame(path string) []byte {
 	return []byte("GET " + path + " HTTP/1.1\r\nHost: dcta\r\n\r\n")
 }

@@ -11,8 +11,8 @@ import (
 // TestObserveZeroAllocs pins the learning step's allocation contract at the
 // serving shape (50×9 MDP: 900 inputs, [64,64], 51 actions, batch 32): once
 // the replay ring has wrapped — every slot's state vectors, valid-action
-// list and memo row exist — Observe allocates nothing, whether the sampler is
-// uniform or prioritized and whether or not the bootstrap is Double DQN's.
+// list and memo row exist — Observe allocates nothing, whether or not the
+// bootstrap is Double DQN's.
 // (Excluded from -race builds: the race detector instruments allocations.)
 func TestObserveZeroAllocs(t *testing.T) {
 	// Counted on one P, as AllocsPerRun does: the count is process-wide, and
@@ -21,9 +21,8 @@ func TestObserveZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const in, actions = 900, 51
 	for name, cfg := range map[string]DQNConfig{
-		"uniform":     {},
-		"prioritized": {PrioritizedReplay: true, PriorityAlpha: 0.6},
-		"double":      {DoubleDQN: true},
+		"uniform": {},
+		"double":  {DoubleDQN: true},
 	} {
 		cfg.ReplayCapacity, cfg.WarmupSteps, cfg.TargetSyncEvery, cfg.Seed = 96, 32, 40, 3
 		d, err := NewDQN(in, actions, cfg)

@@ -2,7 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/mathx"
@@ -33,22 +32,6 @@ type DQNConfig struct {
 	// reducing the max-operator's overestimation bias. Off by default — the
 	// paper uses plain deep Q-learning.
 	DoubleDQN bool
-	// PrioritizedReplay samples replay transitions with probability
-	// proportional to |TD error|^PriorityAlpha instead of uniformly, with
-	// importance-sampling weight correction (Schaul et al.) — cold policies
-	// re-learn their surprising transitions first and converge in fewer
-	// episodes. Off by default.
-	PrioritizedReplay bool
-	// PriorityAlpha is the prioritization exponent. 0 keeps sampling exactly
-	// uniform (same RNG stream, unit weights — the A/B-equivalence knob);
-	// typical transfer settings use 0.6. Only read when PrioritizedReplay.
-	PriorityAlpha float64
-	// PriorityBeta is the importance-sampling correction exponent (default
-	// 0.4 when PrioritizedReplay).
-	PriorityBeta float64
-	// PriorityEps is added to |TD error| so no transition starves
-	// (default 1e-3).
-	PriorityEps float64
 	// Seed drives all agent randomness.
 	Seed int64
 }
@@ -77,14 +60,6 @@ func (c DQNConfig) withDefaults() DQNConfig {
 	}
 	if c.WarmupSteps < 1 {
 		c.WarmupSteps = 100
-	}
-	if c.PrioritizedReplay {
-		if c.PriorityBeta <= 0 {
-			c.PriorityBeta = 0.4
-		}
-		if c.PriorityEps <= 0 {
-			c.PriorityEps = 1e-3
-		}
 	}
 	return c
 }
@@ -135,9 +110,8 @@ type DQN struct {
 }
 
 // miniBatch is the reusable scratch of one learning step: the sampled
-// transitions (views into the ring) with their slots and importance-sampling
-// weights (fed through the mask, which TrainBatch treats as a per-output
-// weight), the state, target and mask matrices handed to TrainBatch, each
+// transitions (views into the ring) with their slots, the state, target and
+// mask matrices handed to TrainBatch (the mask gates the taken action), each
 // sample's memoised target Q row and bootstrap value, and fill — the memo rows
 // the target network has yet to write. nexts, every sampled next state, exists
 // only under Double DQN, where the online network picks the bootstrap action
@@ -145,7 +119,6 @@ type DQN struct {
 type miniBatch struct {
 	batchTr []Transition
 	slots   []int
-	weights []float64
 	states  *mathx.Matrix
 	targets *mathx.Matrix
 	mask    *mathx.Matrix
@@ -182,13 +155,10 @@ func NewDQN(stateSize, actionSize int, cfg DQNConfig) (*DQN, error) {
 	}, nil
 }
 
-// newReplayFor builds the replay buffer matching cfg's sampling mode for an
-// agent with the given action count.
+// newReplayFor builds the replay buffer for an agent with the given action
+// count.
 func newReplayFor(cfg DQNConfig, actions int) *ReplayBuffer {
 	r := NewReplayBuffer(cfg.ReplayCapacity)
-	if cfg.PrioritizedReplay {
-		r = NewPrioritizedReplayBuffer(cfg.ReplayCapacity, cfg.PriorityAlpha)
-	}
 	r.actions = actions
 	return r
 }
@@ -282,7 +252,6 @@ func (d *DQN) ensureBatch() {
 	b, in, out := d.cfg.BatchSize, d.online.InputSize(), d.online.OutputSize()
 	d.batchTr = make([]Transition, b)
 	d.slots = make([]int, b)
-	d.weights = make([]float64, b)
 	d.states = mathx.NewMatrix(b, in)
 	d.targets = mathx.NewMatrix(b, out)
 	d.mask = mathx.NewMatrix(b, out)
@@ -333,9 +302,7 @@ func (d *DQN) learn() error {
 	if err := d.ensureTarget(); err != nil {
 		return err
 	}
-	// Without PrioritizedReplay, or with alpha <= 0, this is the exact uniform
-	// draw with unit weights, keeping seeded runs bitwise-comparable.
-	d.replay.SampleInto(d.rng, d.batchTr, d.slots, d.weights, d.cfg.PriorityBeta)
+	d.replay.SampleInto(d.rng, d.batchTr, d.slots)
 	// The target network sees only the sampled next states whose memo row it
 	// has not written since it last changed. They are gathered into the head
 	// of the states matrix, which the sampled states overwrite afterwards.
@@ -393,32 +360,14 @@ func (d *DQN) learn() error {
 			d.qNext[i] = maxOver(d.rows[i], tr.NextValid)
 		}
 	}
-	// Prioritized replay needs the pre-update Q(s,a) to refresh each sampled
-	// slot's TD-error priority. This extra forward is deterministic and
-	// RNG-free, so it does not perturb the uniform-equivalence invariant.
-	prio := d.replay.Prioritized()
-	var sq *mathx.Matrix
-	if prio {
-		var err error
-		if sq, err = d.online.ForwardBatch(d.states); err != nil {
-			return fmt.Errorf("dqn priority forward: %w", err)
-		}
-	}
 	for i := range d.batchTr {
 		tr := &d.batchTr[i]
-		y := tr.Reward + d.cfg.Gamma*d.qNext[i]
-		// Train only the taken action's output; the mask carries the sample's
-		// importance weight (exactly 1 unless replay is prioritized, and 1 is
-		// the plain gate).
+		// Train only the taken action's output.
 		trow, mrow := d.targets.Row(i), d.mask.Row(i)
 		clear(trow)
 		clear(mrow)
-		trow[tr.Action] = y
-		mrow[tr.Action] = d.weights[i]
-		if prio {
-			td := y - sq.Row(i)[tr.Action]
-			d.replay.UpdatePriority(d.slots[i], math.Abs(td)+d.cfg.PriorityEps)
-		}
+		trow[tr.Action] = tr.Reward + d.cfg.Gamma*d.qNext[i]
+		mrow[tr.Action] = 1
 	}
 	if _, err := d.online.TrainBatch(d.states, d.targets, d.mask); err != nil {
 		return fmt.Errorf("dqn train: %w", err)
@@ -511,9 +460,6 @@ const (
 	StopBudget = "budget"
 	// StopPlateau: episode returns plateaued and training early-stopped.
 	StopPlateau = "plateau"
-	// StopInterrupted: a cooperative interrupt (e.g. foreground demand
-	// training preempting a speculative run) ended training early.
-	StopInterrupted = "interrupted"
 )
 
 // TrainResult summarizes a training run.
@@ -524,8 +470,8 @@ type TrainResult struct {
 	RewardsPerEp   []float64
 	TotalSteps     int
 	GreedyEpisodes int
-	// StopReason records why training ended: StopBudget, StopPlateau or
-	// StopInterrupted. Empty in results from agents that predate the field.
+	// StopReason records why training ended: StopBudget or StopPlateau.
+	// Empty in results from agents that predate the field.
 	StopReason string
 }
 

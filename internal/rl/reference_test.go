@@ -171,8 +171,8 @@ func (a *refAgent) observe(t *testing.T, tr Transition) {
 		return
 	}
 	b := a.cfg.BatchSize
-	batch, slots, weights := make([]Transition, b), make([]int, b), make([]float64, b)
-	a.replay.SampleInto(a.rng, batch, slots, weights, a.cfg.PriorityBeta)
+	batch, slots := make([]Transition, b), make([]int, b)
+	a.replay.SampleInto(a.rng, batch, slots)
 	in, out := len(tr.State), len(a.online.b[len(a.online.b)-1])
 	states, nexts := mathx.NewMatrix(b, in), mathx.NewMatrix(b, in)
 	for i, s := range batch {
@@ -186,10 +186,6 @@ func (a *refAgent) observe(t *testing.T, tr Transition) {
 	if a.cfg.DoubleDQN {
 		oq = a.online.forward(t, nexts)[len(a.online.w)-1]
 	}
-	var sq *mathx.Matrix
-	if a.replay.Prioritized() {
-		sq = a.online.forward(t, states)[len(a.online.w)-1]
-	}
 	targets, mask := mathx.NewMatrix(b, out), mathx.NewMatrix(b, out)
 	for i, s := range batch {
 		qNext := 0.0
@@ -202,15 +198,8 @@ func (a *refAgent) observe(t *testing.T, tr Transition) {
 		default:
 			qNext = maxOver(tq.Row(i), s.NextValid)
 		}
-		y := s.Reward + a.cfg.Gamma*qNext
-		targets.Row(i)[s.Action] = y
+		targets.Row(i)[s.Action] = s.Reward + a.cfg.Gamma*qNext
 		mask.Row(i)[s.Action] = 1
-		if a.cfg.PrioritizedReplay {
-			mask.Row(i)[s.Action] = weights[i]
-		}
-		if sq != nil {
-			a.replay.UpdatePriority(slots[i], math.Abs(y-sq.Row(i)[s.Action])+a.cfg.PriorityEps)
-		}
 	}
 	a.online.trainBatch(t, states, targets, mask)
 	if a.steps%a.cfg.TargetSyncEvery == 0 {
@@ -277,11 +266,8 @@ func randomTransition(rng *rand.Rand, in, actions int) Transition {
 func TestObserveMatchesReferenceBitwise(t *testing.T) {
 	const in, actions, steps = 18, 5, 260
 	for name, mod := range map[string]func(*DQNConfig){
-		"uniform":         func(c *DQNConfig) {},
-		"prioritized-a0":  func(c *DQNConfig) { c.PrioritizedReplay = true },
-		"prioritized-a06": func(c *DQNConfig) { c.PrioritizedReplay, c.PriorityAlpha = true, 0.6 },
-		"double":          func(c *DQNConfig) { c.DoubleDQN = true },
-		"double-a06":      func(c *DQNConfig) { c.DoubleDQN, c.PrioritizedReplay, c.PriorityAlpha = true, true, 0.6 },
+		"uniform": func(c *DQNConfig) {},
+		"double":  func(c *DQNConfig) { c.DoubleDQN = true },
 	} {
 		t.Run(name, func(t *testing.T) {
 			// 260 steps: 13 target syncs, the 64-slot ring wraps four times, and

@@ -13,9 +13,8 @@ import (
 // trains again from an empty ring.
 func TestReleaseTraining(t *testing.T) {
 	for name, cfg := range map[string]DQNConfig{
-		"uniform":     {Hidden: []int{16}, WarmupSteps: 16, BatchSize: 8, TargetSyncEvery: 20, Seed: 7},
-		"prioritized": {Hidden: []int{16}, WarmupSteps: 16, BatchSize: 8, TargetSyncEvery: 20, Seed: 7, PrioritizedReplay: true, PriorityAlpha: 0.6},
-		"double":      {Hidden: []int{16}, WarmupSteps: 16, BatchSize: 8, TargetSyncEvery: 20, Seed: 7, DoubleDQN: true},
+		"uniform": {Hidden: []int{16}, WarmupSteps: 16, BatchSize: 8, TargetSyncEvery: 20, Seed: 7},
+		"double":  {Hidden: []int{16}, WarmupSteps: 16, BatchSize: 8, TargetSyncEvery: 20, Seed: 7, DoubleDQN: true},
 	} {
 		train := func(seedFrom *DQN, episodes int) *DQN {
 			env := newChainEnv(5)

@@ -86,24 +86,96 @@ func TestLazyTargetKeepsTrainingBitwise(t *testing.T) {
 	}
 }
 
-// TestReplayRingAllocatedOnFirstAdd covers both sampling modes: capacity is
-// remembered, nothing is allocated until a transition arrives, and then the
-// ring starts small.
+// TestReplayRingAllocatedOnFirstAdd: capacity is remembered, nothing is
+// allocated until a transition arrives, and then the ring starts small.
 func TestReplayRingAllocatedOnFirstAdd(t *testing.T) {
-	for name, r := range map[string]*ReplayBuffer{
-		"uniform":     NewReplayBuffer(10000),
-		"prioritized": NewPrioritizedReplayBuffer(10000, 0.6),
-	} {
-		if r.buf != nil || r.tree != nil {
-			t.Fatalf("%s: ring allocated before any Add", name)
+	r := NewReplayBuffer(10000)
+	if r.buf != nil {
+		t.Fatal("ring allocated before any Add")
+	}
+	r.Add(Transition{Action: 1})
+	if len(r.buf) != replayInitSlots || r.Len() != 1 {
+		t.Fatalf("ring %d slots, len %d after one Add", len(r.buf), r.Len())
+	}
+}
+
+// TestCloneFromWarmStart pins the transfer semantics: the clone starts with
+// the donor's exact policy and step counter, and its learning warmup drops to
+// one mini-batch so a short fine-tuning budget takes gradient steps
+// immediately instead of idling through a fresh exploration warmup.
+func TestCloneFromWarmStart(t *testing.T) {
+	env := newChainEnv(5)
+	cfg := DQNConfig{
+		Hidden:      []int{16},
+		WarmupSteps: 32,
+		BatchSize:   8,
+		Seed:        13,
+	}
+	src, err := NewDQN(env.StateSize(), env.ActionSize(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Train(env, 40, 40); err != nil {
+		t.Fatal(err)
+	}
+
+	dst, err := NewDQN(env.StateSize(), env.ActionSize(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.CloneFrom(nil); err == nil {
+		t.Fatal("nil source accepted")
+	}
+	if err := dst.CloneFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Steps() != src.Steps() {
+		t.Fatalf("steps = %d, want donor's %d", dst.Steps(), src.Steps())
+	}
+	if dst.warmup != cfg.BatchSize {
+		t.Fatalf("warmup = %d, want one mini-batch (%d)", dst.warmup, cfg.BatchSize)
+	}
+
+	state := env.Reset()
+	before, err := dst.QValues(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcQ, err := src.QValues(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := range before {
+		if before[a] != srcQ[a] {
+			t.Fatalf("action %d: clone Q %v != donor Q %v", a, before[a], srcQ[a])
 		}
-		if got := r.Prioritized(); got != (name == "prioritized") {
-			t.Fatalf("%s: Prioritized() = %v before any Add", name, got)
+	}
+	before = append([]float64(nil), before...)
+
+	// One mini-batch of fresh experience is enough to learn: the clone's
+	// replay is empty, so well under WarmupSteps observations must already
+	// move the weights.
+	next := append([]float64(nil), state...)
+	next[0], next[1] = 0, 1
+	for i := 0; i < cfg.BatchSize; i++ {
+		err := dst.Observe(Transition{
+			State: state, Action: 1, Reward: 0.5, NextState: next, NextValid: []int{0, 1},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.UpdatePriority(3, 2) // no entries yet: must be a no-op, not a panic
-		r.Add(Transition{Action: 1})
-		if len(r.buf) != replayInitSlots || r.Len() != 1 {
-			t.Fatalf("%s: ring %d slots, len %d after one Add", name, len(r.buf), r.Len())
+	}
+	after, err := dst.QValues(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for a := range after {
+		if after[a] != before[a] {
+			moved = true
 		}
+	}
+	if !moved {
+		t.Fatal("clone took no gradient step within one mini-batch of experience")
 	}
 }

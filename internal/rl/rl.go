@@ -8,7 +8,6 @@ package rl
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -93,9 +92,7 @@ func (c *copyingEnv) StepInPlace(action int) (float64, bool, error) {
 // there up to the capacity.
 const replayInitSlots = 64
 
-// ReplayBuffer is a bounded FIFO of transitions with uniform sampling, and —
-// when built with NewPrioritizedReplayBuffer — TD-error-proportional
-// prioritized sampling (Schaul et al.) over a sum tree.
+// ReplayBuffer is a bounded FIFO of transitions with uniform sampling.
 //
 // The ring owns its storage: Add copies State, NextState and NextValid, and a
 // transition handed out by SampleInto is a view into the ring, valid until the
@@ -124,17 +121,6 @@ type ReplayBuffer struct {
 	// accumulator that started at +0 — so a memoised row is the row the frozen
 	// target would produce again.
 	memo []float64
-
-	// Prioritized-sampling state; alpha is 0 and tree stays nil for plain
-	// uniform buffers, and tree is allocated by the first Add.
-	// tree is an iterative segment tree: leaves at [cap, 2·cap) hold each
-	// slot's priority^alpha, internal node i sums children 2i and 2i+1, so
-	// updates and proportional descent are O(log cap) with no allocation. It
-	// is sized to the capacity, not to the grown ring, because its shape fixes
-	// the order its sums are taken in and so which slot a draw lands on.
-	alpha   float64
-	tree    []float64
-	maxPrio float64 // largest stored priority^alpha; seeds new entries
 }
 
 // slotMeta is what the ring knows about a slot beside its transition.
@@ -156,27 +142,7 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	return &ReplayBuffer{capacity: capacity}
 }
 
-// NewPrioritizedReplayBuffer creates a buffer whose SampleInto draws
-// transitions with probability ∝ priority^alpha. alpha ≤ 0 degenerates to the
-// plain uniform buffer: one rng.Intn per draw and every importance weight
-// exactly 1 — the equivalence tests pin this.
-func NewPrioritizedReplayBuffer(capacity int, alpha float64) *ReplayBuffer {
-	r := NewReplayBuffer(capacity)
-	if alpha <= 0 {
-		return r
-	}
-	r.alpha = alpha
-	r.maxPrio = 1
-	return r
-}
-
-// Prioritized reports whether the buffer samples by priority.
-func (r *ReplayBuffer) Prioritized() bool { return r.alpha > 0 }
-
-// Add appends a copy of the transition, evicting the oldest when full. In a
-// prioritized buffer the new entry gets the largest priority seen so far,
-// guaranteeing every transition is replayed at least once before its priority
-// decays.
+// Add appends a copy of the transition, evicting the oldest when full.
 func (r *ReplayBuffer) Add(t Transition) { r.add(t, false) }
 
 // add stores t. follows means t is the step after the transition added last,
@@ -187,9 +153,6 @@ func (r *ReplayBuffer) add(t Transition, follows bool) {
 		n := min(max(replayInitSlots, 2*len(r.buf)), r.capacity)
 		r.buf = append(make([]Transition, 0, n), r.buf...)[:n]
 		r.meta = append(make([]slotMeta, 0, n), r.meta...)[:n]
-		if r.Prioritized() && r.tree == nil {
-			r.tree = make([]float64, 2*r.capacity)
-		}
 	}
 	slot := r.next
 	state := t.State
@@ -218,9 +181,6 @@ func (r *ReplayBuffer) add(t Transition, follows bool) {
 	if r.next == r.capacity {
 		r.next = 0
 		r.full = true
-	}
-	if r.tree != nil {
-		r.setLeaf(slot, r.maxPrio)
 	}
 }
 
@@ -260,81 +220,19 @@ func (r *ReplayBuffer) memoRow(slot, ver int) ([]float64, bool) {
 	return r.memo[slot*r.actions : (slot+1)*r.actions], fresh
 }
 
-// setLeaf writes an already-exponentiated priority into the tree.
-func (r *ReplayBuffer) setLeaf(slot int, p float64) {
-	i := slot + r.capacity
-	r.tree[i] = p
-	for i >>= 1; i >= 1; i >>= 1 {
-		r.tree[i] = r.tree[2*i] + r.tree[2*i+1]
-	}
-}
-
-// UpdatePriority sets slot's raw priority (|TD error| + ε by convention);
-// the stored mass is priority^alpha. No-op on uniform buffers.
-func (r *ReplayBuffer) UpdatePriority(slot int, priority float64) {
-	if r.tree == nil || slot < 0 || slot >= len(r.buf) {
-		return
-	}
-	if priority <= 0 {
-		priority = 1e-12 // keep every slot reachable
-	}
-	p := math.Pow(priority, r.alpha)
-	if p > r.maxPrio {
-		r.maxPrio = p
-	}
-	r.setLeaf(slot, p)
-}
-
-// SampleInto is the one sampler: it fills dst with samples drawn with
-// replacement, recording each sample's slot in slots and its importance-
-// sampling weight in weights, allocates nothing, and reports how many entries
-// it filled — len(dst), or 0 when the buffer is empty. A uniform buffer draws
-// one rng.Intn per sample and every weight is exactly 1; a prioritized one
-// draws proportionally to priority^alpha with the max-normalized weight
-// (N·P(i))^−β / max_j w_j.
-func (r *ReplayBuffer) SampleInto(rng *rand.Rand, dst []Transition,
-	slots []int, weights []float64, beta float64) int {
+// SampleInto fills dst with samples drawn uniformly with replacement, one
+// rng.Intn per sample, recording each sample's slot in slots. It allocates
+// nothing and reports how many entries it filled — len(dst), or 0 when the
+// buffer is empty.
+func (r *ReplayBuffer) SampleInto(rng *rand.Rand, dst []Transition, slots []int) int {
 	sz := r.Len()
 	if sz == 0 {
 		return 0
 	}
-	if r.tree == nil || r.tree[1] <= 0 {
-		for i := range dst {
-			j := rng.Intn(sz)
-			dst[i] = r.buf[j]
-			slots[i] = j
-			weights[i] = 1
-		}
-		return len(dst)
-	}
-	n := r.capacity
-	total := r.tree[1]
-	maxW := 0.0
 	for i := range dst {
-		v := rng.Float64() * total
-		j := 1
-		for j < n {
-			if left := r.tree[2*j]; v < left {
-				j = 2 * j
-			} else {
-				v -= left
-				j = 2*j + 1
-			}
-		}
-		slot := j - n
-		dst[i] = r.buf[slot]
-		slots[i] = slot
-		prob := r.tree[j] / total
-		w := math.Pow(float64(sz)*prob, -beta)
-		weights[i] = w
-		if w > maxW {
-			maxW = w
-		}
-	}
-	if maxW > 0 {
-		for i := range weights[:len(dst)] {
-			weights[i] /= maxW
-		}
+		j := rng.Intn(sz)
+		dst[i] = r.buf[j]
+		slots[i] = j
 	}
 	return len(dst)
 }

@@ -73,8 +73,8 @@ func TestReplayBuffer(t *testing.T) {
 	}
 	// Oldest entries (0, 1) were evicted.
 	rng := mathx.NewRand(1)
-	sample, slots, weights := make([]Transition, 50), make([]int, 50), make([]float64, 50)
-	if n := rb.SampleInto(rng, sample, slots, weights, 0); n != 50 {
+	sample, slots := make([]Transition, 50), make([]int, 50)
+	if n := rb.SampleInto(rng, sample, slots); n != 50 {
 		t.Fatalf("sampled %d of 50", n)
 	}
 	for _, tr := range sample {
@@ -86,7 +86,7 @@ func TestReplayBuffer(t *testing.T) {
 		t.Fatal("capacity < 1 should clamp to 1")
 	}
 	empty := NewReplayBuffer(4)
-	if n := empty.SampleInto(rng, sample, slots, weights, 0); n != 0 {
+	if n := empty.SampleInto(rng, sample, slots); n != 0 {
 		t.Fatalf("sampled %d transitions from an empty buffer", n)
 	}
 }

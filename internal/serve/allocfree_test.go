@@ -7,7 +7,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -15,8 +14,8 @@ import (
 	"repro/internal/core"
 )
 
-// zeroAllocServer warms cluster 0 and returns the server plus a manually-held
-// workspace, ready for steady-state measurement.
+// zeroAllocServer answers cluster 0 once and returns the server plus a
+// manually-held workspace, ready for steady-state measurement.
 func zeroAllocServer(t *testing.T, cfg Config) (*Server, *allocWS) {
 	t.Helper()
 	s := newTestServer(t, cfg)
@@ -26,73 +25,63 @@ func zeroAllocServer(t *testing.T, cfg Config) (*Server, *allocWS) {
 	return s, s.getWS()
 }
 
-// TestWarmAllocateZeroAllocsCRL pins the tentpole's memory contract: a warm
-// CRL allocate (cache hit) performs ZERO steady-state heap allocations — the
-// pooled workspace, with the rollout scratch it owns, the kNN scratch and the
-// response backing arrays are all reused. Any regression here
-// (a fresh slice, a fmt.Sprintf, an interface box on the hot path) fails CI.
+// TestWarmAllocateZeroAllocsCRL pins the crl arm's memory contract: once its
+// cluster's sub-store is built, an allocate performs ZERO heap allocations —
+// the pooled workspace, the kNN scratch, the pack scratch and the response
+// backing arrays are all reused, through AllocateInto and from the body's
+// bytes to the answer's. One workspace alternating between two clusters
+// allocates nothing either. Any regression here (a fresh slice, a
+// fmt.Sprintf, an interface box on the hot path) fails CI.
 func TestWarmAllocateZeroAllocsCRL(t *testing.T) {
-	s, ws := zeroAllocServer(t, fastConfig())
+	cfg := fastConfig()
+	cfg.ClusterNeighborhood = 2
+	cfg.CRL.K, cfg.CRL.Blend = 2, true // the blended definition, as served
+	s, ws := zeroAllocServer(t, cfg)
 	ctx := context.Background()
-	req := AllocateRequest{Signature: []float64{0}}
-	// Warm the workspace: the first calls grow its buffers and build its
-	// rollout lane.
-	for i := 0; i < 8; i++ {
-		if err := s.AllocateInto(ctx, req, ws); err != nil {
-			t.Fatal(err)
-		}
-		if ws.resp.Mode != ModeNormal || ws.resp.Cache != CacheHit {
-			t.Fatalf("warmup %d: %+v", i, ws.resp)
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if err := s.AllocateInto(ctx, req, ws); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm CRL allocate: %.2f allocs/op, want 0", avg)
-	}
-	if ws.resp.Mode != ModeNormal || ws.resp.Allocator != "CRL" {
-		t.Fatalf("measured path was not the warm CRL path: %+v", ws.resp)
-	}
-
-	// One workspace alternating between two clusters' policies — cluster 1's
-	// restored from a checkpoint — still allocates nothing: every policy
-	// reads the server's one template, so the rollout lane never rebuilds.
-	donor := newTestServer(t, fastConfig())
-	if _, err := donor.Allocate(ctx, AllocateRequest{Signature: []float64{1}}); err != nil {
+	req := AllocateRequest{Signature: []float64{0.2}, Allocator: "crl"}
+	other := AllocateRequest{Signature: []float64{0.9}, Allocator: "crl"}
+	body, err := json.Marshal(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt bytes.Buffer
-	if err := donor.SaveCheckpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.LoadCheckpoint(&ckpt); err != nil || n != 1 {
-		t.Fatalf("restored %d policies: %v", n, err)
-	}
-	other := AllocateRequest{Signature: []float64{1}}
-	alternate := func() {
-		for _, r := range []AllocateRequest{req, other} {
-			if err := s.AllocateInto(ctx, r, ws); err != nil {
+	paths := map[string]func(){
+		"AllocateInto": func() {
+			if err := s.AllocateInto(ctx, req, ws); err != nil {
 				t.Fatal(err)
 			}
+		},
+		"body bytes to answer bytes": func() {
+			ws.buf = append(ws.buf[:0], body...)
+			if code, err := s.answerAllocate(ctx, ws); err != nil {
+				t.Fatal(code, err)
+			}
+		},
+		"two clusters": func() {
+			for _, r := range []AllocateRequest{req, other} {
+				if err := s.AllocateInto(ctx, r, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, answer := range paths {
+		// The first calls build the sub-stores and grow the scratch.
+		for i := 0; i < 8; i++ {
+			answer()
+			if ws.resp.Mode != ModeNormal || ws.resp.Allocator != "CRL" {
+				t.Fatalf("%s warmup %d: %+v", name, i, ws.resp)
+			}
 		}
-	}
-	alternate()
-	if ws.resp.Cache != CacheWarm {
-		t.Fatalf("cluster 1 did not answer from the restored policy: %+v", ws.resp)
-	}
-	if avg := testing.AllocsPerRun(100, alternate); avg != 0 {
-		t.Fatalf("warm CRL allocates alternating two clusters: %.2f allocs/op, want 0", avg)
+		if avg := testing.AllocsPerRun(200, answer); avg != 0 {
+			t.Fatalf("crl allocate, %s: %.2f allocs/op, want 0", name, avg)
+		}
 	}
 }
 
 // TestWarmAllocateZeroAllocsDCTA extends the zero-alloc contract to the DCTA
-// path, which bypasses the policy cache: the sub-store memo hit, environment
-// definition, combined scoring (local SVM + general importance) and the greedy
-// pack run entirely on pooled scratch — through AllocateInto, and from the
-// body's bytes to the answer's — and no policy is ever trained for them.
+// path: the sub-store memo hit, environment definition, combined scoring
+// (local SVM + general importance) and the greedy pack run entirely on pooled
+// scratch — through AllocateInto, and from the body's bytes to the answer's.
 func TestWarmAllocateZeroAllocsDCTA(t *testing.T) {
 	cfg := fastConfig()
 	cfg.RefitEvery = 12
@@ -147,15 +136,15 @@ func TestWarmAllocateZeroAllocsDCTA(t *testing.T) {
 			t.Fatalf("DCTA allocate, %s: %.2f allocs/op, want 0", name, avg)
 		}
 	}
-	if st := s.Stats(); st.Cache.Trainings != 0 || st.Cache.Size != 0 || st.DCTABypass != st.Allocates {
-		t.Fatalf("the bypass path touched the policy cache: %+v", st)
+	if st := s.Stats(); st.DCTABypass != st.Allocates {
+		t.Fatalf("not every answer was DCTA's: %+v", st)
 	}
 }
 
 // TestWarmAllocateZeroAllocsWire extends the contract across the codec: from
 // the body bytes of a feature-carrying request to the answer's bytes —
 // everything the handler does between its socket read and its socket write —
-// a warm allocate still allocates nothing.
+// a warm allocate on the crl arm, features and all, still allocates nothing.
 func TestWarmAllocateZeroAllocsWire(t *testing.T) {
 	s, ws := zeroAllocServer(t, fastConfig())
 	ctx := context.Background()
@@ -176,7 +165,7 @@ func TestWarmAllocateZeroAllocsWire(t *testing.T) {
 		t.Fatalf("warm allocate, body bytes to answer bytes: %.2f allocs/op, want 0", avg)
 	}
 	var resp AllocateResponse
-	if err := json.Unmarshal(ws.buf, &resp); err != nil || resp.Cache != CacheHit || len(ws.req.Features) != 6 {
+	if err := json.Unmarshal(ws.buf, &resp); err != nil || resp.Allocator != "CRL" || len(ws.req.Features) != 6 {
 		t.Fatalf("answer %s: %v", ws.buf, err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,70 +15,23 @@ import (
 	"repro/internal/mathx"
 )
 
-// chaosTrainer wraps the real trainer with a seeded fault schedule: each
-// training attempt independently fails, hangs, panics, or succeeds. The
-// schedule is deterministic per seed; the interleaving under load is not,
-// which is the point — the assertions below must hold for every interleaving.
-type chaosTrainer struct {
-	mu                        sync.Mutex
-	rng                       interface{ Float64() float64 }
-	real                      trainFunc
-	fails, hangs, panics, oks int
-}
-
-func (ct *chaosTrainer) train(cluster int) (*core.CRL, []float64, error) {
-	ct.mu.Lock()
-	roll := ct.rng.Float64()
-	switch {
-	case roll < 0.35:
-		ct.fails++
-	case roll < 0.55:
-		ct.hangs++
-	case roll < 0.70:
-		ct.panics++
-	default:
-		ct.oks++
-	}
-	ct.mu.Unlock()
-	switch {
-	case roll < 0.35:
-		return nil, nil, errors.New("chaos: training failed")
-	case roll < 0.55:
-		time.Sleep(80 * time.Millisecond) // well past the TrainBudget
-		return nil, nil, errors.New("chaos: training hung then failed")
-	case roll < 0.70:
-		panic("chaos: training panicked")
-	default:
-		return ct.real(cluster)
-	}
-}
-
-// TestChaosServing is the tentpole's chaos suite: a real HTTP server under
-// concurrent allocate+feedback load while trainings randomly fail, hang, and
-// panic on a seeded schedule. Invariants, for every interleaving:
+// TestChaosServing is the serving chaos suite: a real HTTP server under a
+// seeded, concurrent mix of allocates on both arms, feedback that refits the
+// local model and grows the store (so the DCTA arm switches on mid-run and
+// every cluster's sub-store memo is rebuilt under the readers), and
+// malformed bodies. Invariants, for every interleaving:
 //
 //   - zero 5xx responses — malformed requests 400, everything else 200
-//   - every 200 allocation is feasible for its cluster's environment
-//   - the process survives every injected panic (counted, logged, absorbed)
-//   - the stats ledger is coherent: degraded answers were served, breakers
-//     opened under failure streaks, and panics were converted to failures
+//   - every 200 allocation is feasible and answered in normal mode
+//   - the stats ledger reconciles exactly with the answers clients saw
 //
-// CI runs this (and the rest of the Chaos/FaultTolerant set) under -race
-// with -count=2.
+// CI runs this (and the rest of the Chaos set) under -race with -count=2.
 func TestChaosServing(t *testing.T) {
 	cfg := fastConfig()
-	cfg.TrainBudget = 25 * time.Millisecond
-	cfg.BreakerThreshold = 2
-	cfg.BreakerBackoff = 40 * time.Millisecond
-	cfg.BreakerMaxBackoff = 200 * time.Millisecond
-	cfg.TrainConcurrency = 2
-	cfg.TrainQueue = 2
-	cfg.Logf = func(string, ...any) {} // chaos is noisy by design
+	cfg.RefitEvery = 12
+	cfg.Logf = func(string, ...any) {}
 	const clusters = 4
 	s := serverWithStore(t, cfg, multiClusterStore(t, clusters))
-
-	ct := &chaosTrainer{rng: mathx.NewRand(1234), real: s.cache.train}
-	s.cache.train = ct.train
 
 	ts := httptest.NewServer(NewHandler(s, HTTPOptions{RequestTimeout: 2 * time.Second}))
 	defer ts.Close()
@@ -104,22 +55,30 @@ func TestChaosServing(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				cluster := rng.Intn(clusters)
 				sig := []float64{float64(cluster) + 0.1*(rng.Float64()-0.5)}
+				imp := clusterImportance(cluster % 2)
 				var op string
 				var code int
 				var body string
 				switch roll := rng.Float64(); {
-				case roll < 0.55: // well-formed allocate
+				case roll < 0.35: // auto: DCTA once the local model is fitted
 					op = "allocate"
 					code, body = chaosPost(client, ts.URL+"/v1/allocate",
-						AllocateRequest{Signature: sig})
-				case roll < 0.80: // well-formed feedback
+						AllocateRequest{Signature: sig, Features: mkFeatures(imp, 0.05, int64(w*100+i))})
+				case roll < 0.55:
+					op = "allocate"
+					code, body = chaosPost(client, ts.URL+"/v1/allocate",
+						AllocateRequest{Signature: sig, Allocator: "crl"})
+				case roll < 0.80:
 					op = "feedback"
-					imp := clusterImportance(cluster % 2)
+					if i%3 == 0 {
+						op = "store"
+					}
 					code, body = chaosPost(client, ts.URL+"/v1/feedback", FeedbackRequest{
 						Signature:  sig,
 						Features:   mkFeatures(imp, 0.05, int64(w*100+i)),
 						Allocation: []int{0, 0, 1, 1, core.Unassigned, core.Unassigned},
 						Importance: imp,
+						AddToStore: op == "store",
 					})
 				case roll < 0.90: // malformed: empty signature
 					op = "malformed"
@@ -142,94 +101,60 @@ func TestChaosServing(t *testing.T) {
 	}
 	wg.Wait()
 
-	feasible := 0
+	var allocates, dcta, feedbacks, stored int64
 	for w := range results {
 		for _, r := range results[w] {
-			switch r.op {
-			case "malformed":
+			if r.op == "malformed" {
 				if r.code != http.StatusBadRequest {
-					t.Fatalf("malformed %s got %d (want 400): %s", r.op, r.code, r.body)
+					t.Fatalf("malformed got %d (want 400): %s", r.code, r.body)
 				}
-			default:
-				if r.code != http.StatusOK {
-					t.Fatalf("%s got %d (want 200): %s", r.op, r.code, r.body)
-				}
-				if r.op == "allocate" {
-					var ar AllocateResponse
-					if err := json.Unmarshal([]byte(r.body), &ar); err != nil {
-						t.Fatalf("allocate response decode: %v", err)
-					}
-					if ar.Mode != ModeNormal && ar.Mode != ModeDegraded {
-						t.Fatalf("allocate mode = %q", ar.Mode)
-					}
-					prob := s.problemWithImportance(clusterImportance(ar.Cluster % 2))
-					if err := prob.CheckFeasible(ar.Allocation); err != nil {
-						t.Fatalf("infeasible 200 allocation (mode %s): %v", ar.Mode, err)
-					}
-					feasible++
-				}
+				continue
+			}
+			if r.code != http.StatusOK {
+				t.Fatalf("%s got %d (want 200): %s", r.op, r.code, r.body)
+			}
+			switch r.op {
+			case "feedback":
+				feedbacks++
+				continue
+			case "store":
+				feedbacks++
+				stored++
+				continue
+			}
+			var ar AllocateResponse
+			if err := json.Unmarshal([]byte(r.body), &ar); err != nil {
+				t.Fatalf("allocate response decode: %v", err)
+			}
+			if ar.Mode != ModeNormal || ar.Cache != CacheBypass {
+				t.Fatalf("allocate answered %+v, want normal mode", ar)
+			}
+			if err := s.problemWithImportance(nil).CheckFeasible(ar.Allocation); err != nil {
+				t.Fatalf("infeasible 200 allocation: %v", err)
+			}
+			allocates++
+			if ar.Allocator == "DCTA" {
+				dcta++
 			}
 		}
 	}
-	if feasible == 0 {
-		t.Fatal("chaos load produced no allocate responses")
+	if allocates == 0 || stored == 0 {
+		t.Fatalf("chaos load produced %d allocates and %d stored environments", allocates, stored)
 	}
-
-	// Drain background trainings before auditing the ledger: HTTP waiters may
-	// have degraded and returned while their trainings still run.
-	for s.cache.pending.Load() != 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// The ledger must reflect the chaos the trainer actually injected.
-	ct.mu.Lock()
-	injected := fmt.Sprintf("fails=%d hangs=%d panics=%d oks=%d", ct.fails, ct.hangs, ct.panics, ct.oks)
-	panics, fails := ct.panics, ct.fails+ct.hangs
-	ct.mu.Unlock()
-	t.Logf("chaos schedule: %s", injected)
 	stats := s.Stats()
-	if int(stats.Cache.TrainPanics) != panics {
-		t.Fatalf("TrainPanics = %d, injected %d (%s)", stats.Cache.TrainPanics, panics, injected)
+	if stats.Allocates != allocates || stats.DCTABypass != dcta || stats.DegradedCount != 0 {
+		t.Fatalf("stats: %d allocates (%d DCTA, %d degraded); clients saw %d (%d DCTA)",
+			stats.Allocates, stats.DCTABypass, stats.DegradedCount, allocates, dcta)
 	}
-	if int(stats.Cache.TrainFailures) != fails+panics {
-		t.Fatalf("TrainFailures = %d, injected %d (%s)", stats.Cache.TrainFailures, fails+panics, injected)
-	}
-	if panics+fails > 0 && stats.DegradedCount == 0 {
-		t.Fatalf("chaos injected failures but DegradedCount = 0 (%s)", injected)
+	if stats.Feedbacks != feedbacks || stats.StoreAdds != stored || stats.StoreSize != clusters+int(stored) {
+		t.Fatalf("stats: %d feedbacks, %d store adds, store %d; clients sent %d feedbacks, %d stored",
+			stats.Feedbacks, stats.StoreAdds, stats.StoreSize, feedbacks, stored)
 	}
 	if stats.RecoveredPanics != 0 {
-		t.Fatalf("training panics leaked to the HTTP layer: RecoveredPanics = %d", stats.RecoveredPanics)
+		t.Fatalf("RecoveredPanics = %d", stats.RecoveredPanics)
 	}
-	// With threshold 2 and a fail-heavy schedule, streaks must have opened
-	// breakers; and every breaker must be in a legal state.
-	if fails+panics >= 2*cfg.BreakerThreshold && stats.Cache.BreakerOpens == 0 {
-		t.Fatalf("no breaker opened under %s", injected)
-	}
-	for c := 0; c < clusters; c++ {
-		switch state, _ := s.cache.breakerState(c); state {
-		case BreakerClosed, BreakerOpen, BreakerHalfOpen:
-		default:
-			t.Fatalf("cluster %d breaker in impossible state %q", c, state)
-		}
-	}
-
-	// The service is still healthy after the storm: heal the trainer (safe —
-	// trainings drained above) and a fresh request must eventually serve
-	// normally again once breaker windows elapse.
-	s.cache.train = ct.real
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := s.Allocate(context.Background(), AllocateRequest{Signature: []float64{0}})
-		if err != nil {
-			t.Fatalf("post-chaos allocate: %v", err)
-		}
-		if resp.Mode == ModeNormal {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("service never recovered after chaos: mode=%q reason=%q", resp.Mode, resp.DegradedReason)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if resp, err := s.Allocate(context.Background(), AllocateRequest{Signature: []float64{0}}); err != nil || resp.Mode != ModeNormal {
+		t.Fatalf("post-chaos allocate = %+v, %v", resp, err)
 	}
 }
 
@@ -247,33 +172,4 @@ func chaosPost(client *http.Client, url string, body any) (int, string) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, string(b)
-}
-
-// TestChaosPanickingTrainerDeterministic pins the single-threaded panic
-// contract: a panicking training is absorbed, counted, answered degraded,
-// and counts toward the breaker like any failure.
-func TestChaosPanickingTrainerDeterministic(t *testing.T) {
-	cfg := fastConfig()
-	cfg.BreakerThreshold = 2
-	cfg.Logf = t.Logf
-	s := newTestServer(t, cfg)
-	s.cache.train = func(int) (*core.CRL, []float64, error) { panic("boom") }
-
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		resp, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Mode != ModeDegraded || resp.DegradedReason != DegradedTrainFailed {
-			t.Fatalf("attempt %d: mode=%q reason=%q", i, resp.Mode, resp.DegradedReason)
-		}
-	}
-	stats := s.Stats().Cache
-	if stats.TrainPanics != 2 || stats.TrainFailures != 2 {
-		t.Fatalf("panics=%d failures=%d, want 2/2", stats.TrainPanics, stats.TrainFailures)
-	}
-	if state, _ := s.cache.breakerState(0); state != BreakerOpen {
-		t.Fatalf("breaker = %s after two panics with threshold 2, want open", state)
-	}
 }

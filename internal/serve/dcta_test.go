@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/alloc"
@@ -76,129 +75,100 @@ func referenceDCTA(t *testing.T, template *core.Problem, store *core.Environment
 	return cluster, plan, predicted
 }
 
-// TestDCTAColdNeverTrains: on a cold server whose trainer fails the test if it
-// is ever called, every evaluation epoch of the benchmark's small and paper
-// worlds is answered — as `auto` with features and as `dcta` — bit for bit
-// like the reference above, in normal mode, with no policy consulted; and
-// still so while the training gate is saturated and while every cluster's
-// breaker is open, when a request for the CRL arm is refused (the control
-// that the gate and the breakers really are shut).
-func TestDCTAColdNeverTrains(t *testing.T) {
+// benchWorlds are the benchmark's two worlds: paper
+// (dcta.DefaultScenarioConfig) and small (24 tasks × 5 processors, 40 stored
+// clusters).
+func benchWorlds() map[string]dcta.ScenarioConfig {
 	small := dcta.DefaultScenarioConfig(1)
 	small.Years, small.Tasks, small.Workers = 1, 24, 5
 	small.HistoryContexts, small.EvalContexts, small.CRLEpisodes = 40, 16, 10
-	for name, scnCfg := range map[string]dcta.ScenarioConfig{
-		"small": small,
-		"paper": dcta.DefaultScenarioConfig(1),
-	} {
+	return map[string]dcta.ScenarioConfig{"small": small, "paper": dcta.DefaultScenarioConfig(1)}
+}
+
+// benchServer boots a server on a world the way dcta-server and the
+// benchmark do.
+func benchServer(t *testing.T, scn *dcta.Scenario) *Server {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.CRL.Episodes = scn.Config.CRLEpisodes
+	cfg.Seed = 1
+	cfg.Logf = func(string, ...any) {}
+	s, err := NewServer(scn.Template, scn.Store, scn.Local, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestDCTAColdNeverTrains: on a cold server, every evaluation epoch of the
+// benchmark's small and paper worlds is answered — as `auto` with features
+// and as `dcta` — bit for bit like the reference above, in normal mode.
+func TestDCTAColdNeverTrains(t *testing.T) {
+	for name, scnCfg := range benchWorlds() {
 		t.Run(name, func(t *testing.T) {
 			scn, err := dcta.NewScenario(scnCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig()
-			cfg.CRL.Episodes = scnCfg.CRLEpisodes
-			cfg.Seed = 1
-			cfg.Logf = func(string, ...any) {}
-			s, err := NewServer(scn.Template, scn.Store, scn.Local, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.cache.train = func(cluster int) (*core.CRL, []float64, error) {
-				t.Errorf("training started for cluster %d", cluster)
-				return nil, nil, fmt.Errorf("no training in this test")
-			}
+			s := benchServer(t, scn)
 			// The kNN policy of the default configuration (K unset): core's
 			// default K, blended.
 			crlCfg := core.CRLConfig{K: core.DefaultCRLConfig().K, Blend: true}
 
 			ctx := context.Background()
-			var dctaAnswers, refused int64
-			sweep := func(phase, wantReason string) {
-				for i, ep := range scn.Eval {
-					feats, err := scn.Extractor.Vectors(ep.FeatureCtx)
+			var dctaAnswers int64
+			for i, ep := range scn.Eval {
+				feats, err := scn.Extractor.Vectors(ep.FeatureCtx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cluster, plan, predicted := referenceDCTA(t, scn.Template, scn.Store, scn.Local,
+					s.cfg, crlCfg, ep.Signature, feats)
+				for _, allocator := range []string{"", "dcta"} {
+					resp, err := s.Allocate(ctx, AllocateRequest{Signature: ep.Signature, Features: feats, Allocator: allocator})
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("epoch %d allocator %q: %v", i, allocator, err)
 					}
-					cluster, plan, predicted := referenceDCTA(t, scn.Template, scn.Store, scn.Local,
-						s.cfg, crlCfg, ep.Signature, feats)
-					for _, allocator := range []string{"", "dcta"} {
-						resp, err := s.Allocate(ctx, AllocateRequest{Signature: ep.Signature, Features: feats, Allocator: allocator})
-						if err != nil {
-							t.Fatalf("%s epoch %d allocator %q: %v", phase, i, allocator, err)
-						}
-						dctaAnswers++
-						if resp.Mode != ModeNormal || resp.Cache != CacheBypass || resp.Allocator != "DCTA" ||
-							resp.DegradedReason != "" || resp.TrainNanos != 0 {
-							t.Fatalf("%s epoch %d allocator %q: answered %+v, want a normal DCTA bypass", phase, i, allocator, resp)
-						}
-						if resp.Cluster != cluster ||
-							math.Float64bits(resp.PredictedImportance) != math.Float64bits(predicted) {
-							t.Fatalf("%s epoch %d allocator %q: cluster %d predicted %v, reference cluster %d predicted %v",
-								phase, i, allocator, resp.Cluster, resp.PredictedImportance, cluster, predicted)
-						}
-						if len(resp.Allocation) != len(plan) {
-							t.Fatalf("%s epoch %d: %d allocation entries, reference %d", phase, i, len(resp.Allocation), len(plan))
-						}
-						for j := range plan {
-							if resp.Allocation[j] != plan[j] {
-								t.Fatalf("%s epoch %d allocator %q: task %d on %d, reference %d",
-									phase, i, allocator, j, resp.Allocation[j], plan[j])
-							}
-						}
+					dctaAnswers++
+					if resp.Mode != ModeNormal || resp.Cache != CacheBypass || resp.Allocator != "DCTA" ||
+						resp.DegradedReason != "" || resp.TrainNanos != 0 {
+						t.Fatalf("epoch %d allocator %q: answered %+v, want a normal DCTA answer", i, allocator, resp)
 					}
-					if wantReason == "" {
-						continue
+					if resp.Cluster != cluster ||
+						math.Float64bits(resp.PredictedImportance) != math.Float64bits(predicted) {
+						t.Fatalf("epoch %d allocator %q: cluster %d predicted %v, reference cluster %d predicted %v",
+							i, allocator, resp.Cluster, resp.PredictedImportance, cluster, predicted)
 					}
-					resp, err := s.Allocate(ctx, AllocateRequest{Signature: ep.Signature, Features: feats, Allocator: "crl"})
-					if err != nil {
-						t.Fatal(err)
+					if len(resp.Allocation) != len(plan) {
+						t.Fatalf("epoch %d: %d allocation entries, reference %d", i, len(resp.Allocation), len(plan))
 					}
-					refused++
-					if resp.Mode != ModeDegraded || resp.DegradedReason != wantReason {
-						t.Fatalf("%s epoch %d: the CRL arm answered %q/%q, want degraded/%s",
-							phase, i, resp.Mode, resp.DegradedReason, wantReason)
+					for j := range plan {
+						if resp.Allocation[j] != plan[j] {
+							t.Fatalf("epoch %d allocator %q: task %d on %d, reference %d",
+								i, allocator, j, resp.Allocation[j], plan[j])
+						}
 					}
 				}
 			}
-			sweep("cold", "")
-
-			s.cache.pending.Store(s.cache.maxWait)
-			sweep("gate saturated", DegradedSaturated)
-			s.cache.pending.Store(0)
-
-			for k := 0; k < scn.Store.Len(); k++ {
-				sh := s.cache.shard(k)
-				sh.mu.Lock()
-				sh.breakers[k] = &breaker{state: BreakerOpen, openUntil: s.cfg.Now().Add(time.Hour)}
-				sh.mu.Unlock()
-			}
-			sweep("breakers open", DegradedCircuitOpen)
-
 			st := s.Stats()
-			if st.Cache.Trainings != 0 || st.Cache.Size != 0 {
-				t.Fatalf("DCTA traffic reached the policy cache: %+v", st.Cache)
-			}
-			if st.DCTABypass != dctaAnswers || st.DegradedCount != refused || st.Allocates != dctaAnswers+refused {
-				t.Fatalf("stats: %d bypass, %d degraded of %d allocates; sent %d DCTA and %d refused CRL requests",
-					st.DCTABypass, st.DegradedCount, st.Allocates, dctaAnswers, refused)
+			if st.DCTABypass != dctaAnswers || st.DegradedCount != 0 || st.Allocates != dctaAnswers {
+				t.Fatalf("stats: %d DCTA, %d degraded of %d allocates; sent %d DCTA requests",
+					st.DCTABypass, st.DegradedCount, st.Allocates, dctaAnswers)
 			}
 		})
 	}
 }
 
 // TestDCTADefinesFromCurrentStore hammers DCTA allocates against add_to_store
-// feedback (run under -race in CI) and pins what store growth does to the two
-// arms: the sub-store memo is rebuilt, so a DCTA answer is defined from the
-// store as it is now, while a resident policy keeps the sub-store it was
-// trained over.
+// feedback (run under -race in CI) and pins what store growth does to both
+// arms: the sub-store memo is rebuilt, so an answer is defined from the store
+// as it is now.
 func TestDCTADefinesFromCurrentStore(t *testing.T) {
 	ctx := context.Background()
 	cfg := fastConfig()
 	cfg.ClusterNeighborhood = 2
 	cfg.CRL.K, cfg.CRL.Blend = 2, true
-	cfg.DriftThreshold = -1  // feedback below only grows the store:
-	cfg.RefitEvery = 1 << 30 // no drift retrain, no local refit
+	cfg.RefitEvery = 1 << 30 // feedback below only grows the store
 	local := fittedLocal(t)
 	s, err := NewServer(testTemplate(), twoClusterStore(t), local, cfg)
 	if err != nil {
@@ -226,18 +196,25 @@ func TestDCTADefinesFromCurrentStore(t *testing.T) {
 				t.Fatalf("%s: task %d on %d, reference %d", when, j, resp.Allocation[j], plan[j])
 			}
 		}
+		crl, err := s.Allocate(ctx, crlReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, guard, guardPredicted := referenceCRL(t, s.template, s.store, s.cfg.ClusterNeighborhood, 2, sig)
+		if crl.Allocator != "CRL" || math.Float64bits(crl.PredictedImportance) != math.Float64bits(guardPredicted) {
+			t.Fatalf("%s: crl answered %+v, reference predicted %v", when, crl, guardPredicted)
+		}
+		for j := range guard {
+			if crl.Allocation[j] != guard[j] {
+				t.Fatalf("%s: crl task %d on %d, reference %d", when, j, crl.Allocation[j], guard[j])
+			}
+		}
 		return resp
 	}
 	before := check("before growth")
-
-	trained, err := s.Allocate(ctx, crlReq)
-	if err != nil || trained.Cache != CacheMiss {
-		t.Fatalf("cold CRL allocate = %+v, %v", trained, err)
-	}
-	entry := s.cache.entry(0)
-	trainedOver := entry.crl.Store()
-	if memo, err := s.clusterStore(0); err != nil || memo != trainedOver {
-		t.Fatalf("the training did not take its sub-store from the memo: %p vs %p, %v", memo, trainedOver, err)
+	memoBefore, err := s.clusterStore(0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Growth near cluster 0: its neighbourhood, and so what DCTA defines for
@@ -298,25 +275,10 @@ func TestDCTADefinesFromCurrentStore(t *testing.T) {
 		t.Fatal("growth inside the cluster's neighbourhood did not move what DCTA defines")
 	}
 	memo, err := s.clusterStore(0)
-	if err != nil || memo == trainedOver {
+	if err != nil || memo == memoBefore {
 		t.Fatalf("the memo was not rebuilt on store growth (%v)", err)
 	}
 	if again, _ := s.clusterStore(0); again != memo {
 		t.Fatal("a memo hit built a new sub-store")
-	}
-	// The resident policy still answers, over the sub-store it was trained on.
-	hit, err := s.Allocate(ctx, crlReq)
-	if err != nil || hit.Cache != CacheHit {
-		t.Fatalf("warm CRL allocate after growth = %+v, %v", hit, err)
-	}
-	if s.cache.entry(0) != entry || entry.crl.Store() != trainedOver || trainedOver.Len() != 2 {
-		t.Fatal("store growth touched the resident policy's train-time sub-store")
-	}
-	if hit.PredictedImportance != trained.PredictedImportance {
-		t.Fatalf("the resident policy's answer moved with the store: %v → %v",
-			trained.PredictedImportance, hit.PredictedImportance)
-	}
-	if st := s.Stats(); st.Cache.Trainings != 1 {
-		t.Fatalf("%d trainings, want the one CRL request's", st.Cache.Trainings)
 	}
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -13,51 +11,20 @@ import (
 
 // Degraded-mode reasons (AllocateResponse.DegradedReason).
 const (
-	// DegradedTrainFailed: the cluster's policy training errored or panicked.
-	DegradedTrainFailed = "train_failed"
-	// DegradedTrainBudget: training ran past Config.TrainBudget; it keeps
-	// going in the background while this answer ships.
-	DegradedTrainBudget = "train_budget"
-	// DegradedCircuitOpen: the cluster's breaker refuses trainings.
-	DegradedCircuitOpen = "circuit_open"
-	// DegradedSaturated: the global training gate had no room.
-	DegradedSaturated = "train_saturated"
-	// DegradedDeadline: the request deadline expired while waiting on the
-	// policy path.
-	DegradedDeadline = "deadline"
-	// DegradedDraining: the server is draining; no new trainings start but
-	// in-flight traffic still gets a feasible answer.
+	// DegradedDraining: the server is draining, but in-flight traffic still
+	// gets a feasible answer.
 	DegradedDraining = "draining"
-	// DegradedPolicyError: the warm policy path itself failed (environment
-	// definition, or a rollout that errored or panicked); the cluster's
-	// policy keeps serving later requests.
+	// DegradedPolicyError: the normal path failed for this request (its
+	// environment could not be defined or scored).
 	DegradedPolicyError = "policy_error"
 )
 
-// degradedReason maps a policy-path error to the response tag.
-func degradedReason(err error) string {
-	switch {
-	case errors.Is(err, ErrCircuitOpen):
-		return DegradedCircuitOpen
-	case errors.Is(err, ErrTrainSaturated):
-		return DegradedSaturated
-	case errors.Is(err, ErrTrainBudget):
-		return DegradedTrainBudget
-	case errors.Is(err, context.DeadlineExceeded):
-		return DegradedDeadline
-	default:
-		return DegradedTrainFailed
-	}
-}
-
-// fallbackAllocate is the degraded-mode allocator — the DCTA shape with the
-// expensive learned F₁ replaced by the raw kNN-matched importance: define
-// the environment by inverse-distance-weighted kNN over the historical
-// store (no policy, no DQN), correct with the local SVM when one is fitted
-// and the request carries features (w1·F₁ + w2·F₂, Eq. 6), and pack with
-// the density-greedy knapsack solver. Every step is lock-light and runs in
-// microseconds, so this path answers even while trainings fail, hang, or
-// queue — a feasible allocation always exists (dropping everything is
+// fallbackAllocateInto is the degraded-mode allocator — the DCTA shape over
+// the whole store rather than the cluster's sub-store: define the
+// environment by inverse-distance-weighted kNN over the historical store,
+// correct with the local SVM when one is fitted and the request carries
+// features (w1·F₁ + w2·F₂, Eq. 6), and pack with the density-greedy knapsack
+// solver. A feasible allocation always exists (dropping everything is
 // feasible), so well-formed requests never error here.
 func (s *Server) fallbackAllocateInto(req AllocateRequest, cluster int, start time.Time, reason string, ws *allocWS) error {
 	env, err := s.store.DefineBlended(req.Signature, s.cfg.ClusterNeighborhood)

@@ -19,8 +19,7 @@ const maxBodyBytes = 8 << 20
 
 // HTTPOptions tunes the HTTP front-end.
 type HTTPOptions struct {
-	// RequestTimeout bounds each request's handling, including any policy
-	// training it leads (default 120s — cold paths train).
+	// RequestTimeout bounds each request's handling (default 120s).
 	RequestTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown once the serve context is
 	// canceled (default 10s).
@@ -48,14 +47,11 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 
 // NewHandler wires the service's HTTP/JSON API:
 //
-//	POST /v1/allocate   — AllocateRequest  → AllocateResponse
-//	POST /v1/feedback   — FeedbackRequest  → FeedbackResponse
-//	POST /v1/replicate  — checkpoint-v2 policy push from a primary owner
-//	GET  /v1/stats      — Stats
-//	GET  /v1/checkpoint — checkpoint-v2 export (?clusters=3,17 scopes it,
-//	                      ?after=K&limit=N pages it for anti-entropy pulls)
-//	GET  /v1/cluster    — the node's ClusterNodeStats (or standalone)
-//	GET  /healthz      — liveness
+//	POST /v1/allocate — AllocateRequest  → AllocateResponse
+//	POST /v1/feedback — FeedbackRequest  → FeedbackResponse
+//	GET  /v1/stats    — Stats
+//	GET  /v1/cluster  — the node's ClusterIdentity (or standalone)
+//	GET  /healthz     — liveness
 func NewHandler(s *Server, opts HTTPOptions) http.Handler {
 	return newHandler(s, opts, opts.ExtraRoutes)
 }
@@ -108,8 +104,6 @@ func newHandler(s *Server, opts HTTPOptions, extra map[string]http.HandlerFunc) 
 		}
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	mux.HandleFunc("/v1/replicate", s.handleReplicate)
-	mux.HandleFunc("/v1/checkpoint", s.handleCheckpointExport)
 	mux.HandleFunc("/v1/cluster", s.handleClusterStatus)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		status := "ok"
@@ -144,9 +138,7 @@ func withRecovery(next http.Handler, s *Server) http.Handler {
 	})
 }
 
-// withTimeout attaches a per-request deadline to the request context. The
-// handlers run in the request goroutine, so a coalesced allocate waiting on
-// a slow training gives up when the deadline fires.
+// withTimeout attaches a per-request deadline to the request context.
 func withTimeout(next http.Handler, d time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -215,7 +207,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 // ServeListener runs the HTTP front-end on an existing listener until ctx is
 // canceled, then drains gracefully: the server flips into draining mode
-// (allocates answer degraded without starting trainings, feedback fails fast,
+// (allocates answer through the degraded fallback, feedback fails fast,
 // /healthz reports draining so load balancers stop routing), and in-flight
 // requests get DrainTimeout to finish.
 func ServeListener(ctx context.Context, ln net.Listener, s *Server, opts HTTPOptions) error {

@@ -7,13 +7,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/mathx"
-	"repro/internal/rl"
 )
 
 // testTemplate builds a tight 6-task / 2-processor TATIM structure: each
@@ -60,28 +58,40 @@ func twoClusterStore(t *testing.T) *core.EnvironmentStore {
 	return store
 }
 
-// fastConfig keeps per-cluster training to a few milliseconds.
+// fastConfig is the fixtures' configuration: a cluster's sub-store is its
+// representative alone, and K=1 defines every request's environment as it.
 func fastConfig() Config {
 	cfg := DefaultConfig()
-	cfg.ClusterNeighborhood = 1 // sub-store = the cluster representative
-	cfg.CRL = core.CRLConfig{
-		K:        1,
-		Episodes: 8,
-		Seed:     11,
-		DQN: rl.DQNConfig{
-			Hidden:      []int{16},
-			BatchSize:   8,
-			WarmupSteps: 16,
-			Epsilon:     rl.EpsilonSchedule{Start: 1, End: 0.1, DecaySteps: 60},
-			Seed:        12,
-		},
-	}
+	cfg.ClusterNeighborhood = 1
+	cfg.CRL = core.CRLConfig{K: 1}
 	return cfg
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s, err := NewServer(testTemplate(), twoClusterStore(t), nil, cfg)
+	return serverWithStore(t, cfg, twoClusterStore(t))
+}
+
+// multiClusterStore builds n well-separated environments at signatures
+// 0..n-1, alternating the two importance patterns of clusterImportance.
+func multiClusterStore(t *testing.T, n int) *core.EnvironmentStore {
+	t.Helper()
+	store := core.NewEnvironmentStore()
+	for c := 0; c < n; c++ {
+		if err := store.Add(&core.Environment{
+			Importance: clusterImportance(c % 2),
+			Capacity:   []float64{2, 2},
+			Signature:  []float64{float64(c)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+func serverWithStore(t *testing.T, cfg Config, store *core.EnvironmentStore) *Server {
+	t.Helper()
+	s, err := NewServer(testTemplate(), store, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +110,11 @@ func heavyAssigned(allocation []int, cluster int) error {
 	return nil
 }
 
-// TestConcurrentAllocateSingleflight is the PR's acceptance test: 64
-// concurrent /v1/allocate-equivalent calls against a 2-cluster store must
-// train exactly 2 policies (one per cluster, singleflight) and return
-// correct, mutually identical allocations per cluster.
-func TestConcurrentAllocateSingleflight(t *testing.T) {
+// TestConcurrentAllocateAgrees: 64 concurrent /v1/allocate-equivalent calls
+// on the crl arm against a 2-cluster store return correct, mutually
+// identical allocations per cluster, every one in normal mode from the first
+// request on.
+func TestConcurrentAllocateAgrees(t *testing.T) {
 	s := newTestServer(t, fastConfig())
 	const requests = 64
 	type answer struct {
@@ -127,8 +137,9 @@ func TestConcurrentAllocateSingleflight(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if resp.Cluster != cluster {
-				errs[i] = fmt.Errorf("request %d: cluster %d, want %d", i, resp.Cluster, cluster)
+			if resp.Cluster != cluster || resp.Mode != ModeNormal || resp.Allocator != "CRL" ||
+				resp.Cache != CacheBypass || resp.TrainNanos != 0 {
+				errs[i] = fmt.Errorf("request %d: answered %+v, want a normal CRL answer for cluster %d", i, resp, cluster)
 				return
 			}
 			answers[i] = answer{cluster: resp.Cluster, allocation: resp.Allocation}
@@ -140,18 +151,8 @@ func TestConcurrentAllocateSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := s.Stats()
-	if stats.Cache.Trainings != 2 {
-		t.Fatalf("trainings = %d, want exactly 2 (singleflight)", stats.Cache.Trainings)
-	}
-	if stats.Cache.Misses != 2 {
-		t.Fatalf("misses = %d, want 2", stats.Cache.Misses)
-	}
-	if got := stats.Cache.Hits + stats.Cache.Coalesced; got != requests-2 {
-		t.Fatalf("hits+coalesced = %d, want %d", got, requests-2)
-	}
-	if stats.Allocates != requests {
-		t.Fatalf("allocates = %d", stats.Allocates)
+	if stats := s.Stats(); stats.Allocates != requests || stats.DegradedCount != 0 || stats.DCTABypass != 0 {
+		t.Fatalf("stats = %+v, want %d crl answers", stats, requests)
 	}
 	template := testTemplate()
 	var first [2][]int
@@ -191,7 +192,7 @@ func TestAllocateValidation(t *testing.T) {
 		t.Fatal("signature dimension mismatch accepted")
 	}
 	s.Drain()
-	// Draining allocates still answer — degraded, without starting trainings.
+	// Draining allocates still answer, degraded.
 	resp, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}})
 	if err != nil {
 		t.Fatalf("draining allocate err = %v", err)
@@ -201,68 +202,6 @@ func TestAllocateValidation(t *testing.T) {
 	}
 	if _, err := s.Feedback(ctx, FeedbackRequest{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining feedback err = %v", err)
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	cfg := fastConfig()
-	cfg.CacheCapacity = 1
-	s := newTestServer(t, cfg)
-	ctx := context.Background()
-	for i, want := range []struct {
-		z       float64
-		outcome string
-	}{
-		{0, CacheMiss},
-		{1, CacheMiss}, // evicts cluster 0
-		{0, CacheMiss}, // cold again
-		{0, CacheHit},
-	} {
-		resp, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{want.z}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Cache != want.outcome {
-			t.Fatalf("request %d: cache = %q, want %q", i, resp.Cache, want.outcome)
-		}
-	}
-	stats := s.Stats().Cache
-	if stats.Evictions != 2 || stats.Size != 1 {
-		t.Fatalf("evictions = %d size = %d, want 2 and 1", stats.Evictions, stats.Size)
-	}
-}
-
-func TestCacheTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var clockMu sync.Mutex
-	cfg := fastConfig()
-	cfg.PolicyTTL = time.Minute
-	cfg.Now = func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	s := newTestServer(t, cfg)
-	ctx := context.Background()
-	req := AllocateRequest{Signature: []float64{0}}
-	if resp, err := s.Allocate(ctx, req); err != nil || resp.Cache != CacheMiss {
-		t.Fatalf("first = %v, %v", resp, err)
-	}
-	if resp, err := s.Allocate(ctx, req); err != nil || resp.Cache != CacheHit {
-		t.Fatalf("warm = %v, %v", resp, err)
-	}
-	clockMu.Lock()
-	now = now.Add(2 * time.Minute)
-	clockMu.Unlock()
-	resp, err := s.Allocate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cache != CacheExpired {
-		t.Fatalf("expired outcome = %+v", resp)
-	}
-	if stats := s.Stats().Cache; stats.Expired != 1 || stats.Trainings != 2 {
-		t.Fatalf("cache stats after TTL: %+v", stats)
 	}
 }
 
@@ -290,7 +229,7 @@ func TestFeedbackRefitEnablesDCTA(t *testing.T) {
 	imp := clusterImportance(0)
 	feats := mkFeatures(imp, 0.05, 5)
 
-	// Before any feedback the auto path falls back to CRL.
+	// Before any feedback the auto path takes the crl arm.
 	resp, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0}, Features: feats})
 	if err != nil {
 		t.Fatal(err)
@@ -443,59 +382,6 @@ func TestRefitPublishesOnlyNewer(t *testing.T) {
 	}
 }
 
-func TestDriftInvalidationRetrains(t *testing.T) {
-	s := newTestServer(t, fastConfig())
-	ctx := context.Background()
-	req := AllocateRequest{Signature: []float64{0}}
-	if _, err := s.Allocate(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	// Mild feedback: importance close to the trained snapshot — no drift.
-	near := clusterImportance(0)
-	near[5] += 0.05
-	fb, err := s.Feedback(ctx, FeedbackRequest{
-		Signature:  []float64{0},
-		Features:   mkFeatures(near, 0.05, 31),
-		Allocation: []int{0, 0, 1, core.Unassigned, core.Unassigned, 1},
-		Importance: near,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.DriftInvalidated {
-		t.Fatal("mild importance change invalidated the policy")
-	}
-	if resp, err := s.Allocate(ctx, req); err != nil || resp.Cache != CacheHit {
-		t.Fatalf("after mild feedback: %+v, %v", resp, err)
-	}
-	// The world flips: cluster 0's signature now carries cluster 1's
-	// importance. Drift detection must invalidate and the next allocate
-	// retrain.
-	flipped := clusterImportance(1)
-	fb, err = s.Feedback(ctx, FeedbackRequest{
-		Signature:  []float64{0},
-		Features:   mkFeatures(flipped, 0.05, 32),
-		Allocation: []int{core.Unassigned, core.Unassigned, 0, 0, 1, 1},
-		Importance: flipped,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fb.DriftInvalidated {
-		t.Fatal("importance flip not detected as drift")
-	}
-	resp, err := s.Allocate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cache != CacheDrift {
-		t.Fatalf("post-drift cache = %q", resp.Cache)
-	}
-	if stats := s.Stats().Cache; stats.DriftInvalidations != 1 || stats.Trainings != 2 {
-		t.Fatalf("cache stats after drift: %+v", stats)
-	}
-}
-
 func TestFeedbackGrowsStore(t *testing.T) {
 	s := newTestServer(t, fastConfig())
 	ctx := context.Background()
@@ -518,13 +404,13 @@ func TestFeedbackGrowsStore(t *testing.T) {
 		t.Fatalf("store len = %d, want %d", got, before+1)
 	}
 	// The new environment is now a cluster of its own: a query right on it
-	// must key a fresh policy, not one of the original clusters.
+	// is answered for it, not for one of the original clusters.
 	resp, err := s.Allocate(ctx, AllocateRequest{Signature: []float64{0.45}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Cluster != before || resp.Cache != CacheMiss {
-		t.Fatalf("new-cluster allocate = %+v, want cluster %d miss", resp, before)
+	if resp.Cluster != before || resp.Mode != ModeNormal {
+		t.Fatalf("new-cluster allocate = %+v, want cluster %d, normal", resp, before)
 	}
 	if err := heavyAssigned(resp.Allocation, 1); err != nil {
 		t.Fatal(err)
@@ -541,5 +427,54 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(testTemplate(), core.NewEnvironmentStore(), nil, Config{}); !errors.Is(err, core.ErrEmptyStore) {
 		t.Fatalf("empty store err = %v", err)
+	}
+}
+
+// TestFeedbackSeqDedupe covers the router-replay hazard: feedback refits are
+// not idempotent, so a client-supplied seq must make the second application a
+// visible no-op.
+func TestFeedbackSeqDedupe(t *testing.T) {
+	ctx := context.Background()
+	s := newTestServer(t, fastConfig())
+	executed := []int{0, 0, 1, core.Unassigned, core.Unassigned, 1}
+	req := FeedbackRequest{
+		Signature:  []float64{0},
+		Features:   mkFeatures(clusterImportance(0), 0.05, 60),
+		Allocation: executed,
+		Seq:        41,
+	}
+	first, err := s.Feedback(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Duplicate {
+		t.Fatalf("first application flagged duplicate: %+v", first)
+	}
+	second, err := s.Feedback(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Duplicate {
+		t.Fatalf("replayed seq applied again: %+v", second)
+	}
+	if second.WindowSize != first.WindowSize {
+		t.Fatalf("duplicate moved the window: %d → %d", first.WindowSize, second.WindowSize)
+	}
+	if got := s.Stats().FeedbackDuplicates; got != 1 {
+		t.Fatalf("feedback_duplicates = %d, want 1", got)
+	}
+
+	// A fresh seq and seq-less requests still apply.
+	fresh := req
+	fresh.Seq = 42
+	if resp, err := s.Feedback(ctx, fresh); err != nil || resp.Duplicate {
+		t.Fatalf("fresh seq refused: %+v err=%v", resp, err)
+	}
+	seqless := req
+	seqless.Seq = 0
+	for i := 0; i < 2; i++ {
+		if resp, err := s.Feedback(ctx, seqless); err != nil || resp.Duplicate {
+			t.Fatalf("seq-less feedback %d refused: %+v err=%v", i, resp, err)
+		}
 	}
 }

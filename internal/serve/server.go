@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/mlearn"
-	"repro/internal/rl"
 	"repro/internal/wire"
 )
 
@@ -23,14 +22,13 @@ import (
 const latencyWindow = 4096
 
 // Server is the online allocation service: a concurrent front-end over the
-// per-cluster policy cache, the shared historical store and the online local
+// shared historical store, its per-cluster sub-stores and the online local
 // model. One Server handles any number of concurrent Allocate and Feedback
 // calls; the HTTP layer in http.go is a thin JSON adapter over it.
 type Server struct {
 	cfg      Config
 	template *core.Problem
 	store    *core.EnvironmentStore
-	cache    *policyCache
 
 	// localMu guards the local-model pointer and its generation; the model
 	// itself is immutable after Fit, so requests snapshot the pointer and
@@ -61,13 +59,9 @@ type Server struct {
 	storeAdds atomic.Int64
 	degraded  atomic.Int64
 	panics    atomic.Int64 // handler panics recovered by the HTTP middleware
-	ckptSkips atomic.Int64 // corrupt checkpoint sections skipped on load
 	fbDupes   atomic.Int64 // duplicate feedback requests absorbed by seq dedupe
-	// Which plan a normal answer shipped: a DCTA answer that consulted no
-	// policy, or on the CRL arm the DQN rollout or the greedy guard.
-	dctaBypass     atomic.Int64
-	rolloutShipped atomic.Int64
-	guardShipped   atomic.Int64
+	// dctaBypass counts normal answers that mixed in the local process.
+	dctaBypass atomic.Int64
 
 	// subs memoises clusterStore per cluster, valid while the store is subLen
 	// long: the append-only store changes a neighbourhood only by growing.
@@ -75,19 +69,12 @@ type Server struct {
 	subLen int
 	subs   map[int]*core.EnvironmentStore
 
-	// repl is the replication sender (nil unless EnableReplication ran);
-	// replStop makes Drain's sender shutdown idempotent.
-	repl     *replicator
-	replStop sync.Once
-
-	// Cluster membership (nil while standalone) and warm-handoff counters;
-	// see cluster.go. membership is the gossip plane's stats provider
-	// (nil unless SetMembership ran; see membership.go).
-	clusterMu     sync.Mutex
-	clusterID     *ClusterIdentity
-	membership    func() *MembershipStats
-	handoffServes atomic.Int64
-	handoffPulls  atomic.Int64
+	// Cluster membership (nil while standalone; see cluster.go). membership
+	// is the gossip plane's stats provider (nil unless SetMembership ran;
+	// see membership.go).
+	clusterMu  sync.Mutex
+	clusterID  *ClusterIdentity
+	membership func() *MembershipStats
 
 	latMu   sync.Mutex
 	lat     []int64 // ns ring, most recent latencyWindow allocates
@@ -97,10 +84,6 @@ type Server struct {
 	// wsPool recycles per-request allocate workspaces (allocWS) so the
 	// warm path runs allocation-free.
 	wsPool sync.Pool
-
-	// rollout rolls a resident policy through a request's scratch; tests
-	// swap in failure modes.
-	rollout func(crl *core.CRL, r *core.Rollout, env *core.Environment, out core.Allocation) (core.Allocation, error)
 
 	// fit fits a fresh local model on a refit snapshot; tests hold it to
 	// order overlapping refits.
@@ -119,7 +102,7 @@ func fitLocal(seed int64, samples []alloc.LocalSample) (*alloc.LocalModel, error
 // NewServer builds a service over a problem template (structure only — the
 // importance the service estimates lives in the store) and a non-empty
 // historical environment store. local may be nil: feature-carrying requests
-// then fall back to the CRL path until feedback accumulates a window.
+// then take the crl arm until feedback accumulates a window.
 func NewServer(template *core.Problem, store *core.EnvironmentStore, local *alloc.LocalModel, cfg Config) (*Server, error) {
 	if template == nil {
 		return nil, fmt.Errorf("serve: nil template")
@@ -140,14 +123,9 @@ func NewServer(template *core.Problem, store *core.EnvironmentStore, local *allo
 		lat:      make([]int64, latencyWindow),
 		subLen:   store.Len(),
 		subs:     make(map[int]*core.EnvironmentStore),
-		rollout:  (*core.CRL).RolloutInto,
 		fit:      fitLocal,
 	}
 	s.window.max = cfg.MaxFeedback
-	s.cache = newPolicyCache(cfg, s.trainCluster)
-	if cfg.SpeculateNeighbors > 0 {
-		s.cache.onTrained = s.speculate
-	}
 	s.wsPool.New = func() any { return &allocWS{} }
 	return s, nil
 }
@@ -158,20 +136,17 @@ func (s *Server) Store() *core.EnvironmentStore { return s.store }
 // Template returns (a clone of) the problem structure being served.
 func (s *Server) Template() *core.Problem { return s.template.Clone() }
 
-// Drain flips the server into draining mode: subsequent requests fail fast
-// with ErrDraining while in-flight ones finish. The HTTP layer calls this
-// before shutting the listener down.
-func (s *Server) Drain() {
-	s.draining.Store(true)
-	s.stopReplication()
-}
+// Drain flips the server into draining mode: allocates answer through the
+// degraded fallback and feedback fails fast with ErrDraining while in-flight
+// requests finish. The HTTP layer calls this before shutting the listener
+// down.
+func (s *Server) Drain() { s.draining.Store(true) }
 
 // clusterStore returns a cluster's sub-store: the ClusterNeighborhood stored
 // environments nearest the cluster representative's signature — Alg. 1's
-// per-cluster history, which trainings learn over and DCTA requests define
-// their environment from. A sub-store is immutable once built and shared by
-// every reader; store growth builds a new one, and a policy trained before
-// keeps the one it was trained over.
+// per-cluster history, which every normal answer defines its environment
+// from. A sub-store is immutable once built and shared by every reader; store
+// growth builds a new one.
 func (s *Server) clusterStore(cluster int) (*core.EnvironmentStore, error) {
 	n := s.store.Len()
 	s.subMu.RLock()
@@ -206,136 +181,6 @@ func (s *Server) clusterStore(cluster int) (*core.EnvironmentStore, error) {
 	}
 	s.subMu.Unlock()
 	return sub, nil
-}
-
-// defaultStopWindow is serve's convergence-based early-stop window when the
-// operator leaves CRL.StopWindow at 0: compare the last 3 episode returns
-// against the 3 before (so the plateau check can fire from episode 6 on).
-const defaultStopWindow = 3
-
-// trainCRLConfig resolves the effective per-cluster training configuration:
-// core defaults, deterministic per-cluster seeds, and serve's default
-// early-stopping window (StopWindow < 0 opts out).
-func (s *Server) trainCRLConfig(cluster int) core.CRLConfig {
-	cfg := s.cfg.CRL
-	if cfg.K < 1 {
-		cfg.K = core.DefaultCRLConfig().K
-		cfg.Blend = true
-	}
-	if cfg.Episodes < 1 {
-		cfg.Episodes = core.DefaultCRLConfig().Episodes
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = s.cfg.Seed + int64(cluster)*7919
-	}
-	if cfg.DQN.Seed == 0 {
-		cfg.DQN.Seed = cfg.Seed + 1
-	}
-	switch {
-	case cfg.StopWindow == 0:
-		cfg.StopWindow = defaultStopWindow
-	case cfg.StopWindow < 0:
-		cfg.StopWindow = 0
-	}
-	return cfg
-}
-
-// trainCluster is the cache's trainFunc: train a CRL over the cluster's
-// neighborhood sub-store. Seeding is deterministic per cluster; with warm
-// starting enabled (the default) the trained weights additionally depend on
-// which neighbour policies were resident, so identical deployments converge
-// to equivalent — not bitwise-identical — caches.
-func (s *Server) trainCluster(cluster int) (*core.CRL, []float64, error) {
-	return s.trainClusterMode(cluster, nil)
-}
-
-// trainClusterMode is trainCluster with an optional between-episode
-// interrupt hook — the speculative pre-trainer's yield check. The cold-start
-// pipeline: seed from the nearest trained neighbour when one is resident
-// (shrinking the episode budget to WarmEpisodeFrac), then train with
-// convergence-based early stopping.
-func (s *Server) trainClusterMode(cluster int, interrupt func() bool) (*core.CRL, []float64, error) {
-	rep, err := s.store.At(cluster)
-	if err != nil {
-		return nil, nil, err
-	}
-	sub, err := s.clusterStore(cluster)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := s.trainCRLConfig(cluster)
-	cfg.Interrupt = interrupt
-	var donor *core.CRL
-	var prov core.WarmStart
-	if !s.cfg.DisableWarmStart {
-		if donor, prov = s.nearestTrainedDonor(cluster, rep.Signature); donor != nil {
-			// A transferred policy only fine-tunes: cut the episode budget to
-			// the warm fraction. Below the plateau detector's 2×window floor
-			// the cut itself is the early exit (Train just runs the budget).
-			warmEp := int(float64(cfg.Episodes) * s.cfg.WarmEpisodeFrac)
-			if warmEp < 1 {
-				warmEp = 1
-			}
-			if warmEp < cfg.Episodes {
-				cfg.Episodes = warmEp
-			}
-		}
-	}
-	// Every policy reads the server's one template, so a request's rollout
-	// scratch moves between clusters without rebuilding.
-	crl, err := core.NewCRL(s.template, sub, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if donor != nil {
-		if err := crl.WarmStartFrom(donor, prov); err != nil {
-			// Shape mismatch cannot happen on a shared template; if it ever
-			// does, training from scratch is the safe degradation.
-			s.cfg.Logf("serve: warm start cluster %d from %d: %v (training from scratch)",
-				cluster, prov.Source, err)
-		} else {
-			s.cache.warmStarts.Add(1)
-		}
-	}
-	res, err := crl.Train()
-	if err != nil {
-		return nil, nil, err
-	}
-	if res.StopReason == rl.StopPlateau {
-		s.cache.earlyStops.Add(1)
-	}
-	return crl, mathx.Clone(rep.Importance), nil
-}
-
-// nearestTrainedDonor scans the resident, healthy policies for the one whose
-// cluster signature is nearest to sig — the warm-start neighbour selection
-// rule. Returns nil when no other cluster has a usable policy. Reading a
-// resident entry's model is safe concurrently: resolved policies are only
-// ever read (rollouts write request-owned scratch), and WarmStartFrom only
-// reads the donor.
-func (s *Server) nearestTrainedDonor(cluster int, sig []float64) (*core.CRL, core.WarmStart) {
-	var best *core.CRL
-	bestKey, bestDist := -1, math.Inf(1)
-	for _, sh := range s.cache.shards {
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			if key == cluster || !e.resolved || e.err != nil || e.crl == nil {
-				continue
-			}
-			env, err := s.store.At(key)
-			if err != nil || len(env.Signature) != len(sig) {
-				continue
-			}
-			if d := mathx.EuclideanDistance(sig, env.Signature); d < bestDist {
-				best, bestKey, bestDist = e.crl, key, d
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if best == nil {
-		return nil, core.WarmStart{}
-	}
-	return best, core.WarmStart{Source: bestKey, Distance: bestDist}
 }
 
 // The request and response bodies are defined, with their codec, in
@@ -375,18 +220,22 @@ func checkFeatures(m [][]float64) error {
 
 // Serving modes (AllocateResponse.Mode).
 const (
-	// ModeNormal answered by the allocator the request selected: a cached
-	// policy (CRL) or, consulting none, DCTA over the cluster's sub-store.
+	// ModeNormal answered by the allocator the request selected, over the
+	// cluster's sub-store: DCTA, or the crl arm's pack on the defined
+	// importance.
 	ModeNormal = "normal"
-	// ModeDegraded answered from the greedy fallback because the policy
-	// path was unavailable (see DegradedReason).
+	// ModeDegraded answered from the greedy fallback (see DegradedReason).
 	ModeDegraded = "degraded"
 )
 
-// allocWS is the per-request workspace for the warm allocate path: the body
+// CacheBypass is every answer's AllocateResponse.Cache: no policy is cached
+// or consulted, each answer is computed directly from the store.
+const CacheBypass = "bypass"
+
+// allocWS is the per-request workspace for the allocate path: the body
 // buffer, the decode target, the response, and every scratch buffer the
-// pipeline needs — the policy rollout's included — pooled so a steady-state
-// warm request (cache hit) performs zero allocations end to end.
+// pipeline needs, pooled so a steady-state request (its cluster's sub-store
+// built) performs zero allocations end to end.
 type allocWS struct {
 	buf  []byte           // request body in, encoded response out
 	req  AllocateRequest  // HTTP decode target (slice capacity reused)
@@ -395,11 +244,9 @@ type allocWS struct {
 	env      core.Environment // kNN-defined environment
 	knn      core.KNNScratch
 	pack     alloc.PackScratch
-	combined []float64 // DCTA mixed scores
-	featBuf  []float64 // local-model per-task feature scratch
-	rollout  core.Rollout
+	combined []float64       // DCTA mixed scores
+	featBuf  []float64       // local-model per-task feature scratch
 	plan     core.Allocation // the plan the answer ships
-	guard    core.Allocation
 }
 
 func (s *Server) getWS() *allocWS { return s.wsPool.Get().(*allocWS) }
@@ -424,17 +271,13 @@ func importanceOf(a core.Allocation, imp []float64) float64 {
 }
 
 // Allocate answers one allocation query. Safe for arbitrary concurrency:
-// store reads are lock-protected, every request rolls its cluster's resident
-// policy through its own workspace (the policy is only read), and the local
-// model is immutable-after-Fit.
+// store reads are lock-protected, every request defines and packs through
+// its own workspace, and the local model is immutable-after-Fit.
 //
 // Availability contract: once the request is validated, Allocate answers.
-// Any policy-path failure — a training that errors, panics, outlives the
-// TrainBudget or the request deadline, an open circuit breaker, a saturated
-// training gate, draining, or a rollout that errors or panics — routes to
-// the degraded fallback allocator (fallback.go), which always produces a
-// feasible allocation. Only malformed requests and a canceled caller context
-// error.
+// While draining, or if the normal path fails, the degraded fallback
+// allocator (fallback.go) answers, and it always produces a feasible
+// allocation. Only malformed requests error.
 func (s *Server) Allocate(ctx context.Context, req AllocateRequest) (*AllocateResponse, error) {
 	ws := s.getWS()
 	defer s.putWS(ws)
@@ -450,7 +293,7 @@ func (s *Server) Allocate(ctx context.Context, req AllocateRequest) (*AllocateRe
 // allocation entry point the HTTP layer and benchmarks use. ws must come
 // from getWS (or be zero-initialized) and must not be reused until the
 // response has been consumed.
-func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allocWS) error {
+func (s *Server) AllocateInto(_ context.Context, req AllocateRequest, ws *allocWS) error {
 	start := s.cfg.Now()
 	ws.resp = AllocateResponse{Allocation: ws.resp.Allocation[:0]}
 	if len(req.Signature) == 0 {
@@ -473,7 +316,6 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 		// store, impossible after NewServer) is a client error.
 		return fmt.Errorf("%w: cluster lookup: %v", ErrBadRequest, err)
 	}
-	// DCTA or CRL is decided here, once: only a CRL answer reads a policy.
 	local := s.localModel()
 	fitted := local != nil && local.Fitted()
 	useDCTA := false
@@ -491,50 +333,51 @@ func (s *Server) AllocateInto(ctx context.Context, req AllocateRequest, ws *allo
 		useDCTA = fitted && len(req.Features) == len(s.template.Tasks)
 	}
 	if s.draining.Load() {
-		// Draining-but-not-yet-stopped: never start a training, but keep
-		// answering until the listener closes.
 		return s.fallbackAllocateInto(req, cluster, start, DegradedDraining, ws)
 	}
-	if useDCTA {
-		err = s.dctaAllocateInto(req, cluster, local, start, ws)
-		if errors.Is(err, ErrBadRequest) {
-			return err
-		}
-	} else {
-		entry, outcome, gerr := s.cache.get(ctx, cluster)
-		if gerr != nil {
-			if errors.Is(gerr, context.Canceled) {
-				return gerr // the caller is gone; no one reads the answer
-			}
-			return s.fallbackAllocateInto(req, cluster, start, degradedReason(gerr), ws)
-		}
-		err = s.policyAllocateInto(req.Signature, cluster, entry, outcome, start, ws)
-	}
-	if err != nil {
-		s.cfg.Logf("serve: policy path cluster %d: %v (answering degraded)", cluster, err)
+	if err := s.defineInto(req.Signature, cluster, ws); err != nil {
+		s.cfg.Logf("serve: cluster %d: %v (answering degraded)", cluster, err)
 		return s.fallbackAllocateInto(req, cluster, start, DegradedPolicyError, ws)
 	}
+	if !useDCTA {
+		// The crl arm: the greedy pack on the defined importance, to full
+		// coverage.
+		ws.plan, _ = alloc.PackByScoreInto(s.template, ws.env.Importance, 1.0, ws.plan, &ws.pack)
+		s.answerInto(ws, cluster, "CRL", start)
+		return nil
+	}
+	err = s.dctaPlanInto(req.Features, local, ws)
+	if errors.Is(err, ErrBadRequest) {
+		return err
+	}
+	if err != nil {
+		s.cfg.Logf("serve: cluster %d: %v (answering degraded)", cluster, err)
+		return s.fallbackAllocateInto(req, cluster, start, DegradedPolicyError, ws)
+	}
+	s.dctaBypass.Add(1)
+	s.answerInto(ws, cluster, "DCTA", start)
 	return nil
 }
 
-// dctaAllocateInto answers a request that mixes in the local process: Eq. 6's
-// F = w1·F1 + w2·F2 packed to the coverage target. F1 is the kNN-matched
-// importance, so the answer reads no DQN: the environment is defined straight
-// from the cluster's sub-store, under the kNN policy a training of the cluster
-// would be configured with, and scores and packing run on request-local
-// scratch. Nothing here touches the policy cache, the training gate or a
-// breaker, so the request never waits for, starts or is refused a training.
-func (s *Server) dctaAllocateInto(req AllocateRequest, cluster int, local *alloc.LocalModel,
-	start time.Time, ws *allocWS) error {
+// defineInto defines the request's environment in ws.env: the kNN policy of
+// Config.CRL over the cluster's sub-store.
+func (s *Server) defineInto(sig []float64, cluster int, ws *allocWS) error {
 	sub, err := s.clusterStore(cluster)
 	if err != nil {
 		return fmt.Errorf("serve: cluster store: %w", err)
 	}
-	if err := s.trainCRLConfig(cluster).DefineEnvironmentInto(sub, req.Signature, &ws.env, &ws.knn); err != nil {
+	if err := s.cfg.CRL.DefineEnvironmentInto(sub, sig, &ws.env, &ws.knn); err != nil {
 		return fmt.Errorf("serve: define environment: %w", err)
 	}
+	return nil
+}
+
+// dctaPlanInto mixes the local process into the defined importance, Eq. 6's
+// F = w1·F1 + w2·F2, and packs it to the coverage target into ws.plan.
+func (s *Server) dctaPlanInto(features [][]float64, local *alloc.LocalModel, ws *allocWS) error {
+	var err error
 	ws.combined, ws.featBuf, err = alloc.CombineScoresInto(
-		local, ws.env.Importance, req.Features, s.cfg.W1, s.cfg.W2, ws.combined, ws.featBuf)
+		local, ws.env.Importance, features, s.cfg.W1, s.cfg.W2, ws.combined, ws.featBuf)
 	if errors.Is(err, mlearn.ErrBadShape) {
 		// The rows are not as wide as the rows the model was fitted on.
 		return fmt.Errorf("%w: features: %v", ErrBadRequest, err)
@@ -543,64 +386,18 @@ func (s *Server) dctaAllocateInto(req AllocateRequest, cluster int, local *alloc
 		return fmt.Errorf("serve: dcta: %w", err)
 	}
 	ws.plan, _ = alloc.PackByScoreInto(s.template, ws.combined, s.cfg.CoverageTarget, ws.plan, &ws.pack)
-	s.dctaBypass.Add(1)
-	s.answerInto(ws, cluster, CacheBypass, "DCTA", start)
 	return nil
-}
-
-// policyAllocateInto is the warm CRL path. The environment is defined against
-// the entry's cluster sub-store, and the entry's policy — shared by every
-// request for the cluster, and only read — rolls through the request's own
-// workspace, guarded by a greedy pack on the defined importance
-// (CRLAllocator semantics: the better of rollout and guard ships).
-func (s *Server) policyAllocateInto(sig []float64, cluster int,
-	entry *policyEntry, outcome string, start time.Time, ws *allocWS) error {
-	if err := entry.crl.DefineEnvironmentInto(sig, &ws.env, &ws.knn); err != nil {
-		return fmt.Errorf("serve: define environment: %w", err)
-	}
-	if err := s.rollInto(entry.crl, ws); err != nil {
-		return fmt.Errorf("serve: crl rollout: %w", err)
-	}
-	// Greedy guard: whenever the rollout captures less of the defined
-	// importance than a greedy pack would, the guard's plan ships.
-	ws.guard, _ = alloc.PackByScoreInto(s.template, ws.env.Importance, 1.0, ws.guard, &ws.pack)
-	if importanceOf(ws.guard, ws.env.Importance) > importanceOf(ws.plan, ws.env.Importance) {
-		ws.plan, ws.guard = ws.guard, ws.plan
-		s.guardShipped.Add(1)
-	} else {
-		s.rolloutShipped.Add(1)
-	}
-	s.answerInto(ws, cluster, outcome, "CRL", start)
-	if outcome == CacheMiss || outcome == CacheExpired || outcome == CacheDrift {
-		ws.resp.TrainNanos = int64(entry.trainDur)
-	}
-	return nil
-}
-
-// rollInto rolls crl for ws.env into ws.plan. A panicking rollout becomes an
-// error, so the request degrades and the process lives; the workspace's
-// scratch, which the panic may have left half-written, is dropped. The policy
-// itself was only read, so its entry keeps serving.
-func (s *Server) rollInto(crl *core.CRL, ws *allocWS) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ws.rollout = core.Rollout{}
-			err = fmt.Errorf("rollout panicked: %v", r)
-		}
-	}()
-	ws.plan, err = s.rollout(crl, &ws.rollout, &ws.env, ws.plan)
-	return err
 }
 
 // answerInto writes the normal-mode answer for the plan in ws.plan.
-func (s *Server) answerInto(ws *allocWS, cluster int, cache, allocator string, start time.Time) {
+func (s *Server) answerInto(ws *allocWS, cluster int, allocator string, start time.Time) {
 	latency := s.cfg.Now().Sub(start)
 	s.allocates.Add(1)
 	s.recordLatency(latency)
 	resp := &ws.resp
 	resp.Allocation = append(resp.Allocation[:0], ws.plan...)
 	resp.Cluster = cluster
-	resp.Cache = cache
+	resp.Cache = CacheBypass
 	resp.Allocator = allocator
 	resp.Mode = ModeNormal
 	resp.PredictedImportance = importanceOf(ws.plan, ws.env.Importance)
@@ -639,7 +436,6 @@ type FeedbackResponse struct {
 	// Refitted is true when this request refit the local model and the fit
 	// was published; a fit that a newer window's fit overtook is dropped.
 	Refitted          bool `json:"refitted"`
-	DriftInvalidated  bool `json:"drift_invalidated"`
 	StoredEnvironment bool `json:"stored_environment"`
 	// Duplicate is true when the request's Seq was already applied here; the
 	// request changed nothing.
@@ -738,34 +534,27 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 		}
 	}
 
-	if len(req.Signature) > 0 && len(req.Importance) > 0 {
-		cluster, _, err := s.store.NearestIndex(req.Signature)
-		if err != nil {
-			return nil, fmt.Errorf("serve: feedback cluster lookup: %w", err)
+	if req.AddToStore && len(req.Signature) > 0 && len(req.Importance) > 0 {
+		caps := make([]float64, len(s.template.Processors))
+		for i, pr := range s.template.Processors {
+			caps[i] = pr.Capacity
 		}
-		resp.DriftInvalidated = s.cache.noteImportance(cluster, req.Importance)
-		if req.AddToStore {
-			caps := make([]float64, len(s.template.Processors))
-			for i, pr := range s.template.Processors {
-				caps[i] = pr.Capacity
+		imp := make([]float64, len(s.template.Tasks))
+		for i := range imp {
+			if i < len(req.Importance) {
+				imp[i] = mathx.Clamp(req.Importance[i], 0, 1)
 			}
-			imp := make([]float64, len(s.template.Tasks))
-			for i := range imp {
-				if i < len(req.Importance) {
-					imp[i] = mathx.Clamp(req.Importance[i], 0, 1)
-				}
-			}
-			env := &core.Environment{
-				Importance: imp,
-				Capacity:   caps,
-				Signature:  mathx.Clone(req.Signature),
-			}
-			if err := s.store.Add(env); err != nil {
-				return nil, fmt.Errorf("serve: feedback store add: %w", err)
-			}
-			s.storeAdds.Add(1)
-			resp.StoredEnvironment = true
 		}
+		env := &core.Environment{
+			Importance: imp,
+			Capacity:   caps,
+			Signature:  mathx.Clone(req.Signature),
+		}
+		if err := s.store.Add(env); err != nil {
+			return nil, fmt.Errorf("serve: feedback store add: %w", err)
+		}
+		s.storeAdds.Add(1)
+		resp.StoredEnvironment = true
 	}
 	s.feedbacks.Add(1)
 	return resp, nil
@@ -835,32 +624,23 @@ type Stats struct {
 	// DegradedCount is the number of allocations answered by the fallback
 	// path (subset of Allocates).
 	DegradedCount int64 `json:"degraded"`
-	// DCTABypass counts normal answers that consulted no policy (DCTA);
-	// RolloutShipped and GuardShipped split the CRL answers by which plan
-	// shipped, the DQN rollout or the greedy guard on the defined importance.
-	DCTABypass     int64 `json:"dcta_bypass"`
-	RolloutShipped int64 `json:"rollout_shipped"`
-	GuardShipped   int64 `json:"guard_shipped"`
-	Feedbacks      int64 `json:"feedbacks"`
-	Refits         int64 `json:"refits"`
-	StoreSize      int   `json:"store_size"`
-	StoreAdds      int64 `json:"store_adds"`
-	WindowSize     int   `json:"feedback_window"`
+	// DCTABypass counts normal answers that mixed in the local process
+	// (DCTA); the other normal answers are the crl arm's.
+	DCTABypass int64 `json:"dcta_bypass"`
+	Feedbacks  int64 `json:"feedbacks"`
+	Refits     int64 `json:"refits"`
+	StoreSize  int   `json:"store_size"`
+	StoreAdds  int64 `json:"store_adds"`
+	WindowSize int   `json:"feedback_window"`
 	// RecoveredPanics counts HTTP handler panics absorbed by the recovery
 	// middleware.
 	RecoveredPanics int64 `json:"recovered_panics"`
-	// CheckpointSkips counts corrupt checkpoint sections skipped on restore.
-	CheckpointSkips int64 `json:"checkpoint_skips"`
 	// FeedbackDuplicates counts feedback requests absorbed by seq dedupe.
 	FeedbackDuplicates int64        `json:"feedback_duplicates"`
-	Cache              CacheStats   `json:"cache"`
 	Latency            LatencyStats `json:"latency"`
-	// Cluster is the shard's identity and handoff counters when the node is
-	// part of a cluster deployment (absent standalone).
-	Cluster *ClusterNodeStats `json:"cluster,omitempty"`
-	// Replication is the push-queue ledger when the replication sender is
-	// enabled (absent otherwise; receiver-side counters live in Cache).
-	Replication *ReplicationStats `json:"replication,omitempty"`
+	// Cluster is the shard's identity when the node is part of a cluster
+	// deployment (absent standalone).
+	Cluster *ClusterIdentity `json:"cluster,omitempty"`
 	// Membership is the gossip membership plane's view and protocol
 	// counters when the node gossips (absent standalone).
 	Membership *MembershipStats `json:"membership,omitempty"`
@@ -876,20 +656,15 @@ func (s *Server) Stats() Stats {
 		Allocates:          s.allocates.Load(),
 		DegradedCount:      s.degraded.Load(),
 		DCTABypass:         s.dctaBypass.Load(),
-		RolloutShipped:     s.rolloutShipped.Load(),
-		GuardShipped:       s.guardShipped.Load(),
 		Feedbacks:          s.feedbacks.Load(),
 		Refits:             s.refits.Load(),
 		StoreSize:          s.store.Len(),
 		StoreAdds:          s.storeAdds.Load(),
 		WindowSize:         window,
 		RecoveredPanics:    s.panics.Load(),
-		CheckpointSkips:    s.ckptSkips.Load(),
 		FeedbackDuplicates: s.fbDupes.Load(),
-		Cache:              s.cache.stats(),
 		Latency:            s.latencyStats(),
-		Cluster:            s.clusterNodeStats(),
-		Replication:        s.replicationStats(),
+		Cluster:            s.ClusterIdentity(),
 		Membership:         s.membershipStats(),
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/core"
 )
 
-// TestTrainingHeapBudget bounds what one served warm-started training may
+// TestTrainingHeapBudget bounds what one warm-started training may
 // allocate, everything included — the model, its target network and gradient
 // buffers, the replay ring, the episode loop: 1.0 MB on the small world
 // (24×5; was 2.3 MB) and 8 MB on the paper world (50×9; was 12.5 MB). Before
@@ -27,10 +27,10 @@ func TestTrainingHeapBudget(t *testing.T) {
 		{"small", newTrainWorld(t, smallScenario(t)), 1.0e6},
 		{"paper", newTrainWorld(t, benchScenario(t)), 8e6},
 	} {
-		donor := tc.w.train(t, 0, nil, nil)
+		donor := tc.w.train(t, 0, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		tc.w.train(t, 1, donor, nil)
+		tc.w.train(t, 1, donor)
 		runtime.ReadMemStats(&after)
 		grown := after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s world: one warm-started training allocated %d bytes", tc.name, grown)
@@ -50,9 +50,9 @@ func liveHeap() uint64 {
 }
 
 // TestResidentPolicyHeapBudget bounds what is held, not what was allocated on
-// the way: a paper-world policy trained by serve's recipe and kept resident —
-// both networks, no replay ring, no mini-batch or gradient scratch — stays
-// within 2 MB of live heap (1.2 MB measured over one scratch and three
+// the way: a paper-world policy trained by training_test.go's recipe and kept
+// resident — both networks, no replay ring, no mini-batch or gradient scratch
+// — stays within 2 MB of live heap (1.2 MB measured over one scratch and three
 // warm-started trainings; 5.9 MB while a finished training kept its ring), and
 // a built scenario within 8 MB (5.8 MB measured on a 2-CPU amd64 host; 6.6 MB
 // while the build also trained the offline CRL, 35 MB when that CRL kept its
@@ -64,7 +64,7 @@ func TestResidentPolicyHeapBudget(t *testing.T) {
 	before := liveHeap()
 	var donor *core.CRL
 	for c := 0; c < policies; c++ {
-		donor = w.train(t, c, donor, nil)
+		donor = w.train(t, c, donor)
 		resident = append(resident, donor)
 	}
 	per := float64(liveHeap()-before) / policies

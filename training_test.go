@@ -1,10 +1,10 @@
 package dcta_test
 
-// The served training: serve.trainClusterMode's recipe — a cluster's
-// neighbourhood sub-store, per-cluster seeds, the 3-episode plateau window,
-// a quarter of the episode budget when a donor warm-starts it — rebuilt on
-// the benchmark's two worlds, for the recorded-hash test below, the heap
-// budget in training_alloc_test.go and BenchmarkCRLTrain.
+// The per-cluster training recipe the benchmark times (bench/sut.go) — a
+// cluster's neighbourhood sub-store, per-cluster seeds, the 3-episode
+// plateau window, a quarter of the episode budget when a donor warm-starts
+// it — rebuilt on the benchmark's two worlds, for the recorded-hash test
+// below, the heap budget in training_alloc_test.go and BenchmarkCRLTrain.
 
 import (
 	"crypto/sha256"
@@ -74,15 +74,14 @@ func newTrainWorld(tb testing.TB, scn *dcta.Scenario) *trainWorld {
 }
 
 // train trains cluster c's policy from scratch, or fine-tunes it from donor on
-// the warm-start budget; interrupt is the speculative pre-trainer's hook.
-func (w *trainWorld) train(tb testing.TB, c int, donor *core.CRL, interrupt func() bool) *core.CRL {
+// the warm-start budget.
+func (w *trainWorld) train(tb testing.TB, c int, donor *core.CRL) *core.CRL {
 	tb.Helper()
 	cfg := core.CRLConfig{
 		K: core.DefaultCRLConfig().K, Blend: true,
 		Episodes:   w.scn.Config.CRLEpisodes,
 		Seed:       1 + int64(c)*7919,
 		StopWindow: 3,
-		Interrupt:  interrupt,
 	}
 	cfg.DQN.Seed = cfg.Seed + 1
 	if donor != nil {
@@ -163,11 +162,10 @@ func (w *trainWorld) allocationsHash(tb testing.TB, crl *core.CRL) (int, string)
 
 // TestSeededTrainingMatchesRecordedHashes holds seeded training to what it
 // was before the learning step was cut down (bootstrap memo, live-column
-// gradient step, allocation-free episode loop): three policies trained on the
-// paper world by serve's recipe — from scratch, warm-started from that one,
-// and warm-started from the second under the speculative pre-trainer's
-// interrupt hook — end with the online weights, and give over all 72 epochs
-// the allocations, recorded at the commit before (PR 13). The hashes are of
+// gradient step, allocation-free episode loop): two policies trained on the
+// paper world by the recipe above — from scratch, and warm-started from that
+// one — end with the online weights, and give over all 72 epochs the
+// allocations, recorded before that work. The hashes are of
 // float bit patterns, and Go fuses multiply-adds on some architectures, so
 // the record holds for amd64.
 func TestSeededTrainingMatchesRecordedHashes(t *testing.T) {
@@ -175,9 +173,8 @@ func TestSeededTrainingMatchesRecordedHashes(t *testing.T) {
 		t.Skipf("hashes recorded on amd64, running on %s", runtime.GOARCH)
 	}
 	w := newTrainWorld(t, benchScenario(t))
-	scratch := w.train(t, 0, nil, nil)
-	warm := w.train(t, 1, scratch, nil)
-	speculative := w.train(t, 2, warm, func() bool { return false })
+	scratch := w.train(t, 0, nil)
+	warm := w.train(t, 1, scratch)
 	for _, rec := range []struct {
 		name                 string
 		crl                  *core.CRL
@@ -185,7 +182,6 @@ func TestSeededTrainingMatchesRecordedHashes(t *testing.T) {
 	}{
 		{"scratch", scratch, "05f1590759b6119b", "88837be22632dfa4"},
 		{"warm-started", warm, "fdae7a14605a44f1", "fa189556f651e8eb"},
-		{"speculative", speculative, "88a549756ef49abc", "98dd6329d0846330"},
 	} {
 		if got := weightsHash(t, rec.crl); got != rec.weights {
 			t.Errorf("%s: online weights hash %s, recorded %s", rec.name, got, rec.weights)
