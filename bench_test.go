@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net"
 	"runtime"
 	"slices"
 	"strconv"
@@ -18,7 +19,10 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/edgenet"
+	"repro/internal/edgesim"
 	"repro/internal/knapsack"
 	"repro/internal/mathx"
 	"repro/internal/mlearn"
@@ -845,6 +849,46 @@ func BenchmarkSolverScaling(b *testing.B) {
 	for _, p := range points {
 		if p.ExactMicros > 0 {
 			b.ReportMetric(p.ExactMicros, "exact_us_n"+strconv.Itoa(p.Tasks))
+		}
+	}
+}
+
+// BenchmarkEdgeDispatch measures one Controller.Run of a 50-task plan on 9
+// instant edgenet workers at the paper's 0.8 coverage, run after run as the
+// edge_pt workload dispatches its plans: the fleet's sessions carry over
+// from one run to the next, so an op is the dispatch, the completions and
+// the cancel barrier, not the dial and greeting.
+func BenchmarkEdgeDispatch(b *testing.B) {
+	const tasks, workers = 50, 9
+	addrs := make([]string, workers)
+	p := &core.Problem{TimeLimit: 100}
+	for i := range addrs {
+		w := &edgenet.Worker{ID: i + 1, Type: edgesim.RaspberryPiB}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Serve(l); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { w.Close() })
+		addrs[i] = w.Addr()
+		p.Processors = append(p.Processors, core.Processor{ID: i, Capacity: 100, SpeedFactor: 1})
+	}
+	res := &alloc.Result{Allocation: make(core.Allocation, tasks), Priority: make([]float64, tasks)}
+	for j := 0; j < tasks; j++ {
+		imp := 1 / float64(j+1) // a long tail, as the paper's importance
+		p.Tasks = append(p.Tasks, core.TaskSpec{ID: j, Importance: imp, TimeCost: 1, InputBits: 1000})
+		res.Allocation[j], res.Priority[j] = j%workers, imp
+	}
+	ctx := context.Background()
+	if _, err := edgenet.NewController().Run(ctx, addrs, p, res, 0.8); err != nil { // greet once
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := edgenet.NewController().Run(ctx, addrs, p, res, 0.8); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,5 +358,50 @@ func TestRejoinCompletesRun(t *testing.T) {
 	}
 	if report.Workers[1] != w.ID {
 		t.Fatalf("Workers = %v, want rejoin slot 1 -> worker %d", report.Workers, w.ID)
+	}
+}
+
+// TestRunClosesUnechoedSession pins the cancel barrier's bound: when the
+// echo of a run's cancel hangs in the link, Run returns within the
+// session's liveness window, and the next run does not reuse the session
+// (it would hear nothing on it) but dials again and completes.
+func TestRunClosesUnechoedSession(t *testing.T) {
+	const beat = 20 * time.Millisecond
+	w := chaosWorker(t, 1, beat, 0)
+	var cancels atomic.Int32 // each session's relay runs the decider
+	hangP, err := netfault.New(w.Addr(), func(i int, env *edgenet.Envelope) netfault.Action {
+		if env != nil && env.Type == edgenet.MsgCancel && cancels.Add(1) == 1 {
+			return netfault.Hang
+		}
+		return netfault.Pass
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hangP.Close() })
+
+	ctrl := edgenet.NewController()
+	ctrl.Tick = 5 * time.Millisecond
+	window := time.Duration(3) * beat // the default LivenessMisses × the cadence
+	p, res := chaosPlan(2, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for run := 0; run < 2; run++ {
+		start := time.Now()
+		report, err := ctrl.Run(ctx, []string{hangP.Addr()}, p, res, 1.0)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		elapsed := time.Since(start)
+		assertUniqueCompletions(t, report, p, 2)
+		if report.DeadWorkers != 0 {
+			t.Fatalf("run %d: DeadWorkers = %d, want 0", run, report.DeadWorkers)
+		}
+		if run == 0 && (elapsed < window || elapsed > window+time.Second) {
+			t.Fatalf("run with a hung echo took %v, want the %v window and little more", elapsed, window)
+		}
+	}
+	if got := hangP.Counts(); got.Hung != 1 {
+		t.Fatalf("hang ledger = %+v, want exactly 1 hang", got)
 	}
 }

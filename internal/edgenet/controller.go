@@ -1,12 +1,10 @@
 package edgenet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/alloc"
@@ -81,7 +79,8 @@ type Report struct {
 //
 // The zero value works; the knobs below tune Run's failure detector.
 type Controller struct {
-	// DialTimeout bounds each worker connection attempt.
+	// DialTimeout bounds how long Run waits to dial and greet a worker
+	// that has no idle session in the fleet.
 	DialTimeout time.Duration
 	// LivenessMisses is K: a worker that announced a heartbeat cadence and
 	// then misses K consecutive windows — each its cadence, but at least
@@ -162,15 +161,20 @@ func planQueues(p *core.Problem, res *alloc.Result, workers int) (queues [][]int
 	}
 	prio := planPriority(res)
 	for _, q := range queues {
-		sort.Slice(q, func(a, b int) bool {
-			pa, pb := prio(q[a]), prio(q[b])
-			if pa != pb {
-				return pa > pb
-			}
-			return q[a] < q[b]
-		})
+		sortByPriority(q, prio)
 	}
 	return queues, assigned, nil
+}
+
+// sortByPriority orders tasks by descending priority, ties by task index.
+func sortByPriority(q []int, prio func(int) float64) {
+	sort.Slice(q, func(a, b int) bool {
+		pa, pb := prio(q[a]), prio(q[b])
+		if pa != pb {
+			return pa > pb
+		}
+		return q[a] < q[b]
+	})
 }
 
 func planPriority(res *alloc.Result) func(int) float64 {
@@ -203,43 +207,6 @@ func prepare(addrs []string, p *core.Problem, res *alloc.Result, coverageTarget 
 		return nil, 0, 0, err
 	}
 	return queues, assigned, coverageTarget * p.TotalImportance(), nil
-}
-
-// greeting is one worker's outcome of greet: its connection and hello, or
-// the error that stopped it.
-type greeting struct {
-	conn  net.Conn
-	hello *Envelope
-	err   error
-}
-
-// greet dials every address and reads its hello, all workers at once. The
-// dial and the hello are each bounded by DialTimeout, and a cancelled ctx
-// stops the dial. Slot i of the result belongs to addrs[i].
-func (c *Controller) greet(ctx context.Context, addrs []string) []greeting {
-	out := make([]greeting, len(addrs))
-	dialer := net.Dialer{Timeout: c.DialTimeout}
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := dialer.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				out[i].err = fmt.Errorf("edgenet dial worker %d (%s): %w", i, addr, err)
-				return
-			}
-			hello, err := readHello(conn, c.DialTimeout)
-			if err != nil {
-				conn.Close()
-				out[i].err = fmt.Errorf("edgenet hello from worker %d: %w", i, err)
-				return
-			}
-			out[i] = greeting{conn: conn, hello: hello}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // readHello reads the worker's greeting, bounded by a read deadline so a

@@ -399,7 +399,8 @@ func TestWorkerRejectsProtocolViolation(t *testing.T) {
 
 // TestRunBoundsMuteGreeting: a peer that accepts the connection but never
 // says hello is dead from the start, within about DialTimeout even under a
-// context with no deadline; its tasks run on the live worker.
+// context with no deadline; its tasks run on the live worker. Only the
+// first run waits for it.
 func TestRunBoundsMuteGreeting(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -437,6 +438,25 @@ func TestRunBoundsMuteGreeting(t *testing.T) {
 	}
 	if _, ok := report.Workers[1]; ok {
 		t.Fatalf("mute worker admitted: %v", report.Workers)
+	}
+
+	// The mute greeting goes on in the background: a second run treats the
+	// address as dead at once instead of waiting for it again.
+	start = time.Now()
+	again, err := ctrl.Run(context.Background(), []string{addrs[0], l.Addr().String()}, p, res, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= ctrl.DialTimeout/2 {
+		t.Fatalf("second run took %v: it waited for the mute greeting again", elapsed)
+	}
+	if len(again.Completions) != 4 {
+		t.Fatalf("second run completions = %d, want 4", len(again.Completions))
+	}
+	for _, comp := range again.Completions {
+		if comp.WorkerID != 1 {
+			t.Fatalf("second run: task %d completed on worker %d, want 1", comp.Task, comp.WorkerID)
+		}
 	}
 }
 

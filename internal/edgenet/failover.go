@@ -3,8 +3,6 @@ package edgenet
 import (
 	"context"
 	"fmt"
-	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,14 +13,12 @@ import (
 // ErrAllWorkersDown is returned when no worker remains to run the plan.
 var ErrAllWorkersDown = fmt.Errorf("edgenet: all workers down")
 
-// ftWorker is one dispatch-pool member. All fields below conn/out are owned
-// by the event loop; the read/write goroutines touch only conn and the
-// channels.
+// ftWorker is one session's membership of one run's dispatch pool. Its
+// fields are owned by the event loop.
 type ftWorker struct {
 	slot int // dispatch-pool slot (key in Report.Workers)
 	id   int // announced worker ID
-	conn net.Conn
-	out  chan *Envelope
+	s    *session
 
 	secPerBit float64
 	timeScale float64
@@ -32,8 +28,10 @@ type ftWorker struct {
 	busy     int   // task in flight, -1 when idle
 	queue    []int // planned backlog, priority-ordered
 	lastBeat time.Time
-	misses   int // consecutive heartbeat windows missed
-	corrupt  int // corrupt frames seen on this connection
+	misses   int       // consecutive heartbeat windows missed
+	corrupt  int       // corrupt frames seen on this connection
+	cancelBy time.Time // set once the run's MsgCancel is sent: the echo's deadline
+	echoed   bool      // the echo arrived: the session may serve the next run
 }
 
 type ftEventKind int
@@ -44,13 +42,14 @@ const (
 	evCorrupt
 	evGone
 	evJoin
+	evEcho // the worker's MsgCancel echo
 )
 
 type ftEvent struct {
 	w    *ftWorker
 	kind ftEventKind
 	env  *Envelope // evDone only
-	// at is when the reader goroutine read the frame: a sign of life dates
+	// at is when the session's reader read the frame: a sign of life dates
 	// from its arrival, not from when the event loop got to it.
 	at time.Time
 }
@@ -71,9 +70,10 @@ type ftRun struct {
 	prio    func(int) float64
 	report  *Report
 	start   time.Time // dispatch start, once the initial pool is greeted
-	runCtx  context.Context
 	events  chan ftEvent
-	wg      *sync.WaitGroup
+	stop    chan struct{}  // closed once the run is over: no more events
+	ticker  *time.Ticker   // the failure detector's scan
+	wg      sync.WaitGroup // the rejoin listener's goroutines
 	workers []*ftWorker
 	tasks   []ftTask
 	backlog []int // unowned tasks awaiting a worker, priority-ordered
@@ -85,23 +85,28 @@ type ftRun struct {
 	ready   bool // the coverage target was met: the run is over
 }
 
-// Run connects to the workers (addrs[i] serves processor i of the problem),
-// greeting all of them at once, and streams the allocation's tasks in
-// priority order, one task in flight per worker. Each worker runs the tasks
-// the plan placed on it; another worker takes a task only when it is
-// orphaned. Run returns at the first completion that covers the coverage
-// target, or once every assigned task has completed, whichever comes first;
-// a zero target (a plan without importance) is met at that last
-// completion. Either way the connections are closed, so workers stop the
-// tasks still executing. A caller that needs every task run passes coverage
-// 1.0.
+// Run executes the allocation on the workers (addrs[i] serves processor i
+// of the problem), one task in flight per worker, streaming each worker's
+// tasks in priority order. Each worker runs the tasks the plan placed on
+// it; another worker takes a task only when it is orphaned. Run returns at
+// the first completion that covers the coverage target, or once every
+// assigned task has completed, whichever comes first; a zero target (a
+// plan without importance) is met at that last completion. A caller that
+// needs every task run passes coverage 1.0.
+//
+// Sessions outlive the run: Run takes each address's idle session from a
+// process-wide fleet, dialing only where there is none. Whichever way it
+// returns, Run first ends the run with the cancel barrier (barrier), so a
+// worker's tasks still executing stop before Run returns.
 //
 // Workers fail the way nodes of a WiFi testbed do — they stall, crash or
 // corrupt bytes rather than cleanly disconnecting — and none of that fails
 // the run:
 //
 //   - a worker that cannot be dialed, or sends no hello within DialTimeout,
-//     is dead from the start: its tasks are orphaned.
+//     is dead from the start: its tasks are orphaned. Its greeting goes on
+//     in the background and later Runs treat the address as dead without
+//     waiting, until the hello arrives and the session joins the fleet.
 //   - liveness: workers announce a heartbeat cadence in their hello; a
 //     window is that cadence, but never shorter than Tick, the detector's
 //     own resolution. A worker missing LivenessMisses consecutive windows
@@ -128,21 +133,14 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 		return nil, err
 	}
 
-	// Defer order matters: cancel must fire before wg.Wait so blocked
-	// reads/writes unblock (LIFO: register Wait first).
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	r := &ftRun{
 		c:      c,
 		p:      p,
 		prio:   planPriority(res),
 		report: &Report{Workers: make(map[int]int, len(addrs))},
-		runCtx: runCtx,
 		events: make(chan ftEvent, 128),
-		wg:     &wg,
+		stop:   make(chan struct{}),
+		ticker: time.NewTicker(c.tick()),
 		tasks:  make([]ftTask, len(p.Tasks)),
 		slots:  len(addrs),
 		total:  assigned,
@@ -153,23 +151,16 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 			r.tasks[j].planned = true
 		}
 	}
-
-	// Close every connection when the run ends so blocked frame reads and
-	// writes unblock; worker goroutines then drain via evGone.
-	defer func() {
-		for _, w := range r.workers {
-			w.conn.Close()
-		}
-	}()
+	defer r.end()
 
 	// Greet the initial pool. A worker that cannot be dialed or greeted
 	// counts as failed at t=0: its queue lands in the backlog.
-	for i, g := range c.greet(runCtx, addrs) {
-		if g.err != nil {
+	for i, s := range c.greet(ctx, addrs) {
+		if s == nil {
 			r.backlogTasks(queues[i])
 			continue
 		}
-		w := ftWorkerFromHello(g.conn, g.hello, len(p.Tasks))
+		w := newFTWorker(s)
 		w.slot = i
 		w.queue = queues[i]
 		r.admit(w)
@@ -185,26 +176,25 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	// into the pool by the event loop.
 	if c.RejoinListener != nil {
 		ln := c.RejoinListener
-		defer ln.Close()
-		wg.Add(1)
+		r.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer r.wg.Done()
 			for {
 				conn, err := ln.Accept()
 				if err != nil {
 					return
 				}
-				wg.Add(1)
+				r.wg.Add(1)
 				go func() {
-					defer wg.Done()
+					defer r.wg.Done()
 					hello, err := readHello(conn, 5*time.Second)
 					if err != nil {
 						conn.Close()
 						return
 					}
-					w := ftWorkerFromHello(conn, hello, len(p.Tasks))
+					w := newFTWorker(startSession("", conn, hello))
 					if !r.send(ftEvent{w: w, kind: evJoin}) {
-						conn.Close()
+						w.s.close()
 					}
 				}()
 			}
@@ -217,13 +207,11 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	for _, w := range r.workers {
 		r.dispatch(w)
 	}
-	ticker := time.NewTicker(c.tick())
-	defer ticker.Stop()
 	for !r.over() {
 		select {
 		case ev := <-r.events:
 			r.handle(ev)
-		case <-ticker.C:
+		case <-r.ticker.C:
 			r.scan(time.Now())
 		case <-ctx.Done():
 			return nil, fmt.Errorf("edgenet run: %w", ctx.Err())
@@ -235,93 +223,100 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	if r.target <= 0 {
 		r.report.DecisionReadyAt = time.Since(r.start)
 	}
-	// The deferred cleanup tears the run down as a cancelled context does:
-	// closing the connections stops the workers' tasks still executing.
 	return r.report, nil
+}
+
+// end closes the run: no more rejoins, the cancel barrier, and then each
+// echoed session goes back to the fleet and every other one is closed.
+func (r *ftRun) end() {
+	if r.c.RejoinListener != nil {
+		r.c.RejoinListener.Close()
+	}
+	r.barrier()
+	r.ticker.Stop()
+	close(r.stop)
+	r.wg.Wait()
+	for len(r.events) > 0 { // a join the barrier did not see
+		if ev := <-r.events; ev.kind == evJoin {
+			ev.w.s.close()
+		}
+	}
+	for _, w := range r.workers {
+		if w.echoed {
+			pool(w.s)
+		} else {
+			w.s.close()
+		}
+	}
+}
+
+// barrier sends MsgCancel on every live outbound session and waits for the
+// echoes, dropping the frames before them uncounted. A session that does
+// not echo within its liveness window is closed: a worker that cannot
+// confirm it stopped must not carry completions into the next run.
+func (r *ftRun) barrier() {
+	now := time.Now()
+	for _, w := range r.workers {
+		if w.alive && w.s.addr != "" && w.s.send(&Envelope{Type: MsgCancel}) {
+			w.cancelBy = now.Add(time.Duration(r.c.livenessMisses()) * r.beatWindow(w))
+		}
+	}
+	for r.awaitingEcho() {
+		select {
+		case ev := <-r.events:
+			switch ev.kind {
+			case evEcho:
+				ev.w.echoed = !ev.w.cancelBy.IsZero()
+			case evJoin:
+				ev.w.s.close()
+			}
+		case now := <-r.ticker.C:
+			for _, w := range r.workers {
+				if !w.cancelBy.IsZero() && !w.echoed && now.After(w.cancelBy) {
+					w.s.close()
+				}
+			}
+		}
+	}
+}
+
+func (r *ftRun) awaitingEcho() bool {
+	for _, w := range r.workers {
+		if !w.cancelBy.IsZero() && !w.echoed && !w.s.closed() {
+			return true
+		}
+	}
+	return false
 }
 
 // over is Run's termination rule: the coverage target was met, or every
 // assigned task has completed.
 func (r *ftRun) over() bool { return r.ready || r.done >= r.total }
 
-func ftWorkerFromHello(conn net.Conn, hello *Envelope, tasks int) *ftWorker {
+func newFTWorker(s *session) *ftWorker {
 	return &ftWorker{
-		id:        hello.WorkerID,
-		conn:      conn,
-		out:       make(chan *Envelope, 2*tasks+16),
-		secPerBit: hello.SecPerBit,
-		timeScale: hello.TimeScale,
-		beatEvery: time.Duration(hello.HeartbeatSec * float64(time.Second)),
+		id:        s.hello.WorkerID,
+		s:         s,
+		secPerBit: s.hello.SecPerBit,
+		timeScale: s.hello.TimeScale,
+		beatEvery: time.Duration(s.hello.HeartbeatSec * float64(time.Second)),
 		busy:      -1,
 	}
 }
 
-// admit installs a worker into the pool and starts its IO goroutines.
+// admit installs a worker into the pool and attaches its session to the
+// run. A session whose reader ended before it was attached is dead.
 func (r *ftRun) admit(w *ftWorker) {
 	w.alive = true
 	w.lastBeat = time.Now()
 	r.workers = append(r.workers, w)
 	r.live++
 	r.report.Workers[w.slot] = w.id
-	r.wg.Add(2)
-	go func() {
-		defer r.wg.Done()
-		r.readLoop(w)
-	}()
-	go func() {
-		defer r.wg.Done()
-		r.writeLoop(w)
-	}()
-}
-
-// readLoop turns one connection's frames into events. Aligned decode
-// failures (checksum, validation) are survivable corruption; everything
-// else ends the connection.
-func (r *ftRun) readLoop(w *ftWorker) {
-	for {
-		env, err := ReadFrame(w.conn)
-		at := time.Now()
-		if err != nil {
-			if StreamAligned(err) {
-				if !r.send(ftEvent{w: w, kind: evCorrupt, at: at}) {
-					return
-				}
-				continue
-			}
-			r.send(ftEvent{w: w, kind: evGone})
-			return
-		}
-		switch env.Type {
-		case MsgDone:
-			if !r.send(ftEvent{w: w, kind: evDone, env: env, at: at}) {
-				return
-			}
-		case MsgHeartbeat:
-			if !r.send(ftEvent{w: w, kind: evBeat, at: at}) {
-				return
-			}
-		default:
-			// A well-formed frame the worker should never send: treat it
-			// like line corruption so a confused peer gets quarantined
-			// rather than trusted.
-			if !r.send(ftEvent{w: w, kind: evCorrupt, at: at}) {
-				return
-			}
-		}
-	}
-}
-
-func (r *ftRun) writeLoop(w *ftWorker) {
-	for {
-		select {
-		case env := <-w.out:
-			if err := WriteFrame(w.conn, env); err != nil {
-				r.send(ftEvent{w: w, kind: evGone})
-				return
-			}
-		case <-r.runCtx.Done():
-			return
-		}
+	w.s.mu.Lock()
+	w.s.run, w.s.w = r, w
+	w.s.mu.Unlock()
+	if w.s.closed() {
+		r.kill(w)
 	}
 }
 
@@ -329,7 +324,7 @@ func (r *ftRun) send(ev ftEvent) bool {
 	select {
 	case r.events <- ev:
 		return true
-	case <-r.runCtx.Done():
+	case <-r.stop:
 		return false
 	}
 }
@@ -338,7 +333,8 @@ func (r *ftRun) handle(ev ftEvent) {
 	w := ev.w
 	switch ev.kind {
 	case evJoin:
-		w.slot = r.nextSlot()
+		w.slot = r.slots
+		r.slots++
 		r.report.Rejoins++
 		r.admit(w)
 		r.dispatch(w)
@@ -351,7 +347,7 @@ func (r *ftRun) handle(ev ftEvent) {
 			r.noteAlive(w, ev.at)
 			r.handleDone(w, ev.env)
 		}
-	case evCorrupt:
+	case evCorrupt, evEcho: // an echo outside the barrier was never asked for
 		if w.alive {
 			r.noteAlive(w, ev.at) // a corrupt frame is still a sign of life
 			r.handleCorrupt(w)
@@ -359,12 +355,6 @@ func (r *ftRun) handle(ev ftEvent) {
 	case evGone:
 		r.kill(w)
 	}
-}
-
-func (r *ftRun) nextSlot() int {
-	slot := r.slots
-	r.slots++
-	return slot
 }
 
 func (r *ftRun) noteAlive(w *ftWorker, at time.Time) {
@@ -428,7 +418,7 @@ func (r *ftRun) kill(w *ftWorker) {
 	w.alive = false
 	r.live--
 	r.report.DeadWorkers++
-	w.conn.Close() // unblocks its read/write goroutines
+	w.s.close()
 	if w.busy >= 0 {
 		st := &r.tasks[w.busy]
 		if st.owners > 0 {
@@ -469,9 +459,7 @@ func (r *ftRun) scan(now time.Time) {
 		if !w.alive || w.beatEvery <= 0 {
 			continue
 		}
-		// A cadence finer than the scan is judged at the scan's resolution.
-		window := max(w.beatEvery, r.c.tick())
-		if missed := int(now.Sub(w.lastBeat) / window); missed > w.misses {
+		if missed := int(now.Sub(w.lastBeat) / r.beatWindow(w)); missed > w.misses {
 			r.report.HeartbeatMisses += missed - w.misses
 			w.misses = missed
 		}
@@ -479,6 +467,12 @@ func (r *ftRun) scan(now time.Time) {
 			r.kill(w)
 		}
 	}
+}
+
+// beatWindow is one heartbeat window of w: its cadence, but a cadence finer
+// than the scan is judged at the scan's resolution.
+func (r *ftRun) beatWindow(w *ftWorker) time.Duration {
+	return max(w.beatEvery, r.c.tick())
 }
 
 func (r *ftRun) idleWorker() *ftWorker {
@@ -528,31 +522,22 @@ func trimDone(q []int, tasks []ftTask) []int {
 }
 
 // assign marks w busy on task j (as one more in-flight copy) and queues
-// the assignment frame. The out channel is sized so this never blocks the
-// event loop; a full channel means the writer is long gone, so the worker
-// is treated as dead.
+// the assignment frame.
 func (r *ftRun) assign(w *ftWorker, j int) {
 	w.busy = j
 	r.tasks[j].owners++
-	t := r.p.Tasks[j]
-	r.tasks[j].deadline = time.Now().Add(r.deadlineFor(w, t))
-	env := &Envelope{Type: MsgAssign, TaskID: j, InputBits: t.InputBits, Importance: t.Importance}
-	select {
-	case w.out <- env:
-	default:
-		r.kill(w)
-	}
+	r.resend(w, j)
 }
 
-// resend re-queues the in-flight assignment after a corrupt frame without
-// touching the owner count (the same worker still holds the same task).
+// resend queues the assignment of w's in-flight task j with a fresh
+// deadline; after a corrupt frame it re-sends it without touching the
+// owner count. The session's queue never fills while its writer lives, so
+// a full one means the worker is dead.
 func (r *ftRun) resend(w *ftWorker, j int) {
 	t := r.p.Tasks[j]
 	r.tasks[j].deadline = time.Now().Add(r.deadlineFor(w, t))
 	env := &Envelope{Type: MsgAssign, TaskID: j, InputBits: t.InputBits, Importance: t.Importance}
-	select {
-	case w.out <- env:
-	default:
+	if !w.s.send(env) {
 		r.kill(w)
 	}
 }
@@ -566,13 +551,7 @@ func (r *ftRun) deadlineFor(w *ftWorker, t core.TaskSpec) time.Duration {
 
 func (r *ftRun) pushBacklog(j int) {
 	r.backlog = append(r.backlog, j)
-	sort.Slice(r.backlog, func(a, b int) bool {
-		pa, pb := r.prio(r.backlog[a]), r.prio(r.backlog[b])
-		if pa != pb {
-			return pa > pb
-		}
-		return r.backlog[a] < r.backlog[b]
-	})
+	sortByPriority(r.backlog, r.prio)
 }
 
 func (r *ftRun) backlogTasks(q []int) {

@@ -11,8 +11,8 @@ import (
 // (checksum, validation) means the whole frame was consumed and the stream
 // is still readable.
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed corpus: valid frames in both directions, plus the classic
-	// corruptions.
+	// Seed corpus: valid frames in both directions (a cancel goes both
+	// ways), plus the classic corruptions.
 	var buf bytes.Buffer
 	WriteFrame(&buf, &Envelope{Type: MsgAssign, TaskID: 3, InputBits: 1000, Importance: 0.5}) //nolint:errcheck
 	f.Add(append([]byte(nil), buf.Bytes()...))
@@ -27,6 +27,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{frameMagic0, 'x', frameVersion, 0, 0, 0, 0})  // bad magic
 	f.Add(rawFrame(2, []byte("{}")))                           // typeless
 	f.Add(rawFrame(0xFFFFFFFF, nil))                           // oversized
+	// A run's cancel, or its echo.
+	buf.Reset()
+	WriteFrame(&buf, &Envelope{Type: MsgCancel, WorkerID: 7}) //nolint:errcheck
+	f.Add(append([]byte(nil), buf.Bytes()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

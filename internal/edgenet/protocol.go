@@ -1,9 +1,10 @@
 // Package edgenet is a runnable network implementation of the paper's edge
-// system (Fig. 8): a controller that dials worker nodes over TCP, streams
-// task assignments in allocation-priority order, and declares the industry
-// decision ready once the completed tasks cover the importance target — the
-// same PT semantics as internal/edgesim, but over real sockets with real
-// goroutines, timeouts and graceful shutdown.
+// system (Fig. 8): a controller that keeps a standing TCP session to each
+// worker node, streams task assignments over it in allocation-priority
+// order, and declares the industry decision ready once the completed tasks
+// cover the importance target — the same PT semantics as internal/edgesim,
+// but over real sockets with real goroutines, timeouts and graceful
+// shutdown.
 //
 // Every frame is
 //
@@ -78,6 +79,11 @@ const (
 	// MsgHeartbeat is the worker's periodic liveness beacon, worker →
 	// controller, interleaved with completions on the same stream.
 	MsgHeartbeat MsgType = "beat"
+	// MsgCancel ends a run without ending the connection, controller →
+	// worker: the worker stops its in-flight task, drops the assigns queued
+	// behind it and echoes MsgCancel back, worker → controller. Every frame
+	// the worker sent before the echo belongs to the run that ended.
+	MsgCancel MsgType = "cancel"
 )
 
 // Envelope is the wire representation of every message.

@@ -121,7 +121,9 @@ func (w *Worker) untrack(conn net.Conn) {
 	w.mu.Unlock()
 }
 
-// handle speaks the protocol on one controller connection.
+// handle speaks the protocol on one controller connection, which outlives
+// any one run: a controller ends a run with MsgCancel, not a hangup, and
+// sends the next run's assigns on the same connection.
 func (w *Worker) handle(conn net.Conn) {
 	if !w.track(conn) {
 		return
@@ -161,13 +163,20 @@ func (w *Worker) handle(conn net.Conn) {
 			}
 		}()
 	}
-	// The reader runs beside the executing task, so a hangup or any frame
-	// other than an assign stops the task mid-execution: an abandoned task
-	// never runs alongside the controller's next plan. Assigns that arrive
-	// mid-task queue behind it and run in order; the buffer holds them so
-	// the reader stays free to see a hangup. Controllers keep at most one
-	// task in flight plus an occasional re-send, so 16 never fills.
-	assigns := make(chan *Envelope, 16)
+	// The reader runs beside the executing task, so a hangup or a cancel
+	// stops the task mid-execution: an abandoned task never runs alongside
+	// the controller's next plan. Assigns that arrive mid-task queue behind
+	// it, so the reader stays free; a controller keeps one task in flight
+	// plus an occasional re-send, so 16 never fills. Each queued frame
+	// carries the stop channel current when it was read, and a cancel
+	// closes it: the task executing stops, the assigns queued ahead of the
+	// cancel are dropped, and the cancel's echo is the last frame of the run
+	// it ends.
+	type job struct {
+		env  *Envelope
+		stop chan struct{}
+	}
+	in := make(chan job, 16)
 	hangup, quit := make(chan struct{}), make(chan struct{})
 	defer func() {
 		close(quit)
@@ -176,6 +185,7 @@ func (w *Worker) handle(conn net.Conn) {
 	}()
 	go func() {
 		defer close(hangup)
+		stop := make(chan struct{})
 		for {
 			env, err := ReadFrame(conn)
 			if err != nil {
@@ -189,36 +199,44 @@ func (w *Worker) handle(conn net.Conn) {
 				}
 				return // EOF, broken pipe, or framing lost
 			}
-			if env.Type != MsgAssign {
+			switch env.Type {
+			case MsgAssign:
+			case MsgCancel:
+				close(stop)
+				stop = make(chan struct{})
+			default:
 				return // a protocol violation: drop the connection
 			}
 			select {
-			case assigns <- env:
+			case in <- job{env, stop}:
 			case <-quit:
 				return
 			}
 		}
 	}()
 	for {
-		var env *Envelope
+		var j job
 		select {
-		case env = <-assigns:
+		case j = <-in:
 		case <-hangup:
 			return
 		}
-		start := time.Now()
-		if !w.execute(env.InputBits, hangup) {
-			return
-		}
-		done := &Envelope{
-			Type:          MsgDone,
-			WorkerID:      w.ID,
-			TaskID:        env.TaskID,
-			Importance:    env.Importance,
-			ElapsedMicros: time.Since(start).Microseconds(),
+		reply := &Envelope{Type: MsgCancel, WorkerID: w.ID} // the echo, unless a task completes
+		if j.env.Type == MsgAssign {
+			select {
+			case <-j.stop:
+				continue // queued ahead of a cancel: dropped
+			default:
+			}
+			start := time.Now()
+			if !w.execute(j.env.InputBits, hangup, j.stop) {
+				continue // cancelled, or hung up: the loop's select tells
+			}
+			reply.Type, reply.TaskID, reply.Importance = MsgDone, j.env.TaskID, j.env.Importance
+			reply.ElapsedMicros = time.Since(start).Microseconds()
 		}
 		wm.Lock()
-		err := WriteFrame(conn, done)
+		err := WriteFrame(conn, reply)
 		wm.Unlock()
 		if err != nil {
 			return
@@ -227,13 +245,14 @@ func (w *Worker) handle(conn net.Conn) {
 }
 
 // execute simulates the task's computation by sleeping its duration. It
-// reports false when abort closes first: the task is dropped unfinished.
+// reports false when hangup or abort closes first: the task is dropped
+// unfinished.
 //
 // Go rounds a sub-millisecond sleep up to about 1 ms in an otherwise idle
 // process (go1.24 on a 2-CPU Intel Xeon host, mean of 50 sleeps: 50 µs →
 // 0.99 ms, 150 µs → 1.11 ms, 500 µs → 1.09 ms, 2.9 ms → 3.21 ms), so at
 // small TimeScales short tasks take longer than their simulated time.
-func (w *Worker) execute(inputBits float64, abort <-chan struct{}) bool {
+func (w *Worker) execute(inputBits float64, hangup, abort <-chan struct{}) bool {
 	if w.TimeScale <= 0 {
 		return true
 	}
@@ -246,6 +265,8 @@ func (w *Worker) execute(inputBits float64, abort <-chan struct{}) bool {
 	select {
 	case <-timer.C:
 		return true
+	case <-hangup:
+		return false
 	case <-abort:
 		return false
 	}

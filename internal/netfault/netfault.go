@@ -237,13 +237,16 @@ func (p *Proxy) relay(ctrl net.Conn) {
 			p.event(Drop)
 			return
 		}
+		// Count before the write, as Corrupted is: a peer that has read
+		// the frame must find it in the ledger.
+		if action != Corrupt {
+			p.forwarded.Add(1)
+		}
 		if _, err := ctrl.Write(frame); err != nil {
 			return
 		}
 		if action == Corrupt {
 			p.event(Corrupt)
-		} else {
-			p.forwarded.Add(1)
 		}
 	}
 }

@@ -207,3 +207,50 @@ func TestProxyHangStallsUntilClose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProxyRelaysCancelEcho: a real worker's echo of a run's cancel is an
+// ordinary worker→controller frame to the proxy, relayed and counted as
+// one more Forwarded frame, so the chaos suites' ledgers, which count only
+// the faults their deciders inject on done frames, do not move.
+func TestProxyRelaysCancelEcho(t *testing.T) {
+	w := &edgenet.Worker{ID: 3}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Serve(l); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	p, err := New(w.Addr(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	conn := dialProxy(t, p)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	for _, step := range []struct {
+		send *edgenet.Envelope // nil: only read
+		want edgenet.MsgType
+	}{
+		{nil, edgenet.MsgHello},
+		{&edgenet.Envelope{Type: edgenet.MsgAssign, TaskID: 1}, edgenet.MsgDone},
+		{&edgenet.Envelope{Type: edgenet.MsgCancel}, edgenet.MsgCancel},
+	} {
+		if step.send != nil {
+			if err := edgenet.WriteFrame(conn, step.send); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env, err := edgenet.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Type != step.want {
+			t.Fatalf("frame = %q, want %q", env.Type, step.want)
+		}
+	}
+	if c := p.Counts(); c.Forwarded != 3 || c.Corrupted+c.Delayed+c.Hung+c.Dropped != 0 {
+		t.Fatalf("ledger = %+v, want the hello, the done and the echo forwarded", c)
+	}
+}
