@@ -13,9 +13,9 @@
 //
 // Endpoints: POST /v1/allocate, POST /v1/feedback, GET /v1/stats,
 // GET /v1/cluster, GET /healthz. SIGINT/SIGTERM drains gracefully: /healthz
-// flips to 503 so load balancers stop routing, allocates answer through the
-// degraded fallback path, and in-flight requests get -drain-timeout to
-// finish.
+// flips to 503 so load balancers stop routing, allocates still answer (the
+// same decision, labelled degraded), and in-flight requests get
+// -drain-timeout to finish.
 package main
 
 import (

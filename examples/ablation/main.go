@@ -28,17 +28,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	crl, err := s.CRL()
-	if err != nil {
-		return err
-	}
 
-	// Ablation 1: the cooperative weights of Eq. (6).
+	// Ablation 1: the cooperative weights of Eq. (6). DCTA defines over the
+	// scenario's store with the experiments' kNN policy (DefaultCRLConfig's K,
+	// blended), the one the figures use.
 	fmt.Println("\n── ablation 1: cooperative weights w1 (general) / w2 (local)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "w1\tw2\tmean PT (s)")
 	for _, w1 := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		d, err := dcta.NewDCTA(crl, s.Local)
+		d, err := dcta.NewDCTA(s.Store, dcta.DefaultCRLConfig(), s.Local)
 		if err != nil {
 			return err
 		}

@@ -82,7 +82,7 @@ func run() error {
 		problem.Objective(allocation), sum(env.Importance, allocation))
 
 	// 5. Simulate the processing time of the plan on the edge testbed.
-	crlAlloc, err := dcta.NewCRLAllocator(crl)
+	crlAlloc, err := dcta.NewCRLAllocator(crl, cfg)
 	if err != nil {
 		return err
 	}

@@ -211,7 +211,7 @@ func (o *OracleGreedy) Allocate(req Request) (*Result, error) {
 	for i, t := range req.Problem.Tasks {
 		imp[i] = t.Importance
 	}
-	a, ops := packByScore(req.Problem, imp, o.CoverageTarget)
+	a, ops := PackByScoreInto(req.Problem, imp, o.CoverageTarget, nil, &PackScratch{})
 	return &Result{
 		Allocation:          a,
 		DecisionOps:         ops,
@@ -231,15 +231,6 @@ type PackScratch struct {
 	Ready   []float64
 }
 
-// packByScore greedily assigns tasks in decreasing score density
-// (score / normalized cost) to the processor with the most remaining time,
-// stopping when `coverage` of the total positive score is captured.
-// It returns the allocation and an op-count estimate.
-func packByScore(p *core.Problem, score []float64, coverage float64) (core.Allocation, float64) {
-	var scratch PackScratch
-	return PackByScoreInto(p, score, coverage, nil, &scratch)
-}
-
 // growInts returns buf resized to n, reallocating only when capacity is short.
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
@@ -257,11 +248,11 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// PackByScoreInto is packByScore writing the allocation into dst (grown as
-// needed) with caller-owned scratch. The densities are computed once per task
-// — the same float values the closure in the original recomputed per
-// comparison — so the bubble ordering performs identical comparisons and the
-// result is bitwise-identical to packByScore.
+// PackByScoreInto greedily assigns tasks in decreasing score density
+// (score / normalized cost) to the processor where each finishes earliest,
+// stopping when `coverage` of the total positive score is captured. The
+// allocation is written into dst (grown as needed) with caller-owned
+// scratch; it returns the allocation and an op-count estimate.
 func PackByScoreInto(p *core.Problem, score []float64, coverage float64, dst core.Allocation, scratch *PackScratch) (core.Allocation, float64) {
 	n, m := len(p.Tasks), len(p.Processors)
 	if coverage <= 0 || coverage > 1 {

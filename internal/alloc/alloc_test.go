@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/mathx"
+	"repro/internal/mlearn"
 	"repro/internal/rl"
 )
 
@@ -165,8 +166,8 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// crlFixture trains a small CRL over a synthetic store tied to the problem.
-func crlFixture(t *testing.T, p *core.Problem) *core.CRL {
+// storeFixture builds a synthetic environment store tied to the problem.
+func storeFixture(t *testing.T, p *core.Problem) *core.EnvironmentStore {
 	t.Helper()
 	store := core.NewEnvironmentStore()
 	rng := mathx.NewRand(9)
@@ -187,6 +188,12 @@ func crlFixture(t *testing.T, p *core.Problem) *core.CRL {
 			t.Fatal(err)
 		}
 	}
+	return store
+}
+
+// crlFixture trains a small CRL over storeFixture's store.
+func crlFixture(t *testing.T, p *core.Problem) *core.CRL {
+	t.Helper()
 	cfg := core.DefaultCRLConfig()
 	cfg.Episodes = 60
 	cfg.DQN = rl.DQNConfig{
@@ -195,7 +202,7 @@ func crlFixture(t *testing.T, p *core.Problem) *core.CRL {
 		WarmupSteps: 32,
 		Seed:        5,
 	}
-	crl, err := core.NewCRL(p.Clone(), store, cfg)
+	crl, err := core.NewCRL(p.Clone(), storeFixture(t, p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +215,7 @@ func crlFixture(t *testing.T, p *core.Problem) *core.CRL {
 func TestCRLAllocator(t *testing.T) {
 	p := testProblem(6, 10, 3)
 	crl := crlFixture(t, p)
-	ca, err := NewCRLAllocator(crl)
+	ca, err := NewCRLAllocator(crl, core.DefaultCRLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestCRLAllocator(t *testing.T) {
 	if res.DecisionOps <= 0 || len(res.Priority) != 10 {
 		t.Fatalf("CRL result fields: %+v", res)
 	}
-	if _, err := NewCRLAllocator(nil); err == nil {
+	if _, err := NewCRLAllocator(nil, core.DefaultCRLConfig()); err == nil {
 		t.Fatal("nil model accepted")
 	}
 }
@@ -244,7 +251,7 @@ func TestCRLAllocatorNotReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := NewCRLAllocator(crl)
+	ca, err := NewCRLAllocator(crl, core.DefaultCRLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +319,7 @@ func TestSamplesFromDecision(t *testing.T) {
 
 func TestDCTAEndToEnd(t *testing.T) {
 	p := testProblem(8, 10, 3)
-	crl := crlFixture(t, p)
+	store := storeFixture(t, p)
 	// Local model trained from oracle decisions with informative features:
 	// feature 0 encodes the task's true importance.
 	mkFeatures := func(noise float64, seed int64) [][]float64 {
@@ -341,7 +348,7 @@ func TestDCTAEndToEnd(t *testing.T) {
 	if err := local.Fit(samples); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDCTA(crl, local)
+	d, err := NewDCTA(store, core.DefaultCRLConfig(), local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +388,17 @@ func TestDCTAEndToEnd(t *testing.T) {
 		t.Fatal("feature mismatch accepted")
 	}
 	// Constructor validation.
-	if _, err := NewDCTA(nil, local); err == nil {
-		t.Fatal("nil CRL accepted")
+	if _, err := NewDCTA(nil, core.DefaultCRLConfig(), local); err == nil {
+		t.Fatal("nil store accepted")
 	}
-	if _, err := NewDCTA(crl, nil); err == nil {
+	if _, err := NewDCTA(store, core.DefaultCRLConfig(), nil); err == nil {
 		t.Fatal("nil local accepted")
 	}
 }
 
 func TestDCTAWeights(t *testing.T) {
 	p := testProblem(9, 8, 2)
-	crl := crlFixture(t, p)
+	store := storeFixture(t, p)
 	local := NewLocalModel(1)
 	rng := mathx.NewRand(4)
 	var samples []LocalSample
@@ -409,7 +416,7 @@ func TestDCTAWeights(t *testing.T) {
 	if err := local.Fit(samples); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDCTA(crl, local)
+	d, err := NewDCTA(store, core.DefaultCRLConfig(), local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,8 +437,85 @@ func TestDCTAWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The decision is charged kNN, SVM margins and packing — no Q evaluation.
-	_, packOps := packByScore(p, res.Priority, d.CoverageTarget)
+	_, packOps := PackByScoreInto(p, res.Priority, d.CoverageTarget, nil, &PackScratch{})
 	if want := float64(len(req.Signature)+len(p.Tasks)*features.Dim) + packOps; res.DecisionOps != want {
 		t.Errorf("DecisionOps %v, want %v", res.DecisionOps, want)
+	}
+}
+
+// TestDecide pins Decide to its parts: the kNN definition, Eq. 6's mix only
+// when a local model is passed, the pack and the captured defined
+// importance — through one workspace reused across both shapes, so the
+// unmixed answer's scores (the defined importance itself) never leak into a
+// later mixed one. Rows narrower than the model's fail with ErrBadShape.
+func TestDecide(t *testing.T) {
+	p := testProblem(12, 10, 3)
+	store := storeFixture(t, p)
+	policy := core.DefaultCRLConfig()
+	rng := mathx.NewRand(13)
+	feats := make([][]float64, len(p.Tasks))
+	var samples []LocalSample
+	for j := range feats {
+		v := make([]float64, features.Dim)
+		for k := range v {
+			v[k] = rng.NormFloat64()
+		}
+		feats[j] = v
+		samples = append(samples, LocalSample{Features: v, Selected: math.Copysign(1, v[0])})
+	}
+	local := NewLocalModel(14)
+	if err := local.Fit(samples); err != nil {
+		t.Fatal(err)
+	}
+	sig := []float64{0.3}
+	var env core.Environment
+	var knn core.KNNScratch
+	if err := policy.DefineEnvironmentInto(store, sig, &env, &knn); err != nil {
+		t.Fatal(err)
+	}
+	mixed, _, err := CombineScoresInto(local, env.Importance, feats, 0.5, 0.5, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, d *Decision, scores []float64, target float64) {
+		t.Helper()
+		plan, ops := PackByScoreInto(p, scores, target, nil, &PackScratch{})
+		var predicted float64
+		for j, proc := range plan {
+			if proc != core.Unassigned {
+				predicted += env.Importance[j]
+			}
+		}
+		for j := range scores {
+			if math.Float64bits(d.Scores[j]) != math.Float64bits(scores[j]) ||
+				math.Float64bits(d.Env.Importance[j]) != math.Float64bits(env.Importance[j]) {
+				t.Fatalf("%s: task %d scored %v (defined %v), want %v (defined %v)",
+					name, j, d.Scores[j], d.Env.Importance[j], scores[j], env.Importance[j])
+			}
+			if d.Plan[j] != plan[j] {
+				t.Fatalf("%s: task %d on %d, want %d", name, j, d.Plan[j], plan[j])
+			}
+		}
+		if math.Float64bits(d.Predicted) != math.Float64bits(predicted) || d.PackOps != ops {
+			t.Fatalf("%s: predicted %v ops %v, want %v and %v", name, d.Predicted, d.PackOps, predicted, ops)
+		}
+	}
+	var d Decision
+	for round := 0; round < 2; round++ {
+		if err := Decide(p, store, policy, sig, nil, nil, 0.5, 0.5, 1.0, &d); err != nil {
+			t.Fatal(err)
+		}
+		check("without a local term", &d, env.Importance, 1.0)
+		if err := Decide(p, store, policy, sig, local, feats, 0.5, 0.5, 0.9, &d); err != nil {
+			t.Fatal(err)
+		}
+		check("with a local term", &d, mixed, 0.9)
+	}
+	narrow := make([][]float64, len(feats))
+	for j, row := range feats {
+		narrow[j] = row[:features.Dim-1]
+	}
+	if err := Decide(p, store, policy, sig, local, narrow, 0.5, 0.5, 0.9, &d); !errors.Is(err, mlearn.ErrBadShape) {
+		t.Fatalf("narrow rows: err = %v, want mlearn.ErrBadShape", err)
 	}
 }

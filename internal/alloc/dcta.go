@@ -1,9 +1,7 @@
 package alloc
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -12,24 +10,29 @@ import (
 )
 
 // CRLAllocator wraps the core CRL model (Alg. 1) as a §V strategy: kNN
-// environment definition followed by a greedy DQN rollout. Its priorities
-// are the *clustered* importance estimates — when the defined environment
-// mismatches reality, those priorities mis-rank tasks, which is the failure
-// mode DCTA's local process corrects.
+// environment definition followed by a greedy DQN rollout, guarded by the
+// pack Decide makes of the defined importance (no local term, target 1.0) —
+// the decision serve's crl arm answers with. Its priorities are the
+// *clustered* importance estimates: when the defined environment mismatches
+// reality, those priorities mis-rank tasks, which is the failure mode DCTA's
+// local process corrects.
 //
-// Concurrency: NOT goroutine-safe. The greedy rollout (core.CRL.Predict)
-// forwards through the DQN's own activation scratch, so concurrent Allocate
-// calls on one model race.
+// Concurrency: NOT goroutine-safe. The greedy rollout
+// (core.CRL.PredictWithEnvironment) forwards through the DQN's own
+// activation scratch, so concurrent Allocate calls on one model race.
 type CRLAllocator struct {
-	model *core.CRL
+	model  *core.CRL
+	policy core.CRLConfig
 }
 
-// NewCRLAllocator wraps a trained (or about-to-be-trained) CRL model.
-func NewCRLAllocator(model *core.CRL) (*CRLAllocator, error) {
+// NewCRLAllocator wraps a trained (or about-to-be-trained) CRL model. policy
+// is the kNN definition (K, Blend) the guard defines with over the model's
+// store; pass the configuration the model was built with.
+func NewCRLAllocator(model *core.CRL, policy core.CRLConfig) (*CRLAllocator, error) {
 	if model == nil {
 		return nil, fmt.Errorf("alloc: nil CRL model")
 	}
-	return &CRLAllocator{model: model}, nil
+	return &CRLAllocator{model: model, policy: policy}, nil
 }
 
 // Name implements Allocator.
@@ -38,13 +41,13 @@ func (c *CRLAllocator) Name() string { return "CRL" }
 // CoverageTarget bounds the greedy guard's packing (see Allocate).
 const crlCoverageTarget = 1.0
 
-// Allocate implements Allocator. The DQN rollout is guarded by a greedy
-// pack on the *defined* importance: whenever the rollout captures less of
-// the policy's own importance estimate than the greedy pack would, the
-// guard's plan ships instead. A converged policy matches or beats the
-// guard; an under-trained one degrades gracefully to it. Either way the
-// decision is driven by the clustered environment — whose mismatch with
-// reality is exactly the weakness DCTA's local process corrects.
+// Allocate implements Allocator. The DQN rollout runs on the guard's defined
+// environment, and whenever it captures less of that importance estimate
+// than the guard's pack does, the guard's plan ships instead. A converged
+// policy matches or beats the guard; an under-trained one degrades
+// gracefully to it. Either way the decision is driven by the clustered
+// environment — whose mismatch with reality is exactly the weakness DCTA's
+// local process corrects.
 func (c *CRLAllocator) Allocate(req Request) (*Result, error) {
 	if err := validate(req); err != nil {
 		return nil, err
@@ -52,35 +55,27 @@ func (c *CRLAllocator) Allocate(req Request) (*Result, error) {
 	if !c.model.Trained() {
 		return nil, ErrNotReady
 	}
-	allocation, env, err := c.model.Predict(req.Signature)
-	if err != nil {
-		if errors.Is(err, core.ErrNotTrained) {
-			return nil, ErrNotReady
-		}
+	var guard Decision
+	if err := Decide(req.Problem, c.model.Store(), c.policy, req.Signature,
+		nil, nil, 0, 0, crlCoverageTarget, &guard); err != nil {
 		return nil, fmt.Errorf("crl allocate: %w", err)
 	}
-	predictedOf := func(a core.Allocation) float64 {
-		var v float64
-		for j, proc := range a {
-			if proc != core.Unassigned && j < len(env.Importance) {
-				v += env.Importance[j]
-			}
-		}
-		return v
+	allocation, err := c.model.PredictWithEnvironment(&guard.Env)
+	if err != nil {
+		return nil, fmt.Errorf("crl allocate: %w", err)
 	}
-	guard, guardOps := packByScore(req.Problem, env.Importance, crlCoverageTarget)
-	predicted := predictedOf(allocation)
-	if g := predictedOf(guard); g > predicted {
-		allocation, predicted = guard, g
+	predicted := importanceOf(allocation, guard.Env.Importance)
+	if guard.Predicted > predicted {
+		allocation, predicted = guard.Plan, guard.Predicted
 	}
 	n, m := len(req.Problem.Tasks), len(req.Problem.Processors)
 	// kNN over the store, one DQN forward per episode step, plus the guard.
-	ops := float64(len(req.Signature)) + float64(n+m)*dqnForwardOps(n, m) + guardOps
+	ops := float64(len(req.Signature)) + float64(n+m)*dqnForwardOps(n, m) + guard.PackOps
 	return &Result{
 		Allocation:          allocation,
 		DecisionOps:         ops,
 		PredictedImportance: predicted,
-		Priority:            mathx.Clone(env.Importance),
+		Priority:            guard.Env.Importance,
 	}, nil
 }
 
@@ -205,95 +200,75 @@ func SamplesFromDecision(featureVecs [][]float64, allocation core.Allocation) []
 	return out
 }
 
-// DCTA is the cooperative allocator of Eq. (6):
-// F(J, X) = w₁·F₁(J, C) + w₂·F₂(J, R), where F₁ is the CRL general process
-// (trained on abundant environment-definition data) and F₂ is the SVM local
-// process (trained on scarce real-world data). The combined per-task scores
-// drive a constraint-respecting greedy packing that keeps only the most
-// important work (§V: DCTA "merely performs the most important tasks").
-//
-// Concurrency: Allocate only reads the CRL's environment store
-// (goroutine-safe), scores through an immutable-after-Fit LocalModel, and
-// packs with pure local state, so any number of goroutines may call Allocate
-// on one DCTA. Online feedback must not Fit the live local model — Fit
-// mutates the SVM and scaler under in-flight Score calls — instead fit a
-// fresh LocalModel and SetLocal it; in-flight requests finish on the model
-// they started with.
-type DCTA struct {
-	// W1 and W2 weight the general and local processes.
-	W1, W2 float64
-	// CoverageTarget stops packing once this fraction of the combined score
-	// mass is captured.
-	CoverageTarget float64
+// Decision is Decide's workspace and its answer. The caller owns it: every
+// buffer grows to the problem's size on first use and is reused by later
+// calls, so a warm Decide allocates nothing. The answer's slices are
+// overwritten by the next call.
+type Decision struct {
+	// Env is the defined environment: the kNN policy over the store.
+	Env core.Environment
+	// Scores are what the plan was packed by: Env.Importance itself, or
+	// Eq. 6's w1·F₁ + w2·F₂ when a local model was passed.
+	Scores []float64
+	// Plan is the packed allocation.
+	Plan core.Allocation
+	// Predicted is the defined importance Plan captures.
+	Predicted float64
+	// PackOps is the pack's op-count estimate.
+	PackOps float64
 
-	crl *core.CRL
-
-	// localMu guards the local-model pointer only: Allocate snapshots it
-	// once per request, so SetLocal swaps never race in-progress scoring.
-	localMu sync.RWMutex
-	local   *LocalModel
+	knn     core.KNNScratch
+	pack    PackScratch
+	mixed   []float64 // Eq. 6 scores, when a local model is passed
+	featBuf []float64 // the local model's per-task feature scratch
 }
 
-// NewDCTA combines a CRL model with a trained local model using the default
-// weights (equal trust, 90% coverage). Allocate reads the CRL's environment
-// store alone, never its policy, so the CRL need not be trained.
-func NewDCTA(crl *core.CRL, local *LocalModel) (*DCTA, error) {
-	if crl == nil || local == nil {
-		return nil, fmt.Errorf("alloc: DCTA needs both processes")
+// Decide is the one allocation decision every DCTA and CRL caller makes —
+// the simulated allocators and both arms of the allocation service: define
+// the environment for the signature by policy's kNN (K, Blend) over store;
+// when local is non-nil, mix its scores over feats into the defined
+// importance by Eq. 6 (F = w1·F₁ + w2·F₂, F₁ max-normalized); pack the
+// scores onto p's processors until target of their mass is captured. The
+// answer lands in d. local must be fitted and feats must hold one row per
+// task; a row not as wide as the rows local was fitted on fails with
+// mlearn.ErrBadShape.
+func Decide(p *core.Problem, store *core.EnvironmentStore, policy core.CRLConfig, sig []float64,
+	local *LocalModel, feats [][]float64, w1, w2, target float64, d *Decision) error {
+	if err := policy.DefineEnvironmentInto(store, sig, &d.Env, &d.knn); err != nil {
+		return fmt.Errorf("alloc: define environment: %w", err)
 	}
-	return &DCTA{W1: 0.5, W2: 0.5, CoverageTarget: 0.90, crl: crl, local: local}, nil
-}
-
-// Name implements Allocator.
-func (d *DCTA) Name() string { return "DCTA" }
-
-// LocalModel returns the local process currently answering requests.
-func (d *DCTA) LocalModel() *LocalModel {
-	d.localMu.RLock()
-	defer d.localMu.RUnlock()
-	return d.local
-}
-
-// SetLocal swaps in a replacement local process — the online-feedback path:
-// fit a fresh model on the grown sample window, then publish it here.
-func (d *DCTA) SetLocal(local *LocalModel) error {
-	if local == nil {
-		return fmt.Errorf("alloc: nil local model")
+	d.Scores = d.Env.Importance
+	if local != nil {
+		var err error
+		d.mixed, d.featBuf, err = CombineScoresInto(local, d.Env.Importance, feats, w1, w2, d.mixed, d.featBuf)
+		if err != nil {
+			return fmt.Errorf("alloc: local process: %w", err)
+		}
+		d.Scores = d.mixed
 	}
-	d.localMu.Lock()
-	d.local = local
-	d.localMu.Unlock()
+	d.Plan, d.PackOps = PackByScoreInto(p, d.Scores, target, d.Plan, &d.pack)
+	d.Predicted = importanceOf(d.Plan, d.Env.Importance)
 	return nil
 }
 
-// CombineScores mixes a general-process importance estimate with the local
-// process per Eq. (6): w1·F₁ + w2·F₂, where F₁ is `general` max-normalized
-// to [0, 1] (so it shares the local probabilities' scale) and F₂ is the
-// SVM's selection score over each task's feature vector. A nil/unfitted
-// local model or missing features returns the normalized general scores
-// alone — the caller's graceful degradation to the F₁-only decision. Used
-// by DCTA.Allocate and by internal/serve's degraded fallback allocator.
-func CombineScores(local *LocalModel, general []float64, feats [][]float64, w1, w2 float64) ([]float64, error) {
-	combined := mathx.Clone(general)
-	if hi := mathx.MaxOf(combined); hi > 0 {
-		mathx.Scale(1/hi, combined)
-	}
-	if local == nil || !local.Fitted() || len(feats) != len(general) {
-		return combined, nil
-	}
-	for j := range combined {
-		localScore, err := local.Score(feats[j])
-		if err != nil {
-			return nil, fmt.Errorf("task %d: %w", j, err)
+// importanceOf sums the importance an allocation captures.
+func importanceOf(a core.Allocation, imp []float64) float64 {
+	var v float64
+	for j, proc := range a {
+		if proc != core.Unassigned && j < len(imp) {
+			v += imp[j]
 		}
-		combined[j] = w1*combined[j] + w2*localScore
 	}
-	return combined, nil
+	return v
 }
 
-// CombineScoresInto is CombineScores writing into dst (grown as needed) with
-// buf as the per-task feature workspace. Arithmetic matches CombineScores
-// exactly; dst and the returned buffer may be reused across calls.
+// CombineScoresInto mixes a general-process importance estimate with the
+// local process per Eq. (6), writing w1·F₁ + w2·F₂ into dst (grown as
+// needed): F₁ is `general` max-normalized to [0, 1] (so it shares the local
+// probabilities' scale) and F₂ is the SVM's selection score over each task's
+// feature vector, with buf as the per-task feature workspace. A nil/unfitted
+// local model or missing features leaves the normalized general scores
+// alone. dst and the returned buffer may be reused across calls.
 func CombineScoresInto(local *LocalModel, general []float64, feats [][]float64, w1, w2 float64, dst, buf []float64) ([]float64, []float64, error) {
 	dst = append(dst[:0], general...)
 	if hi := mathx.MaxOf(dst); hi > 0 {
@@ -313,46 +288,71 @@ func CombineScoresInto(local *LocalModel, general []float64, feats [][]float64, 
 	return dst, buf, nil
 }
 
+// DCTA is the cooperative allocator of Eq. (6):
+// F(J, X) = w₁·F₁(J, C) + w₂·F₂(J, R), where F₁ is the general process — the
+// importance the kNN policy defines over the historical store — and F₂ is
+// the SVM local process (trained on scarce real-world data). Allocate is one
+// Decide call: the combined per-task scores drive a constraint-respecting
+// greedy packing that keeps only the most important work (§V: DCTA "merely
+// performs the most important tasks"). It is the decision the allocation
+// service's DCTA arm answers with, there over a cluster's sub-store.
+//
+// Concurrency: Allocate only reads the (goroutine-safe) store, scores
+// through an immutable-after-Fit LocalModel, and decides into a workspace of
+// its own, so any number of goroutines may call Allocate on one DCTA while
+// the store grows.
+type DCTA struct {
+	// W1 and W2 weight the general and local processes.
+	W1, W2 float64
+	// CoverageTarget stops packing once this fraction of the combined score
+	// mass is captured.
+	CoverageTarget float64
+
+	store  *core.EnvironmentStore
+	policy core.CRLConfig
+	local  *LocalModel
+}
+
+// NewDCTA combines the environment definition — policy's kNN (K, Blend)
+// over store — with a trained local model, using the default weights (equal
+// trust, 90% coverage). No CRL policy is involved: F₁ is the defined
+// importance itself.
+func NewDCTA(store *core.EnvironmentStore, policy core.CRLConfig, local *LocalModel) (*DCTA, error) {
+	if store == nil || local == nil {
+		return nil, fmt.Errorf("alloc: DCTA needs a store and a local model")
+	}
+	return &DCTA{W1: 0.5, W2: 0.5, CoverageTarget: 0.90, store: store, policy: policy, local: local}, nil
+}
+
+// Name implements Allocator.
+func (d *DCTA) Name() string { return "DCTA" }
+
 // Allocate implements Allocator. The request must carry per-task feature
 // vectors for the local process.
 func (d *DCTA) Allocate(req Request) (*Result, error) {
 	if err := validate(req); err != nil {
 		return nil, err
 	}
-	local := d.LocalModel()
-	if !local.Fitted() {
+	if !d.local.Fitted() {
 		return nil, ErrNotReady
 	}
 	n := len(req.Problem.Tasks)
 	if len(req.Features) != n {
 		return nil, fmt.Errorf("alloc: %d feature vectors for %d tasks", len(req.Features), n)
 	}
-	// General process F₁: the clustered environment's importance estimate,
-	// max-normalized to [0,1] (by CombineScores) so it mixes with the local
-	// probabilities on a common scale.
-	env, err := d.crl.DefineEnvironment(req.Signature)
-	if err != nil {
-		return nil, fmt.Errorf("dcta general process: %w", err)
+	var dec Decision
+	if err := Decide(req.Problem, d.store, d.policy, req.Signature,
+		d.local, req.Features, d.W1, d.W2, d.CoverageTarget, &dec); err != nil {
+		return nil, fmt.Errorf("dcta: %w", err)
 	}
-	combined, err := CombineScores(local, env.Importance, req.Features, d.W1, d.W2)
-	if err != nil {
-		return nil, fmt.Errorf("dcta local process: %w", err)
-	}
-	allocation, packOps := packByScore(req.Problem, combined, d.CoverageTarget)
 	// kNN over the store (as CRLAllocator charges it), SVM margins and the
 	// packing.
-	ops := float64(len(req.Signature)) + float64(n*features.Dim) + packOps
-	var predicted float64
-	for j, proc := range allocation {
-		if proc != core.Unassigned && j < len(env.Importance) {
-			predicted += env.Importance[j]
-		}
-	}
+	ops := float64(len(req.Signature)) + float64(n*features.Dim) + dec.PackOps
 	return &Result{
-		Allocation:          allocation,
+		Allocation:          dec.Plan,
 		DecisionOps:         ops,
-		PredictedImportance: predicted,
-		Priority:            combined,
+		PredictedImportance: dec.Predicted,
+		Priority:            dec.Scores,
 	}, nil
 }
 

@@ -10,15 +10,15 @@ import (
 )
 
 // TestDCTAConcurrentAllocateWithFeedback is the serving-path concurrency
-// audit: N goroutines hammer DCTA.Allocate while a feedback goroutine keeps
-// fitting fresh local models on a growing sample window and swapping them in
-// with SetLocal, and another goroutine appends new environments to the
-// shared store. Run with -race this pins down the documented contract — the
-// DCTA path is goroutine-safe as long as feedback publishes *new*
-// LocalModels instead of refitting the live one.
+// audit: N goroutines hammer Allocate on one DCTA while a feedback goroutine
+// appends new environments to the store it defines over. Run with -race this
+// pins down the documented contract — every Allocate decides into a
+// workspace of its own, reads the store under its lock and scores through
+// the immutable-after-Fit local model, so one DCTA serves any number of
+// goroutines while the store grows.
 func TestDCTAConcurrentAllocateWithFeedback(t *testing.T) {
 	p := testProblem(11, 10, 3)
-	crl := crlFixture(t, p)
+	store := storeFixture(t, p)
 	mkFeatures := func(noise float64, seed int64) [][]float64 {
 		rng := mathx.NewRand(seed)
 		out := make([][]float64, len(p.Tasks))
@@ -32,39 +32,32 @@ func TestDCTAConcurrentAllocateWithFeedback(t *testing.T) {
 		}
 		return out
 	}
-	oracle := NewOracleGreedy()
-	sampleBatch := func(seed int64) []LocalSample {
-		oRes, err := oracle.Allocate(Request{Problem: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return SamplesFromDecision(mkFeatures(0.05, seed), oRes.Allocation)
+	oRes, err := NewOracleGreedy().Allocate(Request{Problem: p})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var window []LocalSample
 	for s := int64(0); s < 6; s++ {
-		window = append(window, sampleBatch(s)...)
+		window = append(window, SamplesFromDecision(mkFeatures(0.05, s), oRes.Allocation)...)
 	}
 	local := NewLocalModel(3)
 	if err := local.Fit(window); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDCTA(crl, local)
+	d, err := NewDCTA(store, core.DefaultCRLConfig(), local)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := d.SetLocal(nil); err == nil {
-		t.Fatal("nil local model accepted")
 	}
 
 	const (
 		allocators = 8
 		iterations = 24
-		refits     = 12
+		additions  = 12
 	)
 	var wg sync.WaitGroup
-	errs := make(chan error, allocators+2)
+	errs := make(chan error, allocators+1)
 	// Allocation hammer: every goroutine issues requests against the shared
-	// DCTA while the local model churns underneath it.
+	// DCTA while the store grows underneath it.
 	for g := 0; g < allocators; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -87,25 +80,8 @@ func TestDCTAConcurrentAllocateWithFeedback(t *testing.T) {
 			}
 		}(g)
 	}
-	// Online feedback: grow the window, fit a *fresh* model, publish it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < refits; r++ {
-			window = append(window, sampleBatch(int64(200+r))...)
-			fresh := NewLocalModel(int64(300 + r))
-			if err := fresh.Fit(window); err != nil {
-				errs <- err
-				return
-			}
-			if err := d.SetLocal(fresh); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-	// History growth: the store the CRL defines environments over keeps
-	// accumulating entries mid-flight.
+	// Store-growing feedback: the history DCTA defines environments over
+	// keeps accumulating entries mid-flight.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -114,13 +90,13 @@ func TestDCTAConcurrentAllocateWithFeedback(t *testing.T) {
 		for i, pr := range p.Processors {
 			caps[i] = pr.Capacity
 		}
-		for r := 0; r < refits; r++ {
+		for r := 0; r < additions; r++ {
 			imp := make([]float64, len(p.Tasks))
 			for j := range imp {
 				imp[j] = rng.Float64()
 			}
 			env := &core.Environment{Importance: imp, Capacity: caps, Signature: []float64{rng.Float64()}}
-			if err := crlStore(d).Add(env); err != nil {
+			if err := store.Add(env); err != nil {
 				errs <- err
 				return
 			}
@@ -131,11 +107,7 @@ func TestDCTAConcurrentAllocateWithFeedback(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := d.LocalModel(); got == local {
-		t.Fatal("feedback never swapped the local model")
+	if got, want := store.Len(), 20+additions; got != want {
+		t.Fatalf("store holds %d environments, want %d", got, want)
 	}
 }
-
-// crlStore digs the shared environment store out of the DCTA's general
-// process via the public template/store accessors.
-func crlStore(d *DCTA) *core.EnvironmentStore { return d.crl.Store() }

@@ -493,11 +493,11 @@ func (s *Scenario) Allocators() (map[string]alloc.Allocator, error) {
 	if err != nil {
 		return nil, err
 	}
-	crlAlloc, err := alloc.NewCRLAllocator(crl)
+	crlAlloc, err := alloc.NewCRLAllocator(crl, s.crlConfig())
 	if err != nil {
 		return nil, err
 	}
-	dcta, err := alloc.NewDCTA(crl, s.Local)
+	dcta, err := alloc.NewDCTA(s.Store, s.crlConfig(), s.Local)
 	if err != nil {
 		return nil, err
 	}

@@ -150,9 +150,11 @@ func TestServingNeverTrainsScenarioCRL(t *testing.T) {
 }
 
 // TestDCTAAnswersWithoutTrainedCRL: F₁ is the defined environment's
-// importance, so DCTA reads only the CRL's store, and over an untrained CRL it
-// answers every evaluation epoch of the small world bit for bit like over the
-// trained one.
+// importance, so DCTA holds no CRL at all. Over the scenario's store and kNN
+// policy it answers every evaluation epoch of the small world bit for bit
+// like the decision composed from its parts — an untrained CRL's definition
+// over the same store, Eq. 6's mix and the pack — and answering never
+// trains the scenario's CRL.
 func TestDCTAAnswersWithoutTrainedCRL(t *testing.T) {
 	s, err := NewScenario(smallWorld())
 	if err != nil {
@@ -162,15 +164,7 @@ func TestDCTAAnswersWithoutTrainedCRL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained, err := s.CRL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := alloc.NewDCTA(untrained, s.Local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := alloc.NewDCTA(trained, s.Local)
+	d, err := alloc.NewDCTA(s.Store, s.crlConfig(), s.Local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,22 +184,35 @@ func TestDCTAAnswersWithoutTrainedCRL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cold.Allocate(req)
+		got, err := d.Allocate(req)
 		if err != nil {
-			t.Fatalf("epoch %d: untrained CRL: %v", i, err)
+			t.Fatalf("epoch %d: %v", i, err)
 		}
-		want, err := warm.Allocate(req)
+		env, err := untrained.DefineEnvironment(req.Signature)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want.Allocation {
-			if got.Allocation[j] != want.Allocation[j] {
-				t.Fatalf("epoch %d task %d: processor %d, trained CRL gives %d", i, j, got.Allocation[j], want.Allocation[j])
+		mixed, _, err := alloc.CombineScoresInto(s.Local, env.Importance, req.Features, d.W1, d.W2, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _ := alloc.PackByScoreInto(req.Problem, mixed, d.CoverageTarget, nil, &alloc.PackScratch{})
+		var predicted float64
+		for j, proc := range plan {
+			if proc != core.Unassigned {
+				predicted += env.Importance[j]
 			}
 		}
-		if !same(got.Priority, want.Priority) ||
-			!same([]float64{got.DecisionOps, got.PredictedImportance}, []float64{want.DecisionOps, want.PredictedImportance}) {
-			t.Fatalf("epoch %d: answer differs from the trained CRL's", i)
+		for j := range plan {
+			if got.Allocation[j] != plan[j] {
+				t.Fatalf("epoch %d task %d: processor %d, composed from the parts %d", i, j, got.Allocation[j], plan[j])
+			}
 		}
+		if !same(got.Priority, mixed) || !same([]float64{got.PredictedImportance}, []float64{predicted}) {
+			t.Fatalf("epoch %d: answer differs from the one composed from the parts", i)
+		}
+	}
+	if s.crl.crl != nil {
+		t.Fatal("DCTA trained the scenario's CRL")
 	}
 }

@@ -128,28 +128,6 @@ func (in *Instance) ValueOf(assignment []int) float64 {
 	return v
 }
 
-// WithValues returns a copy of the instance whose item values are replaced
-// by scores, keeping every size and capacity. Callers pack by an external
-// per-item score — e.g. a locally-corrected importance estimate — while the
-// physical constraints stay those of the original instance. Scores must be
-// non-negative and match the item count.
-func (in *Instance) WithValues(scores []float64) (*Instance, error) {
-	if len(scores) != len(in.Items) {
-		return nil, fmt.Errorf("%d scores for %d items: %w", len(scores), len(in.Items), ErrBadInstance)
-	}
-	out := &Instance{
-		Items: append([]Item(nil), in.Items...),
-		Sacks: append([]Sack(nil), in.Sacks...),
-	}
-	for i, s := range scores {
-		if s < 0 || s != s { // negative or NaN
-			return nil, fmt.Errorf("score %d is %v: %w", i, s, ErrBadInstance)
-		}
-		out.Items[i].Value = s
-	}
-	return out, nil
-}
-
 // density orders items by value per unit of normalized size, the classic
 // greedy criterion; zero-size valuable items sort first.
 func (in *Instance) density(i int) float64 {

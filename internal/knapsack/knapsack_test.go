@@ -261,42 +261,3 @@ func TestExactDominatesGreedyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWithValues(t *testing.T) {
-	in := singleSack(2, 2,
-		Item{Value: 0.1, Weight: 1, Volume: 1},
-		Item{Value: 0.9, Weight: 1, Volume: 1},
-	)
-	out, err := in.WithValues([]float64{5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Values replaced, sizes preserved, original untouched.
-	if out.Items[0].Value != 5 || out.Items[1].Value != 1 {
-		t.Fatalf("values = %v/%v, want 5/1", out.Items[0].Value, out.Items[1].Value)
-	}
-	if out.Items[0].Weight != 1 || out.Items[0].Volume != 1 {
-		t.Fatalf("sizes mutated: %+v", out.Items[0])
-	}
-	if in.Items[0].Value != 0.1 {
-		t.Fatalf("original instance mutated: %v", in.Items[0].Value)
-	}
-	// Rescored values drive the greedy solution.
-	sol, err := SolveGreedy(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Assignment[0] == Unassigned {
-		t.Fatalf("highest rescored item dropped: %v", sol.Assignment)
-	}
-
-	if _, err := in.WithValues([]float64{1}); !errors.Is(err, ErrBadInstance) {
-		t.Fatalf("length mismatch err = %v", err)
-	}
-	if _, err := in.WithValues([]float64{1, -1}); !errors.Is(err, ErrBadInstance) {
-		t.Fatalf("negative score err = %v", err)
-	}
-	if _, err := in.WithValues([]float64{1, math.NaN()}); !errors.Is(err, ErrBadInstance) {
-		t.Fatalf("NaN score err = %v", err)
-	}
-}

@@ -129,7 +129,7 @@ func TestChaosServing(t *testing.T) {
 			if ar.Mode != ModeNormal || ar.Cache != CacheBypass {
 				t.Fatalf("allocate answered %+v, want normal mode", ar)
 			}
-			if err := s.problemWithImportance(nil).CheckFeasible(ar.Allocation); err != nil {
+			if err := s.template.CheckFeasible(ar.Allocation); err != nil {
 				t.Fatalf("infeasible 200 allocation: %v", err)
 			}
 			allocates++

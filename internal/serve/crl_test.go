@@ -52,6 +52,17 @@ func referenceCRL(t *testing.T, template *core.Problem, store *core.EnvironmentS
 	return cluster, plan, predicted
 }
 
+// importanceOf sums the defined importance an allocation captures.
+func importanceOf(a core.Allocation, imp []float64) float64 {
+	var v float64
+	for j, proc := range a {
+		if proc != core.Unassigned && j < len(imp) {
+			v += imp[j]
+		}
+	}
+	return v
+}
+
 // TestCRLAnswersTheGuardPack is the crl arm's differential test: on a cold
 // server over each of the benchmark's worlds, the HTTP answer to
 // allocator:"crl" for every stored cluster's signature — each cluster's
@@ -107,7 +118,12 @@ func TestCRLAnswersTheGuardPack(t *testing.T) {
 
 // postCRL posts one allocator:"crl" request and decodes a 200 answer.
 func postCRL(client *http.Client, url string, sig []float64) (*AllocateResponse, error) {
-	body, err := json.Marshal(AllocateRequest{Signature: sig, Allocator: "crl"})
+	return postAllocate(client, url, AllocateRequest{Signature: sig, Allocator: "crl"})
+}
+
+// postAllocate posts one allocate request and decodes a 200 answer.
+func postAllocate(client *http.Client, url string, req AllocateRequest) (*AllocateResponse, error) {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}

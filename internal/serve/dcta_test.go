@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -280,5 +281,93 @@ func TestDCTADefinesFromCurrentStore(t *testing.T) {
 	}
 	if again, _ := s.clusterStore(0); again != memo {
 		t.Fatal("a memo hit built a new sub-store")
+	}
+}
+
+// TestServedDecisionMatchesInSim holds the served decision to the one the
+// figures measure: over HTTP on a single node, for every evaluation epoch of
+// both benchmark worlds, the DCTA answer (the scenario's fitted local model)
+// equals, bit for bit, what alloc.DCTA answers when it is built over the
+// answer's cluster sub-store with serve's kNN policy, weights and coverage
+// target; and the crl answer equals CRLAllocator's guard — Decide with no
+// local term at target 1.0 — over the same sub-store. Allocation and
+// predicted_importance are compared.
+func TestServedDecisionMatchesInSim(t *testing.T) {
+	for name, scnCfg := range benchWorlds() {
+		t.Run(name, func(t *testing.T) {
+			scn, err := dcta.NewScenario(scnCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := benchServer(t, scn)
+			ts := httptest.NewServer(NewHandler(s, HTTPOptions{}))
+			defer ts.Close()
+			same := func(what string, resp *AllocateResponse, plan core.Allocation, predicted float64) {
+				t.Helper()
+				if resp.Mode != ModeNormal || math.Float64bits(resp.PredictedImportance) != math.Float64bits(predicted) {
+					t.Fatalf("%s: answered %+v, in sim predicted %v", what, resp, predicted)
+				}
+				if len(resp.Allocation) != len(plan) {
+					t.Fatalf("%s: %d allocation entries, in sim %d", what, len(resp.Allocation), len(plan))
+				}
+				for j := range plan {
+					if resp.Allocation[j] != plan[j] {
+						t.Fatalf("%s: task %d on %d, in sim %d", what, j, resp.Allocation[j], plan[j])
+					}
+				}
+			}
+			for i, ep := range scn.Eval {
+				req, err := scn.RequestFor(ep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cluster, _, err := scn.Store.NearestIndex(req.Signature)
+				if err != nil {
+					t.Fatal(err)
+				}
+				near, err := scn.Store.Nearest(scn.Store.All()[cluster].Signature, s.cfg.ClusterNeighborhood)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub := core.NewEnvironmentStore()
+				for _, env := range near {
+					if err := sub.Add(env); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				d, err := alloc.NewDCTA(sub, s.cfg.CRL, scn.Local)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.W1, d.W2, d.CoverageTarget = s.cfg.W1, s.cfg.W2, s.cfg.CoverageTarget
+				sim, err := d.Allocate(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := postAllocate(ts.Client(), ts.URL, AllocateRequest{
+					Signature: req.Signature, Features: req.Features, Allocator: "dcta"})
+				if err != nil {
+					t.Fatalf("epoch %d: %v", i, err)
+				}
+				if resp.Allocator != "DCTA" || resp.Cluster != cluster {
+					t.Fatalf("epoch %d: answered %+v, want DCTA for cluster %d", i, resp, cluster)
+				}
+				same(fmt.Sprintf("epoch %d DCTA", i), resp, sim.Allocation, sim.PredictedImportance)
+
+				var guard alloc.Decision
+				if err := alloc.Decide(req.Problem, sub, s.cfg.CRL, req.Signature,
+					nil, nil, s.cfg.W1, s.cfg.W2, 1.0, &guard); err != nil {
+					t.Fatal(err)
+				}
+				if resp, err = postCRL(ts.Client(), ts.URL, req.Signature); err != nil {
+					t.Fatalf("epoch %d: %v", i, err)
+				}
+				if resp.Allocator != "CRL" || resp.Cluster != cluster {
+					t.Fatalf("epoch %d: answered %+v, want CRL for cluster %d", i, resp, cluster)
+				}
+				same(fmt.Sprintf("epoch %d CRL", i), resp, guard.Plan, guard.Predicted)
+			}
+		})
 	}
 }

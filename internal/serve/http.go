@@ -207,7 +207,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 // ServeListener runs the HTTP front-end on an existing listener until ctx is
 // canceled, then drains gracefully: the server flips into draining mode
-// (allocates answer through the degraded fallback, feedback fails fast,
+// (allocates still answer, labelled degraded, feedback fails fast,
 // /healthz reports draining so load balancers stop routing), and in-flight
 // requests get DrainTimeout to finish.
 func ServeListener(ctx context.Context, ln net.Listener, s *Server, opts HTTPOptions) error {

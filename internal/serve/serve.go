@@ -2,10 +2,11 @@
 // allocation service: the serve-side shape of Alg. 1's prediction phase. A
 // request carries the sensing signature Z observed right now; the service
 // clusters it onto the nearest historical environment (§III-C's
-// e = kNN(ℰ, Z)), defines the environment over that cluster's neighbourhood
-// of the store, and packs the tasks by the defined importance — mixed with
-// the local process (Eq. 6) when the request carries Table-I features and
-// the local model is fitted (DCTA), or alone (the "crl" arm). Nothing on the
+// e = kNN(ℰ, Z)) and answers with alloc.Decide over that cluster's
+// neighbourhood of the store: define the environment, mix in the local
+// process (Eq. 6) when the request carries Table-I features and the local
+// model is fitted (DCTA), or not (the "crl" arm), and pack the tasks by the
+// result — the decision the simulated DCTA and CRL guard make. Nothing on the
 // request path trains: the paper trains its policy "once in advance"
 // (footnote 1), and no served answer reads a DQN. Feedback requests stream
 // alloc.LocalModel samples online and may append observed environments to
@@ -15,10 +16,8 @@
 // The package splits into:
 //
 //   - server.go   — Server: allocate/feedback/stats against a template,
-//     store and local model
-//   - fallback.go — the degraded-mode allocator: while draining, or when
-//     the normal path fails, answer from a density-greedy knapsack pack over
-//     the kNN-matched importance, corrected by the local SVM when fitted
+//     store and local model; while draining, allocates answer with the same
+//     decision, labelled degraded
 //   - http.go     — the HTTP/JSON API (/v1/allocate, /v1/feedback,
 //     /v1/stats, /v1/cluster, /healthz) with request timeouts, panic
 //     recovery and graceful drain
@@ -69,16 +68,16 @@ type Config struct {
 	RefitEvery int
 	// MaxFeedback bounds the retained feedback sample window (default 4096).
 	MaxFeedback int
-	// W1, W2 and CoverageTarget mirror the alloc.DCTA knobs for requests
-	// that carry per-task features (defaults 0.5 / 0.5 / 0.9).
+	// W1, W2 and CoverageTarget are alloc.DCTA's knobs, passed to
+	// alloc.Decide for the DCTA arm (defaults 0.5 / 0.5 / 0.9); the crl arm
+	// mixes in no local term and packs to 1.0, as CRLAllocator's guard does.
 	W1, W2         float64
 	CoverageTarget float64
 	// Seed derives the local model's refit seeds.
 	Seed int64
 	// Now is the service clock (tests inject a fake; default time.Now).
 	Now func() time.Time
-	// Logf sinks service logs: recovered panics and failed answers (default
-	// log.Printf).
+	// Logf sinks service logs: recovered panics (default log.Printf).
 	Logf func(format string, args ...any)
 }
 

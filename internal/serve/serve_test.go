@@ -478,3 +478,45 @@ func TestFeedbackSeqDedupe(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedbackRejectsUnstorableEnvironment: an add_to_store feedback whose
+// signature is not as wide as the store's, or whose importance does not hold
+// one entry per task, is a bad request that changes nothing — no sample
+// enters the window, its seq is not recorded (so the corrected retry
+// applies, not answers duplicate) and the store does not grow.
+func TestFeedbackRejectsUnstorableEnvironment(t *testing.T) {
+	ctx := context.Background()
+	s := newTestServer(t, fastConfig())
+	imp := clusterImportance(0)
+	good := FeedbackRequest{
+		Signature:  []float64{0.3},
+		Features:   mkFeatures(imp, 0.05, 70),
+		Allocation: []int{0, 0, 1, core.Unassigned, core.Unassigned, 1},
+		Importance: imp,
+		AddToStore: true,
+		Seq:        7,
+	}
+	wide := good
+	wide.Signature = []float64{0.3, 0.1, 0.2}
+	short := good
+	short.Importance = imp[:4]
+	for name, req := range map[string]FeedbackRequest{"3-wide signature": wide, "4 importance entries": short} {
+		if _, err := s.Feedback(ctx, req); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: err = %v, want ErrBadRequest", name, err)
+		}
+		if st := s.Stats(); st.WindowSize != 0 || st.StoreSize != 2 || st.Feedbacks != 0 {
+			t.Fatalf("%s: window %d, store %d, feedbacks %d; want 0, 2, 0",
+				name, st.WindowSize, st.StoreSize, st.Feedbacks)
+		}
+	}
+	resp, err := s.Feedback(ctx, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Duplicate || !resp.StoredEnvironment || resp.WindowSize != 6 {
+		t.Fatalf("corrected retry: %+v, want applied and stored with 6 samples", resp)
+	}
+	if got := s.Store().Len(); got != 3 {
+		t.Fatalf("store len = %d, want 3", got)
+	}
+}

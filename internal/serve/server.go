@@ -136,10 +136,10 @@ func (s *Server) Store() *core.EnvironmentStore { return s.store }
 // Template returns (a clone of) the problem structure being served.
 func (s *Server) Template() *core.Problem { return s.template.Clone() }
 
-// Drain flips the server into draining mode: allocates answer through the
-// degraded fallback and feedback fails fast with ErrDraining while in-flight
-// requests finish. The HTTP layer calls this before shutting the listener
-// down.
+// Drain flips the server into draining mode: allocates still answer, with
+// the same decision, labelled degraded, and feedback fails fast with
+// ErrDraining while in-flight requests finish. The HTTP layer calls this
+// before shutting the listener down.
 func (s *Server) Drain() { s.draining.Store(true) }
 
 // clusterStore returns a cluster's sub-store: the ClusterNeighborhood stored
@@ -224,8 +224,12 @@ const (
 	// cluster's sub-store: DCTA, or the crl arm's pack on the defined
 	// importance.
 	ModeNormal = "normal"
-	// ModeDegraded answered from the greedy fallback (see DegradedReason).
+	// ModeDegraded labels an answer given while the server drains: the
+	// decision is the normal one (see DegradedReason).
 	ModeDegraded = "degraded"
+	// DegradedDraining is the degraded reason: the server is draining, and
+	// in-flight traffic still gets its answer.
+	DegradedDraining = "draining"
 )
 
 // CacheBypass is every answer's AllocateResponse.Cache: no policy is cached
@@ -233,20 +237,14 @@ const (
 const CacheBypass = "bypass"
 
 // allocWS is the per-request workspace for the allocate path: the body
-// buffer, the decode target, the response, and every scratch buffer the
-// pipeline needs, pooled so a steady-state request (its cluster's sub-store
-// built) performs zero allocations end to end.
+// buffer, the decode target, the response, and the decision's workspace,
+// pooled so a steady-state request (its cluster's sub-store built) performs
+// zero allocations end to end.
 type allocWS struct {
 	buf  []byte           // request body in, encoded response out
 	req  AllocateRequest  // HTTP decode target (slice capacity reused)
 	resp AllocateResponse // Allocation backing array reused
-
-	env      core.Environment // kNN-defined environment
-	knn      core.KNNScratch
-	pack     alloc.PackScratch
-	combined []float64       // DCTA mixed scores
-	featBuf  []float64       // local-model per-task feature scratch
-	plan     core.Allocation // the plan the answer ships
+	dec  alloc.Decision   // the environment, scores and plan of the answer
 }
 
 func (s *Server) getWS() *allocWS { return s.wsPool.Get().(*allocWS) }
@@ -259,25 +257,13 @@ func (s *Server) putWS(ws *allocWS) {
 	}
 }
 
-// importanceOf sums the defined importance captured by an allocation.
-func importanceOf(a core.Allocation, imp []float64) float64 {
-	var v float64
-	for j, proc := range a {
-		if proc != core.Unassigned && j < len(imp) {
-			v += imp[j]
-		}
-	}
-	return v
-}
-
 // Allocate answers one allocation query. Safe for arbitrary concurrency:
 // store reads are lock-protected, every request defines and packs through
 // its own workspace, and the local model is immutable-after-Fit.
 //
-// Availability contract: once the request is validated, Allocate answers.
-// While draining, or if the normal path fails, the degraded fallback
-// allocator (fallback.go) answers, and it always produces a feasible
-// allocation. Only malformed requests error.
+// Availability contract: once the request is validated, Allocate answers —
+// while draining too, with the same decision labelled degraded. Only
+// malformed requests error.
 func (s *Server) Allocate(ctx context.Context, req AllocateRequest) (*AllocateResponse, error) {
 	ws := s.getWS()
 	defer s.putWS(ws)
@@ -332,90 +318,45 @@ func (s *Server) AllocateInto(_ context.Context, req AllocateRequest, ws *allocW
 	case "", "auto":
 		useDCTA = fitted && len(req.Features) == len(s.template.Tasks)
 	}
-	if s.draining.Load() {
-		return s.fallbackAllocateInto(req, cluster, start, DegradedDraining, ws)
-	}
-	if err := s.defineInto(req.Signature, cluster, ws); err != nil {
-		s.cfg.Logf("serve: cluster %d: %v (answering degraded)", cluster, err)
-		return s.fallbackAllocateInto(req, cluster, start, DegradedPolicyError, ws)
-	}
-	if !useDCTA {
-		// The crl arm: the greedy pack on the defined importance, to full
-		// coverage.
-		ws.plan, _ = alloc.PackByScoreInto(s.template, ws.env.Importance, 1.0, ws.plan, &ws.pack)
-		s.answerInto(ws, cluster, "CRL", start)
-		return nil
-	}
-	err = s.dctaPlanInto(req.Features, local, ws)
-	if errors.Is(err, ErrBadRequest) {
-		return err
-	}
-	if err != nil {
-		s.cfg.Logf("serve: cluster %d: %v (answering degraded)", cluster, err)
-		return s.fallbackAllocateInto(req, cluster, start, DegradedPolicyError, ws)
-	}
-	s.dctaBypass.Add(1)
-	s.answerInto(ws, cluster, "DCTA", start)
-	return nil
-}
-
-// defineInto defines the request's environment in ws.env: the kNN policy of
-// Config.CRL over the cluster's sub-store.
-func (s *Server) defineInto(sig []float64, cluster int, ws *allocWS) error {
 	sub, err := s.clusterStore(cluster)
 	if err != nil {
 		return fmt.Errorf("serve: cluster store: %w", err)
 	}
-	if err := s.cfg.CRL.DefineEnvironmentInto(sub, sig, &ws.env, &ws.knn); err != nil {
-		return fmt.Errorf("serve: define environment: %w", err)
+	// The crl arm packs the defined importance alone, to full coverage; DCTA
+	// mixes in the local process and packs to the coverage target.
+	allocator, target, feats := "CRL", 1.0, [][]float64(nil)
+	if useDCTA {
+		allocator, target, feats = "DCTA", s.cfg.CoverageTarget, req.Features
+	} else {
+		local = nil
 	}
-	return nil
-}
-
-// dctaPlanInto mixes the local process into the defined importance, Eq. 6's
-// F = w1·F1 + w2·F2, and packs it to the coverage target into ws.plan.
-func (s *Server) dctaPlanInto(features [][]float64, local *alloc.LocalModel, ws *allocWS) error {
-	var err error
-	ws.combined, ws.featBuf, err = alloc.CombineScoresInto(
-		local, ws.env.Importance, features, s.cfg.W1, s.cfg.W2, ws.combined, ws.featBuf)
+	err = alloc.Decide(s.template, sub, s.cfg.CRL, req.Signature, local, feats, s.cfg.W1, s.cfg.W2, target, &ws.dec)
 	if errors.Is(err, mlearn.ErrBadShape) {
 		// The rows are not as wide as the rows the model was fitted on.
 		return fmt.Errorf("%w: features: %v", ErrBadRequest, err)
 	}
 	if err != nil {
-		return fmt.Errorf("serve: dcta: %w", err)
+		return fmt.Errorf("serve: cluster %d: %w", cluster, err)
 	}
-	ws.plan, _ = alloc.PackByScoreInto(s.template, ws.combined, s.cfg.CoverageTarget, ws.plan, &ws.pack)
-	return nil
-}
-
-// answerInto writes the normal-mode answer for the plan in ws.plan.
-func (s *Server) answerInto(ws *allocWS, cluster int, allocator string, start time.Time) {
 	latency := s.cfg.Now().Sub(start)
 	s.allocates.Add(1)
 	s.recordLatency(latency)
 	resp := &ws.resp
-	resp.Allocation = append(resp.Allocation[:0], ws.plan...)
+	resp.Allocation = append(resp.Allocation[:0], ws.dec.Plan...)
 	resp.Cluster = cluster
 	resp.Cache = CacheBypass
 	resp.Allocator = allocator
 	resp.Mode = ModeNormal
-	resp.PredictedImportance = importanceOf(ws.plan, ws.env.Importance)
+	resp.PredictedImportance = ws.dec.Predicted
 	resp.LatencyNanos = int64(latency)
-}
-
-// problemWithImportance clones the template and installs an importance
-// vector (clamped to [0,1]).
-func (s *Server) problemWithImportance(imp []float64) *core.Problem {
-	p := s.template.Clone()
-	for i := range p.Tasks {
-		v := 0.0
-		if i < len(imp) {
-			v = mathx.Clamp(imp[i], 0, 1)
-		}
-		p.Tasks[i].Importance = v
+	switch {
+	case s.draining.Load():
+		s.degraded.Add(1)
+		resp.Mode, resp.DegradedReason = ModeDegraded, DegradedDraining
+	case useDCTA:
+		s.dctaBypass.Add(1)
 	}
-	return p
+	return nil
 }
 
 func (s *Server) localModel() *alloc.LocalModel {
@@ -469,6 +410,22 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 	if local := s.localModel(); local != nil && local.Fitted() {
 		if _, _, err := local.ScoreInto(req.Features[0], nil); errors.Is(err, mlearn.ErrBadShape) {
 			return nil, fmt.Errorf("%w: features: %v", ErrBadRequest, err)
+		}
+	}
+	// An environment to store must fit the store, checked here: once the seq
+	// is recorded and the samples are in the window, nothing may fail.
+	if req.AddToStore {
+		first, err := s.store.At(0) // the store is non-empty and append-only
+		if err != nil {
+			return nil, fmt.Errorf("serve: feedback store: %w", err)
+		}
+		if len(req.Signature) != len(first.Signature) {
+			return nil, fmt.Errorf("%w: add_to_store signature has %d entries, the store's %d",
+				ErrBadRequest, len(req.Signature), len(first.Signature))
+		}
+		if len(req.Importance) != len(s.template.Tasks) {
+			return nil, fmt.Errorf("%w: add_to_store importance has %d entries for %d tasks",
+				ErrBadRequest, len(req.Importance), len(s.template.Tasks))
 		}
 	}
 	samples := alloc.SamplesFromDecision(req.Features, core.Allocation(req.Allocation))
@@ -534,16 +491,14 @@ func (s *Server) Feedback(ctx context.Context, req FeedbackRequest) (*FeedbackRe
 		}
 	}
 
-	if req.AddToStore && len(req.Signature) > 0 && len(req.Importance) > 0 {
+	if req.AddToStore {
 		caps := make([]float64, len(s.template.Processors))
 		for i, pr := range s.template.Processors {
 			caps[i] = pr.Capacity
 		}
-		imp := make([]float64, len(s.template.Tasks))
-		for i := range imp {
-			if i < len(req.Importance) {
-				imp[i] = mathx.Clamp(req.Importance[i], 0, 1)
-			}
+		imp := make([]float64, len(req.Importance))
+		for i, v := range req.Importance {
+			imp[i] = mathx.Clamp(v, 0, 1)
 		}
 		env := &core.Environment{
 			Importance: imp,
@@ -621,8 +576,8 @@ type LatencyStats struct {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_s"`
 	Allocates     int64   `json:"allocates"`
-	// DegradedCount is the number of allocations answered by the fallback
-	// path (subset of Allocates).
+	// DegradedCount is the number of allocations answered while draining
+	// (subset of Allocates).
 	DegradedCount int64 `json:"degraded"`
 	// DCTABypass counts normal answers that mixed in the local process
 	// (DCTA); the other normal answers are the crl arm's.

@@ -63,16 +63,16 @@ type AllocateResponse struct {
 	// Cluster is the store index of the nearest historical environment —
 	// the policy-cache key.
 	Cluster int `json:"cluster"`
-	// Cache is the cache outcome (hit, miss, coalesced, expired, drift,
-	// warm; bypass for degraded answers).
+	// Cache is "bypass" on every answer: no policy is cached or consulted.
 	Cache string `json:"cache"`
-	// Allocator is the strategy that produced the allocation (CRL, DCTA,
-	// or greedy-fallback).
+	// Allocator is the strategy that produced the allocation: CRL (the
+	// guard pack of the defined importance) or DCTA.
 	Allocator string `json:"allocator"`
-	// Mode is "normal" for policy-path answers, "degraded" for fallback
-	// ones.
+	// Mode is "normal", or "degraded" for the same decision answered while
+	// the server drains.
 	Mode string `json:"mode"`
-	// DegradedReason says why the fallback answered (degraded mode only).
+	// DegradedReason says why the answer is degraded ("draining"; degraded
+	// mode only).
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// PredictedImportance is the allocator's own captured-importance
 	// estimate under the defined environment.
