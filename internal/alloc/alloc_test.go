@@ -3,6 +3,7 @@ package alloc
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -111,7 +112,7 @@ func TestDMLBalancedAndFeasible(t *testing.T) {
 			load[proc] += p.Tasks[j].TimeCost
 		}
 	}
-	maxL, minL := mathx.MaxOf(load), mathx.MinOf(load)
+	maxL, minL := slices.Max(load), slices.Min(load)
 	if maxL-minL > p.TimeLimit*0.75 {
 		t.Fatalf("DML load spread too wide: %v", load)
 	}

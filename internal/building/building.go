@@ -119,18 +119,6 @@ func BandOf(plr float64) LoadBand {
 	}
 }
 
-// Midpoint is the representative part-load ratio of the band.
-func (b LoadBand) Midpoint() float64 {
-	switch b {
-	case BandLow:
-		return 0.30
-	case BandMid:
-		return 0.60
-	default:
-		return 0.85
-	}
-}
-
 // String names the band.
 func (b LoadBand) String() string {
 	switch b {

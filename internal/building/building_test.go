@@ -203,3 +203,15 @@ func TestTrueCOPBounded(t *testing.T) {
 		}
 	}
 }
+
+// Midpoint is the representative part-load ratio of the band.
+func (b LoadBand) Midpoint() float64 {
+	switch b {
+	case BandLow:
+		return 0.30
+	case BandMid:
+		return 0.60
+	default:
+		return 0.85
+	}
+}

@@ -29,7 +29,7 @@ func TestClusterChaosKillHeal(t *testing.T) {
 	// blackhole window forces at least one in-band ejection.
 	ring := lc.Router().Ring()
 	var owners []string
-	for _, id := range ring.Nodes() {
+	for _, id := range ring.nodes {
 		if len(ring.OwnedClusters(id, clusterCount)) > 0 {
 			owners = append(owners, id)
 		}

@@ -79,54 +79,3 @@ type deadTransport struct{}
 func (deadTransport) Exchange(string, *GossipMsg, time.Duration) (*GossipMsg, error) {
 	return nil, errors.New("dead transport")
 }
-
-// FuzzParseShardMap throws arbitrary bytes at the shard-map decoder. The
-// document crosses trust boundaries (any client can GET /v1/cluster from
-// any router, and tooling rebuilds routing rings from it), so the property
-// is: parse never panics, and anything it accepts is fully usable —
-// Validate holds and Ring() reconstructs without error.
-func FuzzParseShardMap(f *testing.F) {
-	valid := ShardMap{
-		Version: ShardMapVersion,
-		VNodes:  64,
-		Shards: []ShardInfo{
-			{ID: "s0", Addr: "127.0.0.1:8080", Alive: true, OwnedFraction: 0.5, RingPositions: 64},
-			{ID: "s1", Addr: "127.0.0.1:8081", Alive: true, OwnedFraction: 0.5, RingPositions: 64},
-		},
-	}
-	blob, err := json.Marshal(valid)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(blob)
-	f.Add(blob[:len(blob)*2/3])                                 // truncated JSON
-	f.Add([]byte(`{"version":1,"vnodes":1048576,"shards":[]}`)) // vnodes over bound
-	f.Add([]byte(`{"version":1,"vnodes":64,"shards":[{"id":"a"},{"id":"a"}]}`))
-	f.Add([]byte(`{"version":1,"vnodes":64,"shards":[{"id":"a","owned_fraction":2}]}`))
-	f.Add([]byte(`{"version":7,"vnodes":64}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ParseShardMap(data)
-		if err != nil {
-			return
-		}
-		// Accepted ⇒ validated ⇒ ring-buildable.
-		if err := m.Validate(); err != nil {
-			t.Fatalf("parsed map fails its own Validate: %v", err)
-		}
-		if _, err := m.Ring(); err != nil {
-			t.Fatalf("parsed map cannot rebuild its ring: %v", err)
-		}
-		// And it round-trips: re-marshal + re-parse stays accepted.
-		again, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if _, err := ParseShardMap(again); err != nil {
-			t.Fatalf("round-trip rejected: %v", err)
-		}
-	})
-}

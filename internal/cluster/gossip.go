@@ -232,26 +232,6 @@ func (v View) Alive(role string) []Member {
 	return out
 }
 
-// Find returns the view's record of one member.
-func (v View) Find(id string) (Member, bool) {
-	for _, m := range v.Members {
-		if m.ID == id {
-			return m, true
-		}
-	}
-	return Member{}, false
-}
-
-// ViewsConverged reports whether every view agrees on (Epoch, Digest).
-func ViewsConverged(views []View) bool {
-	for i := 1; i < len(views); i++ {
-		if views[i].Epoch != views[0].Epoch || views[i].Digest != views[0].Digest {
-			return false
-		}
-	}
-	return len(views) > 0
-}
-
 // GossipConfig tunes one membership agent.
 type GossipConfig struct {
 	// Interval is the protocol period: one direct probe per tick, jittered
@@ -385,9 +365,6 @@ func NewAgent(self Member, cfg GossipConfig) (*Agent, error) {
 	a.members[self.ID] = &memberRecord{Member: self, stamp: a.epoch}
 	return a, nil
 }
-
-// SelfID is the agent's member id.
-func (a *Agent) SelfID() string { return a.self }
 
 // Seed preloads a member list into the gossip view: every entry lands alive
 // at incarnation 0 and is superseded by anything the wire later says.

@@ -466,7 +466,7 @@ func TestGossipJoinAndConvergence(t *testing.T) {
 	for _, a := range agents {
 		m, ok := a.View().Find("m3")
 		if !ok || m.Incarnation != 1 || m.State != StateAlive {
-			t.Fatalf("agent %s sees m3 as %+v, want alive at inc 1", a.SelfID(), m)
+			t.Fatalf("agent %s sees m3 as %+v, want alive at inc 1", a.self, m)
 		}
 	}
 }
@@ -555,8 +555,14 @@ func TestRouterProbeJitter(t *testing.T) {
 		}
 		return r
 	}
-	a, b := mk(7), mk(7)
-	offA, offB := a.ProbeOffsets(), b.ProbeOffsets()
+	offsets := func(r *Router) map[string]time.Duration {
+		out := make(map[string]time.Duration, len(shards))
+		for _, s := range shards {
+			out[s.ID] = r.ProbeOffset(s.ID)
+		}
+		return out
+	}
+	offA, offB := offsets(mk(7)), offsets(mk(7))
 	if len(offA) != len(shards) {
 		t.Fatalf("offsets cover %d shards, want %d", len(offA), len(shards))
 	}
@@ -574,9 +580,8 @@ func TestRouterProbeJitter(t *testing.T) {
 		t.Fatalf("only %d distinct phases across %d shards; probes fire in lockstep", len(distinct), len(shards))
 	}
 	// A different seed reschedules the fleet.
-	c := mk(8)
 	moved := 0
-	for id, off := range c.ProbeOffsets() {
+	for id, off := range offsets(mk(8)) {
 		if off != offA[id] {
 			moved++
 		}

@@ -20,7 +20,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -115,9 +114,6 @@ func NewRing(vnodes int, nodes []string) (*Ring, error) {
 // VNodes is the per-member virtual-node count.
 func (r *Ring) VNodes() int { return r.vnodes }
 
-// Nodes returns the sorted member ids.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
 
@@ -133,30 +129,6 @@ func (r *Ring) Owner(key int) string {
 		i = 0 // wrap past the highest point
 	}
 	return r.points[i].node
-}
-
-// WithNode returns a new ring with the node added (no-op if present).
-func (r *Ring) WithNode(node string) (*Ring, error) {
-	for _, n := range r.nodes {
-		if n == node {
-			return r, nil
-		}
-	}
-	return NewRing(r.vnodes, append(r.Nodes(), node))
-}
-
-// WithoutNode returns a new ring with the node removed (no-op if absent).
-func (r *Ring) WithoutNode(node string) (*Ring, error) {
-	kept := make([]string, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		if n != node {
-			kept = append(kept, n)
-		}
-	}
-	if len(kept) == len(r.nodes) {
-		return r, nil
-	}
-	return NewRing(r.vnodes, kept)
 }
 
 // OwnedFraction is the share of the hash space a node owns — the expected
@@ -196,8 +168,9 @@ func (r *Ring) OwnedClusters(node string, total int) []int {
 
 // ShardMap is the cluster tier's wire-level self-description: the ring
 // parameters plus per-shard identity and liveness. The router serves it at
-// GET /v1/cluster, and any client can rebuild the exact routing ring from
-// it (Ring() below). Version guards the format.
+// GET /v1/cluster for operators to read; the live shards and VNodes are the
+// inputs of the ring the router routes on (NewRing). Version guards the
+// format.
 type ShardMap struct {
 	Version int         `json:"version"`
 	VNodes  int         `json:"vnodes"`
@@ -218,70 +191,3 @@ type ShardInfo struct {
 
 // ShardMapVersion is the current wire version.
 const ShardMapVersion = 1
-
-// Shard-map bounds: a length or count beyond these means the document is
-// garbage (or hostile), not a big deployment.
-const (
-	maxShardMapShards = 1024
-	maxShardMapVNodes = 1 << 16
-	maxShardIDLen     = 128
-	maxShardAddrLen   = 256
-)
-
-// Validate checks structural sanity: version, bounds, unique non-empty
-// ids, finite fractions in [0, 1].
-func (m *ShardMap) Validate() error {
-	if m.Version != ShardMapVersion {
-		return fmt.Errorf("cluster: shard map version %d, want %d", m.Version, ShardMapVersion)
-	}
-	if m.VNodes < 1 || m.VNodes > maxShardMapVNodes {
-		return fmt.Errorf("cluster: shard map vnodes %d out of range [1, %d]", m.VNodes, maxShardMapVNodes)
-	}
-	if len(m.Shards) > maxShardMapShards {
-		return fmt.Errorf("cluster: shard map lists %d shards (limit %d)", len(m.Shards), maxShardMapShards)
-	}
-	seen := make(map[string]bool, len(m.Shards))
-	for i, s := range m.Shards {
-		if s.ID == "" || len(s.ID) > maxShardIDLen {
-			return fmt.Errorf("cluster: shard %d: bad id %q", i, s.ID)
-		}
-		if seen[s.ID] {
-			return fmt.Errorf("cluster: duplicate shard id %q", s.ID)
-		}
-		seen[s.ID] = true
-		if len(s.Addr) > maxShardAddrLen {
-			return fmt.Errorf("cluster: shard %q: address too long", s.ID)
-		}
-		if math.IsNaN(s.OwnedFraction) || s.OwnedFraction < 0 || s.OwnedFraction > 1 {
-			return fmt.Errorf("cluster: shard %q: owned fraction %v out of [0, 1]", s.ID, s.OwnedFraction)
-		}
-		if s.RingPositions < 0 || s.RingPositions > maxShardMapVNodes {
-			return fmt.Errorf("cluster: shard %q: ring positions %d out of range", s.ID, s.RingPositions)
-		}
-	}
-	return nil
-}
-
-// ParseShardMap decodes and validates one shard-map document.
-func ParseShardMap(data []byte) (*ShardMap, error) {
-	var m ShardMap
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("cluster: shard map decode: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// Ring rebuilds the routing ring over the map's live shards — the exact
-// ring the router that served the map routes on.
-func (m *ShardMap) Ring() (*Ring, error) {
-	var live []string
-	for _, s := range m.Shards {
-		if s.Alive {
-			live = append(live, s.ID)
-		}
-	}
-	return NewRing(m.VNodes, live)
-}

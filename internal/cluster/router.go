@@ -421,17 +421,6 @@ func (r *Router) ProbeOffset(id string) time.Duration {
 	return time.Duration(h % uint64(r.cfg.ProbeEvery))
 }
 
-// ProbeOffsets snapshots every current member's probe phase.
-func (r *Router) ProbeOffsets() map[string]time.Duration {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]time.Duration, len(r.order))
-	for _, id := range r.order {
-		out[id] = r.ProbeOffset(id)
-	}
-	return out
-}
-
 // Run drives the liveness prober until ctx ends. An initial probe pass
 // runs immediately so a topology that boots with a dead member converges
 // before the first tick; after that each shard fires once per ProbeEvery

@@ -109,11 +109,11 @@ func TestWarmStartFrom(t *testing.T) {
 	if err := fresh.WarmStartFrom(donor, info); err != nil {
 		t.Fatal(err)
 	}
-	got := fresh.WarmStarted()
+	got := fresh.warmStart
 	if got == nil || *got != info {
 		t.Fatalf("provenance = %+v, want %+v", got, info)
 	}
-	if donor.WarmStarted() != nil {
+	if donor.warmStart != nil {
 		t.Fatal("donor must not inherit the recipient's provenance")
 	}
 
@@ -144,7 +144,7 @@ func TestWarmStartFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws := restored.WarmStarted(); ws == nil || *ws != info {
+	if ws := restored.warmStart; ws == nil || *ws != info {
 		t.Fatalf("restored provenance = %+v, want %+v", ws, info)
 	}
 	scratch, err := donor.MarshalJSON()
@@ -155,7 +155,7 @@ func TestWarmStartFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.WarmStarted() != nil {
+	if plain.warmStart != nil {
 		t.Fatal("scratch-trained snapshot grew a warm-start provenance")
 	}
 }

@@ -215,7 +215,7 @@ func plateaued(rewards []float64, window int, eps float64) bool {
 // optimizer state are copied (rl.DQN.CloneFrom), so the subsequent Train
 // call fine-tunes the transferred policy with a decayed ε-schedule. Both
 // models must share the problem shape (state/action sizes). info records the
-// transfer provenance, surfaced by WarmStarted and persisted in snapshots.
+// transfer provenance, persisted in snapshots.
 func (c *CRL) WarmStartFrom(src *CRL, info WarmStart) error {
 	if src == nil {
 		return fmt.Errorf("crl warm start: nil source")
@@ -230,10 +230,6 @@ func (c *CRL) WarmStartFrom(src *CRL, info WarmStart) error {
 	c.warmStart = &ws
 	return nil
 }
-
-// WarmStarted returns the model's transfer provenance, or nil for policies
-// trained from scratch.
-func (c *CRL) WarmStarted() *WarmStart { return c.warmStart }
 
 // DefineEnvironment answers the environment-definition query for sensing
 // data Z per the configured kNN policy.

@@ -67,9 +67,6 @@ func NewOfflineStore(store *EnvironmentStore, k int, seed int64) (*OfflineStore,
 	return o, nil
 }
 
-// Clusters returns the number of fitted clusters.
-func (o *OfflineStore) Clusters() int { return len(o.centroids) }
-
 // Define answers an environment-definition query with the averaged
 // environment of the query's cluster.
 func (o *OfflineStore) Define(z []float64) (*Environment, error) {

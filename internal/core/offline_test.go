@@ -2,9 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
-
-	"repro/internal/mathx"
 )
 
 func TestNewOfflineStoreValidation(t *testing.T) {
@@ -22,8 +21,8 @@ func TestOfflineStoreClustersAndDefines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Clusters() < 1 || off.Clusters() > 4 {
-		t.Fatalf("clusters = %d", off.Clusters())
+	if len(off.centroids) < 1 || len(off.centroids) > 4 {
+		t.Fatalf("clusters = %d", len(off.centroids))
 	}
 	env, err := off.Define([]float64{0.3})
 	if err != nil {
@@ -42,8 +41,8 @@ func TestOfflineStoreClustersAndDefines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Clusters() > store.Len() {
-		t.Fatalf("clusters %d exceed store size %d", small.Clusters(), store.Len())
+	if len(small.centroids) > store.Len() {
+		t.Fatalf("clusters %d exceed store size %d", len(small.centroids), store.Len())
 	}
 	if _, err := off.Define([]float64{1, 2, 3}); err == nil {
 		t.Fatal("bad signature length should error")
@@ -72,12 +71,22 @@ func TestOnlineBeatsOfflineOnAccuracy(t *testing.T) {
 		}
 		// Ground truth: the importance profile the fixture generates for z.
 		truth := fixtureImportance(8, z)
-		onlineErr += mathx.RMSE(online.Importance, truth)
-		offlineErr += mathx.RMSE(offline.Importance, truth)
+		onlineErr += rmse(online.Importance, truth)
+		offlineErr += rmse(offline.Importance, truth)
 		n++
 	}
 	if !(onlineErr/float64(n) <= offlineErr/float64(n)+0.02) {
 		t.Fatalf("online RMSE %v should not trail offline %v by much",
 			onlineErr/float64(n), offlineErr/float64(n))
 	}
+}
+
+// rmse is the root mean squared error between equal-length pred and target.
+func rmse(pred, target []float64) float64 {
+	var s float64
+	for i := range pred {
+		d := pred[i] - target[i]
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(pred)))
 }

@@ -80,7 +80,8 @@ type Report struct {
 // The zero value works; the knobs below tune Run's failure detector.
 type Controller struct {
 	// DialTimeout bounds how long Run waits to dial and greet a worker
-	// that has no idle session in the fleet.
+	// that has no idle session in the fleet. A greeting Run gave up on
+	// goes on in the background for at most four DialTimeouts in all.
 	DialTimeout time.Duration
 	// LivenessMisses is K: a worker that announced a heartbeat cadence and
 	// then misses K consecutive windows — each its cadence, but at least

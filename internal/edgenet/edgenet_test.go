@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -460,6 +462,73 @@ func TestRunBoundsMuteGreeting(t *testing.T) {
 	}
 }
 
+// TestMuteGreetingReleasedAfterBound: a greeting that Run gave up on is
+// hung up on once its hello is lateHelloFactor DialTimeouts overdue, and the
+// address is no longer mute: a later run dials it again.
+func TestMuteGreetingReleasedAfterBound(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	accepted := make(chan net.Conn, 4) // two runs dial it at most once each
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { conn.Close() }) // mute: hold it open, never write
+			accepted <- conn
+		}
+	}()
+	_, addrs := startWorkers(t, 1)
+	mute := l.Addr().String()
+	p, res := testPlan(4, 2)
+	ctrl := NewController()
+	ctrl.DialTimeout = 50 * time.Millisecond
+	run := func() {
+		t.Helper()
+		report, err := ctrl.Run(context.Background(), []string{addrs[0], mute}, p, res, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report.Completions) != 4 {
+			t.Fatalf("completions = %d, want 4", len(report.Completions))
+		}
+	}
+	run()
+
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the mute address was never dialed")
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("mute connection read: %v, want EOF once the hello bound expires", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		fleet.mu.Lock()
+		n := fleet.mute[mute]
+		fleet.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mute count %d after the hello bound, want 0", n)
+		}
+	}
+
+	run()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a run after the hello bound did not dial the address again")
+	}
+}
+
 // taskScale is the TimeScale at which a 1000-bit task takes d on a
 // RaspberryPiB worker.
 func taskScale(d time.Duration) float64 {
@@ -565,4 +634,31 @@ func TestWorkerQueuesMidTaskAssign(t *testing.T) {
 			t.Fatalf("frame %d = %q/%d, want done/%d", j, env.Type, env.TaskID, j)
 		}
 	}
+}
+
+// Rejoin dials a controller's rejoin listener and serves the protocol on
+// the outbound connection — how a recovered node re-enters a running
+// dispatch pool. It returns once the connection is
+// established; the protocol runs in the background until the controller
+// hangs up or the worker is closed.
+func (w *Worker) Rejoin(ctx context.Context, controllerAddr string) error {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", controllerAddr)
+	if err != nil {
+		return fmt.Errorf("edgenet: worker %d rejoin %s: %w", w.ID, controllerAddr, err)
+	}
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		conn.Close()
+		return fmt.Errorf("edgenet: worker %d is closed", w.ID)
+	}
+	w.handlers.Add(1)
+	w.mu.Unlock()
+	go func() {
+		defer w.handlers.Done()
+		defer conn.Close()
+		w.handle(conn)
+	}()
+	return nil
 }

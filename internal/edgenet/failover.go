@@ -25,9 +25,9 @@ type ftWorker struct {
 	beatEvery time.Duration // announced heartbeat cadence; 0 = no liveness tracking
 
 	alive    bool
-	busy     int   // task in flight, -1 when idle
-	queue    []int // planned backlog, priority-ordered
-	lastBeat time.Time
+	busy     int       // task in flight, -1 when idle
+	queue    []int     // planned backlog, priority-ordered
+	lastBeat time.Time // last sign of life, moved later by a late scan's gap
 	misses   int       // consecutive heartbeat windows missed
 	corrupt  int       // corrupt frames seen on this connection
 	cancelBy time.Time // set once the run's MsgCancel is sent: the echo's deadline
@@ -73,6 +73,8 @@ type ftRun struct {
 	events  chan ftEvent
 	stop    chan struct{}  // closed once the run is over: no more events
 	ticker  *time.Ticker   // the failure detector's scan
+	scanned time.Time      // the last scan, or the dispatch start
+	silence string         // " (why the last silent worker died)", or ""
 	wg      sync.WaitGroup // the rejoin listener's goroutines
 	workers []*ftWorker
 	tasks   []ftTask
@@ -168,6 +170,7 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	// Completion instants count from here: the greeting is connection
 	// set-up, not execution.
 	r.start = time.Now()
+	r.scanned = r.start
 	if r.live == 0 && c.RejoinListener == nil && r.total > 0 {
 		return nil, fmt.Errorf("%d tasks stranded: %w", r.total, ErrAllWorkersDown)
 	}
@@ -217,7 +220,7 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 			return nil, fmt.Errorf("edgenet run: %w", ctx.Err())
 		}
 		if !r.over() && r.live == 0 && c.RejoinListener == nil {
-			return nil, fmt.Errorf("%d tasks stranded: %w", r.total-r.done, ErrAllWorkersDown)
+			return nil, fmt.Errorf("%d tasks stranded%s: %w", r.total-r.done, r.silence, ErrAllWorkersDown)
 		}
 	}
 	if r.target <= 0 {
@@ -455,15 +458,30 @@ func (r *ftRun) scan(now time.Time) {
 		r.report.Hedges++
 		r.assign(w, j)
 	}
+	prev := r.scanned
+	gap := now.Sub(prev)
+	r.scanned = now
 	for _, w := range r.workers {
 		if !w.alive || w.beatEvery <= 0 {
 			continue
+		}
+		if gap > 2*r.c.tick() {
+			// More than one Tick late: the controller itself was not
+			// listening since prev, so this scan counts none of it as
+			// silence.
+			if w.lastBeat.Before(prev) {
+				w.lastBeat = w.lastBeat.Add(gap)
+			} else {
+				w.lastBeat = now
+			}
 		}
 		if missed := int(now.Sub(w.lastBeat) / r.beatWindow(w)); missed > w.misses {
 			r.report.HeartbeatMisses += missed - w.misses
 			w.misses = missed
 		}
 		if w.misses >= r.c.livenessMisses() {
+			r.silence = fmt.Sprintf(" (worker %d: silent %v at a scan %v after the one before)",
+				w.id, now.Sub(w.lastBeat).Round(time.Microsecond), gap.Round(time.Microsecond))
 			r.kill(w)
 		}
 	}

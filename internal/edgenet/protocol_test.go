@@ -213,3 +213,48 @@ func TestLivenessFloorFineCadence(t *testing.T) {
 			len(report.Completions), report.DeadWorkers, report.HeartbeatMisses)
 	}
 }
+
+// TestLivenessFloorLateScan calls scan at synthetic instants on a worker
+// with a 2 ms cadence that never beats (Tick 10 ms, K = 3). On-time scans
+// declare it dead at the third window; one scan that runs more than a Tick
+// late counts none of its gap as silence, and the on-time scans after it
+// resume the count where it stood.
+func TestLivenessFloorLateScan(t *testing.T) {
+	t0 := time.Unix(0, 0)
+	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
+	newRun := func() (*ftRun, *ftWorker) {
+		conn, peer := net.Pipe()
+		t.Cleanup(func() { peer.Close() })
+		w := &ftWorker{alive: true, busy: -1, beatEvery: 2 * time.Millisecond, lastBeat: t0,
+			s: &session{conn: conn, quit: make(chan struct{})}}
+		r := &ftRun{c: &Controller{}, report: &Report{}, scanned: t0, workers: []*ftWorker{w}, live: 1}
+		return r, w
+	}
+
+	r, w := newRun()
+	for _, at := range []int{10, 20} {
+		r.scan(ms(at))
+		if !w.alive {
+			t.Fatalf("on-time scans: dead at %d ms, before K windows", at)
+		}
+	}
+	r.scan(ms(30))
+	if w.alive {
+		t.Fatal("on-time scans: alive after K windows with no beat")
+	}
+
+	r, w = newRun()
+	r.scan(ms(10))
+	r.scan(ms(60)) // 40 ms late
+	if !w.alive || w.misses != 1 {
+		t.Fatalf("after a late scan: alive %v with %d missed windows; want alive with 1", w.alive, w.misses)
+	}
+	r.scan(ms(70))
+	if !w.alive {
+		t.Fatal("dead at the first on-time scan after a late one, with two windows counted")
+	}
+	r.scan(ms(80))
+	if w.alive {
+		t.Fatal("alive after K counted windows with no beat")
+	}
+}

@@ -155,14 +155,20 @@ func pool(s *session) {
 	}
 }
 
-// dial dials addr (bounded by DialTimeout and ctx), reads the hello and
-// hands the session, nil on failure, to greet on ch; once greet has given
-// up, a hello that arrives after all puts the session in the fleet.
+// lateHelloFactor bounds a hello read at this many DialTimeouts. Run waits
+// one; a slow worker that greets later still joins the fleet, and a peer
+// that never speaks is hung up on, so the next Run dials it afresh.
+const lateHelloFactor = 4
+
+// dial dials addr (bounded by DialTimeout and ctx), reads the hello (bounded
+// by lateHelloFactor DialTimeouts) and hands the session, nil on failure, to
+// greet on ch; once greet has given up, a hello that arrives after all puts
+// the session in the fleet, and a failed one clears addr's mute count.
 func (c *Controller) dial(ctx context.Context, addr string, ch chan<- *session, gaveUp <-chan struct{}) {
 	var s *session
 	d := net.Dialer{Timeout: c.DialTimeout}
 	if conn, err := d.DialContext(ctx, "tcp", addr); err == nil {
-		if hello, err := readHello(conn, 0); err != nil {
+		if hello, err := readHello(conn, lateHelloFactor*c.DialTimeout); err != nil {
 			conn.Close()
 		} else {
 			s = startSession(addr, conn, hello)

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/building"
@@ -65,8 +64,6 @@ type Extractor struct {
 	// success counts how often each task appeared in past optimal
 	// decisions; updated by RecordSuccess as decisions are made.
 	success []float64
-	// perChiller indexes record positions by chiller, time-sorted.
-	perChiller map[int][]int
 }
 
 // NewExtractor builds an extractor over the engine's task set.
@@ -75,28 +72,13 @@ func NewExtractor(tr *building.Trace, engine *mtl.Engine) (*Extractor, error) {
 		return nil, building.ErrNoRecords
 	}
 	tasks := engine.Tasks()
-	e := &Extractor{
-		trace:      tr,
-		tasks:      tasks,
-		rmse:       engine.PredictionRMSE,
-		success:    make([]float64, len(tasks)),
-		perChiller: make(map[int][]int),
-	}
-	for i, r := range tr.Records {
-		e.perChiller[r.ChillerID] = append(e.perChiller[r.ChillerID], i)
-	}
-	// Records are generated chronologically, but sort defensively.
-	for id := range e.perChiller {
-		idx := e.perChiller[id]
-		sort.Slice(idx, func(a, b int) bool {
-			return tr.Records[idx[a]].Time.Before(tr.Records[idx[b]].Time)
-		})
-	}
-	return e, nil
+	return &Extractor{
+		trace:   tr,
+		tasks:   tasks,
+		rmse:    engine.PredictionRMSE,
+		success: make([]float64, len(tasks)),
+	}, nil
 }
-
-// TaskCount returns the number of tasks the extractor serves.
-func (e *Extractor) TaskCount() int { return len(e.tasks) }
 
 // RecordSuccess increments a task's Past Success counter ("the number of
 // cases that a task is selected in the optimal decision in the past").
@@ -106,27 +88,6 @@ func (e *Extractor) RecordSuccess(taskID int) error {
 	}
 	e.success[taskID]++
 	return nil
-}
-
-// PastSuccess returns the counter value.
-func (e *Extractor) PastSuccess(taskID int) float64 {
-	if taskID < 0 || taskID >= len(e.success) {
-		return 0
-	}
-	return e.success[taskID]
-}
-
-// latestRecord finds the chiller's newest record at or before t, or nil.
-func (e *Extractor) latestRecord(chillerID int, t time.Time) *building.Record {
-	idx := e.perChiller[chillerID]
-	// Binary search for the first record after t.
-	lo := sort.Search(len(idx), func(i int) bool {
-		return e.trace.Records[idx[i]].Time.After(t)
-	})
-	if lo == 0 {
-		return nil
-	}
-	return &e.trace.Records[idx[lo-1]]
 }
 
 // Vector computes the Table-I feature vector for one task under ctx.
@@ -149,7 +110,7 @@ func (e *Extractor) Vector(taskID int, ctx Context) ([]float64, error) {
 	case building.ModelAbsorption:
 		out[5] = 1
 	}
-	if r := e.latestRecord(t.ChillerID, ctx.Time); r != nil {
+	if r := e.trace.LatestBefore(t.ChillerID, ctx.Time); r != nil {
 		out[6] = r.OperatingPowerKW
 		out[9] = r.CoolingLoadKW
 		out[10] = r.WaterFlowKgS

@@ -147,7 +147,7 @@ func TestVectorBeforeTraceStart(t *testing.T) {
 func TestPastSuccessCounter(t *testing.T) {
 	tr, _, ex := fixture(t)
 	ctx := midTraceContext(tr)
-	if ex.PastSuccess(3) != 0 {
+	if ex.success[3] != 0 {
 		t.Fatal("fresh counter should be 0")
 	}
 	if err := ex.RecordSuccess(3); err != nil {
@@ -156,8 +156,8 @@ func TestPastSuccessCounter(t *testing.T) {
 	if err := ex.RecordSuccess(3); err != nil {
 		t.Fatal(err)
 	}
-	if ex.PastSuccess(3) != 2 {
-		t.Fatalf("PastSuccess = %v", ex.PastSuccess(3))
+	if ex.success[3] != 2 {
+		t.Fatalf("past success counter = %v", ex.success[3])
 	}
 	v, err := ex.Vector(3, ctx)
 	if err != nil {
@@ -169,9 +169,6 @@ func TestPastSuccessCounter(t *testing.T) {
 	if err := ex.RecordSuccess(-1); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("bad id err = %v", err)
 	}
-	if ex.PastSuccess(-1) != 0 || ex.PastSuccess(9999) != 0 {
-		t.Fatal("out-of-range PastSuccess should be 0")
-	}
 }
 
 func TestPredictionAccuracyBounded(t *testing.T) {
@@ -181,7 +178,7 @@ func TestPredictionAccuracyBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vs) != ex.TaskCount() {
+	if len(vs) != len(ex.tasks) {
 		t.Fatalf("Vectors count = %d", len(vs))
 	}
 	for i, v := range vs {

@@ -4,12 +4,13 @@
 // demand) are packed into knapsacks (processors) with per-knapsack weight
 // and volume capacities. Items may be left unpacked.
 //
-// Three solvers are provided:
+// Two solvers are provided:
 //   - SolveExact: branch-and-bound, the reference optimum for small N;
 //   - SolveGreedy: density-greedy first-fit, the scalable heuristic the
-//     synthetic (non-data-driven) allocators build on;
-//   - SolveDP: textbook single-knapsack dynamic program, used by tests to
-//     cross-validate the other two on M=1 instances.
+//     synthetic (non-data-driven) allocators build on.
+//
+// The package tests cross-validate SolveExact on M=1 instances against
+// SolveDP, a textbook single-knapsack dynamic program in knapsack_test.go.
 package knapsack
 
 import (
@@ -299,54 +300,4 @@ func (b *bbState) search(k int, value float64) {
 	}
 	// Branch: skip the item.
 	b.search(k+1, value)
-}
-
-// SolveDP solves the single-sack, weight-only special case exactly via the
-// classic 0-1 knapsack dynamic program over an integer weight grid.
-// Weights and the capacity are scaled by `scale` and truncated to integers;
-// volumes must be zero and exactly one sack is required.
-func SolveDP(in *Instance, scale float64) (*Solution, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if len(in.Sacks) != 1 {
-		return nil, fmt.Errorf("dp needs exactly 1 sack, got %d: %w", len(in.Sacks), ErrBadInstance)
-	}
-	for i, it := range in.Items {
-		if it.Volume != 0 {
-			return nil, fmt.Errorf("dp item %d has volume: %w", i, ErrBadInstance)
-		}
-	}
-	if scale <= 0 {
-		scale = 1
-	}
-	capW := int(in.Sacks[0].WeightCap * scale)
-	w := make([]int, len(in.Items))
-	for i, it := range in.Items {
-		w[i] = int(it.Weight * scale)
-	}
-	// dp[c] = best value using capacity c; keep[i][c] records choices.
-	dp := make([]float64, capW+1)
-	keep := make([][]bool, len(in.Items))
-	for i := range in.Items {
-		keep[i] = make([]bool, capW+1)
-		for c := capW; c >= w[i]; c-- {
-			if cand := dp[c-w[i]] + in.Items[i].Value; cand > dp[c] {
-				dp[c] = cand
-				keep[i][c] = true
-			}
-		}
-	}
-	assignment := make([]int, len(in.Items))
-	for i := range assignment {
-		assignment[i] = Unassigned
-	}
-	c := capW
-	for i := len(in.Items) - 1; i >= 0; i-- {
-		if keep[i][c] {
-			assignment[i] = 0
-			c -= w[i]
-		}
-	}
-	return &Solution{Assignment: assignment, Value: in.ValueOf(assignment)}, nil
 }

@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -260,4 +261,54 @@ func TestExactDominatesGreedyProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// SolveDP solves the single-sack, weight-only special case exactly via the
+// classic 0-1 knapsack dynamic program over an integer weight grid.
+// Weights and the capacity are scaled by `scale` and truncated to integers;
+// volumes must be zero and exactly one sack is required.
+func SolveDP(in *Instance, scale float64) (*Solution, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if len(in.Sacks) != 1 {
+		return nil, fmt.Errorf("dp needs exactly 1 sack, got %d: %w", len(in.Sacks), ErrBadInstance)
+	}
+	for i, it := range in.Items {
+		if it.Volume != 0 {
+			return nil, fmt.Errorf("dp item %d has volume: %w", i, ErrBadInstance)
+		}
+	}
+	if scale <= 0 {
+		scale = 1
+	}
+	capW := int(in.Sacks[0].WeightCap * scale)
+	w := make([]int, len(in.Items))
+	for i, it := range in.Items {
+		w[i] = int(it.Weight * scale)
+	}
+	// dp[c] = best value using capacity c; keep[i][c] records choices.
+	dp := make([]float64, capW+1)
+	keep := make([][]bool, len(in.Items))
+	for i := range in.Items {
+		keep[i] = make([]bool, capW+1)
+		for c := capW; c >= w[i]; c-- {
+			if cand := dp[c-w[i]] + in.Items[i].Value; cand > dp[c] {
+				dp[c] = cand
+				keep[i][c] = true
+			}
+		}
+	}
+	assignment := make([]int, len(in.Items))
+	for i := range assignment {
+		assignment[i] = Unassigned
+	}
+	c := capW
+	for i := len(in.Items) - 1; i >= 0; i-- {
+		if keep[i][c] {
+			assignment[i] = 0
+			c -= w[i]
+		}
+	}
+	return &Solution{Assignment: assignment, Value: in.ValueOf(assignment)}, nil
 }

@@ -53,36 +53,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// MulVec computes m·x and returns a new vector of length m.Rows.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("mulvec: %d cols vs %d: %w", m.Cols, len(x), ErrDimensionMismatch)
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out, nil
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder

@@ -52,28 +52,6 @@ func TestMatrixFromRows(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := m.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("MulVec = %v", y)
-	}
-	if _, err := m.MulVec([]float64{1}); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("MulVec mismatch error = %v", err)
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("Transpose wrong: %s", tr)
-	}
-}
-
 func TestMatrixString(t *testing.T) {
 	m, _ := MatrixFromRows([][]float64{{1, 2}})
 	if m.String() != "1 2\n" {
@@ -151,5 +129,12 @@ func TestSolveDiagonalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Fill sets every element to v.
+func (m *Matrix) Fill(v float64) {
+	for i := range m.Data {
+		m.Data[i] = v
 	}
 }

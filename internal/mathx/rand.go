@@ -20,11 +20,6 @@ func Shuffle(rng *rand.Rand, idx []int) {
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 }
 
-// Gaussian returns a normal sample with the given mean and standard deviation.
-func Gaussian(rng *rand.Rand, mean, std float64) float64 {
-	return mean + std*rng.NormFloat64()
-}
-
 // Uniform returns a sample from [lo, hi).
 func Uniform(rng *rand.Rand, lo, hi float64) float64 {
 	return lo + (hi-lo)*rng.Float64()
@@ -65,9 +60,4 @@ func WeightedChoice(rng *rand.Rand, weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Bernoulli returns true with probability p.
-func Bernoulli(rng *rand.Rand, p float64) bool {
-	return rng.Float64() < p
 }

@@ -32,38 +32,6 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(Variance(x))
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of x using linear
-// interpolation between order statistics. Empty x returns 0.
-func Quantile(x []float64, q float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := Clone(x)
-	sort.Float64s(s)
-	q = Clamp(q, 0, 1)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 0.5-quantile of x.
-func Median(x []float64) float64 { return Quantile(x, 0.5) }
-
-// Normalize scales x in place so its elements sum to 1.
-// All-zero (or empty) input is left untouched.
-func Normalize(x []float64) {
-	s := Sum(x)
-	if s == 0 {
-		return
-	}
-	Scale(1/s, x)
-}
-
 // GiniCoefficient measures the inequality of the non-negative values in x.
 // 0 means perfectly equal; values near 1 mean a long-tail concentration.
 // It is used to quantify the paper's Observation 1 (long-tail importance).
@@ -83,30 +51,6 @@ func GiniCoefficient(x []float64) float64 {
 		return 0
 	}
 	return (2*cum/(float64(n)*total) - float64(n+1)/float64(n))
-}
-
-// TopShare returns the fraction of Sum(x) contributed by the largest
-// `frac` (0..1) share of elements. TopShare(x, 0.127) answering ">0.8"
-// reproduces the paper's "12.72% of tasks contribute over 80%" statistic.
-func TopShare(x []float64, frac float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	s := Clone(x)
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	k := int(math.Ceil(Clamp(frac, 0, 1) * float64(n)))
-	if k <= 0 {
-		return 0
-	}
-	if k > n {
-		k = n
-	}
-	total := Sum(s)
-	if total == 0 {
-		return 0
-	}
-	return Sum(s[:k]) / total
 }
 
 // MinTopFractionForShare returns the smallest fraction of elements (largest
@@ -131,58 +75,4 @@ func MinTopFractionForShare(x []float64, share float64) float64 {
 		}
 	}
 	return 1
-}
-
-// Pearson returns the Pearson correlation coefficient of paired samples.
-// Returns 0 when either side has zero variance or the lengths differ.
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) < 2 {
-		return 0
-	}
-	ma, mb := Mean(a), Mean(b)
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
-}
-
-// RMSE returns the root mean squared error between predictions and targets.
-// Mismatched lengths compare the common prefix; empty input returns 0.
-func RMSE(pred, target []float64) float64 {
-	n := len(pred)
-	if len(target) < n {
-		n = len(target)
-	}
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		d := pred[i] - target[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n))
-}
-
-// MAE returns the mean absolute error between predictions and targets.
-func MAE(pred, target []float64) float64 {
-	n := len(pred)
-	if len(target) < n {
-		n = len(target)
-	}
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += math.Abs(pred[i] - target[i])
-	}
-	return s / float64(n)
 }

@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -23,45 +22,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	x := []float64{3, 1, 2, 4}
-	tests := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, tt := range tests {
-		if got := Quantile(x, tt.q); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-	if got := Median([]float64{5, 1, 9}); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
-	}
-	// Quantile must not mutate its input.
-	orig := []float64{9, 1}
-	Quantile(orig, 0.5)
-	if orig[0] != 9 {
-		t.Error("Quantile mutated input")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	x := []float64{1, 3}
-	Normalize(x)
-	if !almostEqual(x[0], 0.25, 1e-12) || !almostEqual(x[1], 0.75, 1e-12) {
-		t.Fatalf("Normalize = %v", x)
-	}
-	zero := []float64{0, 0}
-	Normalize(zero)
-	if zero[0] != 0 {
-		t.Fatal("all-zero Normalize should be a no-op")
-	}
-}
-
 func TestGiniCoefficient(t *testing.T) {
 	if got := GiniCoefficient([]float64{1, 1, 1, 1}); !almostEqual(got, 0, 1e-12) {
 		t.Errorf("equal Gini = %v, want 0", got)
@@ -72,22 +32,6 @@ func TestGiniCoefficient(t *testing.T) {
 	}
 	if GiniCoefficient(nil) != 0 || GiniCoefficient([]float64{0, 0}) != 0 {
 		t.Error("degenerate Gini should be 0")
-	}
-}
-
-func TestTopShare(t *testing.T) {
-	// One element holds everything.
-	x := []float64{10, 0, 0, 0}
-	if got := TopShare(x, 0.25); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("TopShare = %v, want 1", got)
-	}
-	// Uniform: the top 50% holds 50%.
-	u := []float64{1, 1, 1, 1}
-	if got := TopShare(u, 0.5); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("uniform TopShare = %v, want 0.5", got)
-	}
-	if TopShare(nil, 0.5) != 0 || TopShare([]float64{0}, 0.5) != 0 {
-		t.Error("degenerate TopShare should be 0")
 	}
 }
 
@@ -104,67 +48,6 @@ func TestMinTopFractionForShare(t *testing.T) {
 	}
 	if got := MinTopFractionForShare([]float64{0, 0}, 0.5); got != 1 {
 		t.Errorf("zero-total should be 1, got %v", got)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if got := Pearson(a, b); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v, want 1", got)
-	}
-	c := []float64{8, 6, 4, 2}
-	if got := Pearson(a, c); !almostEqual(got, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v, want -1", got)
-	}
-	if Pearson(a, []float64{1, 1, 1, 1}) != 0 {
-		t.Error("zero-variance Pearson should be 0")
-	}
-	if Pearson(a, a[:2]) != 0 {
-		t.Error("length-mismatch Pearson should be 0")
-	}
-}
-
-func TestRMSEAndMAE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	target := []float64{1, 2, 5}
-	if got := RMSE(pred, target); !almostEqual(got, math.Sqrt(4.0/3), 1e-12) {
-		t.Errorf("RMSE = %v", got)
-	}
-	if got := MAE(pred, target); !almostEqual(got, 2.0/3, 1e-12) {
-		t.Errorf("MAE = %v", got)
-	}
-	if RMSE(nil, nil) != 0 || MAE(nil, nil) != 0 {
-		t.Error("empty errors should be 0")
-	}
-}
-
-// Property: quantile output is within [min, max] and monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		x := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				x = append(x, v)
-			}
-		}
-		if len(x) == 0 {
-			return true
-		}
-		prev := math.Inf(-1)
-		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
-			v := Quantile(x, q)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		s := Clone(x)
-		sort.Float64s(s)
-		return Quantile(x, 0) == s[0] && Quantile(x, 1) == s[len(s)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -9,7 +9,6 @@ package mathx
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -17,22 +16,13 @@ import (
 var ErrDimensionMismatch = errors.New("mathx: dimension mismatch")
 
 // Dot returns the inner product of a and b.
-// It panics only via index bounds if the lengths differ; callers that cannot
-// statically guarantee equal lengths should use DotChecked.
+// It panics only via index bounds if b is shorter than a.
 func Dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// DotChecked returns the inner product of a and b, or ErrDimensionMismatch.
-func DotChecked(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("dot: %d vs %d: %w", len(a), len(b), ErrDimensionMismatch)
-	}
-	return Dot(a, b), nil
 }
 
 // AXPY computes dst[i] += alpha*x[i] in place.
@@ -65,11 +55,6 @@ func Sub(a, b []float64) []float64 {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
 }
 
 // SquaredDistance returns ||a-b||^2.
@@ -123,34 +108,12 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element of x, or -1 for empty x.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // MaxOf returns the largest element of x, or -Inf for empty x.
 func MaxOf(x []float64) float64 {
 	if len(x) == 0 {
 		return math.Inf(-1)
 	}
 	return x[ArgMax(x)]
-}
-
-// MinOf returns the smallest element of x, or +Inf for empty x.
-func MinOf(x []float64) float64 {
-	if len(x) == 0 {
-		return math.Inf(1)
-	}
-	return x[ArgMin(x)]
 }
 
 // Sum returns the sum of all elements of x.
@@ -160,38 +123,4 @@ func Sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Softmax writes the softmax of x into a new slice.
-// It is numerically stabilized by subtracting the max.
-func Softmax(x []float64) []float64 {
-	if len(x) == 0 {
-		return nil
-	}
-	m := MaxOf(x)
-	out := make([]float64, len(x))
-	var z float64
-	for i, v := range x {
-		e := math.Exp(v - m)
-		out[i] = e
-		z += e
-	}
-	for i := range out {
-		out[i] /= z
-	}
-	return out
-}
-
-// Linspace returns n evenly spaced points from lo to hi inclusive.
-// n < 2 returns []float64{lo}.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
 }

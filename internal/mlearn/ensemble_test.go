@@ -45,7 +45,7 @@ func TestAdaBoostXOR(t *testing.T) {
 
 func TestAdaBoostBeatsSingleStump(t *testing.T) {
 	d := xorDataset(2, 300)
-	stump := NewTree(1)
+	stump := &Tree{MaxDepth: 1, MinLeaf: 1, FeatureFrac: 1}
 	if err := stump.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestForestRegression(t *testing.T) {
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = []float64{rng.Float64() * 2, rng.Float64() * 2}
-		y[i] = x[i][0]*x[i][1] + mathx.Gaussian(rng, 0, 0.05)
+		y[i] = x[i][0]*x[i][1] + 0.05*rng.NormFloat64()
 	}
 	d, _ := NewDataset(x, y)
 	f := NewForest(40)
@@ -129,8 +129,8 @@ func TestForestRegression(t *testing.T) {
 	for i := range x {
 		preds[i], _ = f.Predict(x[i])
 	}
-	if rmse := mathx.RMSE(preds, y); rmse > 0.25 {
-		t.Fatalf("forest RMSE = %v, want < 0.25", rmse)
+	if e := rmse(preds, y); e > 0.25 {
+		t.Fatalf("forest RMSE = %v, want < 0.25", e)
 	}
 }
 

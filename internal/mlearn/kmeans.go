@@ -143,19 +143,3 @@ func (m *KMeans) Centroids() [][]float64 {
 	}
 	return out
 }
-
-// Inertia returns the total within-cluster squared distance for rows x.
-func (m *KMeans) Inertia(x [][]float64) (float64, error) {
-	if !m.fitted {
-		return 0, ErrNotFitted
-	}
-	var total float64
-	for i, row := range x {
-		c, err := m.Assign(row)
-		if err != nil {
-			return 0, fmt.Errorf("row %d: %w", i, err)
-		}
-		total += mathx.SquaredDistance(row, m.centroids[c])
-	}
-	return total, nil
-}

@@ -2,7 +2,6 @@ package mlearn
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/mathx"
@@ -111,13 +110,6 @@ func TestKMeansSeparatesClusters(t *testing.T) {
 	if a != b {
 		t.Fatal("nearby points assigned to different clusters")
 	}
-	inertia, err := km.Inertia(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inertia/float64(len(x)) > 1.5 {
-		t.Fatalf("inertia per point = %v, want small", inertia/float64(len(x)))
-	}
 }
 
 func TestKMeansKClampedToN(t *testing.T) {
@@ -159,9 +151,6 @@ func TestKMeansErrors(t *testing.T) {
 	if _, err := km.Assign([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("unfitted assign err = %v", err)
 	}
-	if _, err := km.Inertia(nil); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("unfitted inertia err = %v", err)
-	}
 	if err := km.Fit([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("ragged fit err = %v", err)
 	}
@@ -184,8 +173,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	if err != nil || c < 0 {
 		t.Fatalf("assign on degenerate data: %v %v", c, err)
 	}
-	inertia, _ := km.Inertia(x)
-	if math.Abs(inertia) > 1e-12 {
-		t.Fatalf("degenerate inertia = %v, want 0", inertia)
+	if d := mathx.SquaredDistance(x[0], km.Centroids()[c]); d > 1e-12 {
+		t.Fatalf("degenerate centroid %v, want the common point", km.Centroids()[c])
 	}
 }

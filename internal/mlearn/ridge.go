@@ -75,16 +75,4 @@ func (r *Ridge) Predict(x []float64) (float64, error) {
 // Weights returns a copy of the fitted coefficient vector (without bias).
 func (r *Ridge) Weights() []float64 { return mathx.Clone(r.weights) }
 
-// Intercept returns the fitted bias term.
-func (r *Ridge) Intercept() float64 { return r.intercept }
-
-// SetWarmStart seeds the model with existing coefficients, marking it fitted.
-// This is the parameter-transfer hook used by the MTL engine: a target task
-// with scarce data starts from a source task's weights.
-func (r *Ridge) SetWarmStart(weights []float64, intercept float64) {
-	r.weights = mathx.Clone(weights)
-	r.intercept = intercept
-	r.fitted = true
-}
-
 var _ Regressor = (*Ridge)(nil)

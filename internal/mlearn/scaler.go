@@ -87,19 +87,3 @@ func (s *StandardScaler) TransformAll(rows [][]float64) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// Inverse undoes Transform for one vector.
-func (s *StandardScaler) Inverse(x []float64) ([]float64, error) {
-	if !s.Fitted() {
-		return nil, ErrNotFitted
-	}
-	if len(x) != len(s.mean) {
-		return nil, fmt.Errorf("scaler inverse: %d features, want %d: %w",
-			len(x), len(s.mean), ErrBadShape)
-	}
-	out := make([]float64, len(x))
-	for j := range x {
-		out[j] = x[j]*s.scale[j] + s.mean[j]
-	}
-	return out, nil
-}

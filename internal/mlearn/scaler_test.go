@@ -27,14 +27,6 @@ func TestStandardScaler(t *testing.T) {
 			t.Errorf("col %d std = %v, want 1", j, sd)
 		}
 	}
-	// Round trip.
-	back, err := s.Inverse(out[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(back[0]-2) > 1e-12 || math.Abs(back[1]-20) > 1e-12 {
-		t.Fatalf("Inverse round trip = %v", back)
-	}
 }
 
 func TestStandardScalerConstantFeature(t *testing.T) {
@@ -62,9 +54,6 @@ func TestStandardScalerErrors(t *testing.T) {
 	if _, err := s.Transform([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("unfitted transform err = %v", err)
 	}
-	if _, err := s.Inverse([]float64{1}); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("unfitted inverse err = %v", err)
-	}
 	if err := s.Fit([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("ragged fit err = %v", err)
 	}
@@ -73,8 +62,5 @@ func TestStandardScalerErrors(t *testing.T) {
 	}
 	if _, err := s.Transform([]float64{1}); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("dim mismatch err = %v", err)
-	}
-	if _, err := s.Inverse([]float64{1}); !errors.Is(err, ErrBadShape) {
-		t.Fatalf("inverse dim mismatch err = %v", err)
 	}
 }

@@ -133,24 +133,6 @@ func (s *SVM) Probability(x []float64) (float64, error) {
 	return 1 / (1 + math.Exp(-m)), nil
 }
 
-// Loss evaluates the paper's Eq. (8) averaged over d with the current weights.
-func (s *SVM) Loss(d *Dataset) (float64, error) {
-	if !s.fitted {
-		return 0, ErrNotFitted
-	}
-	if d.Len() == 0 {
-		return 0, ErrEmptyDataset
-	}
-	regTerm := 0.5 * mathx.Dot(s.weights, s.weights)
-	var total float64
-	for i, x := range d.X {
-		margin := d.Y[i] * (mathx.Dot(s.weights, x) + s.intercept)
-		h := math.Max(0, 1-margin)
-		total += regTerm + 0.5*s.C*h*h
-	}
-	return total / float64(d.Len()), nil
-}
-
 // Weights returns a copy of the learned weight vector.
 func (s *SVM) Weights() []float64 { return mathx.Clone(s.weights) }
 

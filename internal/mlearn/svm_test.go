@@ -2,7 +2,6 @@ package mlearn
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/mathx"
@@ -91,18 +90,12 @@ func TestSVMErrors(t *testing.T) {
 	if _, err := svm.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("unfitted score err = %v", err)
 	}
-	if _, err := svm.Loss(&Dataset{}); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("unfitted loss err = %v", err)
-	}
 	d := linearlySeparable(5, 20, 0.5)
 	if err := svm.Fit(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svm.Score([]float64{1}); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("dim mismatch err = %v", err)
-	}
-	if _, err := svm.Loss(&Dataset{}); !errors.Is(err, ErrEmptyDataset) {
-		t.Fatalf("empty loss err = %v", err)
 	}
 }
 
@@ -125,34 +118,6 @@ func TestSVMProbabilityMonotone(t *testing.T) {
 	}
 	if pPos < 0 || pPos > 1 || pNeg < 0 || pNeg > 1 {
 		t.Fatalf("probabilities out of [0,1]: %v %v", pPos, pNeg)
-	}
-}
-
-func TestSVMLossDecreasesWithTraining(t *testing.T) {
-	d := linearlySeparable(7, 200, 0.3)
-	short := NewSVM()
-	short.Epochs = 1
-	long := NewSVM()
-	long.Epochs = 60
-	if err := short.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := long.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := short.Loss(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll, err := long.Loss(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(ll <= ls+1e-9) {
-		t.Fatalf("loss should not grow with training: 1 epoch %v vs 60 epochs %v", ls, ll)
-	}
-	if math.IsNaN(ll) {
-		t.Fatal("loss is NaN")
 	}
 }
 

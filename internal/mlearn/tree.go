@@ -35,11 +35,6 @@ type treeNode struct {
 	leaf        bool
 }
 
-// NewTree returns a tree with sensible defaults for standalone use.
-func NewTree(maxDepth int) *Tree {
-	return &Tree{MaxDepth: maxDepth, MinLeaf: 1, FeatureFrac: 1}
-}
-
 // Fit grows the tree on d with uniform sample weights.
 func (t *Tree) Fit(d *Dataset) error {
 	if d == nil || d.Len() == 0 {
@@ -238,25 +233,6 @@ func (t *Tree) Classify(x []float64) (float64, error) {
 		return 1, nil
 	}
 	return -1, nil
-}
-
-// Depth returns the fitted tree depth (0 for a single leaf).
-func (t *Tree) Depth() int {
-	if !t.fitted {
-		return 0
-	}
-	var walk func(*treeNode) int
-	walk = func(n *treeNode) int {
-		if n.leaf {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
 }
 
 var (

@@ -13,12 +13,12 @@ func TestTreeFitsStepFunction(t *testing.T) {
 	x := [][]float64{{0.1}, {0.2}, {0.3}, {0.7}, {0.8}, {0.9}}
 	y := []float64{-1, -1, -1, 1, 1, 1}
 	d, _ := NewDataset(x, y)
-	tree := NewTree(1)
+	tree := &Tree{MaxDepth: 1, MinLeaf: 1, FeatureFrac: 1}
 	if err := tree.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 1 {
-		t.Fatalf("Depth = %d, want 1", tree.Depth())
+	if r := tree.root; r.leaf || !r.left.leaf || !r.right.leaf {
+		t.Fatal("want a single split")
 	}
 	acc, err := Accuracy(tree, d)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestTreeRegression(t *testing.T) {
 		y[i] = math.Sin(4 * x[i][0]) // smooth target
 	}
 	d, _ := NewDataset(x, y)
-	tree := NewTree(6)
+	tree := &Tree{MaxDepth: 6, MinLeaf: 1, FeatureFrac: 1}
 	if err := tree.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +51,19 @@ func TestTreeRegression(t *testing.T) {
 		}
 		preds[i] = p
 	}
-	if rmse := mathx.RMSE(preds, y); rmse > 0.15 {
-		t.Fatalf("depth-6 tree RMSE = %v, want < 0.15", rmse)
+	if e := rmse(preds, y); e > 0.15 {
+		t.Fatalf("depth-6 tree RMSE = %v, want < 0.15", e)
 	}
 }
 
 func TestTreePureLeafShortCircuit(t *testing.T) {
 	d, _ := NewDataset([][]float64{{1}, {2}, {3}}, []float64{5, 5, 5})
-	tree := NewTree(10)
+	tree := &Tree{MaxDepth: 10, MinLeaf: 1, FeatureFrac: 1}
 	if err := tree.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 {
-		t.Fatalf("pure targets should make a single leaf, depth = %d", tree.Depth())
+	if !tree.root.leaf {
+		t.Fatal("pure targets should make a single leaf")
 	}
 	if p, _ := tree.Predict([]float64{99}); p != 5 {
 		t.Fatalf("pure leaf value = %v, want 5", p)
@@ -96,13 +96,13 @@ func TestTreeMinLeafConstraint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With MinLeaf=2 and 4 samples the tree can split at most once.
-	if tree.Depth() > 1 {
-		t.Fatalf("MinLeaf violated: depth = %d", tree.Depth())
+	if r := tree.root; !r.leaf && !(r.left.leaf && r.right.leaf) {
+		t.Fatal("MinLeaf violated: depth > 1")
 	}
 }
 
 func TestTreeErrors(t *testing.T) {
-	tree := NewTree(3)
+	tree := &Tree{MaxDepth: 3, MinLeaf: 1, FeatureFrac: 1}
 	if err := tree.Fit(&Dataset{}); !errors.Is(err, ErrEmptyDataset) {
 		t.Fatalf("empty fit err = %v", err)
 	}
@@ -123,7 +123,7 @@ func TestTreeErrors(t *testing.T) {
 
 func TestTreeClassifyThreshold(t *testing.T) {
 	d, _ := NewDataset([][]float64{{0}, {1}}, []float64{-1, 1})
-	tree := NewTree(1)
+	tree := &Tree{MaxDepth: 1, MinLeaf: 1, FeatureFrac: 1}
 	if err := tree.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -133,4 +133,14 @@ func TestTreeClassifyThreshold(t *testing.T) {
 	if c, _ := tree.Classify([]float64{1}); c != 1 {
 		t.Fatalf("Classify(1) = %v", c)
 	}
+}
+
+// rmse is the root mean squared error between equal-length pred and target.
+func rmse(pred, target []float64) float64 {
+	var s float64
+	for i := range pred {
+		d := pred[i] - target[i]
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(pred)))
 }

@@ -216,38 +216,6 @@ func AnalyzeLongTail(importance []float64) LongTailStats {
 	return stats
 }
 
-// AggregateImportance averages per-context importance vectors over many
-// contexts, returning (mean, variance) per task — the data behind Figs. 4–5.
-func (e *Engine) AggregateImportance(seq *building.Sequencer, pcs []PlantContext) (mean, variance []float64, err error) {
-	if len(pcs) == 0 {
-		return nil, nil, fmt.Errorf("mtl: no contexts")
-	}
-	n := len(e.tasks)
-	sums := make([]float64, n)
-	sqs := make([]float64, n)
-	for _, pc := range pcs {
-		vec, err := e.ImportanceVector(seq, pc)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, v := range vec {
-			sums[i] += v
-			sqs[i] += v * v
-		}
-	}
-	m := float64(len(pcs))
-	mean = make([]float64, n)
-	variance = make([]float64, n)
-	for i := 0; i < n; i++ {
-		mean[i] = sums[i] / m
-		variance[i] = sqs[i]/m - mean[i]*mean[i]
-		if variance[i] < 0 {
-			variance[i] = 0
-		}
-	}
-	return mean, variance, nil
-}
-
 // helpers --------------------------------------------------------------
 
 func sqrt(v float64) float64 { return math.Sqrt(v) }

@@ -221,9 +221,22 @@ func TestImportanceLongTail(t *testing.T) {
 	e := trainedEngine(t, tr)
 	seq := building.NewSequencer()
 	pcs := SampleContexts(tr, 24*time.Hour, 20)
-	mean, variance, err := e.AggregateImportance(seq, pcs)
-	if err != nil {
-		t.Fatal(err)
+	// Per-task mean and variance of importance across the contexts: the data
+	// behind Figs. 4–5.
+	mean := make([]float64, len(e.tasks))
+	variance := make([]float64, len(e.tasks))
+	for _, pc := range pcs {
+		vec, err := e.ImportanceVector(seq, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vec {
+			mean[i] += v / float64(len(pcs))
+			variance[i] += v * v / float64(len(pcs))
+		}
+	}
+	for i, m := range mean {
+		variance[i] -= m * m
 	}
 	stats := AnalyzeLongTail(mean)
 	// Observation 1: only a few tasks are important. The top ≤40% of tasks

@@ -1,8 +1,7 @@
 // Package rl provides the reinforcement-learning machinery behind the
 // paper's CRL model (§III): a Markov-decision-process abstraction, an
-// experience-replay buffer, an ε-greedy exploration schedule, a Deep
-// Q-Network agent over internal/neural, and a tabular Q-learning baseline
-// used by tests to validate the DQN against a known-convergent method.
+// experience-replay buffer, an ε-greedy exploration schedule and a Deep
+// Q-Network agent over internal/neural.
 package rl
 
 import (

@@ -131,46 +131,6 @@ func TestMaxArgmaxHelpers(t *testing.T) {
 	}
 }
 
-func TestTabularQLearnsChain(t *testing.T) {
-	env := newChainEnv(6)
-	agent, err := NewTabularQ(env.ActionSize(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := agent.Train(env, 300, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalSteps == 0 || agent.States() == 0 {
-		t.Fatal("training did not run")
-	}
-	// Greedy policy should walk straight right: 5 steps.
-	state := env.Reset()
-	steps := 0
-	for steps < 50 {
-		valid := env.ValidActions()
-		if len(valid) == 0 {
-			break
-		}
-		a, err := agent.GreedyAction(state, valid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, _, done, err := env.Step(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		state = next
-		steps++
-		if done {
-			break
-		}
-	}
-	if steps != 5 {
-		t.Fatalf("greedy chain walk took %d steps, want 5", steps)
-	}
-}
-
 func TestDQNLearnsChain(t *testing.T) {
 	env := newChainEnv(5)
 	agent, err := NewDQN(env.StateSize(), env.ActionSize(), DQNConfig{
@@ -234,19 +194,6 @@ func TestDQNDeterminism(t *testing.T) {
 	}
 	if mk() != mk() {
 		t.Fatal("same seed must reproduce the same training trajectory")
-	}
-}
-
-func TestTabularQValidation(t *testing.T) {
-	if _, err := NewTabularQ(0, 1); err == nil {
-		t.Fatal("zero action size should error")
-	}
-	agent, _ := NewTabularQ(2, 1)
-	if err := agent.Observe(Transition{Action: 5}); err == nil {
-		t.Fatal("out-of-range action should error")
-	}
-	if _, err := agent.SelectAction([]float64{0}, nil); !errors.Is(err, ErrNoActions) {
-		t.Fatal("no valid actions should error")
 	}
 }
 
