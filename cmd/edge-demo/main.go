@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -78,6 +79,9 @@ func run(out io.Writer, opt demoOptions) error {
 	}
 	if opt.CorruptRate < 0 || opt.CorruptRate > 1 {
 		return fmt.Errorf("-corrupt-rate %v out of range (0..1)", opt.CorruptRate)
+	}
+	if !(opt.TimeScale >= 0) || math.IsInf(opt.TimeScale, 1) {
+		return fmt.Errorf("-timescale %v out of range (finite, ≥ 0)", opt.TimeScale)
 	}
 	fmt.Fprintf(out, "building scenario (%d workers)...\n", opt.Workers)
 	cfg := dcta.DefaultScenarioConfig(opt.Seed)
@@ -162,11 +166,16 @@ func run(out io.Writer, opt demoOptions) error {
 	fmt.Fprintf(out, "\n%d tasks completed over the wire by the decision instant, run ended after %v\n",
 		len(report.Completions), time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(out, "decision ready at %v (%.0f%% importance coverage; covered %.4f)\n",
-		report.DecisionReadyAt.Round(time.Millisecond),
+		report.DecisionReadyAt.Round(10*time.Microsecond),
 		s.Config.CoverageTarget*100, report.Covered)
+	if sim, err := edgesim.Simulate(s.Cluster, req.Problem, res, s.Config.CoverageTarget); err == nil {
+		model := time.Duration(sim.ProcessingTime * opt.TimeScale * float64(time.Second))
+		fmt.Fprintf(out, "edgesim model of the same plan: decision ready at %v (its PT × timescale, including the shared WiFi channel, which the live run does not emulate)\n",
+			model.Round(10*time.Microsecond))
+	}
 	for _, comp := range report.Completions[:min(5, len(report.Completions))] {
 		fmt.Fprintf(out, "  task %2d on worker %d at %v (importance %.4f)\n",
-			comp.Task, comp.WorkerID, comp.At.Round(time.Millisecond), comp.Importance)
+			comp.Task, comp.WorkerID, comp.At.Round(10*time.Microsecond), comp.Importance)
 	}
 	if len(report.Completions) > 5 {
 		fmt.Fprintf(out, "  … %d more\n", len(report.Completions)-5)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestFaultTolerantDemoSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("demo failed: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"decision ready at", "robustness:", " 0 dead workers"} {
+	for _, want := range []string{"decision ready at", "edgesim model of the same plan: decision ready at", "robustness:", " 0 dead workers"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -71,6 +72,11 @@ func TestDemoRejectsFaultFlagRanges(t *testing.T) {
 	}
 	if err := run(&out, demoOptions{Workers: 2, CorruptRate: 1.5}); err == nil {
 		t.Fatal("out-of-range -corrupt-rate accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := run(&out, demoOptions{Workers: 2, TimeScale: scale}); err == nil || !strings.Contains(err.Error(), "-timescale") {
+			t.Errorf("-timescale %v: err = %v, want it rejected", scale, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package edgenet
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -561,10 +562,15 @@ func (r *ftRun) resend(w *ftWorker, j int) {
 }
 
 // deadlineFor derives the task's completion deadline from the expected
-// execution time the worker announced in its hello.
+// execution time the worker announced in its hello. It saturates at the
+// largest Duration instead of wrapping into the past.
 func (r *ftRun) deadlineFor(w *ftWorker, t core.TaskSpec) time.Duration {
 	expected := t.InputBits * w.secPerBit * w.timeScale
-	return r.c.hedgeMinDeadline() + time.Duration(r.c.hedgeFactor()*expected*float64(time.Second))
+	floor, d := r.c.hedgeMinDeadline(), seconds(r.c.hedgeFactor()*expected)
+	if d > math.MaxInt64-floor {
+		return math.MaxInt64
+	}
+	return floor + d
 }
 
 func (r *ftRun) pushBacklog(j int) {

@@ -16,9 +16,10 @@
 // frame reads cleanly. A header that does not open with the magic and
 // version loses framing: the receiver drops the connection.
 //
-// Workers simulate task execution by sleeping InputBits × SecPerBit ×
-// TimeScale, so a demo runs in milliseconds while preserving the relative
-// timing structure.
+// Workers simulate task execution on edgesim's node clock: a task ends
+// InputBits × SecPerBit × TimeScale after it arrived or after the previous
+// task ended, whichever is later, so a demo runs in milliseconds while
+// preserving the relative timing structure.
 package edgenet
 
 import (
@@ -103,7 +104,8 @@ type Envelope struct {
 	TaskID     int     `json:"taskId,omitempty"`
 	InputBits  float64 `json:"inputBits,omitempty"`
 	Importance float64 `json:"importance,omitempty"`
-	// Done fields.
+	// Done fields. ElapsedMicros is the task's modelled execution time:
+	// its end minus its start on the worker's model clock.
 	ElapsedMicros int64 `json:"elapsedMicros,omitempty"`
 }
 

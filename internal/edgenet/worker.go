@@ -3,6 +3,7 @@ package edgenet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -18,10 +19,13 @@ type Worker struct {
 	ID int
 	// Type sets the per-bit computation time (edgesim constants).
 	Type edgesim.NodeType
-	// TimeScale scales simulated execution: a task sleeps
-	// InputBits × SecPerBit × TimeScale of wall-clock time. 0 runs
-	// instantly (tests); 1 is real-time. Sleeps have a floor of about
-	// 1 ms (see execute), which stretches tasks shorter than that.
+	// TimeScale scales simulated execution: a task takes
+	// InputBits × SecPerBit × TimeScale of wall-clock time, counted from
+	// its arrival or from the previous task's scheduled end, whichever is
+	// later (see handle), and on Linux its done is sent within tens of µs
+	// of that end (see sleepUntil). 0 runs instantly (tests); 1 is
+	// real-time. Serve rejects a NaN, infinite or negative scale; a task
+	// too long for a time.Duration never ends.
 	TimeScale float64
 	// HeartbeatEvery is the cadence of MsgHeartbeat liveness beacons sent
 	// on every controller connection (from a goroutine concurrent with
@@ -41,6 +45,9 @@ type Worker struct {
 // Serve starts accepting controller connections on l and returns
 // immediately; Close shuts the worker down and waits for the serve loop.
 func (w *Worker) Serve(l net.Listener) error {
+	if !(w.TimeScale >= 0) || math.IsInf(w.TimeScale, 1) {
+		return fmt.Errorf("edgenet: worker %d time scale %v: want finite and non-negative", w.ID, w.TimeScale)
+	}
 	w.mu.Lock()
 	if w.listener != nil {
 		w.mu.Unlock()
@@ -143,10 +150,13 @@ func (w *Worker) handle(conn net.Conn) {
 	// carries the stop channel current when it was read, and a cancel
 	// closes it: the task executing stops, the assigns queued ahead of the
 	// cancel are dropped, and the cancel's echo is the last frame of the run
-	// it ends.
+	// it ends. Each frame also carries its arrival instant: the node rule
+	// below starts a task from when it arrived, not from when the loop got
+	// to it.
 	type job struct {
 		env  *Envelope
 		stop chan struct{}
+		at   time.Time
 	}
 	in := make(chan job, 16)
 	hangup, quit := make(chan struct{}), make(chan struct{})
@@ -171,6 +181,7 @@ func (w *Worker) handle(conn net.Conn) {
 				}
 				return // EOF, broken pipe, or framing lost
 			}
+			at := time.Now()
 			switch env.Type {
 			case MsgAssign:
 			case MsgCancel:
@@ -180,12 +191,19 @@ func (w *Worker) handle(conn net.Conn) {
 				return // a protocol violation: drop the connection
 			}
 			select {
-			case in <- job{env, stop}:
+			case in <- job{env, stop, at}:
 			case <-quit:
 				return
 			}
 		}
 	}()
+	// The model clock is edgesim's node rule: a task starts at
+	// max(arrival, free) and ends its duration later, where free is when
+	// the previous task was scheduled to end. Lateness in waking or in
+	// writing a done frame therefore never adds up along a queue. A cancel
+	// and a stopped task reset free, so nothing of a cancelled run's
+	// schedule carries into the next run.
+	var free time.Time
 	for {
 		var j job
 		select {
@@ -200,12 +218,20 @@ func (w *Worker) handle(conn net.Conn) {
 				continue // queued ahead of a cancel: dropped
 			default:
 			}
-			start := time.Now()
-			if !w.execute(j.env.InputBits, hangup, j.stop) {
+			start := j.at
+			if start.Before(free) {
+				start = free
+			}
+			end := start.Add(w.taskTime(j.env.InputBits))
+			if !sleepUntil(end, hangup, j.stop) {
+				free = time.Time{}
 				continue // cancelled, or hung up: the loop's select tells
 			}
+			free = end
 			reply.Type, reply.TaskID, reply.Importance = MsgDone, j.env.TaskID, j.env.Importance
-			reply.ElapsedMicros = time.Since(start).Microseconds()
+			reply.ElapsedMicros = end.Sub(start).Microseconds()
+		} else {
+			free = time.Time{}
 		}
 		wm.Lock()
 		err := WriteFrame(conn, reply)
@@ -216,32 +242,24 @@ func (w *Worker) handle(conn net.Conn) {
 	}
 }
 
-// execute simulates the task's computation by sleeping its duration. It
-// reports false when hangup or abort closes first: the task is dropped
-// unfinished.
-//
-// Go rounds a sub-millisecond sleep up to about 1 ms in an otherwise idle
-// process (go1.24 on a 2-CPU Intel Xeon host, mean of 50 sleeps: 50 µs →
-// 0.99 ms, 150 µs → 1.11 ms, 500 µs → 1.09 ms, 2.9 ms → 3.21 ms), so at
-// small TimeScales short tasks take longer than their simulated time.
-func (w *Worker) execute(inputBits float64, hangup, abort <-chan struct{}) bool {
-	if w.TimeScale <= 0 {
-		return true
+// taskTime is the task's simulated computation time,
+// InputBits × SecPerBit × TimeScale.
+func (w *Worker) taskTime(inputBits float64) time.Duration {
+	return seconds(inputBits * w.Type.SecPerBit() * w.TimeScale)
+}
+
+// seconds converts s seconds to a Duration, saturating instead of wrapping:
+// a negative s is 0, and one beyond the largest Duration (or NaN) is the
+// largest Duration, about 292 years.
+func seconds(s float64) time.Duration {
+	d := s * float64(time.Second)
+	switch {
+	case d <= 0:
+		return 0
+	case !(d < math.MaxInt64):
+		return math.MaxInt64
 	}
-	d := time.Duration(inputBits * w.Type.SecPerBit() * w.TimeScale * float64(time.Second))
-	if d <= 0 {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-hangup:
-		return false
-	case <-abort:
-		return false
-	}
+	return time.Duration(d)
 }
 
 // Close stops accepting connections, closes live protocol connections
