@@ -13,12 +13,14 @@
 // every shard's /healthz, and a request that fails at the wire ejects its
 // shard at once. A shard that misses its liveness budget is ejected and
 // its ring ranges reassign to the survivors (requests for those ranges are
-// answered by a survivor — they never 5xx while any shard lives). A shard that comes back is re-admitted on its next healthy
-// probe and its ranges return.
+// answered by a survivor — they never 5xx while any shard lives). A shard
+// that comes back is re-admitted on its next healthy probe and its ranges
+// return.
 //
 // Endpoints: POST /v1/allocate and /v1/feedback (proxied), GET /v1/stats
-// (fleet aggregate + per-shard counters), GET /v1/cluster (the shard map),
-// GET /healthz.
+// (fleet aggregate + per-shard counters), GET /v1/cluster (the shard map:
+// the one place ring ownership is reported; shards keep no ring of their
+// own), GET /healthz.
 package main
 
 import (

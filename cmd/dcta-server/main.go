@@ -8,11 +8,11 @@
 //	dcta-server -addr 127.0.0.1:8081 -node-id s1 -join 127.0.0.1:8080
 //
 // A shard's cluster membership comes from the gossip plane alone: it
-// joins through any live member, and the converged view sets its ring
-// identity.
+// joins through any live member. Which clusters it answers is the
+// router's to decide: the router's GET /v1/cluster reports the ring.
 //
 // Endpoints: POST /v1/allocate, POST /v1/feedback, GET /v1/stats,
-// GET /v1/cluster, GET /healthz. SIGINT/SIGTERM drains gracefully: /healthz
+// GET /healthz. SIGINT/SIGTERM drains gracefully: /healthz
 // flips to 503 so load balancers stop routing, allocates still answer (the
 // same decision, labelled degraded), and in-flight requests get
 // -drain-timeout to finish.
@@ -45,7 +45,6 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 120*time.Second, "per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		nodeID       = flag.String("node-id", "", "cluster shard id: gossips on this node's listener and joins the fleet through -join (empty runs standalone)")
-		vnodes       = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the cluster ring")
 		joinSeeds    = flag.String("join", "", "gossip seed peers (host:port,host:port,...): join the fleet through any live member (needs -node-id; the fleet's first shard names none)")
 		advertise    = flag.String("advertise", "", "address peers dial this shard at (default: -addr when it names a host)")
 		gossipEvery  = flag.Duration("gossip-interval", time.Second, "gossip protocol tick interval")
@@ -58,7 +57,6 @@ func main() {
 	cfg.Seed = *seed
 	join := joinOptions{
 		NodeID:       *nodeID,
-		VNodes:       *vnodes,
 		JoinSeeds:    *joinSeeds,
 		Advertise:    *advertise,
 		GossipEvery:  *gossipEvery,
@@ -74,7 +72,6 @@ func main() {
 // joinOptions is the cluster-membership flag bundle.
 type joinOptions struct {
 	NodeID       string
-	VNodes       int
 	JoinSeeds    string
 	Advertise    string
 	GossipEvery  time.Duration
@@ -84,8 +81,7 @@ type joinOptions struct {
 // startGossip boots the shard's SWIM membership agent and joins it to the
 // fleet through the -join seeds; the fleet's first shard names none and
 // starts as a one-member view that joiners gossip into. The agent's route
-// is mounted on the shard's listener, and the membership manager sets the
-// shard's identity from the converged view from here on.
+// is mounted on the shard's listener and its view joins the shard's stats.
 func startGossip(ctx context.Context, s *serve.Server, addr string, j joinOptions, httpOpts *serve.HTTPOptions) error {
 	if j.NodeID == "" {
 		if j.JoinSeeds != "" {
@@ -123,11 +119,10 @@ func startGossip(ctx context.Context, s *serve.Server, addr string, j joinOption
 		httpOpts.ExtraRoutes = map[string]http.HandlerFunc{}
 	}
 	httpOpts.ExtraRoutes[cluster.GossipPath] = agent.Handler()
-	cluster.ManageMembership(s, agent, cluster.Shard{ID: j.NodeID, Addr: adv}, j.VNodes, log.Printf)
+	s.SetMembership(agent.MembershipStats)
 	go agent.Run(ctx)
-	id := s.ClusterIdentity()
-	log.Printf("gossip membership up as %s@%s: %d members known, epoch %d, %d owned clusters (%.1f%% of the ring)",
-		j.NodeID, adv, len(agent.View().Members), agent.Epoch(), len(id.OwnedClusters), id.OwnedFraction*100)
+	log.Printf("gossip membership up as %s@%s: %d members known, epoch %d",
+		j.NodeID, adv, len(agent.View().Members), agent.Epoch())
 	return nil
 }
 

@@ -38,7 +38,7 @@ func main() {
 		timescale = flag.Float64("timescale", 0.001, "execution time scale (1 = real time)")
 		method    = flag.String("alloc", "DCTA", "allocator: RM, DML, CRL, DCTA")
 		seed      = flag.Int64("seed", 1, "experiment seed")
-		scale     = flag.String("scale", "default", "scenario scale: fast, default")
+		scale     = flag.String("scale", "default", "scenario scale: fast, default, full")
 		hang      = flag.Int("hang-worker", 0, "freeze this worker's link (1-based) on its first completion")
 		corrupt   = flag.Float64("corrupt-rate", 0, "probability of corrupting each completion frame in flight")
 	)
@@ -83,23 +83,30 @@ func run(out io.Writer, opt demoOptions) error {
 	if !(opt.TimeScale >= 0) || math.IsInf(opt.TimeScale, 1) {
 		return fmt.Errorf("-timescale %v out of range (finite, ≥ 0)", opt.TimeScale)
 	}
-	fmt.Fprintf(out, "building scenario (%d workers)...\n", opt.Workers)
-	cfg := dcta.DefaultScenarioConfig(opt.Seed)
-	cfg.Workers = opt.Workers
-	switch opt.Scale {
-	case "", "default":
-	case "fast":
-		cfg.Years = 1
-		cfg.Tasks = 24
-		cfg.HistoryContexts = 20
-		cfg.EvalContexts = 4
-		cfg.CRLEpisodes = 10
-	default:
-		return fmt.Errorf("unknown scale %q (fast, default)", opt.Scale)
+	if opt.Scale == "" {
+		opt.Scale = "default"
 	}
+	cfg, err := dcta.ScaledScenarioConfig(opt.Seed, opt.Scale)
+	if err != nil {
+		return err
+	}
+	cfg.Workers = opt.Workers
+	fmt.Fprintf(out, "building scenario (%d workers)...\n", opt.Workers)
 	s, err := dcta.NewScenario(cfg)
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
+	}
+	// The workers run the same hardware mix as the simulator. A task whose
+	// modelled time does not fit a time.Duration would never end.
+	cycle := []edgesim.NodeType{
+		edgesim.RaspberryPiAPlus, edgesim.RaspberryPiB, edgesim.RaspberryPiBPlus,
+	}
+	for _, bits := range s.InputBits {
+		for _, typ := range cycle[:min(opt.Workers, len(cycle))] {
+			if !(bits*typ.SecPerBit()*opt.TimeScale*float64(time.Second) < math.MaxInt64) {
+				return fmt.Errorf("-timescale %v out of range: a %.0f-bit task on a %s would outlast a time.Duration", opt.TimeScale, bits, typ)
+			}
+		}
 	}
 	allocators, err := s.Allocators()
 	if err != nil {
@@ -118,10 +125,6 @@ func run(out io.Writer, opt demoOptions) error {
 		return err
 	}
 
-	// Launch the workers with the same hardware mix as the simulator.
-	cycle := []edgesim.NodeType{
-		edgesim.RaspberryPiAPlus, edgesim.RaspberryPiB, edgesim.RaspberryPiBPlus,
-	}
 	addrs := make([]string, opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
 		w := &edgenet.Worker{
@@ -180,9 +183,9 @@ func run(out io.Writer, opt demoOptions) error {
 	if len(report.Completions) > 5 {
 		fmt.Fprintf(out, "  … %d more\n", len(report.Completions)-5)
 	}
-	fmt.Fprintf(out, "robustness: %d heartbeat misses, %d dead workers, %d hedges, %d retries, %d corrupt frames, %d duplicate completions, %d rejoins\n",
+	fmt.Fprintf(out, "robustness: %d heartbeat misses, %d dead workers, %d hedges, %d retries, %d corrupt frames, %d duplicate completions\n",
 		report.HeartbeatMisses, report.DeadWorkers, report.Hedges,
-		report.Retries, report.CorruptFrames, report.DuplicateDone, report.Rejoins)
+		report.Retries, report.CorruptFrames, report.DuplicateDone)
 	return nil
 }
 
@@ -210,11 +213,4 @@ func faultDecider(opt demoOptions, workerID int) netfault.Decider {
 		}
 		return netfault.Pass
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

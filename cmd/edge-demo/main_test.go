@@ -73,7 +73,7 @@ func TestDemoRejectsFaultFlagRanges(t *testing.T) {
 	if err := run(&out, demoOptions{Workers: 2, CorruptRate: 1.5}); err == nil {
 		t.Fatal("out-of-range -corrupt-rate accepted")
 	}
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300} {
 		if err := run(&out, demoOptions{Workers: 2, TimeScale: scale}); err == nil || !strings.Contains(err.Error(), "-timescale") {
 			t.Errorf("-timescale %v: err = %v, want it rejected", scale, err)
 		}

@@ -38,7 +38,7 @@ func TestClusterChaosReplicaFailover(t *testing.T) {
 	// over to.
 	full := lc.Router().Ring()
 	owner := full.Owner(0)
-	without, err := NewRing(full.VNodes(), slices.DeleteFunc(slices.Clone(full.nodes), func(n string) bool { return n == owner }))
+	without, err := NewRing(lc.Router().cfg.VNodes, slices.DeleteFunc(slices.Clone(full.nodes), func(n string) bool { return n == owner }))
 	if err != nil {
 		t.Fatal(err)
 	}

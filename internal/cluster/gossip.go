@@ -232,6 +232,18 @@ func (v View) Alive(role string) []Member {
 	return out
 }
 
+// Fixed protocol constants: the suspicion timeout and each rumor's
+// dissemination budget scale with ⌈log₂(n+1)⌉ by suspicionMult and
+// retransmitMult, at most maxPiggyback rumors ride on one message, and every
+// syncEvery-th tick is a full-state anti-entropy exchange, so a member that
+// missed every piggyback still converges.
+const (
+	suspicionMult  = 3
+	retransmitMult = 3
+	maxPiggyback   = 8
+	syncEvery      = 8
+)
+
 // GossipConfig tunes one membership agent.
 type GossipConfig struct {
 	// Interval is the protocol period: one direct probe per tick, jittered
@@ -243,20 +255,9 @@ type GossipConfig struct {
 	// IndirectPeers is k, the relay count for indirect ping-reqs after a
 	// direct miss (default 3).
 	IndirectPeers int
-	// SuspicionMult scales the suspicion timeout:
-	// Mult × Interval × ⌈log₂(n+1)⌉ (default 3). SuspicionTimeout
-	// overrides it outright when > 0.
-	SuspicionMult    int
+	// SuspicionTimeout is how long a suspect may stay unrefuted before it
+	// is confirmed dead (default suspicionMult × Interval × ⌈log₂(n+1)⌉).
 	SuspicionTimeout time.Duration
-	// MaxPiggyback bounds the updates riding on one message (default 8).
-	MaxPiggyback int
-	// RetransmitMult scales each update's dissemination budget:
-	// Mult × ⌈log₂(n+1)⌉ transmissions (default 3).
-	RetransmitMult int
-	// SyncEvery makes every Nth tick a full-state anti-entropy exchange,
-	// so a member that missed every piggyback still converges (default 8;
-	// < 0 disables).
-	SyncEvery int
 	// Seed feeds the agent's probe-order and jitter rng (default 1).
 	Seed int64
 	// Now is the suspicion clock (default time.Now).
@@ -279,18 +280,6 @@ func (c GossipConfig) withDefaults() GossipConfig {
 	}
 	if c.IndirectPeers < 1 {
 		c.IndirectPeers = 3
-	}
-	if c.SuspicionMult < 1 {
-		c.SuspicionMult = 3
-	}
-	if c.MaxPiggyback < 1 {
-		c.MaxPiggyback = 8
-	}
-	if c.RetransmitMult < 1 {
-		c.RetransmitMult = 3
-	}
-	if c.SyncEvery == 0 {
-		c.SyncEvery = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -644,7 +633,7 @@ func (a *Agent) suspicionTimeoutLocked() time.Duration {
 	if lg < 1 {
 		lg = 1
 	}
-	return time.Duration(a.cfg.SuspicionMult*lg) * a.cfg.Interval
+	return time.Duration(suspicionMult*lg) * a.cfg.Interval
 }
 
 func (a *Agent) retransmitBudgetLocked() int {
@@ -653,7 +642,7 @@ func (a *Agent) retransmitBudgetLocked() int {
 	if lg < 1 {
 		lg = 1
 	}
-	return a.cfg.RetransmitMult * lg
+	return retransmitMult * lg
 }
 
 // enqueueLocked queues one rumor for piggybacked dissemination, replacing
@@ -670,14 +659,14 @@ func (a *Agent) enqueueLocked(u Update) {
 	a.queue = append(a.queue, &queuedUpdate{u: u, left: budget})
 }
 
-// takePiggybackLocked selects up to MaxPiggyback rumors, preferring the
+// takePiggybackLocked selects up to maxPiggyback rumors, preferring the
 // least-transmitted, and spends one transmission from each.
 func (a *Agent) takePiggybackLocked() []Update {
 	if len(a.queue) == 0 {
 		return nil
 	}
 	sort.SliceStable(a.queue, func(i, j int) bool { return a.queue[i].left > a.queue[j].left })
-	n := a.cfg.MaxPiggyback
+	n := maxPiggyback
 	if n > len(a.queue) {
 		n = len(a.queue)
 	}
@@ -824,7 +813,7 @@ func (a *Agent) TickOnce() {
 		fire()
 		return
 	}
-	full := a.cfg.SyncEvery > 0 && a.tick%uint64(a.cfg.SyncEvery) == 0
+	full := a.tick%syncEvery == 0
 	msg := a.composeLocked(gossipPing, full)
 	relays := a.relayCandidatesLocked(target.ID)
 	a.pingsSent++

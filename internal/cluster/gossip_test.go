@@ -374,7 +374,7 @@ func TestGossipIndirectProbeSavesTarget(t *testing.T) {
 // Dissemination and convergence
 // ---------------------------------------------------------------------------
 
-// TestGossipPiggybackBudget: no message carries more than MaxPiggyback
+// TestGossipPiggybackBudget: no message carries more than maxPiggyback
 // rumors, and the retransmit budget drains the queue to empty.
 func TestGossipPiggybackBudget(t *testing.T) {
 	net := newMemNet()

@@ -18,13 +18,9 @@ import (
 type LocalOptions struct {
 	// Shards is the replica count (default 3).
 	Shards int
-	// VNodes is the per-shard virtual-node count (default DefaultVNodes).
-	VNodes int
 	// Serve configures every shard's server.
 	Serve serve.Config
-	// HTTP configures every shard's front-end.
-	HTTP serve.HTTPOptions
-	// Router configures the routing tier (VNodes is forced to match).
+	// Router configures the routing tier.
 	Router RouterConfig
 	// WrapShardAddr optionally interposes on the router→shard link: given a
 	// shard's id and real address it returns the address the router should
@@ -80,9 +76,6 @@ func (o LocalGossipOptions) withDefaults() LocalGossipOptions {
 func (o LocalOptions) withDefaults() LocalOptions {
 	if o.Shards < 1 {
 		o.Shards = 3
-	}
-	if o.VNodes < 1 {
-		o.VNodes = DefaultVNodes
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -146,9 +139,7 @@ type LocalCluster struct {
 
 // StartLocal boots the topology: every shard live and gossiping, the
 // router probing and gossiping. Every member's agent is seeded with the
-// same full member list, so all views agree at t=0; each shard's
-// membership manager assigns its identity from that view before StartLocal
-// returns.
+// same full member list, so all views agree at t=0.
 func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *alloc.LocalModel, opts LocalOptions) (*LocalCluster, error) {
 	opts = opts.withDefaults()
 	lc := &LocalCluster{opts: opts, template: template, store: store, local: local}
@@ -162,8 +153,7 @@ func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *all
 		lc.shards = append(lc.shards, sh)
 	}
 	// Gossip plane: every shard's agent boots seeded with the full member
-	// list (the in-process equivalent of a join). Identities come from the
-	// full member ring.
+	// list (the in-process equivalent of a join).
 	seed := lc.memberList()
 	for _, sh := range lc.shards {
 		if err := lc.startShardGossip(sh, seed, nil); err != nil {
@@ -188,7 +178,6 @@ func StartLocal(template *core.Problem, store *core.EnvironmentStore, local *all
 	}
 
 	rcfg := opts.Router
-	rcfg.VNodes = opts.VNodes
 	if rcfg.Logf == nil {
 		rcfg.Logf = opts.Logf
 	}
@@ -239,13 +228,7 @@ func (lc *LocalCluster) bootShard(sh *localShard, addr string) error {
 	}
 	// Mount /v1/gossip behind the shard's regular middleware. Each shard
 	// gets its own route table: the handler closes over this shard.
-	httpOpts := lc.opts.HTTP
-	extra := make(map[string]http.HandlerFunc, len(httpOpts.ExtraRoutes)+1)
-	for p, h := range httpOpts.ExtraRoutes {
-		extra[p] = h
-	}
-	extra[GossipPath] = sh.gossipHandler
-	httpOpts.ExtraRoutes = extra
+	httpOpts := serve.HTTPOptions{ExtraRoutes: map[string]http.HandlerFunc{GossipPath: sh.gossipHandler}}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	ready := make(chan string, 1)
@@ -298,7 +281,7 @@ func (lc *LocalCluster) gossipConfig(selfID string) GossipConfig {
 }
 
 // startShardGossip boots sh's agent (joining via joinAddrs and/or seeded
-// with the topology's member list) and its membership manager.
+// with the topology's member list) and joins its stats to the server's.
 func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddrs []string) error {
 	agent, err := NewAgent(Member{ID: sh.id, Addr: sh.addr, Role: RoleShard}, lc.gossipConfig(sh.id))
 	if err != nil {
@@ -330,7 +313,7 @@ func (lc *LocalCluster) startShardGossip(sh *localShard, seed []Member, joinAddr
 	if srv == nil {
 		return fmt.Errorf("cluster: gossip: %s not serving", sh.id)
 	}
-	ManageMembership(srv, agent, Shard{ID: sh.id, Addr: sh.addr}, lc.opts.VNodes, lc.opts.Logf)
+	srv.SetMembership(agent.MembershipStats)
 	ctx, cancel := context.WithCancel(context.Background())
 	sh.mu.Lock()
 	sh.agent, sh.gossipStop = agent, cancel

@@ -82,9 +82,8 @@ func (lc *LocalCluster) KillShard(i int) error {
 }
 
 // RestartShard boots shard i back on its original address with a fresh
-// server and rejoins it to the gossip plane; its membership manager's first
-// view assigns its identity. Returns once the router's view holds the shard
-// alive again.
+// server and rejoins it to the gossip plane. Returns once the router's view
+// holds the shard alive again.
 func (lc *LocalCluster) RestartShard(i int) error {
 	sh := lc.shards[i]
 	sh.mu.Lock()
@@ -100,8 +99,7 @@ func (lc *LocalCluster) RestartShard(i int) error {
 	// our obituary (if one converged while we were down), the rejoin bump
 	// refutes it at a higher incarnation, and the router re-admission wait
 	// below makes the ring state deterministic for callers that assert
-	// LiveShards right after this returns. Identity comes from the full
-	// member list: ownership never depends on who happens to be up.
+	// LiveShards right after this returns.
 	if err := lc.startShardGossip(sh, lc.memberList(), lc.liveGossipAddrs(sh.id)); err != nil {
 		return err
 	}

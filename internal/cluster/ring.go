@@ -14,7 +14,6 @@
 //     retry-on-survivor (requests degrade to the new owner's path, never
 //     5xx), per-shard counters and the aggregate stats endpoint
 //   - gossip.go     — the SWIM membership agent
-//   - membership.go — a shard's identity, kept in step with the gossip view
 //   - local.go      — an in-process N-shard + router topology used by the
 //     tests and the benchmark's router_mixed workload
 package cluster
@@ -70,7 +69,6 @@ type ringPoint struct {
 // locking. Two rings built over the same member set — in any insertion
 // order, on any machine — resolve every key identically.
 type Ring struct {
-	vnodes int
 	nodes  []string // sorted member ids
 	points []ringPoint
 }
@@ -81,7 +79,7 @@ func NewRing(vnodes int, nodes []string) (*Ring, error) {
 	if vnodes < 1 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
 		if n == "" {
@@ -110,9 +108,6 @@ func NewRing(vnodes int, nodes []string) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// VNodes is the per-member virtual-node count.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
@@ -153,17 +148,6 @@ func (r *Ring) OwnedFraction(node string) float64 {
 		prev = p.hash
 	}
 	return float64(owned) / math.MaxUint64
-}
-
-// OwnedClusters enumerates the cluster keys in [0, total) a node owns.
-func (r *Ring) OwnedClusters(node string, total int) []int {
-	var out []int
-	for k := 0; k < total; k++ {
-		if r.Owner(k) == node {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // ShardMap is the cluster tier's wire-level self-description: the ring

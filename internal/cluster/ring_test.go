@@ -148,28 +148,3 @@ func TestRingBalanceAndOwnedFraction(t *testing.T) {
 		t.Fatalf("lone member owns %v, want 1", f)
 	}
 }
-
-// TestOwnedClustersMatchesOwner: the enumeration and the resolver must
-// agree exactly.
-func TestOwnedClustersMatchesOwner(t *testing.T) {
-	r, err := NewRing(32, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 257
-	seen := map[int]bool{}
-	for _, n := range []string{"a", "b"} {
-		for _, k := range r.OwnedClusters(n, total) {
-			if r.Owner(k) != n {
-				t.Fatalf("OwnedClusters(%s) lists %d but Owner says %q", n, k, r.Owner(k))
-			}
-			if seen[k] {
-				t.Fatalf("cluster %d owned twice", k)
-			}
-			seen[k] = true
-		}
-	}
-	if len(seen) != total {
-		t.Fatalf("enumeration covered %d/%d clusters", len(seen), total)
-	}
-}

@@ -82,12 +82,6 @@ type RouterConfig struct {
 	// ProxyTimeout bounds one proxied request round trip (default 30s —
 	// a feedback that refits the local model answers after the fit).
 	ProxyTimeout time.Duration
-	// ConnsPerShard bounds each shard's idle proxy-connection pool
-	// (default 64; excess connections are closed on release).
-	ConnsPerShard int
-	// MaxBodyBytes bounds proxied request bodies (default 8 MiB, matching
-	// the serve front-end).
-	MaxBodyBytes int64
 	// ProbeJitterSeed seeds the per-shard probe phase offsets (default 1).
 	// Each shard's liveness probe fires at a deterministic offset within
 	// the ProbeEvery window instead of every probe firing in lockstep, so
@@ -114,12 +108,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 30 * time.Second
-	}
-	if c.ConnsPerShard < 1 {
-		c.ConnsPerShard = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.ProbeJitterSeed == 0 {
 		c.ProbeJitterSeed = 1
@@ -181,9 +169,13 @@ func (ss *shardState) getConn(timeout time.Duration) (*rawhttp.Conn, error) {
 	return c, nil
 }
 
-func (ss *shardState) putConn(c *rawhttp.Conn, limit int) {
+// connsPerShard bounds each shard's idle proxy-connection pool; excess
+// connections are closed on release.
+const connsPerShard = 64
+
+func (ss *shardState) putConn(c *rawhttp.Conn) {
 	ss.poolMu.Lock()
-	if len(ss.pool) < limit {
+	if len(ss.pool) < connsPerShard {
 		ss.pool = append(ss.pool, c)
 		ss.poolMu.Unlock()
 		return
@@ -606,7 +598,7 @@ func (r *Router) forward(path string, ws *proxyWS, key int) (code int, body []by
 		if code == http.StatusServiceUnavailable {
 			// Draining or refusing: the shard is alive at the wire but out
 			// of service. Treat like a death so the ranges move.
-			ss.putConn(conn, r.cfg.ConnsPerShard)
+			ss.putConn(conn)
 			ss.nonOK.Add(1)
 			r.eject(ss, "503 from shard")
 			r.retries.Add(1)
@@ -618,7 +610,7 @@ func (r *Router) forward(path string, ws *proxyWS, key int) (code int, body []by
 		} else if bytes.Contains(respBody, routerNeedleDegraded) {
 			ss.degraded.Add(1)
 		}
-		release = func() { ss.putConn(conn, r.cfg.ConnsPerShard) }
+		release = func() { ss.putConn(conn) }
 		return code, respBody, release, true
 	}
 	return 0, nil, nil, false
@@ -635,7 +627,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, kind wire
 	ws := r.wsPool.Get().(*proxyWS)
 	defer r.putWS(ws)
 	var err error
-	ws.body, err = wire.ReadBody(ws.body[:0], http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	ws.body, err = wire.ReadBody(ws.body[:0], http.MaxBytesReader(w, req.Body, wire.MaxBody))
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return

@@ -2,7 +2,7 @@ package edgenet_test
 
 // Chaos suite for the fault-tolerant execution plane: every failure mode
 // the paper's WiFi testbed exhibits — hung nodes, corrupted bytes, crashed
-// processes, recovered nodes rejoining — injected through the
+// processes — injected through the
 // internal/netfault proxy, with the controller's report counters checked
 // against the proxy's exact fault ledger.
 
@@ -10,7 +10,6 @@ import (
 	"context"
 	"math"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,14 +103,13 @@ func assertUniqueCompletions(t *testing.T, report *edgenet.Report, p *core.Probl
 	}
 }
 
-// TestChaosHangCorruptCrashRejoin is the acceptance chaos run: worker 1
-// hangs mid-task (stream stalls, heartbeats stop), worker 2's first
-// completion frame is corrupted in flight, worker 3 crashes after its first
-// completion and then rejoins through the controller's rejoin listener,
-// worker 4 stays healthy. The run must reach the coverage target well
+// TestChaosHangCorruptCrash is the acceptance chaos run: worker 1 hangs
+// mid-task (stream stalls, heartbeats stop), worker 2's first completion
+// frame is corrupted in flight, worker 3 crashes after its first
+// completion, worker 4 stays healthy. The run must reach the coverage target well
 // before the context deadline, count every task exactly once, and report
 // failure counters matching the proxies' fault ledgers exactly.
-func TestChaosHangCorruptCrashRejoin(t *testing.T) {
+func TestChaosHangCorruptCrash(t *testing.T) {
 	const beat = 20 * time.Millisecond
 	hangW := chaosWorker(t, 1, beat, 0)
 	corruptW := chaosWorker(t, 2, beat, 0)
@@ -132,25 +130,7 @@ func TestChaosHangCorruptCrashRejoin(t *testing.T) {
 	}
 	t.Cleanup(func() { corruptP.Close() })
 
-	rejoinLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejoinAddr := rejoinLn.Addr().String()
-	var rejoinWG sync.WaitGroup
-	t.Cleanup(rejoinWG.Wait)
-	crashP, err := netfault.New(crashW.Addr(), onlyDone(netfault.Drop, 0, false), func(a netfault.Action) {
-		if a != netfault.Drop {
-			return
-		}
-		rejoinWG.Add(1)
-		go func() {
-			defer rejoinWG.Done()
-			if err := crashW.Rejoin(ctx, rejoinAddr); err != nil {
-				t.Errorf("rejoin: %v", err)
-			}
-		}()
-	})
+	crashP, err := netfault.New(crashW.Addr(), onlyDone(netfault.Drop, 0, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +140,6 @@ func TestChaosHangCorruptCrashRejoin(t *testing.T) {
 	ctrl.Tick = 5 * time.Millisecond
 	ctrl.LivenessMisses = 5                 // hang declared dead after ~100ms of silence
 	ctrl.HedgeMinDeadline = 2 * time.Second // hangs recover via liveness here, not hedging
-	ctrl.RejoinListener = rejoinLn
 
 	p, res := chaosPlan(12, 4)
 	addrs := []string{hangP.Addr(), corruptP.Addr(), crashP.Addr(), healthyW.Addr()}
@@ -191,20 +170,12 @@ func TestChaosHangCorruptCrashRejoin(t *testing.T) {
 	if report.DeadWorkers != 2 {
 		t.Fatalf("DeadWorkers = %d, want 2 (the hang and the crash)", report.DeadWorkers)
 	}
-	if report.Rejoins != 1 {
-		t.Fatalf("Rejoins = %d, want 1", report.Rejoins)
-	}
 	if report.HeartbeatMisses < ctrl.LivenessMisses {
 		t.Fatalf("HeartbeatMisses = %d, want >= %d (the hung worker's silence)",
 			report.HeartbeatMisses, ctrl.LivenessMisses)
 	}
 	if report.DuplicateDone != 0 {
 		t.Fatalf("DuplicateDone = %d, want 0 (no duplicate completions injected)", report.DuplicateDone)
-	}
-	// The rejoined worker occupies the next dispatch-pool slot under its
-	// announced ID.
-	if report.Workers[4] != crashW.ID {
-		t.Fatalf("Workers = %v, want slot 4 -> rejoined worker %d", report.Workers, crashW.ID)
 	}
 }
 
@@ -301,63 +272,6 @@ func TestCorruptQuarantine(t *testing.T) {
 		if comp.WorkerID == flakyW.ID {
 			t.Fatalf("completion accepted from the quarantined worker: %+v", comp)
 		}
-	}
-}
-
-// TestRejoinCompletesRun pins down mid-run re-admission: the only worker
-// crashes, so the pool is empty with work outstanding — but because a
-// rejoin listener is configured the run waits, the recovered worker dials
-// back in, and the whole plan completes on the rejoined connection.
-func TestRejoinCompletesRun(t *testing.T) {
-	w := chaosWorker(t, 7, 20*time.Millisecond, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	rejoinLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejoinAddr := rejoinLn.Addr().String()
-	var rejoinWG sync.WaitGroup
-	t.Cleanup(rejoinWG.Wait)
-	dropP, err := netfault.New(w.Addr(), onlyDone(netfault.Drop, 0, false), func(a netfault.Action) {
-		if a != netfault.Drop {
-			return
-		}
-		rejoinWG.Add(1)
-		go func() {
-			defer rejoinWG.Done()
-			if err := w.Rejoin(ctx, rejoinAddr); err != nil {
-				t.Errorf("rejoin: %v", err)
-			}
-		}()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dropP.Close() })
-
-	ctrl := edgenet.NewController()
-	ctrl.Tick = 5 * time.Millisecond
-	ctrl.RejoinListener = rejoinLn
-
-	p, res := chaosPlan(4, 1)
-	report, err := ctrl.Run(ctx, []string{dropP.Addr()}, p, res, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	assertUniqueCompletions(t, report, p, 4)
-	if report.Rejoins != 1 || report.DeadWorkers != 1 {
-		t.Fatalf("Rejoins/DeadWorkers = %d/%d, want 1/1", report.Rejoins, report.DeadWorkers)
-	}
-	for _, comp := range report.Completions {
-		if comp.WorkerID != w.ID {
-			t.Fatalf("completion from unknown worker: %+v", comp)
-		}
-	}
-	if report.Workers[1] != w.ID {
-		t.Fatalf("Workers = %v, want rejoin slot 1 -> worker %d", report.Workers, w.ID)
 	}
 }
 

@@ -45,9 +45,8 @@ type Report struct {
 	// are abandoned, not waited for. Duplicate completions (hedges, retried
 	// frames) are deduplicated and counted in DuplicateDone instead.
 	Completions []Completion
-	// Workers maps dispatch-pool slot to the announced worker ID. Slots
-	// beyond the initial address list belong to workers admitted mid-run
-	// through the rejoin listener.
+	// Workers maps dispatch-pool slot (the index of the worker's address)
+	// to the announced worker ID.
 	Workers map[int]int
 
 	// Robustness counters.
@@ -70,9 +69,6 @@ type Report struct {
 	// DuplicateDone is the number of completions discarded because the
 	// task had already been completed (hedging or retry races).
 	DuplicateDone int
-	// Rejoins is the number of workers admitted mid-run via the rejoin
-	// listener.
-	Rejoins int
 }
 
 // Controller executes allocation plans on live workers over TCP.
@@ -87,26 +83,23 @@ type Controller struct {
 	// then misses K consecutive windows — each its cadence, but at least
 	// Tick — is declared dead and its work re-dispatched (default 3).
 	LivenessMisses int
-	// HedgeMinDeadline is the floor of a task's completion deadline; a
-	// task still incomplete past its deadline is speculatively re-sent to
-	// an idle healthy worker (default 1s).
+	// HedgeMinDeadline is the floor of a task's completion deadline, to
+	// which hedgeFactor (4) times the task's expected execution time is
+	// added. A task still incomplete past its deadline is speculatively
+	// re-sent to an idle healthy worker (default 1s).
 	HedgeMinDeadline time.Duration
-	// HedgeFactor scales the task's expected execution time
-	// (InputBits × SecPerBit × TimeScale from the worker's hello) added on
-	// top of HedgeMinDeadline (default 4).
-	HedgeFactor float64
 	// MaxCorruptFrames quarantines a worker after this many corrupt
 	// frames on its connection: the link is flaky beyond salvage
 	// (default 3).
 	MaxCorruptFrames int
 	// Tick is the failure-detector scan interval (default 10ms).
 	Tick time.Duration
-	// RejoinListener, when non-nil, lets recovered workers dial back in
-	// mid-run: Run accepts connections on it, reads the hello, and admits
-	// the worker into the dispatch pool. The listener is closed when the
-	// run ends.
-	RejoinListener net.Listener
 }
+
+// hedgeFactor scales a task's expected execution time (InputBits ×
+// SecPerBit × TimeScale from the worker's hello) in its completion
+// deadline.
+const hedgeFactor = 4
 
 // NewController returns a controller with a 2-second dial timeout.
 func NewController() *Controller { return &Controller{DialTimeout: 2 * time.Second} }
@@ -123,13 +116,6 @@ func (c *Controller) hedgeMinDeadline() time.Duration {
 		return c.HedgeMinDeadline
 	}
 	return time.Second
-}
-
-func (c *Controller) hedgeFactor() float64 {
-	if c.HedgeFactor > 0 {
-		return c.HedgeFactor
-	}
-	return 4
 }
 
 func (c *Controller) maxCorruptFrames() int {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -634,31 +633,4 @@ func TestWorkerQueuesMidTaskAssign(t *testing.T) {
 			t.Fatalf("frame %d = %q/%d, want done/%d", j, env.Type, env.TaskID, j)
 		}
 	}
-}
-
-// Rejoin dials a controller's rejoin listener and serves the protocol on
-// the outbound connection — how a recovered node re-enters a running
-// dispatch pool. It returns once the connection is
-// established; the protocol runs in the background until the controller
-// hangs up or the worker is closed.
-func (w *Worker) Rejoin(ctx context.Context, controllerAddr string) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", controllerAddr)
-	if err != nil {
-		return fmt.Errorf("edgenet: worker %d rejoin %s: %w", w.ID, controllerAddr, err)
-	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		conn.Close()
-		return fmt.Errorf("edgenet: worker %d is closed", w.ID)
-	}
-	w.handlers.Add(1)
-	w.mu.Unlock()
-	go func() {
-		defer w.handlers.Done()
-		defer conn.Close()
-		w.handle(conn)
-	}()
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/alloc"
@@ -42,7 +41,6 @@ const (
 	evBeat
 	evCorrupt
 	evGone
-	evJoin
 	evEcho // the worker's MsgCancel echo
 )
 
@@ -72,15 +70,13 @@ type ftRun struct {
 	report  *Report
 	start   time.Time // dispatch start, once the initial pool is greeted
 	events  chan ftEvent
-	stop    chan struct{}  // closed once the run is over: no more events
-	ticker  *time.Ticker   // the failure detector's scan
-	scanned time.Time      // the last scan, or the dispatch start
-	silence string         // " (why the last silent worker died)", or ""
-	wg      sync.WaitGroup // the rejoin listener's goroutines
+	stop    chan struct{} // closed once the run is over: no more events
+	ticker  *time.Ticker  // the failure detector's scan
+	scanned time.Time     // the last scan, or the dispatch start
+	silence string        // " (why the last silent worker died)", or ""
 	workers []*ftWorker
 	tasks   []ftTask
 	backlog []int // unowned tasks awaiting a worker, priority-ordered
-	slots   int   // next dispatch-pool slot for a rejoining worker
 	live    int
 	done    int
 	total   int
@@ -123,13 +119,13 @@ type ftRun struct {
 //   - integrity: a frame failing its CRC (or message validation) is
 //     counted and the in-flight assignment re-sent; a connection exceeding
 //     MaxCorruptFrames is quarantined like a dead worker.
-//   - rejoin: when Controller.RejoinListener is set, a recovered worker
-//     can dial back mid-run and is re-admitted; it takes orphaned tasks.
+//
+// A worker that died in one run is not taken back mid-run: once it
+// recovers, the next Run's dial greets it again.
 //
 // Orphaned tasks go to idle live workers in priority order. Besides a
 // malformed plan, Run fails only with ErrAllWorkersDown, when no worker is
-// left with work outstanding (and no rejoin listener could replenish the
-// pool), or when ctx ends.
+// left with work outstanding, or when ctx ends.
 func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, res *alloc.Result, coverageTarget float64) (*Report, error) {
 	queues, assigned, target, err := prepare(addrs, p, res, coverageTarget)
 	if err != nil {
@@ -145,7 +141,6 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 		stop:   make(chan struct{}),
 		ticker: time.NewTicker(c.tick()),
 		tasks:  make([]ftTask, len(p.Tasks)),
-		slots:  len(addrs),
 		total:  assigned,
 		target: target,
 	}
@@ -172,42 +167,13 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	// set-up, not execution.
 	r.start = time.Now()
 	r.scanned = r.start
-	if r.live == 0 && c.RejoinListener == nil && r.total > 0 {
+	if r.live == 0 && r.total > 0 {
 		return nil, fmt.Errorf("%d tasks stranded: %w", r.total, ErrAllWorkersDown)
 	}
 
-	// Rejoin listener: recovered workers dial in, greet, and are admitted
-	// into the pool by the event loop.
-	if c.RejoinListener != nil {
-		ln := c.RejoinListener
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				r.wg.Add(1)
-				go func() {
-					defer r.wg.Done()
-					hello, err := readHello(conn, 5*time.Second)
-					if err != nil {
-						conn.Close()
-						return
-					}
-					w := newFTWorker(startSession("", conn, hello))
-					if !r.send(ftEvent{w: w, kind: evJoin}) {
-						w.s.close()
-					}
-				}()
-			}
-		}()
-	}
-
-	// Seed the pool, then run the event loop: completions, heartbeats,
-	// corruption and joins arrive as events; the ticker drives the
-	// failure detector (hedge + liveness scans).
+	// Seed the pool, then run the event loop: completions, heartbeats and
+	// corruption arrive as events; the ticker drives the failure detector
+	// (hedge + liveness scans).
 	for _, w := range r.workers {
 		r.dispatch(w)
 	}
@@ -220,7 +186,7 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 		case <-ctx.Done():
 			return nil, fmt.Errorf("edgenet run: %w", ctx.Err())
 		}
-		if !r.over() && r.live == 0 && c.RejoinListener == nil {
+		if !r.over() && r.live == 0 {
 			return nil, fmt.Errorf("%d tasks stranded%s: %w", r.total-r.done, r.silence, ErrAllWorkersDown)
 		}
 	}
@@ -230,21 +196,12 @@ func (c *Controller) Run(ctx context.Context, addrs []string, p *core.Problem, r
 	return r.report, nil
 }
 
-// end closes the run: no more rejoins, the cancel barrier, and then each
-// echoed session goes back to the fleet and every other one is closed.
+// end closes the run: the cancel barrier, and then each echoed session
+// goes back to the fleet and every other one is closed.
 func (r *ftRun) end() {
-	if r.c.RejoinListener != nil {
-		r.c.RejoinListener.Close()
-	}
 	r.barrier()
 	r.ticker.Stop()
 	close(r.stop)
-	r.wg.Wait()
-	for len(r.events) > 0 { // a join the barrier did not see
-		if ev := <-r.events; ev.kind == evJoin {
-			ev.w.s.close()
-		}
-	}
 	for _, w := range r.workers {
 		if w.echoed {
 			pool(w.s)
@@ -261,18 +218,15 @@ func (r *ftRun) end() {
 func (r *ftRun) barrier() {
 	now := time.Now()
 	for _, w := range r.workers {
-		if w.alive && w.s.addr != "" && w.s.send(&Envelope{Type: MsgCancel}) {
+		if w.alive && w.s.send(&Envelope{Type: MsgCancel}) {
 			w.cancelBy = now.Add(time.Duration(r.c.livenessMisses()) * r.beatWindow(w))
 		}
 	}
 	for r.awaitingEcho() {
 		select {
 		case ev := <-r.events:
-			switch ev.kind {
-			case evEcho:
+			if ev.kind == evEcho {
 				ev.w.echoed = !ev.w.cancelBy.IsZero()
-			case evJoin:
-				ev.w.s.close()
 			}
 		case now := <-r.ticker.C:
 			for _, w := range r.workers {
@@ -336,12 +290,6 @@ func (r *ftRun) send(ev ftEvent) bool {
 func (r *ftRun) handle(ev ftEvent) {
 	w := ev.w
 	switch ev.kind {
-	case evJoin:
-		w.slot = r.slots
-		r.slots++
-		r.report.Rejoins++
-		r.admit(w)
-		r.dispatch(w)
 	case evBeat:
 		if w.alive {
 			r.noteAlive(w, ev.at)
@@ -566,7 +514,7 @@ func (r *ftRun) resend(w *ftWorker, j int) {
 // largest Duration instead of wrapping into the past.
 func (r *ftRun) deadlineFor(w *ftWorker, t core.TaskSpec) time.Duration {
 	expected := t.InputBits * w.secPerBit * w.timeScale
-	floor, d := r.c.hedgeMinDeadline(), seconds(r.c.hedgeFactor()*expected)
+	floor, d := r.c.hedgeMinDeadline(), seconds(hedgeFactor*expected)
 	if d > math.MaxInt64-floor {
 		return math.MaxInt64
 	}

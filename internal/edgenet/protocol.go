@@ -70,8 +70,7 @@ type MsgType string
 
 // Protocol message types.
 const (
-	// MsgHello is the worker's greeting after accepting a connection (or
-	// after dialing a controller's rejoin listener).
+	// MsgHello is the worker's greeting after accepting a connection.
 	MsgHello MsgType = "hello"
 	// MsgAssign carries one task assignment, controller → worker.
 	MsgAssign MsgType = "assign"

@@ -13,7 +13,7 @@ import (
 // reader, which stamps each frame's arrival and hands it to the attached
 // run (or drops it while pooled), and one writer.
 type session struct {
-	addr  string // "" for a rejoined connection, which is never pooled
+	addr  string
 	conn  net.Conn
 	hello *Envelope
 	out   chan *Envelope // to the writer; a run queues one assign at a time, plus re-sends and a cancel

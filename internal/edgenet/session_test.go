@@ -3,6 +3,7 @@ package edgenet
 import (
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +217,60 @@ func TestRunConcurrentSessions(t *testing.T) {
 	for i, l := range lns {
 		if n := l.accepts.Load(); n != 2 {
 			t.Fatalf("worker %d accepted %d sessions, want 2", i+1, n)
+		}
+	}
+}
+
+// TestRunRedialsRestartedWorker: a worker that closes after a run and comes
+// back on the same address is dialed afresh by the next Run, which puts it
+// back in the dispatch pool: it runs its own planned tasks again.
+func TestRunRedialsRestartedWorker(t *testing.T) {
+	workers, addrs := startWorkers(t, 2)
+	p, res := testPlan(6, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := NewController().Run(ctx, addrs, p, res, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	fleet.mu.Lock()
+	idle := slices.Clone(fleet.idle[addrs[1]])
+	fleet.mu.Unlock()
+	if len(idle) != 1 {
+		t.Fatalf("fleet holds %d sessions for worker 2 after run 1, want 1", len(idle))
+	}
+	if err := workers[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The next Run skips a closed session: wait until its reader has seen
+	// the hangup.
+	select {
+	case <-idle[0].quit:
+	case <-ctx.Done():
+		t.Fatal("the closed worker's session never saw the hangup")
+	}
+	l, err := net.Listen("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := &Worker{ID: 12, Type: edgesim.RaspberryPiB}
+	if err := restarted.Serve(l); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+
+	report, err := NewController().Run(ctx, addrs, p, res, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Completions) != 6 || report.DeadWorkers != 0 {
+		t.Fatalf("completions = %d, dead = %d; want 6, 0", len(report.Completions), report.DeadWorkers)
+	}
+	if report.Workers[1] != restarted.ID {
+		t.Fatalf("Workers = %v, want slot 1 -> the restarted worker %d", report.Workers, restarted.ID)
+	}
+	for _, comp := range report.Completions {
+		if want := []int{workers[0].ID, restarted.ID}[comp.Task%2]; comp.WorkerID != want {
+			t.Fatalf("task %d completed on worker %d, want its planned worker %d", comp.Task, comp.WorkerID, want)
 		}
 	}
 }

@@ -39,7 +39,6 @@ type Worker struct {
 	done     chan struct{}
 	closed   bool
 	conns    map[net.Conn]struct{} // all live protocol connections
-	handlers sync.WaitGroup        // rejoin handlers (accept-side ones are waited via done)
 }
 
 // Serve starts accepting controller connections on l and returns
@@ -264,7 +263,7 @@ func seconds(s float64) time.Duration {
 
 // Close stops accepting connections, closes live protocol connections
 // (unblocking any handler stuck on a stalled peer), and waits for all
-// handlers — accepted and rejoined. It is idempotent.
+// handlers. It is idempotent.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -282,7 +281,6 @@ func (w *Worker) Close() error {
 		err = l.Close()
 		<-done
 	}
-	w.handlers.Wait()
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		return fmt.Errorf("edgenet worker close: %w", err)
 	}

@@ -8,12 +8,13 @@ import (
 	"repro/internal/neural"
 )
 
+// lambda is the discount factor λ of the paper's five-tuple.
+const lambda = 0.95
+
 // DQNConfig parameterizes a DQN agent.
 type DQNConfig struct {
 	// Hidden lists hidden-layer widths (default [64, 64]).
 	Hidden []int
-	// Gamma is the discount factor λ of the paper's five-tuple (default 0.95).
-	Gamma float64
 	// LearningRate is the Q-network SGD step (default 0.005).
 	LearningRate float64
 	// Epsilon is the exploration schedule (default 1.0 → 0.05 over 2000 steps).
@@ -39,9 +40,6 @@ type DQNConfig struct {
 func (c DQNConfig) withDefaults() DQNConfig {
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{64, 64}
-	}
-	if c.Gamma <= 0 || c.Gamma > 1 {
-		c.Gamma = 0.95
 	}
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.005
@@ -366,7 +364,7 @@ func (d *DQN) learn() error {
 		trow, mrow := d.targets.Row(i), d.mask.Row(i)
 		clear(trow)
 		clear(mrow)
-		trow[tr.Action] = tr.Reward + d.cfg.Gamma*d.qNext[i]
+		trow[tr.Action] = tr.Reward + lambda*d.qNext[i]
 		mrow[tr.Action] = 1
 	}
 	if _, err := d.online.TrainBatch(d.states, d.targets, d.mask); err != nil {
@@ -464,12 +462,11 @@ const (
 
 // TrainResult summarizes a training run.
 type TrainResult struct {
-	Episodes       int
-	MeanReward     float64
-	FinalReward    float64
-	RewardsPerEp   []float64
-	TotalSteps     int
-	GreedyEpisodes int
+	Episodes     int
+	MeanReward   float64
+	FinalReward  float64
+	RewardsPerEp []float64
+	TotalSteps   int
 	// StopReason records why training ended: StopBudget or StopPlateau.
 	// Empty in results from agents that predate the field.
 	StopReason string

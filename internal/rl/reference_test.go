@@ -198,7 +198,7 @@ func (a *refAgent) observe(t *testing.T, tr Transition) {
 		default:
 			qNext = maxOver(tq.Row(i), s.NextValid)
 		}
-		targets.Row(i)[s.Action] = s.Reward + a.cfg.Gamma*qNext
+		targets.Row(i)[s.Action] = s.Reward + lambda*qNext
 		mask.Row(i)[s.Action] = 1
 	}
 	a.online.trainBatch(t, states, targets, mask)

@@ -13,10 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// maxBodyBytes bounds request bodies; feature matrices for paper-scale
-// problems are well under a megabyte.
-const maxBodyBytes = 8 << 20
-
 // HTTPOptions tunes the HTTP front-end.
 type HTTPOptions struct {
 	// RequestTimeout bounds each request's handling (default 120s).
@@ -50,7 +46,6 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 //	POST /v1/allocate — AllocateRequest  → AllocateResponse
 //	POST /v1/feedback — FeedbackRequest  → FeedbackResponse
 //	GET  /v1/stats    — Stats
-//	GET  /v1/cluster  — the node's ClusterIdentity (or standalone)
 //	GET  /healthz     — liveness
 func NewHandler(s *Server, opts HTTPOptions) http.Handler {
 	return newHandler(s, opts, opts.ExtraRoutes)
@@ -104,7 +99,6 @@ func newHandler(s *Server, opts HTTPOptions, extra map[string]http.HandlerFunc) 
 		}
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	mux.HandleFunc("/v1/cluster", s.handleClusterStatus)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		status := "ok"
 		code := http.StatusOK
@@ -147,7 +141,7 @@ func withTimeout(next http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-// readPost reads a POSTed body, capped at maxBodyBytes, into a pooled
+// readPost reads a POSTed body, capped at wire.MaxBody, into a pooled
 // workspace's buffer. It answers the request itself and returns nil when the
 // method is wrong or the body cannot be read.
 func (s *Server) readPost(w http.ResponseWriter, r *http.Request) *allocWS {
@@ -157,7 +151,7 @@ func (s *Server) readPost(w http.ResponseWriter, r *http.Request) *allocWS {
 	}
 	ws := s.getWS()
 	var err error
-	if ws.buf, err = wire.ReadBody(ws.buf[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+	if ws.buf, err = wire.ReadBody(ws.buf[:0], http.MaxBytesReader(w, r.Body, wire.MaxBody)); err != nil {
 		s.putWS(ws)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return nil

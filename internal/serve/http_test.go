@@ -229,7 +229,7 @@ func TestHTTPOversizedBodyIsNotPooled(t *testing.T) {
 		return rec.Code
 	}
 	pad := func(n int) string { return `{"signature":[0]` + strings.Repeat(" ", n) + `}` }
-	if code := post(pad(maxBodyBytes)); code != http.StatusBadRequest {
+	if code := post(pad(wire.MaxBody)); code != http.StatusBadRequest {
 		t.Fatalf("body over the cap = %d", code)
 	}
 	if code := post(pad(2 * wire.MaxPooledBody)); code != http.StatusOK {

@@ -40,15 +40,15 @@ type MembershipStats struct {
 // SetMembership registers the membership-stats provider (the cluster
 // tier's gossip agent). Safe to call before serving; nil detaches.
 func (s *Server) SetMembership(provider func() *MembershipStats) {
-	s.clusterMu.Lock()
+	s.memberMu.Lock()
 	s.membership = provider
-	s.clusterMu.Unlock()
+	s.memberMu.Unlock()
 }
 
 func (s *Server) membershipStats() *MembershipStats {
-	s.clusterMu.Lock()
+	s.memberMu.Lock()
 	provider := s.membership
-	s.clusterMu.Unlock()
+	s.memberMu.Unlock()
 	if provider == nil {
 		return nil
 	}

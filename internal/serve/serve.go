@@ -19,10 +19,11 @@
 //     store and local model; while draining, allocates answer with the same
 //     decision, labelled degraded
 //   - http.go     — the HTTP/JSON API (/v1/allocate, /v1/feedback,
-//     /v1/stats, /v1/cluster, /healthz) with request timeouts, panic
-//     recovery and graceful drain
-//   - cluster.go, membership.go — a shard's identity and the gossip
-//     plane's stats when the node is part of a fleet
+//     /v1/stats, /healthz) with request timeouts, panic recovery and
+//     graceful drain
+//   - membership.go — the gossip plane's stats when the node is part of a
+//     fleet. A shard answers any cluster it is asked about; which clusters
+//     it owns is the router's ring alone (internal/cluster)
 package serve
 
 import (

@@ -69,11 +69,9 @@ type Server struct {
 	subLen int
 	subs   map[int]*core.EnvironmentStore
 
-	// Cluster membership (nil while standalone; see cluster.go). membership
-	// is the gossip plane's stats provider (nil unless SetMembership ran;
-	// see membership.go).
-	clusterMu  sync.Mutex
-	clusterID  *ClusterIdentity
+	// membership is the gossip plane's stats provider (nil unless
+	// SetMembership ran; see membership.go).
+	memberMu   sync.Mutex
 	membership func() *MembershipStats
 
 	latMu   sync.Mutex
@@ -593,9 +591,6 @@ type Stats struct {
 	// FeedbackDuplicates counts feedback requests absorbed by seq dedupe.
 	FeedbackDuplicates int64        `json:"feedback_duplicates"`
 	Latency            LatencyStats `json:"latency"`
-	// Cluster is the shard's identity when the node is part of a cluster
-	// deployment (absent standalone).
-	Cluster *ClusterIdentity `json:"cluster,omitempty"`
 	// Membership is the gossip membership plane's view and protocol
 	// counters when the node gossips (absent standalone).
 	Membership *MembershipStats `json:"membership,omitempty"`
@@ -619,7 +614,6 @@ func (s *Server) Stats() Stats {
 		RecoveredPanics:    s.panics.Load(),
 		FeedbackDuplicates: s.fbDupes.Load(),
 		Latency:            s.latencyStats(),
-		Cluster:            s.ClusterIdentity(),
 		Membership:         s.membershipStats(),
 	}
 }

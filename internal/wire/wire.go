@@ -126,6 +126,11 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%s at byte %d", e.Msg, e.Offset)
 }
 
+// MaxBody bounds the request bodies both tiers read: the shard and the
+// router refuse a longer one with 400. Feature matrices for paper-scale
+// problems are well under a megabyte.
+const MaxBody = 8 << 20
+
 // MaxPooledBody bounds the body buffers a tier keeps between requests. Both
 // tiers read bodies into pooled workspaces; one that served a larger body is
 // dropped instead of pooled, so a single 8 MB request cannot pin its buffers
